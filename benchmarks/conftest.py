@@ -48,19 +48,7 @@ def record_gate_measurements(gate, *, threshold, unit, measurements):
         What the rates count (``"patterns/sec"``, ``"configs/sec"``).
     measurements:
         List of flat dicts — one per protocol/configuration the gate timed.
-        Each measurement is tagged with the active array backend (unless the
-        gate already set a ``"backend"`` key), so cross-backend trajectories
-        stay identity-aligned in ``repro bench compare``.
     """
-    try:
-        from repro.engine.backend import get_backend
-
-        backend_name = get_backend(None).name
-    except ValueError:
-        backend_name = "unknown"
-    measurements = [
-        m if "backend" in m else {**m, "backend": backend_name} for m in measurements
-    ]
     path = Path(os.environ.get("BENCH_RESULTS_PATH", _DEFAULT_RESULTS_PATH))
     try:
         existing = json.loads(path.read_text())

@@ -56,14 +56,8 @@ def zero_before_wake(matrix: np.ndarray, slots: np.ndarray, wakes) -> np.ndarray
     wakes = np.asarray(wakes, dtype=np.int64)
     if slots.size == 0 or wakes.size == 0 or int(wakes.max()) <= int(slots[0]):
         return matrix
-    # Function-level import: the protocol layer must stay importable without
-    # the engine package.  The host surface of the environment-selected
-    # backend fuses the compare-and-zero when it can (numexpr); the protocol
-    # interface is signature-fixed, so the engines' backend= argument cannot
-    # reach this call.
-    from repro.engine.backend import get_backend
-
-    return get_backend(None).host.zero_before_wake(matrix, slots, wakes)
+    matrix[slots[None, :] < wakes[:, None]] = 0.0
+    return matrix
 
 
 class DeterministicProtocol(ABC):

@@ -35,10 +35,7 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     its patterns through the batch engine (:mod:`repro.engine`):
     ``list`` the registered scenario generators, ``sample`` a few concrete
     patterns, or ``run`` a whole batch against a protocol and print latency
-    summary statistics.  ``--backend`` selects the engine's array backend
-    (``numpy``/``numexpr``/``cupy``/``auto``; default follows
-    ``REPRO_BACKEND``) — outcomes are bit-for-bit identical on every
-    backend.
+    summary statistics.
 
 ``sweep``
     Orchestrate whole config grids through :mod:`repro.sweeps`: ``run`` a
@@ -47,9 +44,7 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     the ``status`` of a store against a spec, or drive the randomized
     ``worst-case`` search over the grid's (n, k) cells.  Results are
     bit-for-bit identical for any worker count.  ``--trace PATH`` records a
-    structured JSONL trace of the run through :mod:`repro.obs`;
-    ``--backend`` forwards an array-backend name to every worker (execution
-    metadata only — config hashes and results are backend-independent).
+    structured JSONL trace of the run through :mod:`repro.obs`.
 
 ``adversary``
     Guided adversarial search (:mod:`repro.adversary`): ``search`` hunts the
@@ -105,7 +100,6 @@ Examples
     python -m repro sweep run --protocols scenario-b scenario-c --n-values 256 512 \\
         --k-values 8 16 --store sweep-store --workers 4
     python -m repro sweep run --n-values 128 --workers 4 --trace sweep-trace.jsonl
-    REPRO_BACKEND=numexpr python -m repro sweep run --n-values 256 --workers 4
     python -m repro sweep status --spec grid.json --store sweep-store
     python -m repro adversary search --protocol scenario-b --n 256 --k 16 \\
         --strategy anneal --budget 2048 --store adversary-store --certificate worst.json
@@ -268,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a JSONL observability trace of the campaign to PATH "
         "(plus PATH.manifest.json); see `repro obs report`",
     )
-    paper.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend forwarded to every resolution worker: numpy, "
-        "numexpr, cupy or auto (default: the REPRO_BACKEND environment "
-        "variable, else numpy); results are backend-independent",
-    )
 
     verify = subparsers.add_parser("verify-matrix", help="find a verified waking-matrix seed")
     verify.add_argument("--n", type=int, default=64)
@@ -301,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--max-slots", type=int, default=1_000_000)
     wl.add_argument("--shard-size", type=int, default=256, help="patterns per campaign shard")
     wl.add_argument("--workers", type=int, default=0, help="worker threads (0 = serial)")
-    wl.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the engine: numpy, numexpr, cupy or auto "
-        "(default: the REPRO_BACKEND environment variable, else numpy); "
-        "outcomes are identical on every backend",
-    )
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -354,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="record a JSONL observability trace of the run to PATH "
         "(plus PATH.manifest.json); see `repro obs report`",
-    )
-    sweep.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend forwarded to every sweep worker: numpy, numexpr, "
-        "cupy or auto (default: the REPRO_BACKEND environment variable, "
-        "else numpy); execution metadata only — config hashes and results "
-        "are backend-independent",
     )
 
     adversary = subparsers.add_parser(
@@ -480,11 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only the first LIMIT cells of --experiment",
     )
     service.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for resolutions (start / in-process query): "
-        "numpy, numexpr, cupy or auto; results are backend-independent",
-    )
-    service.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a JSONL observability trace of the daemon to PATH "
         "(start action; plus PATH.manifest.json); see `repro obs report`",
@@ -597,7 +567,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         scale=_SCALES[args.scale],
         store=store,
         workers=args.workers,
-        backend=args.backend,
         experiments=args.experiments,
     )
     try:
@@ -700,7 +669,6 @@ def _cmd_workloads_inner(args: argparse.Namespace) -> int:
         shard_size=args.shard_size,
         workers=args.workers,
         seed=args.seed,
-        backend=args.backend,
     )
     result = campaign.run(patterns)
     print(f"protocol: {protocol.describe()}")
@@ -772,7 +740,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     store = SweepStore(args.store) if args.store else None
     try:
-        runner = SweepRunner(workers=args.workers, store=store, backend=args.backend)
+        runner = SweepRunner(workers=args.workers, store=store)
         if args.action == "status":
             status = runner.status(spec)
             print(f"store  : {store.root}")
@@ -990,7 +958,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
             return 2
         store = SweepStore(args.store)
         try:
-            service = ResultsService(store, workers=args.workers, backend=args.backend)
+            service = ResultsService(store, workers=args.workers)
         except (KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1095,7 +1063,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
         if store is None:
             raise OSError("no --store to resolve against")
         if fallback is None:
-            fallback = ResultsService(store, workers=0, backend=args.backend)
+            fallback = ResultsService(store, workers=0)
         record, cached = fallback.resolve(config)
         return render_response(record), "hit" if cached else "miss"
 

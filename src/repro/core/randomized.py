@@ -80,12 +80,9 @@ class RepeatedProbabilityDecrease(RandomizedPolicy):
     def transmit_probability_matrix(self, stations, wakes, start, stop) -> np.ndarray:
         # The sweep is a pure function of the global slot: one row of
         # probabilities broadcast to every pair, zeroed before wake-up.
-        # ldexp(1, -e) == 2^-e exactly for every exponent in the sweep, so
-        # routing through the backend layer cannot change a probability.
-        from repro.engine.backend import get_backend
-
+        # ldexp(1, -e) == 2^-e exactly for every exponent in the sweep.
         slots = np.arange(int(start), int(stop), dtype=np.int64)
-        row = get_backend(None).host.ldexp(1.0, -(1 + (slots % self.period)))
+        row = np.ldexp(1.0, -(1 + (slots % self.period)))
         matrix = np.broadcast_to(row, (len(stations), slots.size)).copy()
         return zero_before_wake(matrix, slots, wakes)
 
@@ -120,12 +117,10 @@ class DecayPolicy(RandomizedPolicy):
         # the wake time modulo the period, so the matrix is a row gather from
         # a (period × slots) table — one pass over the output instead of a
         # broadcast subtract, modulo and power.
-        from repro.engine.backend import get_backend
-
         slots = np.arange(int(start), int(stop), dtype=np.int64)
         wakes = np.asarray(wakes, dtype=np.int64)
         residues = np.arange(self.period, dtype=np.int64)
-        table = get_backend(None).host.ldexp(
+        table = np.ldexp(
             1.0, -(1 + (slots[None, :] - residues[:, None]) % self.period)
         )
         matrix = table[wakes % self.period]

@@ -286,19 +286,6 @@ class TransmissionMatrix(ABC):
             count=stations.size,
         ).reshape(stations.shape)
 
-    def membership_kernel(
-        self, stations: np.ndarray, rows: np.ndarray, columns: np.ndarray, backend
-    ) -> np.ndarray:
-        """Backend-routed :meth:`membership_for_pairs` (see :mod:`repro.engine.backend`).
-
-        The default answers on the host and transfers the boolean result to
-        ``backend``'s namespace; :class:`HashedTransmissionMatrix` overrides
-        it to evaluate the splitmix64 hashes directly on a device backend.
-        Every implementation returns bit-for-bit the host answer.
-        """
-        backend.note_kernel()
-        return backend.from_host(self.membership_for_pairs(stations, rows, columns))
-
     def column_set(self, row: int, column: int) -> FrozenSet[int]:
         """The full transmission set ``M_{row, column}`` (O(n); diagnostics only)."""
         return frozenset(
@@ -362,8 +349,6 @@ class HashedTransmissionMatrix(TransmissionMatrix):
             + np.arange(params.window, dtype=np.int64)[None, :]
         )
         self._threshold_by_row_rho = self._thresholds(exponents)
-        # Device copies of the threshold table, one per device backend name.
-        self._device_tables: Dict[str, np.ndarray] = {}
 
     def _hash_cells(
         self, rows: np.ndarray, columns: np.ndarray, stations: np.ndarray
@@ -453,38 +438,6 @@ class HashedTransmissionMatrix(TransmissionMatrix):
         # _thresholds, which built this table).
         return hashes < self._threshold_by_row_rho[rows - 1, cols % self.params.window]
 
-    def membership_kernel(
-        self, stations: np.ndarray, rows: np.ndarray, columns: np.ndarray, backend
-    ) -> np.ndarray:
-        if not backend.is_device:
-            backend.note_kernel()
-            return self.membership_for_pairs(stations, rows, columns)
-        # Device path: validate on the host, then run the splitmix64 mixing
-        # and the threshold gather entirely in the device namespace — the
-        # uint64 arithmetic wraps identically, so the mask is bit-for-bit
-        # the host answer.
-        stations, rows, columns = np.broadcast_arrays(
-            np.asarray(stations, dtype=np.int64),
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(columns, dtype=np.int64),
-        )
-        if stations.size == 0:
-            return backend.from_host(np.empty(stations.shape, dtype=bool))
-        if int(rows.min()) < 1 or int(rows.max()) > self.params.rows:
-            raise ValueError(f"rows must be in [1, {self.params.rows}]")
-        if int(stations.min()) < 1 or int(stations.max()) > self.n:
-            raise ValueError(f"stations must be in [1, {self.n}]")
-        backend.note_kernel()
-        rows_d = backend.from_host(rows)
-        cols_d = backend.from_host(np.ascontiguousarray(columns % self.params.length))
-        stations_d = backend.from_host(stations)
-        hashes = self._hash_cells(rows_d, cols_d, stations_d)
-        table = self._device_tables.get(backend.name)
-        if table is None:
-            table = backend.from_host(self._threshold_by_row_rho)
-            self._device_tables[backend.name] = table
-        return hashes < table[rows_d - 1, cols_d % self.params.window]
-
 
 class ExplicitTransmissionMatrix(TransmissionMatrix):
     """A dense, explicitly stored transmission matrix (small universes only).
@@ -548,7 +501,6 @@ def matrix_batch_transmit_slots(
     stop: int,
     *,
     local_columns: bool = False,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared ``batch_transmit_slots`` body for matrix-driven protocols.
 
@@ -566,19 +518,9 @@ def matrix_batch_transmit_slots(
     length by active *patterns*, while this enumeration is dense in *pairs*,
     so without the inner slicing a k-heavy unsolved batch could materialize
     k-fold more cells than the engine's documented working-set bound.
-    Membership evaluation routes through the array-backend layer
-    (:mod:`repro.engine.backend`) via :meth:`TransmissionMatrix.membership_kernel`;
-    ``backend=None`` follows ``REPRO_BACKEND`` — the protocol-layer
-    ``batch_transmit_slots`` interface is signature-fixed, so the engines'
-    ``backend=`` argument cannot reach this call and selection happens per
-    call from the environment.  Returns the aligned ``(pair_index, slots)``
-    arrays of the ``batch_transmit_slots`` contract.
+    Returns the aligned ``(pair_index, slots)`` arrays of the
+    ``batch_transmit_slots`` contract.
     """
-    # Function-level import: repro.core must stay importable without pulling
-    # the engine package in at module-import time.
-    from repro.engine.backend import get_backend
-
-    backend = get_backend(backend)
     stations = np.asarray(stations, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     params = matrix.params
@@ -593,12 +535,7 @@ def matrix_batch_transmit_slots(
         if not slots.size:
             continue
         columns = (offsets if local_columns else slots) % params.length
-        member = np.asarray(
-            backend.to_host(
-                matrix.membership_kernel(stations[pair_index], rows, columns, backend)
-            ),
-            dtype=bool,
-        )
+        member = matrix.membership_for_pairs(stations[pair_index], rows, columns)
         if member.any():
             idx_pieces.append(pair_index[member])
             slot_pieces.append(slots[member])

@@ -35,12 +35,7 @@ by both protocol kinds:
   :class:`~repro.channel.simulator.WakeupResult`;
 * :class:`~repro.engine.campaign.Campaign` — shards large pattern sets across
   ``concurrent.futures`` workers through a single engine dispatch, with
-  :class:`~repro.experiments.cache.FamilyCache` integration;
-* :mod:`repro.engine.backend` (exported as ``repro.engine.xp``) — the
-  pluggable array-backend layer behind every engine kernel: the NumPy
-  reference plus optional ``numexpr`` (fused CPU expressions) and ``cupy``
-  (device arrays) fast paths, selected via :func:`get_backend` /
-  ``REPRO_BACKEND`` and bit-for-bit equivalent by contract.
+  :class:`~repro.experiments.cache.FamilyCache` integration.
 
 The scenario generators that feed this engine live in
 :mod:`repro.workloads`; the layer above it — whole config grids sharded
@@ -48,13 +43,6 @@ across worker *processes*, with an on-disk resumable store — is
 :mod:`repro.sweeps`.
 """
 
-from repro.engine import backend as xp
-from repro.engine.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    available_backends,
-    get_backend,
-)
 from repro.engine.batch import (
     BatchResult,
     run_batch,
@@ -71,9 +59,4 @@ __all__ = [
     "run_randomized_batch",
     "run_feedback_batch",
     "Campaign",
-    "xp",
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "available_backends",
-    "get_backend",
 ]

@@ -54,7 +54,6 @@ import numpy as np
 
 from repro import obs
 from repro._util import MAX_CELLS_PER_CHUNK, RngLike, spawn_generators
-from repro.engine.backend import ArrayBackend, get_backend
 from repro.channel.protocols import (
     DeterministicProtocol,
     FeedbackVectorizedPolicy,
@@ -342,7 +341,6 @@ def _chunked_first_success_scan(
     horizon: np.ndarray,
     chunk: int,
     cost_per_pair: bool = False,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Resolve every row's first singleton-transmitter slot in one shared scan.
 
@@ -358,21 +356,12 @@ def _chunked_first_success_scan(
     pairs × slots — the randomized engine materializes a dense probability
     matrix over live pairs, so its working set scales with pairs.
 
-    ``backend`` selects the array backend (see :mod:`repro.engine.backend`)
-    for the heavy per-chunk kernels — the bincount transmit counts, the
-    singles mask and the first-success argmax; index-producing masks run on
-    ``backend.host``.  Every backend yields bit-for-bit the reference
-    columns.
-
     Returns ``(solved, success_slot, winner, latency, slots_examined)``
     columns; ``slots_examined`` accounts the scanned window per row (the
     deterministic diagnostic — callers with different conventions overwrite
     it).
     """
     B = int(first_wake.shape[0])
-    B_ = get_backend(backend)
-    H = B_.host
-    usage = B_.usage_begin()
     solved = np.zeros(B, dtype=bool)
     success_slot = np.full(B, -1, dtype=np.int64)
     winner = np.full(B, -1, dtype=np.int64)
@@ -409,35 +398,25 @@ def _chunked_first_success_scan(
             row_pos.fill(-1)
             row_pos[active_rows] = np.arange(A, dtype=np.int64)
 
-            live = H.live_mask(
-                pair_done,
-                pair_wake,
-                pair_horizon,
-                chunk_start,
-                chunk_stop,
-                out=scratch.live,
-                tmp=scratch.tmp,
-            )
+            # live = (~done) & (wake < stop) & (horizon > start), per pair.
+            live = np.less(pair_wake, chunk_stop, out=scratch.live)
+            live &= np.greater(pair_horizon, chunk_start, out=scratch.tmp)
+            live &= np.logical_not(pair_done, out=scratch.tmp)
             live_pairs = np.flatnonzero(live)
             if live_pairs.size:
                 entry_global, entry_slot = emit(live_pairs, chunk_start, chunk_stop)
                 entry_pos = row_pos[pair_row[entry_global]]
-                keys = H.scan_keys(entry_pos, entry_slot, length, chunk_start)
-                counts = B_.bincount(
-                    B_.from_host(keys), minlength=A * length
-                ).reshape(A, length)
+                keys = entry_pos * length + (entry_slot - chunk_start)
+                counts = np.bincount(keys, minlength=A * length).reshape(A, length)
                 # A slot only counts for a row inside the row's own horizon
                 # window.  Horizon-valid columns form a per-row prefix, so it
                 # suffices to find the first singleton column and check it
                 # against the prefix length — no 2-D validity mask needed.
-                singles = B_.singles_mask(
-                    counts, out=None if B_.is_device else scratch.singles(A, length)
+                singles = np.equal(counts, 1, out=scratch.singles(A, length))
+                first_col = np.argmax(singles, axis=1)
+                has_success = singles[np.arange(A), first_col] & (
+                    first_col < horizon[active_rows] - chunk_start
                 )
-                first_col_k = B_.argmax(singles, axis=1)
-                prefix = B_.from_host(horizon[active_rows] - chunk_start)
-                has_k = singles[B_.xp.arange(A), first_col_k] & (first_col_k < prefix)
-                first_col = np.asarray(B_.to_host(first_col_k), dtype=np.int64)
-                has_success = np.asarray(B_.to_host(has_k), dtype=bool)
             else:
                 entry_global = np.empty(0, dtype=np.int64)
                 entry_slot = np.empty(0, dtype=np.int64)
@@ -490,7 +469,6 @@ def _chunked_first_success_scan(
     obs.add("engine.patterns", B)
     obs.add("engine.patterns_solved", int(np.count_nonzero(solved)))
     obs.gauge("engine.scratch_bytes_reused", scratch.reused_bytes)
-    B_.usage_report(usage)
     return solved, success_slot, winner, latency, slots_examined
 
 
@@ -515,7 +493,6 @@ def run_deterministic_batch(
     *,
     max_slots: int = DEFAULT_MAX_SLOTS,
     chunk: int = DEFAULT_BATCH_CHUNK,
-    backend: Union[None, str, ArrayBackend] = None,
 ) -> BatchResult:
     """Resolve B wake-up patterns against one protocol in a single scan.
 
@@ -532,11 +509,6 @@ def run_deterministic_batch(
     chunk:
         Initial chunk length of the shared scan; chunks double as the scan
         advances.
-    backend:
-        Array backend for the scan kernels — a name (``numpy``/``numexpr``/
-        ``cupy``/``auto``), an :class:`~repro.engine.backend.ArrayBackend`
-        instance, or ``None`` to follow ``REPRO_BACKEND``.  Outcomes are
-        bit-for-bit identical on every backend.
 
     Returns
     -------
@@ -571,7 +543,6 @@ def run_deterministic_batch(
         first_wake=first_wake,
         horizon=horizon,
         chunk=chunk,
-        backend=backend,
     )
 
     return BatchResult(
@@ -618,7 +589,6 @@ def run_randomized_batch(
     seed: RngLike = None,
     max_slots: int = DEFAULT_MAX_SLOTS,
     chunk: int = DEFAULT_RANDOMIZED_CHUNK,
-    backend: Union[None, str, ArrayBackend] = None,
 ) -> BatchResult:
     """Resolve B wake-up patterns against one randomized policy in one scan.
 
@@ -658,10 +628,6 @@ def run_randomized_batch(
     chunk:
         Initial chunk length of the shared scan; chunks double as the scan
         advances.
-    backend:
-        Array backend for the scan kernels (name, instance, or ``None`` to
-        follow ``REPRO_BACKEND``).  Draws always come from the host
-        generators, so outcomes are bit-for-bit identical on every backend.
 
     Returns
     -------
@@ -687,8 +653,7 @@ def run_randomized_batch(
             from repro.engine.feedback_batch import run_feedback_batch
 
             return run_feedback_batch(
-                policy, patterns, rngs=generators, max_slots=max_slots,
-                backend=backend,
+                policy, patterns, rngs=generators, max_slots=max_slots
             )
         return BatchResult.from_results(
             [
@@ -700,8 +665,6 @@ def run_randomized_batch(
         )
 
     B = len(patterns)
-    B_ = get_backend(backend)
-    H = B_.host
     pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
     k = np.asarray([p.k for p in patterns], dtype=np.int64)
     first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
@@ -748,16 +711,9 @@ def run_randomized_batch(
         ):
             draws = np.empty((live_row_ids.size, L * k0), dtype=np.float64)
             for r, row in enumerate(live_row_ids):
-                B_.random_uniform(generators[int(row)], out=draws[r])
-            hits = np.asarray(
-                B_.to_host(
-                    B_.compare_draws(
-                        B_.from_host(draws).reshape(-1, L, k0),
-                        B_.from_host(probabilities)
-                        .reshape(-1, k0, L)
-                        .transpose(0, 2, 1),
-                    )
-                )
+                generators[int(row)].random(out=draws[r])
+            hits = draws.reshape(-1, L, k0) < (
+                probabilities.reshape(-1, k0, L).transpose(0, 2, 1)
             )
             row_idx, slot_idx, j_idx = np.nonzero(hits)
             return (
@@ -770,8 +726,10 @@ def run_randomized_batch(
         # layout so that C-order enumeration yields cells in (slot,
         # pair-position) order — within any one row exactly the slot loop's
         # draw order (slots ascending, stations in pattern order).
-        drawable = H.drawable_mask(
-            slots, live_wake, horizon[rows_of_live], probabilities.T
+        drawable = (
+            (slots[:, None] >= live_wake[None, :])
+            & (slots[:, None] < horizon[rows_of_live][None, :])
+            & (probabilities.T > 0.0)
         )
         empty = np.empty(0, dtype=np.int64)
         cell_flat = np.flatnonzero(drawable)
@@ -790,11 +748,11 @@ def run_randomized_batch(
         offset = 0
         for row in np.flatnonzero(draws_per_row):
             count = int(draws_per_row[row])
-            B_.random_uniform(generators[row], out=grouped[offset : offset + count])
+            generators[row].random(out=grouped[offset : offset + count])
             offset += count
         draws = np.empty_like(grouped)
         draws[order] = grouped
-        hits = H.compare_draws(draws, probabilities[cell_pos, cell_slot])
+        hits = draws < probabilities[cell_pos, cell_slot]
         if not hits.any():
             return empty, empty
         return live_pairs[cell_pos[hits]], chunk_start + cell_slot[hits]
@@ -808,7 +766,6 @@ def run_randomized_batch(
         horizon=horizon,
         chunk=chunk,
         cost_per_pair=True,
-        backend=B_,
     )
 
     # Match the slot-loop engine's accounting exactly: a solved run examines
@@ -836,7 +793,6 @@ def run_batch(
     seed: RngLike = None,
     max_slots: int = DEFAULT_MAX_SLOTS,
     chunk: Optional[int] = None,
-    backend: Union[None, str, ArrayBackend] = None,
 ) -> BatchResult:
     """Resolve B patterns against *any* protocol kind in one batched call.
 
@@ -865,7 +821,6 @@ def run_batch(
             patterns,
             max_slots=max_slots,
             chunk=DEFAULT_BATCH_CHUNK if chunk is None else chunk,
-            backend=backend,
         )
     if isinstance(protocol, RandomizedPolicy):
         return run_randomized_batch(
@@ -875,7 +830,6 @@ def run_batch(
             seed=seed,
             max_slots=max_slots,
             chunk=DEFAULT_RANDOMIZED_CHUNK if chunk is None else chunk,
-            backend=backend,
         )
     raise TypeError(
         "expected a DeterministicProtocol or RandomizedPolicy, got "

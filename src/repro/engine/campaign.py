@@ -95,11 +95,6 @@ class Campaign:
         Base seed for randomized policies; each pattern's generator is derived
         from it via ``SeedSequence.spawn`` before sharding.  Ignored for
         deterministic protocols.
-    backend:
-        Array backend forwarded to the engines — a name, an
-        :class:`~repro.engine.backend.ArrayBackend` instance, or ``None`` to
-        follow ``REPRO_BACKEND``.  Execution metadata only: outcomes are
-        bit-for-bit identical on every backend.
     """
 
     protocol: object
@@ -108,7 +103,6 @@ class Campaign:
     shard_size: int = 256
     workers: int = 0
     seed: RngLike = None
-    backend: object = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.protocol, (DeterministicProtocol, RandomizedPolicy)):
@@ -120,12 +114,6 @@ class Campaign:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.backend is not None:
-            # Fail fast on unknown/unavailable backends instead of at the
-            # first shard; resolution is a cached singleton lookup.
-            from repro.engine.backend import get_backend
-
-            get_backend(self.backend)
 
     @classmethod
     def for_scenario_b(
@@ -188,8 +176,6 @@ class Campaign:
         options = {"max_slots": self.max_slots}
         if self.chunk is not None:
             options["chunk"] = self.chunk
-        if self.backend is not None:
-            options["backend"] = self.backend
         if isinstance(self.protocol, RandomizedPolicy):
             return run_randomized_batch(self.protocol, shard, rngs=rngs, **options)
         return run_deterministic_batch(self.protocol, shard, **options)

@@ -56,7 +56,6 @@ from repro.channel.feedback import FeedbackModel, signal_table
 from repro.channel.protocols import FeedbackVectorizedPolicy, RandomizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
 from repro.channel.wakeup import WakeupPattern
-from repro.engine.backend import get_backend
 from repro.engine.batch import (
     BatchResult,
     _flatten_patterns,
@@ -99,7 +98,6 @@ def run_feedback_batch(
     seed=None,
     max_slots: int = DEFAULT_MAX_SLOTS,
     feedback: Optional[FeedbackModel] = None,
-    backend=None,
 ) -> BatchResult:
     """Resolve B patterns against one feedback-driven policy, slot-synchronously.
 
@@ -124,12 +122,6 @@ def run_feedback_batch(
         :func:`~repro.channel.simulator.run_randomized` would pick
         (:class:`~repro.channel.feedback.CollisionDetection` when the policy
         requires it, the paper's no-collision-detection model otherwise).
-    backend:
-        Array backend (see :mod:`repro.engine.backend`).  The slot loop is
-        latency-bound, not bandwidth-bound, so the per-slot kernels always
-        run on ``backend.host`` — a device backend would pay one PCIe round
-        trip per slot for arrays of a few thousand elements; the fused CPU
-        paths still apply, and outcomes are bit-for-bit on every backend.
 
     Returns
     -------
@@ -181,13 +173,9 @@ def run_feedback_batch(
     draw = _make_row_draw(generators, pair_row)
     alive_pair = np.ones(pair_row.shape[0], dtype=bool)
     slot = int(first_wake.min())
-    # Per-slot kernels run on the backend's host surface (see the ``backend``
-    # parameter above); usage is tallied on plain backend attributes and
-    # reported once after the loop — per-slot obs calls would dominate the
-    # disabled-mode cost of this slot-synchronous loop.
-    B_ = get_backend(backend)
-    H = B_.host
-    usage = B_.usage_begin()
+    # Slot counts are tallied locally and reported once after the loop:
+    # per-slot obs calls would dominate the disabled-mode cost of this
+    # slot-synchronous loop.
     awake_buf = np.empty(pair_row.shape[0], dtype=bool)
     slots_stepped = 0
 
@@ -202,7 +190,8 @@ def run_feedback_batch(
                     break
                 alive_pair = ~row_done[pair_row]
 
-            awake = H.awake_mask(alive_pair, pair_wake, slot, out=awake_buf)
+            awake = np.less_equal(pair_wake, slot, out=awake_buf)
+            awake &= alive_pair
             if not awake.any():
                 # No unresolved pattern has an awake station: the slot loop
                 # would resolve empty slots with no draws and no state changes,
@@ -223,12 +212,12 @@ def run_feedback_batch(
                 # transmit decision per awake station with positive probability,
                 # and for a 0/1 policy those are exactly the transmitters.
                 draw(tx_pairs)
-                tx_per_row = H.bincount(pair_row[tx_pairs], minlength=B)
+                tx_per_row = np.bincount(pair_row[tx_pairs], minlength=B)
             else:
                 tx_per_row = np.zeros(B, dtype=np.int64)
 
             # Outcome codes per row: 0 = silence, 1 = success, 2 = collision.
-            outcome = H.outcome_codes(tx_per_row)
+            outcome = np.minimum(tx_per_row, 2).astype(np.int8)
             signals = lut[outcome[pair_row], tx.astype(np.int8)]
             policy.batch_observe(state, slot, signals, tx, awake, draw)
 
@@ -249,7 +238,6 @@ def run_feedback_batch(
     obs.add("engine.feedback_slots", slots_stepped)
     obs.add("engine.patterns", B)
     obs.add("engine.patterns_solved", int(np.count_nonzero(solved)))
-    B_.usage_report(usage)
 
     # Match the slot-loop engine's accounting exactly: a solved run examines
     # latency + 1 slots, an unsolved run the full horizon.

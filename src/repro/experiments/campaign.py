@@ -143,7 +143,6 @@ def resolve_specs(
     *,
     workers: int = 0,
     store: Optional[SweepStore] = None,
-    backend: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ResolvedSpecs:
     """Resolve a spec list into a :class:`ResolvedSpecs` view.
@@ -156,7 +155,7 @@ def resolve_specs(
     ``store.misses`` counters.
     """
     unique = dedup_specs(specs)
-    runner = SweepRunner(workers=workers, store=store, backend=backend)
+    runner = SweepRunner(workers=workers, store=store)
     result = runner.run(unique, progress=progress)
     records = {
         spec.config_hash(): record for spec, record in zip(unique, result.records)
@@ -207,7 +206,6 @@ class ExperimentDefinition:
         cache: Optional[FamilyCache] = None,
         store: Optional[SweepStore] = None,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> ExperimentResult:
         """Plan, resolve and render this experiment end to end.
 
@@ -224,9 +222,7 @@ class ExperimentDefinition:
         with obs.span(
             "experiments.resolve", experiment=self.experiment, specs=len(specs)
         ):
-            resolved = resolve_specs(
-                specs, workers=workers, store=store, backend=backend
-            )
+            resolved = resolve_specs(specs, workers=workers, store=store)
         with obs.span("experiments.render", experiment=self.experiment):
             return self.render(resolved, scale, seed, cache)
 
@@ -285,8 +281,6 @@ class PaperCampaign:
         ephemerally — still deduplicated, just not resumable).
     workers:
         Worker processes for the resolve phase (``None``: ``scale.workers``).
-    backend:
-        Array backend name for the engines (execution metadata only).
     experiments:
         Subset of experiment IDs (default: all, registry order).
     """
@@ -294,7 +288,6 @@ class PaperCampaign:
     scale: ExperimentScale = QUICK
     store: Optional[SweepStore] = None
     workers: Optional[int] = None
-    backend: Optional[str] = None
     experiments: Optional[Sequence[str]] = None
 
     def plan(self) -> Dict[str, List[MeasurementSpec]]:
@@ -354,7 +347,6 @@ class PaperCampaign:
                 unique,
                 workers=workers,
                 store=self.store,
-                backend=self.backend,
                 progress=progress,
             )
         resolve_seconds = time.perf_counter() - t_resolve

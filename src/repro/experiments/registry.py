@@ -1401,7 +1401,7 @@ def run_experiment(
 
     Routes through the experiment's :class:`ExperimentDefinition`, so it
     accepts the definition's ``run`` keywords (``seed``, ``cache`` and also
-    ``store``/``workers``/``backend`` for store-backed resolution).
+    ``store``/``workers`` for store-backed resolution).
     """
     try:
         definition = DEFINITIONS[experiment_id.upper()]

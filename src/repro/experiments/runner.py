@@ -16,18 +16,16 @@ import numpy as np
 
 from repro._util import RngLike
 from repro.analysis.certificates import BoundCertificate
-from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
+from repro.channel.protocols import DeterministicProtocol
 from repro.channel.wakeup import WakeupPattern
+from repro.engine import BatchResult, run_batch
 
 __all__ = [
     "ExperimentResult",
     "resolve_batch",
-    "capped_latencies",
     "measure_latency",
     "worst_latency",
     "mean_latency",
-    "LatencyJob",
-    "sweep_latencies",
 ]
 
 
@@ -93,47 +91,16 @@ def resolve_batch(
     *,
     max_slots: int = 1_000_000,
     rng: RngLike = None,
-):
-    """Resolve a pattern batch through the engine for the protocol's kind.
+) -> BatchResult:
+    """Resolve a pattern batch through :func:`repro.engine.run_batch`.
 
-    This is the experiments' single dispatch onto :mod:`repro.engine`:
-    deterministic protocols route through
-    :func:`~repro.engine.run_deterministic_batch`, randomized policies
-    through :func:`~repro.engine.run_randomized_batch` (one
-    ``SeedSequence``-spawned child generator per pattern, derived from
-    ``rng``).  Returns the columnar :class:`~repro.engine.BatchResult`.
+    Randomized policies get one ``SeedSequence``-spawned child generator per
+    pattern, derived from ``rng``; deterministic protocols consume no
+    randomness, so ``rng`` is not forwarded to them.  Returns the columnar
+    :class:`~repro.engine.BatchResult`.
     """
-    patterns = list(patterns)
-    if isinstance(protocol, DeterministicProtocol):
-        from repro.engine import run_deterministic_batch
-
-        return run_deterministic_batch(protocol, patterns, max_slots=max_slots)
-    if isinstance(protocol, RandomizedPolicy):
-        from repro.engine import run_randomized_batch
-
-        return run_randomized_batch(protocol, patterns, seed=rng, max_slots=max_slots)
-    raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
-
-
-def capped_latencies(
-    protocol,
-    patterns: Sequence[WakeupPattern],
-    *,
-    max_slots: int = 1_000_000,
-    rng: RngLike = None,
-) -> List[int]:
-    """Per-pattern latency, with unsolved rows capped at ``max_slots``.
-
-    The forgiving counterpart to :func:`measure_latency` for comparisons that
-    include protocols allowed to time out (baseline tables, lower-bound
-    probes): instead of raising on an unsolved row it records the horizon as
-    the latency, which keeps maxima and ratios well-defined.
-    """
-    batch = resolve_batch(protocol, patterns, max_slots=max_slots, rng=rng)
-    return [
-        int(latency) if solved else int(max_slots)
-        for solved, latency in zip(batch.solved, batch.latency)
-    ]
+    seed = None if isinstance(protocol, DeterministicProtocol) else rng
+    return run_batch(protocol, list(patterns), seed=seed, max_slots=max_slots)
 
 
 def measure_latency(
@@ -175,43 +142,3 @@ def mean_latency(
 ) -> float:
     """Mean latency over a batch of patterns (used for randomized protocols)."""
     return float(np.mean(measure_latency(protocol, patterns, max_slots=max_slots, rng=rng)))
-
-
-# ---------------------------------------------------------------------------
-# Process-parallel config sweeps
-# ---------------------------------------------------------------------------
-
-#: One sweep measurement: ``(protocol, patterns, max_slots, capped)``.
-#: ``capped=False`` measures the strict worst latency (unsolved rows raise),
-#: ``capped=True`` the max of horizon-capped latencies (unsolved rows count
-#: as ``max_slots``) — the two conventions the experiment tables use.
-LatencyJob = tuple
-
-
-def _latency_job(job: LatencyJob) -> int:
-    """Resolve one sweep measurement (top-level so it pickles into workers)."""
-    protocol, patterns, max_slots, capped = job
-    if not isinstance(protocol, DeterministicProtocol):
-        raise TypeError(
-            "sweep_latencies handles deterministic protocols only (randomized "
-            f"policies would draw fresh entropy per worker), got {type(protocol).__name__}"
-        )
-    if capped:
-        return max(capped_latencies(protocol, patterns, max_slots=max_slots))
-    return worst_latency(protocol, patterns, max_slots=max_slots)
-
-
-def sweep_latencies(jobs: Sequence[LatencyJob], *, workers: int = 0) -> List[int]:
-    """Resolve a batch of per-config latency measurements, process-parallel.
-
-    The experiment registry's multi-config sweeps (E3/E5/E10/E11) collect one
-    :data:`LatencyJob` per table cell — patterns drawn up front in the
-    experiment's original generator order — and shard the *resolution* across
-    ``workers`` processes via :func:`repro.sweeps.runner.map_jobs`.  Because
-    each job is a pure function of its (deterministic) protocol and patterns,
-    the results are bit-for-bit identical to resolving the jobs serially, for
-    any worker count.
-    """
-    from repro.sweeps.runner import map_jobs
-
-    return [int(latency) for latency in map_jobs(_latency_job, jobs, workers=workers)]

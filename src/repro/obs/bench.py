@@ -113,6 +113,10 @@ class CompareReport:
     #: Gates present in only one artifact (skipped, reported for visibility).
     missing_in_current: Tuple[str, ...]
     missing_in_baseline: Tuple[str, ...]
+    #: Measurements of a shared gate whose identity matched no row on the
+    #: other side, as ``"gate: label"`` (skipped, reported for visibility).
+    rows_missing_in_current: Tuple[str, ...]
+    rows_missing_in_baseline: Tuple[str, ...]
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -132,6 +136,8 @@ class CompareReport:
             "regressions": len(self.regressions),
             "missing_in_current": list(self.missing_in_current),
             "missing_in_baseline": list(self.missing_in_baseline),
+            "rows_missing_in_current": list(self.rows_missing_in_current),
+            "rows_missing_in_baseline": list(self.rows_missing_in_baseline),
             "deltas": [
                 {**delta.as_dict(), "regressed": delta.regressed(self.tolerance)}
                 for delta in self.deltas
@@ -196,6 +202,11 @@ def _identity(measurement: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
     )
 
 
+def _label(identity: Tuple[Tuple[str, str], ...], gate: str) -> str:
+    """Human-readable name of one measurement (its identity values)."""
+    return " ".join(v for _, v in identity) or gate
+
+
 def compare_artifacts(
     baseline: Tuple[str, dict],
     current: Tuple[str, dict],
@@ -217,15 +228,25 @@ def compare_artifacts(
     cur_gates: Dict[str, dict] = cur_data["gates"]
 
     deltas: List[MetricDelta] = []
+    rows_missing_in_current: List[str] = []
+    rows_missing_in_baseline: List[str] = []
     comparable = HIGHER_IS_BETTER | LOWER_IS_BETTER
     for gate in sorted(set(base_gates) & set(cur_gates)):
         base_rows = {
             _identity(m): m for m in base_gates[gate].get("measurements", [])
         }
         cur_rows = {_identity(m): m for m in cur_gates[gate].get("measurements", [])}
+        rows_missing_in_current += [
+            f"{gate}: {_label(identity, gate)}"
+            for identity in sorted(set(base_rows) - set(cur_rows))
+        ]
+        rows_missing_in_baseline += [
+            f"{gate}: {_label(identity, gate)}"
+            for identity in sorted(set(cur_rows) - set(base_rows))
+        ]
         for identity in sorted(set(base_rows) & set(cur_rows)):
             base_row, cur_row = base_rows[identity], cur_rows[identity]
-            label = " ".join(v for _, v in identity) or gate
+            label = _label(identity, gate)
             for metric in sorted(comparable & set(base_row) & set(cur_row)):
                 b, c = base_row[metric], cur_row[metric]
                 if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
@@ -248,6 +269,8 @@ def compare_artifacts(
         deltas=tuple(deltas),
         missing_in_current=tuple(sorted(set(base_gates) - set(cur_gates))),
         missing_in_baseline=tuple(sorted(set(cur_gates) - set(base_gates))),
+        rows_missing_in_current=tuple(rows_missing_in_current),
+        rows_missing_in_baseline=tuple(rows_missing_in_baseline),
     )
 
 
@@ -268,6 +291,10 @@ def render_report(report: CompareReport) -> str:
         lines.append(
             "skipped (gate only in current): " + ", ".join(report.missing_in_baseline)
         )
+    for row in report.rows_missing_in_current:
+        lines.append(f"skipped (measurement only in baseline): {row}")
+    for row in report.rows_missing_in_baseline:
+        lines.append(f"skipped (measurement only in current): {row}")
     if report.deltas:
         table = TextTable(
             ["gate", "measurement", "metric", "baseline", "current", "change", ""]

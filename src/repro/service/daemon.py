@@ -82,28 +82,13 @@ class ResultsService:
         Worker processes for cold queries.  ``0`` resolves misses inline in
         the serving thread (the CLI fallback path); results are bit-for-bit
         identical either way.
-    backend:
-        Optional array-backend name forwarded to every resolution
-        (execution metadata only — never part of config hashes).
     """
 
-    def __init__(
-        self,
-        store: SweepStore,
-        *,
-        workers: int = 2,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, store: SweepStore, *, workers: int = 2) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if backend is not None:
-            # Fail fast (unknown name / missing package) before any query.
-            from repro.engine.backend import get_backend
-
-            get_backend(backend)
         self.store = store
         self.workers = workers
-        self.backend = backend
         self.requests = 0
         self.hits = 0
         self.misses = 0
@@ -184,13 +169,11 @@ class ResultsService:
                 if self._pool is None:
                     future = Future()
                 else:
-                    future = self._pool.submit(
-                        resolve_config, config, backend=self.backend
-                    )
+                    future = self._pool.submit(resolve_config, config)
                 self._inflight[key] = future
         if owner and self._pool is None:
             try:
-                future.set_result(resolve_config(config, backend=self.backend))
+                future.set_result(resolve_config(config))
             except BaseException as exc:
                 future.set_exception(exc)
         try:

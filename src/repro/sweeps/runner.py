@@ -45,7 +45,6 @@ points, which every worker loads on import, or run with ``workers <= 1``.
 
 from __future__ import annotations
 
-import functools
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ _Job = TypeVar("_Job")
 _Out = TypeVar("_Out")
 
 
-def resolve_config(config: SweepConfig, backend: Optional[str] = None) -> ConfigRecord:
+def resolve_config(config: SweepConfig) -> ConfigRecord:
     """Resolve one config end to end; the unit of work a sweep worker runs.
 
     Builds the protocol from the config's name axes, draws the pattern batch
@@ -70,12 +69,6 @@ def resolve_config(config: SweepConfig, backend: Optional[str] = None) -> Config
     :class:`~repro.engine.Campaign` (parallelism lives at the config level —
     nesting thread workers inside process workers would oversubscribe), and
     returns the full-outcome :class:`~repro.sweeps.store.ConfigRecord`.
-
-    ``backend`` selects the engine's array backend by name (see
-    :mod:`repro.engine.backend`); it is execution metadata, not config
-    identity — records resolved on different backends are bit-for-bit
-    identical and share one content hash.  ``None`` follows ``REPRO_BACKEND``,
-    which worker processes inherit from the parent's environment.
     """
     from repro.sweeps.protocols import build_protocol
     from repro.workloads import WorkloadSuite
@@ -95,9 +88,7 @@ def resolve_config(config: SweepConfig, backend: Optional[str] = None) -> Config
         seed=config.seed,
         **dict(config.params),
     )
-    campaign = Campaign(
-        protocol, max_slots=config.max_slots, seed=config.seed, backend=backend
-    )
+    campaign = Campaign(protocol, max_slots=config.max_slots, seed=config.seed)
     return ConfigRecord.from_batch(config, campaign.run(patterns))
 
 
@@ -283,26 +274,14 @@ class SweepRunner:
         Optional :class:`~repro.sweeps.store.SweepStore`.  When set, stored
         configs are served from disk instead of recomputed and fresh records
         are persisted as they complete, making the sweep resumable.
-    backend:
-        Optional array-backend name forwarded to every
-        :func:`resolve_config` job (``None`` lets workers follow their
-        inherited ``REPRO_BACKEND``).  Execution metadata only: it does not
-        enter config hashes, and results are bit-for-bit identical on every
-        backend.
     """
 
     workers: int = 0
     store: Optional[SweepStore] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.backend is not None:
-            # Fail fast (unknown name / missing package) before any job ships.
-            from repro.engine.backend import get_backend
-
-            get_backend(self.backend)
 
     def _expand(self, spec: Union[SweepSpec, Sequence[SweepConfig]]) -> List[SweepConfig]:
         if isinstance(spec, SweepSpec):
@@ -357,12 +336,9 @@ class SweepRunner:
         with obs.span(
             "sweeps.run", total=len(configs), pending=len(pending), workers=self.workers
         ):
-            fn = (
-                resolve_config
-                if self.backend is None
-                else functools.partial(resolve_config, backend=self.backend)
+            fresh = map_jobs(
+                resolve_config, pending, workers=self.workers, on_result=_finished
             )
-            fresh = map_jobs(fn, pending, workers=self.workers, on_result=_finished)
         for index, record in zip(pending_indices, fresh):
             records[index] = record
         return SweepResult(

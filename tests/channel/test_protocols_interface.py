@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.channel.feedback import FeedbackSignal
-from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy, StationState
+from repro.channel.protocols import (
+    DeterministicProtocol,
+    RandomizedPolicy,
+    StationState,
+    zero_before_wake,
+)
 
 
 class EveryThirdSlot(DeterministicProtocol):
@@ -76,3 +82,28 @@ class TestRandomizedPolicyDefaults:
 
     def test_requires_collision_detection_default_false(self):
         assert HalfProbability(8).requires_collision_detection is False
+
+
+class TestZeroBeforeWake:
+    def test_zeroes_exactly_the_slots_before_each_wake(self):
+        slots = np.arange(10, 16, dtype=np.int64)
+        wakes = np.asarray([8, 12, 15, 30], dtype=np.int64)
+        matrix = np.full((4, slots.size), 0.5)
+        out = zero_before_wake(matrix, slots, wakes)
+        assert out is matrix  # in place
+        expected = np.where(slots[None, :] < wakes[:, None], 0.0, 0.5)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_all_awake_window_is_left_untouched(self):
+        slots = np.arange(20, 24, dtype=np.int64)
+        matrix = np.full((2, slots.size), 0.25)
+        out = zero_before_wake(matrix, slots, [3, 20])
+        assert out is matrix
+        assert (out == 0.25).all()
+
+    def test_empty_inputs_pass_through(self):
+        empty_slots = np.empty(0, dtype=np.int64)
+        matrix = np.empty((2, 0))
+        assert zero_before_wake(matrix, empty_slots, [1, 2]) is matrix
+        no_pairs = np.empty((0, 3))
+        assert zero_before_wake(no_pairs, np.arange(3), []) is no_pairs

@@ -478,3 +478,43 @@ class TestSection52Analysis:
         matrix = ExplicitTransmissionMatrix(params, {})
         pattern = WakeupPattern(4, {1: 0, 2: 0})
         assert first_isolation(matrix, pattern, max_slots=200) is None
+
+
+class TestMatrixBatchTransmitSlots:
+    """``batch_transmit_slots`` of both Scenario C protocols, cell by cell.
+
+    The batch query enumerates operational cells and resolves them with one
+    :meth:`~TransmissionMatrix.membership_for_pairs` call per slice; it must
+    list exactly the slots at which the scalar ``transmits`` says yes.
+    """
+
+    @staticmethod
+    def _matrix(kind, params):
+        if kind == "hashed":
+            return HashedTransmissionMatrix(params, seed=5)
+        return ExplicitTransmissionMatrix.sample(params, rng=5)
+
+    @pytest.mark.parametrize("kind", ["hashed", "explicit"])
+    @pytest.mark.parametrize("clock", ["global", "local"])
+    def test_batch_slots_match_scalar_transmits(self, kind, clock):
+        from repro.core.local_clock import LocalClockScenarioC
+        from repro.core.scenario_c import WakeupProtocol
+
+        params = matrix_parameters(8)
+        matrix = self._matrix(kind, params)
+        cls = WakeupProtocol if clock == "global" else LocalClockScenarioC
+        protocol = cls(8, matrix=matrix)
+        stations = np.asarray([1, 3, 3, 6, 8], dtype=np.int64)
+        wakes = np.asarray([0, 5, 17, 2, 40], dtype=np.int64)
+        start, stop = 3, 40 + params.total_span + params.length
+        pair_index, slots = protocol.batch_transmit_slots(stations, wakes, start, stop)
+        listed = set(zip(pair_index.tolist(), slots.tolist()))
+        assert len(listed) == pair_index.size  # no (pair, slot) listed twice
+        expected = {
+            (j, slot)
+            for j, (u, w) in enumerate(zip(stations.tolist(), wakes.tolist()))
+            for slot in range(start, stop)
+            if protocol.transmits(u, w, slot)
+        }
+        assert expected  # the window is long enough to see transmissions
+        assert listed == expected

@@ -53,6 +53,17 @@ class TestRunDeterministicBatch:
             assert result.success_slot[i] == reference.success_slot
             assert result.latency[i] == reference.latency
 
+    def test_unsolved_sentinels_survive(self):
+        # Tight horizons leave every row unsolved: the outcome columns carry
+        # the -1 sentinels and agree with the per-pattern engine.
+        tight = [WakeupPattern(64, {30: 0, 40: 0}), WakeupPattern(64, {50: 0, 60: 0})]
+        result = run_deterministic_batch(RoundRobin(64), tight, max_slots=1)
+        assert not result.solved.any()
+        for column in ("success_slot", "winner", "latency"):
+            np.testing.assert_array_equal(getattr(result, column), [-1, -1])
+        for row, pattern in zip(result, tight):
+            assert row == run_deterministic(RoundRobin(64), pattern, max_slots=1)
+
 
 class TestRunRandomizedBatch:
     def test_empty_batch(self):

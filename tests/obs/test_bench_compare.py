@@ -111,6 +111,35 @@ class TestCompareArtifacts:
         report = compare_artifacts(("a", smaller), ("b", _artifact()))
         assert report.missing_in_baseline == ("obs_trace_volume",)
 
+    def test_one_sided_measurements_are_skipped_and_reported(self):
+        # An extra identity field (here a "backend" tag) stops the row from
+        # aligning; both unmatched sides must be listed, not dropped silently.
+        tagged = _artifact()
+        tagged["gates"]["deterministic_batch"]["measurements"][0]["backend"] = "numpy"
+        report = compare_artifacts(("a", tagged), ("b", _artifact()))
+        assert report.ok
+        assert report.rows_missing_in_current == (
+            "deterministic_batch: numpy B=256 n=1024 k=16 round_robin",
+        )
+        assert report.rows_missing_in_baseline == (
+            "deterministic_batch: B=256 n=1024 k=16 round_robin",
+        )
+        assert {d.label for d in report.deltas if d.gate == "deterministic_batch"} == {
+            "B=256 n=1024 k=16 wakeup_with_k"
+        }
+        text = render_report(report)
+        assert (
+            "skipped (measurement only in baseline): "
+            "deterministic_batch: numpy B=256 n=1024 k=16 round_robin"
+        ) in text
+        assert (
+            "skipped (measurement only in current): "
+            "deterministic_batch: B=256 n=1024 k=16 round_robin"
+        ) in text
+        assert report.as_dict()["rows_missing_in_current"] == list(
+            report.rows_missing_in_current
+        )
+
     def test_near_zero_baselines_are_skipped(self):
         zeroed = _artifact()
         zeroed["gates"]["deterministic_batch"]["measurements"][0]["speedup"] = 0.0

@@ -174,7 +174,6 @@ class TestCountersAndMerge:
             "engine.slots_scanned": 4096,
             "engine.patterns": 32,
             "engine.patterns_solved": 32,
-            "backend.numpy.engine_runs": 4,
         }
         assert snap["gauges"]["sweeps.job_seconds"] > 0
 

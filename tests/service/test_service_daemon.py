@@ -102,10 +102,6 @@ class TestResolutionCore:
         with pytest.raises(ValueError, match="workers"):
             ResultsService(SweepStore(tmp_path), workers=-1)
 
-    def test_unknown_backend_fails_fast(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            ResultsService(SweepStore(tmp_path), backend="nope")
-
     def test_single_flight_resolves_concurrent_identical_misses_once(
         self, service, monkeypatch
     ):
@@ -113,10 +109,10 @@ class TestResolutionCore:
         release = threading.Event()
         real = daemon_module.resolve_config
 
-        def slow_resolve(config, backend=None):
+        def slow_resolve(config):
             calls.append(config.config_hash())
             assert release.wait(timeout=10)
-            return real(config, backend=backend)
+            return real(config)
 
         monkeypatch.setattr(daemon_module, "resolve_config", slow_resolve)
         results = []

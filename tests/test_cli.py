@@ -206,29 +206,6 @@ class TestWorkloadsCommand:
         assert exit_code == 1
         assert "NOT SOLVED" in out
 
-    def test_run_with_explicit_numpy_backend(self, capsys):
-        exit_code = main(
-            [
-                "workloads", "run", "--workload", "uniform", "--protocol", "round-robin",
-                "--n", "32", "--k", "4", "--batch", "8", "--backend", "numpy",
-            ]
-        )
-        assert exit_code == 0
-        assert "max_latency" in capsys.readouterr().out
-
-    def test_run_unknown_backend_is_usage_error(self, capsys):
-        exit_code = main(
-            [
-                "workloads", "run", "--workload", "uniform", "--protocol", "round-robin",
-                "--n", "32", "--k", "4", "--batch", "8", "--backend", "bogus",
-            ]
-        )
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "unknown array backend" in err
-        for name in ("numpy", "numexpr", "cupy"):
-            assert name in err
-
 
 class TestSweepCommand:
     INLINE = [
@@ -241,15 +218,6 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "round-robin" in out and "scenario-b" in out
         assert "2 configs (0 reused from store)" in out
-
-    def test_run_with_explicit_numpy_backend(self, capsys):
-        assert main(["sweep", "run", *self.INLINE, "--backend", "numpy"]) == 0
-        capsys.readouterr()
-
-    def test_run_unknown_backend_is_usage_error(self, capsys):
-        assert main(["sweep", "run", *self.INLINE, "--backend", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown array backend" in err and "numexpr" in err
 
     def test_run_with_store_then_resume(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -571,3 +539,37 @@ class TestAdversaryCommand:
     def test_invalid_shape_is_usage_error(self, capsys):
         assert main(["adversary", "search", "--n", "4", "--k", "9"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestSingleEnginePath:
+    """No subcommand selects an array backend: the engines have one path."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["paper", "run", "--backend", "numpy"],
+            ["workloads", "run", "--workload", "uniform", "--backend", "numpy"],
+            ["sweep", "run", "--backend", "numpy"],
+            ["service", "query", "--backend", "numpy"],
+        ],
+        ids=["paper", "workloads", "sweep", "service"],
+    )
+    def test_backend_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_repro_backend_variable_is_ignored(self, capsys, monkeypatch):
+        # A stale REPRO_BACKEND (even an invalid one) no longer reaches the
+        # engine: the run resolves exactly as without it.
+        argv = [
+            "workloads", "run", "--workload", "uniform", "--protocol", "round-robin",
+            "--n", "32", "--k", "4", "--batch", "8",
+        ]
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean

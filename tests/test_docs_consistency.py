@@ -54,7 +54,6 @@ class TestReadme:
             "bench_wakeup_throughput.py",
             "bench_sweep_throughput.py",
             "bench_obs_overhead.py",
-            "bench_backend_throughput.py",
             "bench_paper_campaign.py",
             "bench_adversary_search.py",
             "bench_service.py",
@@ -66,12 +65,6 @@ class TestReadme:
         # and a pointer to the campaign doc.
         assert "repro paper" in readme_text
         assert "docs/campaign.md" in readme_text
-
-    def test_every_backend_name_is_documented(self, readme_text):
-        from repro.engine.backend import BACKEND_NAMES, ENV_VAR
-
-        for name in (*BACKEND_NAMES, ENV_VAR):
-            assert name in readme_text, f"README.md does not mention {name!r}"
 
     def test_documented_modules_exist(self, readme_text):
         # Every `src/repro/...` path the module map names must exist on disk.
@@ -174,13 +167,6 @@ class TestDocsDirectory:
             assert name in text, (
                 f"docs/architecture.md does not document repro.engine.{name}"
             )
-
-    def test_architecture_doc_covers_every_backend(self):
-        from repro.engine.backend import BACKEND_NAMES, ENV_VAR
-
-        text = (DOCS / "architecture.md").read_text()
-        for name in (*BACKEND_NAMES, ENV_VAR, "BackendUnavailableError"):
-            assert name in text, f"docs/architecture.md does not mention {name!r}"
 
 
 class TestCliDocstring:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
+import pytest
 
 import repro
 
@@ -55,3 +57,47 @@ class TestPublicSurface:
         assert "E1" in repro.EXPERIMENTS
         assert callable(repro.run_experiment)
         assert repro.QUICK.name == "quick"
+
+
+#: Entry points from the engines up to the service that resolve patterns;
+#: each takes its protocol, patterns or configs and nothing that picks an
+#: array implementation, because there is exactly one (NumPy).
+_RESOLVING_ENTRY_POINTS = [
+    ("repro.engine.batch", "run_deterministic_batch"),
+    ("repro.engine.batch", "run_randomized_batch"),
+    ("repro.engine.feedback_batch", "run_feedback_batch"),
+    ("repro.engine.batch", "run_batch"),
+    ("repro.engine.campaign", "Campaign"),
+    ("repro.sweeps.runner", "resolve_config"),
+    ("repro.sweeps.runner", "SweepRunner"),
+    ("repro.service.daemon", "ResultsService"),
+    ("repro.experiments.campaign", "resolve_specs"),
+    ("repro.experiments.campaign", "ExperimentDefinition.run"),
+    ("repro.experiments.campaign", "PaperCampaign"),
+]
+
+
+class TestSingleArrayPath:
+    @pytest.mark.parametrize(
+        "module, qualname",
+        _RESOLVING_ENTRY_POINTS,
+        ids=[qualname for _, qualname in _RESOLVING_ENTRY_POINTS],
+    )
+    def test_entry_point_has_no_backend_parameter(self, module, qualname):
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        assert "backend" not in inspect.signature(target).parameters
+
+    def test_engine_exports_only_the_numpy_engines(self):
+        engine = importlib.import_module("repro.engine")
+        assert set(engine.__all__) == {
+            "BatchResult",
+            "run_batch",
+            "run_deterministic_batch",
+            "run_randomized_batch",
+            "run_feedback_batch",
+            "Campaign",
+        }
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine.backend")
