@@ -28,7 +28,11 @@ import numpy as np
 from repro._util import RngLike, validate_k_n
 from repro.channel.protocols import DeterministicProtocol
 from repro.core.schedules import CyclicFamilySchedule
-from repro.core.selective import SelectiveFamily, concatenated_families
+from repro.core.selective import (
+    SelectiveFamily,
+    concatenate_families,
+    concatenated_families,
+)
 
 __all__ = ["KomlosGreenberg"]
 
@@ -66,10 +70,7 @@ class KomlosGreenberg(DeterministicProtocol):
         if families is None:
             families = concatenated_families(n, self.k, rng=rng)
         self.families: List[SelectiveFamily] = list(families)
-        combined = self.families[0].family
-        for fam in self.families[1:]:
-            combined = combined.concatenate(fam.family)
-        self._cyclic = CyclicFamilySchedule(combined)
+        self._cyclic = CyclicFamilySchedule(concatenate_families(families))
 
     @property
     def period(self) -> int:

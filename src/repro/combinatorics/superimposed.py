@@ -148,10 +148,13 @@ def code_to_set_family(code: SuperimposedCode):
     """
     from repro.combinatorics.selectors import SetFamily
 
-    sets = []
-    for t in range(code.length):
-        members = np.flatnonzero(code.matrix[:, t])
-        if members.size == 0:
-            continue
-        sets.append(frozenset(int(u) + 1 for u in members))
-    return SetFamily(code.n, tuple(sets), label=f"superimposed({code.n},{code.strength})")
+    # Column-major nonzeros: sets in column order, members ascending.
+    columns, members = np.nonzero(code.matrix.T)
+    counts = np.bincount(columns, minlength=code.length)
+    offsets = np.cumsum(np.concatenate(([0], counts[counts > 0])))
+    return SetFamily.from_csr(
+        code.n,
+        offsets,
+        members + 1,
+        label=f"superimposed({code.n},{code.strength})",
+    )

@@ -17,12 +17,12 @@ loops), by the test suite, and by experiment E8:
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, List, Optional, Set, Tuple
+from itertools import combinations, islice
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro._util import RngLike, as_generator, validate_k_n
+from repro._util import RngLike, as_generator, ragged_arange, validate_k_n
 from repro.combinatorics.selectors import SetFamily
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
     "is_cover_free",
 ]
 
+#: Contender sets checked per vectorized pass of an exhaustive search.
+_CHUNK = 4096
+
 
 def hits_exactly_one(family: SetFamily, contenders: Iterable[int]) -> Optional[int]:
     """Return the index of the first set intersecting ``contenders`` in exactly one element.
@@ -42,11 +45,45 @@ def hits_exactly_one(family: SetFamily, contenders: Iterable[int]) -> Optional[i
     Returns ``None`` when no such set exists.  This is the basic "isolation"
     event: the slot at which exactly one awake station transmits.
     """
-    contender_set = frozenset(int(x) for x in contenders)
-    for idx, s in enumerate(family.sets):
-        if len(s & contender_set) == 1:
-            return idx
-    return None
+    _, slots = _grants(family, _members(contenders))
+    hits = np.flatnonzero(np.bincount(slots, minlength=family.length) == 1)
+    return int(hits[0]) if hits.size else None
+
+
+def _members(contenders: Iterable[int]) -> np.ndarray:
+    """The distinct contender IDs, ascending."""
+    return np.unique(np.fromiter((int(x) for x in contenders), dtype=np.int64))
+
+
+def _grants(family: SetFamily, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every transmit grant of ``members``: ``(position in members, set index)``.
+
+    Read off the family's station index, so the cost is the members'
+    memberships, not the whole family's.  IDs outside ``[1, n]`` belong to
+    no set.
+    """
+    index = family.station_index()
+    inside = np.flatnonzero((members >= 1) & (members <= family.n))
+    lo = index.ptr[members[inside]]
+    counts = index.ptr[members[inside] + 1] - lo
+    slots = index.slots[np.repeat(lo, counts) + ragged_arange(counts)]
+    return np.repeat(inside, counts), slots
+
+
+def _selects_each(family: SetFamily, contender_sets: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`is_selective_for` over the rows of a 2-D array.
+
+    Each row holds one contender set of distinct IDs.
+    """
+    rows, size = contender_sets.shape
+    length = family.length
+    selected = np.zeros(rows, dtype=bool)
+    if not length:
+        return selected
+    pos, slots = _grants(family, contender_sets.ravel())
+    keys, hits = np.unique((pos // size) * length + slots, return_counts=True)
+    selected[keys[hits == 1] // length] = True
+    return selected
 
 
 def is_selective_for(family: SetFamily, contenders: Iterable[int]) -> bool:
@@ -89,9 +126,11 @@ def selectivity_violations(
     violations: List[Tuple[int, ...]] = []
     universe = range(1, n + 1)
     for size in range(lo, k + 1):
-        for subset in combinations(universe, size):
-            if not is_selective_for(family, subset):
-                violations.append(subset)
+        subsets = combinations(universe, size)
+        while chunk := list(islice(subsets, _CHUNK)):
+            batch = np.array(chunk, dtype=np.int64)
+            for row in np.flatnonzero(~_selects_each(family, batch)):
+                violations.append(chunk[row])
                 if max_sets is not None and len(violations) >= max_sets:
                     return violations
     return violations
@@ -128,13 +167,17 @@ def monte_carlo_selectivity(
     if lo > k:
         raise ValueError(f"min_size {lo} exceeds k {k}")
     gen = as_generator(rng)
-    successes = 0
+    # Draw every trial first (same stream as one draw per check), then check
+    # the trials of each contender-set size in one vectorized pass.
+    by_size: dict = {}
     for _ in range(trials):
         size = int(gen.integers(lo, k + 1))
         size = min(size, n)
-        contenders = gen.choice(n, size=size, replace=False) + 1
-        if is_selective_for(family, contenders.tolist()):
-            successes += 1
+        by_size.setdefault(size, []).append(gen.choice(n, size=size, replace=False) + 1)
+    successes = sum(
+        int(np.count_nonzero(_selects_each(family, np.array(draws))))
+        for draws in by_size.values()
+    )
     return successes / trials
 
 
@@ -145,15 +188,10 @@ def is_strongly_selective_for(family: SetFamily, contenders: Iterable[int]) -> b
     exists a set ``F`` with ``X ∩ F = {x}``.  Explicit superimposed-code
     constructions guarantee this for all ``|X| <= k + 1``.
     """
-    contender_set = frozenset(int(x) for x in contenders)
-    isolated: Set[int] = set()
-    for s in family.sets:
-        inter = s & contender_set
-        if len(inter) == 1:
-            isolated.add(next(iter(inter)))
-            if len(isolated) == len(contender_set):
-                return True
-    return isolated == contender_set
+    members = _members(contenders)
+    pos, slots = _grants(family, members)
+    isolating = np.bincount(slots, minlength=family.length)[slots] == 1
+    return np.array_equal(np.unique(members[pos[isolating]]), members)
 
 
 def is_cover_free(family: SetFamily, k: int, *, exhaustive_limit: int = 2**16) -> bool:

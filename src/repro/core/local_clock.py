@@ -40,8 +40,12 @@ from repro._util import RngLike, validate_k_n, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
 from repro.combinatorics.selectors import SetFamily
 from repro.core.round_robin import RoundRobin
-from repro.core.schedules import InterleavedProtocol
-from repro.core.selective import SelectiveFamily, concatenated_families
+from repro.core.schedules import InterleavedProtocol, cyclic_slots
+from repro.core.selective import (
+    SelectiveFamily,
+    concatenate_families,
+    concatenated_families,
+)
 from repro.core.waking_matrix import (
     HashedTransmissionMatrix,
     TransmissionMatrix,
@@ -97,17 +101,9 @@ class LocalClockWakeup(DeterministicProtocol):
                 raise ValueError(
                     f"selective family built for n={fam.n}, protocol expects n={n}"
                 )
-        combined = self.families[0].family
-        for fam in self.families[1:]:
-            combined = combined.concatenate(fam.family)
-        self._combined: SetFamily = combined
+        self._combined: SetFamily = concatenate_families(families)
         self.cyclic = bool(cyclic)
-        self._station_offsets = {
-            u: np.asarray(
-                [i for i, s in enumerate(combined.sets) if u in s], dtype=np.int64
-            )
-            for u in range(1, n + 1)
-        }
+        self._index = self._combined.station_index()
 
     @property
     def period(self) -> int:
@@ -123,24 +119,13 @@ class LocalClockWakeup(DeterministicProtocol):
         return self._combined.contains(station, local % self.period)
 
     def transmit_slots(self, station: int, wake_time: int, start: int, stop: int) -> np.ndarray:
-        offsets = self._station_offsets.get(station)
-        if offsets is None or offsets.size == 0:
-            return np.empty(0, dtype=np.int64)
+        offsets = self._index.slots_of(station)
         lo = max(int(start), int(wake_time))
         hi = int(stop)
-        if hi <= lo:
-            return np.empty(0, dtype=np.int64)
-        period = self.period
         if self.cyclic:
-            first_cycle = max(0, (lo - wake_time) // period)
-            last_cycle = (hi - 1 - wake_time) // period
-            cycles = np.arange(first_cycle, last_cycle + 1, dtype=np.int64)
-            slots = (wake_time + cycles[:, None] * period + offsets[None, :]).ravel()
-        else:
-            slots = wake_time + offsets
-        slots = slots[(slots >= lo) & (slots < hi)]
-        slots.sort()
-        return slots
+            return cyclic_slots(offsets, self.period, int(wake_time), lo, hi)
+        slots = wake_time + offsets
+        return slots[(slots >= lo) & (slots < hi)]
 
     def describe(self) -> str:
         return f"{self.name}(n={self.n}, k={self.k}, period={self.period}, cyclic={self.cyclic})"

@@ -24,22 +24,15 @@ import numpy as np
 
 from repro._util import RngLike, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
-from repro.combinatorics.selectors import SetFamily
 from repro.core.round_robin import RoundRobin
 from repro.core.schedules import FamilySchedule, InterleavedProtocol, virtual_wake_time
-from repro.core.selective import SelectiveFamily, concatenated_families
+from repro.core.selective import (
+    SelectiveFamily,
+    concatenate_families,
+    concatenated_families,
+)
 
 __all__ = ["SelectAmongTheFirst", "WakeupWithS"]
-
-
-def _concatenate(families: Sequence[SelectiveFamily]) -> SetFamily:
-    """Concatenate the underlying set families into one long schedule."""
-    if not families:
-        raise ValueError("need at least one selective family")
-    combined = families[0].family
-    for fam in families[1:]:
-        combined = combined.concatenate(fam.family)
-    return combined
 
 
 class SelectAmongTheFirst(DeterministicProtocol):
@@ -86,7 +79,7 @@ class SelectAmongTheFirst(DeterministicProtocol):
                 raise ValueError(
                     f"selective family built for n={fam.n}, protocol expects n={n}"
                 )
-        self._combined = _concatenate(self.families)
+        self._combined = concatenate_families(families)
         self._schedule = FamilySchedule(self._combined, origin=self.s)
 
     @property

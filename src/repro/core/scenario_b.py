@@ -29,7 +29,11 @@ from repro.channel.protocols import DeterministicProtocol
 from repro.combinatorics.selectors import SetFamily
 from repro.core.round_robin import RoundRobin
 from repro.core.schedules import CyclicFamilySchedule, InterleavedProtocol
-from repro.core.selective import SelectiveFamily, concatenated_families
+from repro.core.selective import (
+    SelectiveFamily,
+    concatenate_families,
+    concatenated_families,
+)
 
 __all__ = ["WaitAndGo", "WakeupWithK"]
 
@@ -77,16 +81,13 @@ class WaitAndGo(DeterministicProtocol):
                 raise ValueError(
                     f"selective family built for n={fam.n}, protocol expects n={n}"
                 )
-        combined = self.families[0].family
-        for fam in self.families[1:]:
-            combined = combined.concatenate(fam.family)
+        self._combined: SetFamily = concatenate_families(families)
         # Boundary offsets are the cumulative lengths of the prefix families.
         boundaries = [0]
         running = 0
         for fam in self.families[:-1]:
             running += fam.length
             boundaries.append(running)
-        self._combined: SetFamily = combined
         self._boundaries: Tuple[int, ...] = tuple(boundaries)
         self._cyclic = CyclicFamilySchedule(self._combined)
 

@@ -56,6 +56,21 @@ def virtual_wake_time(wake_time: int, component: int, arity: int) -> int:
     return ceil_div(wake_time - component, arity)
 
 
+def cyclic_slots(offsets: np.ndarray, period: int, anchor: int, lo: int, hi: int) -> np.ndarray:
+    """Slots in ``[lo, hi)`` of ``anchor + c * period + offset`` for cycles ``c >= 0``.
+
+    ``offsets`` are one period's ascending slot offsets; the result is
+    ascending.  The periodic scans (global- and local-clock) share it.
+    """
+    if hi <= lo or not offsets.size:
+        return np.empty(0, dtype=np.int64)
+    first_cycle = max(0, (lo - anchor) // period)
+    last_cycle = (hi - 1 - anchor) // period
+    cycles = np.arange(first_cycle, last_cycle + 1, dtype=np.int64)
+    slots = (anchor + cycles[:, None] * period + offsets[None, :]).ravel()
+    return slots[(slots >= lo) & (slots < hi)]
+
+
 class SilentProtocol(DeterministicProtocol):
     """A protocol that never transmits (used for non-participating stations)."""
 
@@ -72,28 +87,6 @@ class SilentProtocol(DeterministicProtocol):
     ) -> tuple[np.ndarray, np.ndarray]:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-
-
-def _build_offset_csr(offsets: dict, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-station offset arrays into sorted form for batched lookups.
-
-    Returns ``(flat, keys)``: ``flat`` concatenates every station's ascending
-    offsets in station order, and ``keys[i] = station_of(i) * stride +
-    flat[i]`` is globally ascending when ``stride`` exceeds every offset, so a
-    single :func:`numpy.searchsorted` against ``keys`` answers "how many
-    offsets of station ``u`` lie in ``[a, b)``" for many stations at once —
-    the backbone of the batch queries below.
-    """
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    for u, idxs in offsets.items():
-        ptr[u] = len(idxs)
-    np.cumsum(ptr, out=ptr)
-    flat = np.empty(int(ptr[-1]), dtype=np.int64)
-    for u, idxs in offsets.items():
-        flat[ptr[u] - len(idxs) : ptr[u]] = idxs
-    station_of = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(ptr, prepend=0))
-    keys = station_of * int(stride) + flat
-    return flat, keys
 
 
 class FamilySchedule(DeterministicProtocol):
@@ -120,22 +113,9 @@ class FamilySchedule(DeterministicProtocol):
             raise ValueError(f"origin must be >= 0, got {origin}")
         self.family = family
         self.origin = int(origin)
-        # Precompute per-station slot offsets for the vectorized path.
-        self._station_offsets = self._build_offsets(family)
-        self._csr_flat, self._csr_keys = _build_offset_csr(
-            self._station_offsets, family.n, family.length
-        )
-
-    @staticmethod
-    def _build_offsets(family: SetFamily) -> dict:
-        offsets: dict[int, np.ndarray] = {}
-        buckets: dict[int, List[int]] = {}
-        for idx, s in enumerate(family.sets):
-            for u in s:
-                buckets.setdefault(u, []).append(idx)
-        for u, idxs in buckets.items():
-            offsets[u] = np.asarray(idxs, dtype=np.int64)
-        return offsets
+        # The family's station-major index (built once per family, shared by
+        # every schedule over it) backs both the scalar and the batch path.
+        self._index = family.station_index()
 
     def transmits(self, station: int, wake_time: int, slot: int) -> bool:
         if slot < wake_time or slot < self.origin:
@@ -146,10 +126,7 @@ class FamilySchedule(DeterministicProtocol):
         return self.family.contains(station, index)
 
     def transmit_slots(self, station: int, wake_time: int, start: int, stop: int) -> np.ndarray:
-        offsets = self._station_offsets.get(station)
-        if offsets is None:
-            return np.empty(0, dtype=np.int64)
-        slots = offsets + self.origin
+        slots = self._index.slots_of(station) + self.origin
         lo = max(int(start), int(wake_time), self.origin)
         mask = (slots >= lo) & (slots < int(stop))
         return slots[mask]
@@ -167,12 +144,13 @@ class FamilySchedule(DeterministicProtocol):
         # Two searchsorted calls against the composed keys count, per pair,
         # the offsets of its station falling inside its window — exact output
         # size, no over-enumeration.
-        left = np.searchsorted(self._csr_keys, stations * L + lo_rel, side="left")
-        right = np.searchsorted(self._csr_keys, stations * L + hi_rel, side="left")
+        keys = self._index.keys
+        left = np.searchsorted(keys, stations * L + lo_rel, side="left")
+        right = np.searchsorted(keys, stations * L + hi_rel, side="left")
         counts = right - left
         pair_index = np.repeat(np.arange(len(stations), dtype=np.int64), counts)
         flat_pos = np.repeat(left, counts) + ragged_arange(counts)
-        return pair_index, self._csr_flat[flat_pos] + self.origin
+        return pair_index, self._index.slots[flat_pos] + self.origin
 
     def describe(self) -> str:
         return f"{self.name}({self.family.label or 'family'}, origin={self.origin})"
@@ -193,10 +171,7 @@ class CyclicFamilySchedule(DeterministicProtocol):
         if family.length == 0:
             raise ValueError("cannot build a cyclic schedule from an empty family")
         self.family = family
-        self._station_offsets = FamilySchedule._build_offsets(family)
-        self._csr_flat, self._csr_keys = _build_offset_csr(
-            self._station_offsets, family.n, family.length
-        )
+        self._index = family.station_index()
 
     def transmits(self, station: int, wake_time: int, slot: int) -> bool:
         if slot < wake_time:
@@ -204,21 +179,10 @@ class CyclicFamilySchedule(DeterministicProtocol):
         return self.family.contains(station, slot % self.family.length)
 
     def transmit_slots(self, station: int, wake_time: int, start: int, stop: int) -> np.ndarray:
-        offsets = self._station_offsets.get(station)
-        if offsets is None:
-            return np.empty(0, dtype=np.int64)
         lo = max(int(start), int(wake_time))
-        hi = int(stop)
-        if hi <= lo:
-            return np.empty(0, dtype=np.int64)
-        length = self.family.length
-        first_cycle = lo // length
-        last_cycle = (hi - 1) // length
-        cycles = np.arange(first_cycle, last_cycle + 1, dtype=np.int64)
-        slots = (cycles[:, None] * length + offsets[None, :]).ravel()
-        slots = slots[(slots >= lo) & (slots < hi)]
-        slots.sort()
-        return slots
+        return cyclic_slots(
+            self._index.slots_of(station), self.family.length, 0, lo, int(stop)
+        )
 
     def batch_transmit_slots(
         self, stations: np.ndarray, wakes: np.ndarray, start: int, stop: int
@@ -239,12 +203,13 @@ class CyclicFamilySchedule(DeterministicProtocol):
         cycle_lo = np.maximum(lo[cyc_pair] - base, 0)
         cycle_hi = np.minimum(hi - base, z)
         st = stations[cyc_pair]
-        left = np.searchsorted(self._csr_keys, st * z + cycle_lo, side="left")
-        right = np.searchsorted(self._csr_keys, st * z + cycle_hi, side="left")
+        keys = self._index.keys
+        left = np.searchsorted(keys, st * z + cycle_lo, side="left")
+        right = np.searchsorted(keys, st * z + cycle_hi, side="left")
         counts = right - left
         pair_index = np.repeat(cyc_pair, counts)
         flat_pos = np.repeat(left, counts) + ragged_arange(counts)
-        return pair_index, np.repeat(base, counts) + self._csr_flat[flat_pos]
+        return pair_index, np.repeat(base, counts) + self._index.slots[flat_pos]
 
     def describe(self) -> str:
         return f"{self.name}({self.family.label or 'family'}, period={self.family.length})"

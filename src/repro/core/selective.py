@@ -62,6 +62,8 @@ __all__ = [
     "explicit_selective_family",
     "build_selective_family",
     "concatenated_families",
+    "ConcatenatedFamilies",
+    "concatenate_families",
 ]
 
 #: Default length multiplier for the randomized construction.  The union-bound
@@ -70,6 +72,9 @@ __all__ = [
 DEFAULT_LENGTH_MULTIPLIER = 6.0
 
 ConstructionMethod = Literal["random", "greedy", "explicit"]
+
+#: Uniform draws per RNG call of the random construction (512 KiB of doubles).
+_DRAW_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -216,12 +221,20 @@ def random_selective_family(
     for attempt in range(max_attempts):
         seed = int(gen.integers(0, 2**63 - 1))
         draw = np.random.default_rng(seed)
-        sets: List[frozenset] = []
-        # Draw row by row to keep memory proportional to the family, not L*n.
-        for _ in range(length):
-            members = np.flatnonzero(draw.random(n) < probability)
-            sets.append(frozenset(int(u) + 1 for u in members))
-        family = SetFamily(n, tuple(sets), label=f"random-selective({n},{k})")
+        # One draw.random(n) per set, a block of sets per call: the same
+        # stream, in the same order, with memory bounded by the block, not
+        # L*n.  nonzero lists each set's members ascending, as CSR wants.
+        block = max(1, _DRAW_BLOCK_CELLS // n)
+        counts, members = [], []
+        for first in range(0, length, block):
+            rows = min(block, length - first)
+            set_index, station = np.nonzero(draw.random((rows, n)) < probability)
+            counts.append(np.bincount(set_index, minlength=rows))
+            members.append(station + 1)
+        offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        family = SetFamily.from_csr(
+            n, offsets, np.concatenate(members), label=f"random-selective({n},{k})"
+        )
         if _verify(family, k, verification, draw):
             return SelectiveFamily(
                 n=n, k=k, family=family, method="random", seed=seed, verified=verification
@@ -340,19 +353,21 @@ def concatenated_families(
     method: ConstructionMethod = "random",
     rng: RngLike = None,
     multiplier: float = DEFAULT_LENGTH_MULTIPLIER,
-) -> List[SelectiveFamily]:
+) -> "ConcatenatedFamilies":
     """Build the sequence of ``(n, 2^j)``-selective families for ``j = 1..⌈log max_k⌉``.
 
     This is the schedule skeleton of both ``select_among_the_first``
     (Section 3, with ``max_k = n``) and ``wait_and_go`` (Section 4, with
     ``max_k = k``).  The seed stream is split deterministically so the whole
-    concatenation is reproducible from one seed.
+    concatenation is reproducible from one seed.  The result is a
+    :class:`ConcatenatedFamilies`, so protocols sharing it compile the
+    concatenation once.
     """
     _, n = validate_k_n(1, n)
     max_k = min(max_k, n)
     gen = as_generator(rng)
     j_max = max(1, ceil_log2(max(2, max_k)))
-    families: List[SelectiveFamily] = []
+    families = ConcatenatedFamilies()
     for j in range(1, j_max + 1):
         target_k = min(2**j, n)
         if method == "random":
@@ -365,3 +380,36 @@ def concatenated_families(
             raise ValueError(f"unknown construction method {method!r}")
         families.append(fam)
     return families
+
+
+class ConcatenatedFamilies(list):
+    """A list of :class:`SelectiveFamily` that compiles its concatenation once.
+
+    :attr:`combined` — the one :class:`~repro.combinatorics.selectors.SetFamily`
+    running the families back to back — is built on first access and kept,
+    so every protocol handed the same sequence (see
+    :class:`repro.experiments.cache.FamilyCache`) shares one array set and
+    one station index.  Editing the list drops the compiled form.
+    """
+
+    @property
+    def combined(self) -> SetFamily:
+        """The compiled concatenation of the sequence."""
+        members, compiled = self.__dict__.get("_compiled", (None, None))
+        if members != tuple(self):
+            compiled = SetFamily.concatenated([fam.family for fam in self])
+            self.__dict__["_compiled"] = (tuple(self), compiled)
+        return compiled
+
+
+def concatenate_families(families: Sequence[SelectiveFamily]) -> SetFamily:
+    """The single :class:`SetFamily` that runs ``families`` back to back.
+
+    A :class:`ConcatenatedFamilies` sequence hands over its compiled
+    concatenation; any other sequence is concatenated afresh.
+    """
+    if not families:
+        raise ValueError("need at least one selective family")
+    if isinstance(families, ConcatenatedFamilies):
+        return families.combined
+    return SetFamily.concatenated([fam.family for fam in families])

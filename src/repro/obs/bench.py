@@ -15,10 +15,10 @@ Measurements are matched by their *identity* — the string-valued entries of
 the measurement dict (``protocol``, ``config``, ``grid``...) — so reordering
 measurements or adding new ones never misaligns the diff.  Only curated
 metric keys are compared: the higher-is-better rates and speedups the gates
-assert, plus a few lower-is-better counts.  Volatile absolute quantities the
-gates record for context (raw seconds, tiny overhead fractions) are
-deliberately *not* compared; a metric with a near-zero baseline is skipped
-rather than divided by.
+assert, plus lower-is-better counts and per-spec/per-query time budgets.
+Volatile absolute quantities the gates record for context (raw seconds,
+tiny overhead fractions) are deliberately *not* compared; a metric with a
+near-zero baseline is skipped rather than divided by.
 """
 
 from __future__ import annotations
@@ -59,8 +59,19 @@ HIGHER_IS_BETTER = frozenset(
     }
 )
 
-#: Metric keys where a *rise* beyond tolerance is a regression.
-LOWER_IS_BETTER = frozenset({"trace_events", "events"})
+#: Metric keys where a *rise* beyond tolerance is a regression: event
+#: counts, and the per-unit wall-time budgets of the store and service gates
+#: (cold and warm milliseconds per campaign spec or per query).
+LOWER_IS_BETTER = frozenset(
+    {
+        "trace_events",
+        "events",
+        "cold_ms_per_spec",
+        "warm_ms_per_spec",
+        "cold_ms_per_query",
+        "warm_ms_per_query",
+    }
+)
 
 #: Baselines below this magnitude are skipped instead of divided by.
 _MIN_BASELINE = 1e-9

@@ -96,6 +96,30 @@ class TestCompareArtifacts:
         report = compare_artifacts(("a", noisier), ("b", _artifact()))
         assert report.ok
 
+    @pytest.mark.parametrize(
+        ("gate", "identity", "metric"),
+        [
+            ("paper_campaign", {"subset": "E1+E3+E11"}, "cold_ms_per_spec"),
+            ("paper_campaign", {"subset": "E1+E3+E11"}, "warm_ms_per_spec"),
+            ("service_query", {"protocol": "scenario-b"}, "cold_ms_per_query"),
+            ("service_query", {"protocol": "scenario-b"}, "warm_ms_per_query"),
+        ],
+    )
+    def test_time_budgets_regress_when_they_rise(self, gate, identity, metric):
+        def artifact(value):
+            data = _artifact()
+            data["gates"][gate] = {
+                "threshold_speedup": 1.0,
+                "unit": "ms",
+                "measurements": [{**identity, metric: value}],
+            }
+            return data
+
+        slower = compare_artifacts(("a", artifact(2.0)), ("b", artifact(3.0)))
+        assert [(d.gate, d.metric) for d in slower.regressions] == [(gate, metric)]
+        faster = compare_artifacts(("a", artifact(2.0)), ("b", artifact(0.5)))
+        assert faster.ok and any(d.metric == metric for d in faster.deltas)
+
     def test_measurement_order_does_not_matter(self):
         shuffled = _artifact()
         shuffled["gates"]["deterministic_batch"]["measurements"].reverse()
