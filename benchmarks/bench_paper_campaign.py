@@ -1,11 +1,12 @@
 """The paper campaign's cold and warm cost per spec, against fixed budgets.
 
-A cold ``repro paper`` run builds every protocol and resolves every
-measurement spec through the engine; a warm rerun over the complete
-:class:`~repro.sweeps.store.SweepStore` reads every spec back from disk.
-This gate runs an engine-heavy campaign subset (E1, E3, E11 — experiments
-whose cost is spec resolution, not render-side work) cold and then warm
-against the same store, and asserts
+A cold ``repro paper`` run builds every protocol, resolves every
+measurement spec through the engine and computes the render-side tables
+(E4's adaptive adversary, E7's matrix figures, E8's family constructions);
+a warm rerun over the complete :class:`~repro.sweeps.store.SweepStore`
+reads every spec record and every ``render/<hash>`` memo blob back from
+disk and simulates nothing.  This gate runs the full E1–E11 campaign cold
+and then warm against the same store, and asserts
 
 * **cold budget** — the fastest of :data:`COLD_ROUNDS` cold runs costs at
   most :data:`COLD_MS_PER_SPEC_BUDGET` per unique spec (the frozenset-era
@@ -14,10 +15,12 @@ against the same store, and asserts
   :data:`WARM_MS_PER_SPEC_BUDGET` per spec, tighter than the old "warm >=
   10x over cold" bar ever allowed;
 * **zero recomputation** — the warm manifest reports a 100% store hit rate;
-* **bit-for-bit equality** — warm rows are identical to the cold rows.
+* **bit-for-bit equality** — warm rows, tables, figures and notes are
+  identical to the cold ones.
 
 Absolute budgets replace the old warm/cold ratio, which improved whenever
-the cold path got slower.
+the cold path got slower.  Render time counts against both budgets: the
+per-spec figures cover everything a ``repro paper run`` does.
 
 Run with::
 
@@ -31,12 +34,11 @@ import time
 from repro.experiments.cache import shared_cache
 from repro.experiments.campaign import PaperCampaign
 from repro.experiments.config import QUICK
+from repro.experiments.registry import DEFINITIONS
 from repro.sweeps import SweepStore
 
-#: Experiments whose wall-clock is dominated by spec resolution; the
-#: render-heavy ones (E4's adaptive adversary, E7/E8's constructions) pay the
-#: same cost cold and warm and would only dilute the per-spec figures.
-EXPERIMENTS = ("E1", "E3", "E11")
+#: The whole paper: every experiment, in registry order.
+EXPERIMENTS = tuple(DEFINITIONS)
 
 #: Cold runs, each from an empty store and an empty family cache.
 COLD_ROUNDS = 3
@@ -45,7 +47,7 @@ COLD_ROUNDS = 3
 COLD_MS_PER_SPEC_BUDGET = 8.0
 
 #: Most milliseconds a warm rerun may spend per unique spec.
-WARM_MS_PER_SPEC_BUDGET = 1.0
+WARM_MS_PER_SPEC_BUDGET = 0.5
 
 
 def _run(store: SweepStore):
@@ -78,7 +80,11 @@ def test_paper_campaign_cold_and_warm_per_spec_budgets(record_gate, tmp_path):
     assert warm.manifest["store_hit_rate"] == 1.0
     assert warm.manifest["store_misses"] == 0
     for experiment_id, result in warm.results.items():
-        assert result.rows == cold.results[experiment_id].rows
+        reference = cold.results[experiment_id]
+        assert result.rows == reference.rows
+        assert result.tables == reference.tables
+        assert result.figures == reference.figures
+        assert result.notes == reference.notes
 
     specs = cold.manifest["specs_unique"]
     cold_ms = cold_time * 1e3 / specs

@@ -17,6 +17,7 @@ bounds are asymptotic — so the experiment harness validates *shape* instead:
 
 from repro.analysis.statistics import (
     SummaryStatistics,
+    sorted_median,
     summarize,
     bootstrap_confidence_interval,
     geometric_mean,
@@ -45,6 +46,7 @@ from repro.analysis.shape import (
 
 __all__ = [
     "SummaryStatistics",
+    "sorted_median",
     "summarize",
     "bootstrap_confidence_interval",
     "geometric_mean",

@@ -17,6 +17,7 @@ from repro._util import RngLike, as_generator
 
 __all__ = [
     "SummaryStatistics",
+    "sorted_median",
     "summarize",
     "bootstrap_confidence_interval",
     "geometric_mean",
@@ -48,6 +49,26 @@ class SummaryStatistics:
         }
 
 
+def sorted_median(values: Iterable[float]) -> float:
+    """Median of a non-empty sample by sorting and taking the middle.
+
+    Equal to ``float(np.median(values))`` bit for bit on finite inputs: an
+    odd sample returns its middle value and an even one averages the two
+    middle values as ``(a + b) / 2`` in float64, as NumPy's median does.
+    Unlike ``np.median`` it does not import ``numpy.ma`` (~20 ms on the
+    first call in a process).
+    """
+    data = sorted(float(v) for v in values)
+    if not data:
+        raise ValueError("cannot take the median of an empty sample")
+    mid = len(data) // 2
+    # NumPy takes the mean of the middle value(s), a sum that starts at +0.0:
+    # the leading ``0.0 +`` reproduces it, down to -0.0 becoming 0.0.
+    if len(data) % 2:
+        return 0.0 + data[mid]
+    return (0.0 + data[mid - 1] + data[mid]) / 2.0
+
+
 def summarize(samples: Iterable[float]) -> SummaryStatistics:
     """Compute a :class:`SummaryStatistics` over a non-empty sample."""
     data = np.asarray(list(samples), dtype=float)
@@ -58,7 +79,7 @@ def summarize(samples: Iterable[float]) -> SummaryStatistics:
         mean=float(data.mean()),
         std=float(data.std(ddof=1)) if data.size > 1 else 0.0,
         minimum=float(data.min()),
-        median=float(np.median(data)),
+        median=sorted_median(data),
         p90=float(np.percentile(data, 90)),
         maximum=float(data.max()),
     )

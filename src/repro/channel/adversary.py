@@ -24,7 +24,7 @@ import numpy as np
 
 from repro._util import RngLike, as_generator, validate_k_n
 from repro.channel.protocols import DeterministicProtocol
-from repro.channel.simulator import WakeupResult, run_deterministic
+from repro.channel.simulator import WakeupResult
 from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
@@ -270,7 +270,14 @@ class AdaptiveLowerBoundAdversary:
     def run(
         self, k: int, *, initial: Optional[Sequence[int]] = None, rng: RngLike = None
     ) -> "AdversaryReport":
-        """Execute the replacement process and return a report."""
+        """Execute the replacement process and return a report.
+
+        Each contender set is resolved on the batch engine
+        (:func:`repro.engine.run_deterministic_batch`, a one-pattern batch),
+        whose outcome equals the scalar ``run_deterministic`` slot loop.
+        """
+        from repro.engine import run_deterministic_batch
+
         n = self.protocol.n
         k, n = validate_k_n(k, n)
         gen = as_generator(rng)
@@ -291,7 +298,9 @@ class AdaptiveLowerBoundAdversary:
 
         for _ in range(iterations):
             pattern = WakeupPattern(n, {u: 0 for u in current})
-            result = run_deterministic(self.protocol, pattern, max_slots=self.max_slots)
+            result = run_deterministic_batch(
+                self.protocol, [pattern], max_slots=self.max_slots
+            )[0]
             histories.append(tuple(current))
             if not result.solved:
                 # The protocol never isolates this set within the horizon: the
@@ -299,20 +308,23 @@ class AdaptiveLowerBoundAdversary:
                 latencies.append(self.max_slots)
                 break
             assert result.success_slot is not None and result.winner is not None
-            isolating_slots.append(result.success_slot)
+            r = result.success_slot
+            isolating_slots.append(r)
             latencies.append(result.require_solved())
             if not fresh:
                 break
             # Following the proof, prefer a replacement that does NOT transmit at
             # the isolating round: then the old round cannot isolate the new set,
-            # forcing the protocol to reserve a different round for it.
-            transmitting_at_r = {
-                u
-                for u in fresh
-                if self.protocol.transmits(u, 0, result.success_slot)
-            }
-            preferred = [u for u in fresh if u not in transmitting_at_r]
-            replacement = preferred[-1] if preferred else fresh[-1]
+            # forcing the protocol to reserve a different round for it.  One
+            # batch query over every fresh station answers "who transmits at r".
+            candidates = np.asarray(fresh, dtype=np.int64)
+            pair_index, _ = self.protocol.batch_transmit_slots(
+                candidates, np.zeros_like(candidates), r, r + 1
+            )
+            silent = np.ones(candidates.size, dtype=bool)
+            silent[pair_index] = False
+            preferred = candidates[silent]
+            replacement = int(preferred[-1]) if preferred.size else fresh[-1]
             fresh.remove(replacement)
             current = sorted(set(current) - {result.winner} | {replacement})
 

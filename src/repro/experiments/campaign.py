@@ -14,23 +14,26 @@ registry (:mod:`repro.experiments.registry`) expresses each experiment as an
   :class:`~repro.sweeps.runner.SweepRunner` worker processes;
 * ``render(resolved, scale, seed, cache)`` turns resolved records into the
   :class:`~repro.experiments.runner.ExperimentResult` — tables, figures,
-  certificates — touching no channel simulation of its own (E4's adaptive
-  adversary and E7/E8's constructions, which are interactive or
-  simulation-free, are the documented exceptions).
+  certificates.  Compute that is not a spec measurement (E4's adaptive
+  adversary table, E7's matrix figures, E8's family constructions) goes
+  through :meth:`ResolvedSpecs.memo`, which keeps its result as a
+  schema-versioned ``render/<hash>`` blob in the same store.
 
 Because every measurement is keyed by its config hash, a
 :class:`PaperCampaign` interrupted at any point resumes with zero
-recomputation, a second run is a 100% store hit (``store.misses == 0``), and
-results are bit-identical at any worker count.  The CLI front end is
+recomputation, a second run is a 100% store hit (``store.misses == 0``) that
+simulates nothing — render-side compute is read back from its memo blobs —
+and results are bit-identical at any worker count.  The CLI front end is
 ``repro paper run|status|report`` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.experiments.cache import FamilyCache, shared_cache
@@ -38,10 +41,11 @@ from repro.experiments.config import ExperimentScale, QUICK
 from repro.experiments.runner import ExperimentResult
 from repro.sweeps.runner import SweepRunner
 from repro.sweeps.spec import SweepConfig
-from repro.sweeps.store import ConfigRecord, SweepStore
+from repro.sweeps.store import ConfigRecord, StoreSchemaError, SweepStore
 
 __all__ = [
     "MANIFEST_NAME",
+    "RENDER_MEMO_SCHEMA",
     "MeasurementSpec",
     "ResolvedSpecs",
     "dedup_specs",
@@ -60,6 +64,11 @@ MeasurementSpec = SweepConfig
 #: File the campaign manifest is written to inside the store root.
 MANIFEST_NAME = "campaign_manifest.json"
 
+#: Schema of the render-memo blobs :meth:`ResolvedSpecs.memo` writes.  It is
+#: part of every memo key and stamped into every blob; bump it whenever a
+#: memoized payload changes shape or meaning, so no older blob is trusted.
+RENDER_MEMO_SCHEMA = 1
+
 
 class ResolvedSpecs:
     """Resolved measurements, addressable by the spec that demanded them.
@@ -76,14 +85,23 @@ class ResolvedSpecs:
     hits, misses:
         Store traffic of the resolution that built this view (unique specs
         served from disk vs freshly computed).
+    store:
+        The store the records came from (``None`` for an ephemeral
+        resolution); :meth:`memo` keeps render-side compute in it.
     """
 
     def __init__(
-        self, records: Dict[str, ConfigRecord], *, hits: int = 0, misses: int = 0
+        self,
+        records: Dict[str, ConfigRecord],
+        *,
+        hits: int = 0,
+        misses: int = 0,
+        store: Optional[SweepStore] = None,
     ) -> None:
         self._records = dict(records)
         self.hits = hits
         self.misses = misses
+        self.store = store
 
     def __len__(self) -> int:
         return len(self._records)
@@ -125,6 +143,46 @@ class ResolvedSpecs:
         values = self.latencies(spec, capped=capped)
         return float(sum(values)) / len(values)
 
+    def memo(
+        self, experiment: str, key: Mapping[str, object], compute: Callable[[], Any]
+    ) -> Any:
+        """Render-side compute, kept in the store as a ``render/<hash>`` blob.
+
+        ``key`` names every input the computation reads (the scale fields,
+        the render seed); with the experiment ID and
+        :data:`RENDER_MEMO_SCHEMA` it is hashed into the blob key.  A stored
+        blob is used only when its schema and full identity match; a missing,
+        unreadable or mismatched one is recomputed and overwritten.  Without
+        a store the value is computed directly.  Either way the result is
+        the JSON form of ``compute()``, so a value read back from a blob
+        equals a freshly computed one exactly.
+        """
+        identity = json.dumps(
+            {"experiment": experiment, "key": key, "schema": RENDER_MEMO_SCHEMA},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        if self.store is None:
+            return json.loads(json.dumps(compute()))
+        blob_key = "render/" + hashlib.sha256(identity.encode("utf-8")).hexdigest()[:16]
+        try:
+            blob = self.store.load_blob(blob_key)
+        except StoreSchemaError:
+            blob = None
+        if (
+            blob is not None
+            and blob.get("schema") == RENDER_MEMO_SCHEMA
+            and blob.get("identity") == identity
+            and "payload" in blob
+        ):
+            return blob["payload"]
+        payload = json.loads(json.dumps(compute()))
+        self.store.save_blob(
+            blob_key,
+            {"schema": RENDER_MEMO_SCHEMA, "identity": identity, "payload": payload},
+        )
+        return payload
+
 
 def dedup_specs(specs: Sequence[MeasurementSpec]) -> List[MeasurementSpec]:
     """Order-preserving dedup by config hash (first occurrence wins)."""
@@ -161,7 +219,7 @@ def resolve_specs(
         spec.config_hash(): record for spec, record in zip(unique, result.records)
     }
     return ResolvedSpecs(
-        records, hits=result.reused, misses=len(unique) - result.reused
+        records, hits=result.reused, misses=len(unique) - result.reused, store=store
     )
 
 
@@ -183,8 +241,9 @@ class ExperimentDefinition:
         ``(resolved, scale, seed, cache) -> ExperimentResult`` — turns
         resolved records into tables/figures/certificates.  ``seed`` feeds
         only render-side randomness (E4's adaptive adversary, E7/E8's
-        constructions); engine measurements are keyed by the specs' own
-        seeds, so two renders over one store agree bit for bit.
+        constructions), whose results render memoizes through
+        :meth:`ResolvedSpecs.memo`; engine measurements are keyed by the
+        specs' own seeds, so two renders over one store agree bit for bit.
     default_seed:
         The ``seed`` used when the caller does not pass one (the historical
         per-experiment defaults).

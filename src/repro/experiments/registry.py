@@ -17,9 +17,12 @@ The split is what makes the paper campaign (:mod:`repro.experiments.campaign`)
 possible: specs deduplicate across experiments (E1/E2/E3/E5/E10/E11 share
 grid cells), resolve process-parallel through :mod:`repro.sweeps`, and
 memoize in one :class:`~repro.sweeps.store.SweepStore`.  Render functions are
-pure over the resolved records; the only render-side computation left is
-interactive or simulation-free by nature (E4's adaptive adversary, E7's
-matrix figures, E8's family constructions), driven by the experiment ``seed``.
+pure over the resolved records.  Compute that is not a spec measurement (E4's
+adaptive-adversary table, E7's matrix figures, E8's family constructions),
+driven by the experiment ``seed``, runs through
+:meth:`~repro.experiments.campaign.ResolvedSpecs.memo`: with a store it is
+kept as a schema-versioned ``render/<hash>`` blob, so a warm rerun renders
+from stored records and blobs alone and simulates nothing.
 
 Every spec uses :data:`BATTERY_SEED` so overlapping cells hash identically
 across experiments; the per-experiment ``seed`` argument only feeds that
@@ -44,6 +47,7 @@ from repro._util import as_generator, log2_safe, loglog2_safe
 from repro.analysis.certificates import check_lower_bound, check_upper_bound
 from repro.analysis.fitting import best_model
 from repro.analysis.shape import who_wins
+from repro.analysis.statistics import sorted_median
 from repro.channel.adversary import AdaptiveLowerBoundAdversary
 from repro.channel.simulator import run_deterministic
 from repro.channel.wakeup import WakeupPattern
@@ -394,10 +398,36 @@ def _e4_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
     return [spec for _, _, spec in _e4_cells(scale)]
 
 
+def _e4_adversary_table(
+    cells: List[Tuple[int, int]], max_slots: int, seed: int, cache
+) -> List[List[list]]:
+    """Per cell, ``[protocol, adversary latency, distinct slots]`` rows.
+
+    All runs draw from one sequential ``rng``, so the table is computed (and
+    memoized) whole.
+    """
+    rng = as_generator(seed)
+    table = []
+    for n, k in cells:
+        families = cache.concatenation(n, k, seed=seed)
+        protocols = {
+            "round_robin": RoundRobin(n),
+            "wakeup_with_s": WakeupWithS(n, s=0, families=cache.concatenation(n, n, seed=seed)),
+            "wakeup_with_k": WakeupWithK(n, k, families=families),
+            "wakeup_scenario_c": WakeupProtocol(n, seed=seed),
+        }
+        reports = []
+        for name, protocol in protocols.items():
+            adversary = AdaptiveLowerBoundAdversary(protocol, max_slots=max_slots)
+            report = adversary.run(k, rng=rng)
+            reports.append([name, report.max_latency, report.distinct_isolating_slots])
+        table.append(reports)
+    return table
+
+
 def _e4_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    rng = as_generator(seed)
     result = ExperimentResult(
         experiment="E4",
         title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
@@ -406,30 +436,26 @@ def _e4_render(
     table = TextTable(
         ["protocol", "n", "k", "adversary latency", "distinct slots", "min{k,n-k+1}"]
     )
+    cells = _e4_cells(scale)
+    keys = [(n, k) for n, k, _ in cells]
+    adversary_table = resolved.memo(
+        "E4",
+        {"cells": keys, "max_slots": scale.max_slots, "seed": seed},
+        lambda: _e4_adversary_table(keys, scale.max_slots, seed, cache),
+    )
     exact_points: List[Tuple[int, int, float]] = []
-    for n, k, spec in _e4_cells(scale):
-        families = cache.concatenation(n, k, seed=seed)
-        protocols = {
-            "round_robin": RoundRobin(n),
-            "wakeup_with_s": WakeupWithS(n, s=0, families=cache.concatenation(n, n, seed=seed)),
-            "wakeup_with_k": WakeupWithK(n, k, families=families),
-            "wakeup_scenario_c": WakeupProtocol(n, seed=seed),
-        }
+    for (n, k, spec), reports in zip(cells, adversary_table):
         bound = trivial_lower_bound(n, k)
-        for name, protocol in protocols.items():
-            adversary = AdaptiveLowerBoundAdversary(protocol, max_slots=scale.max_slots)
-            report = adversary.run(k, rng=rng)
-            table.add_row(
-                [name, n, k, report.max_latency, report.distinct_isolating_slots, bound]
-            )
+        for name, latency, distinct in reports:
+            table.add_row([name, n, k, latency, distinct, bound])
             result.rows.append(
                 {
                     "experiment": "E4",
                     "protocol": name,
                     "n": n,
                     "k": k,
-                    "adversary_latency": report.max_latency,
-                    "distinct_slots": report.distinct_isolating_slots,
+                    "adversary_latency": latency,
+                    "distinct_slots": distinct,
                     "bound": bound,
                 }
             )
@@ -681,50 +707,27 @@ def _render_only_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
     return []
 
 
-def _e7_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E7",
-        title="Transmission-matrix structure (paper Figures 1 and 2)",
-        scale=scale.name,
-    )
-    n = 32
+#: Universe size of E7's figures.
+_E7_N = 32
+
+
+def _e7_compute(max_slots: int, seed: int) -> Dict[str, object]:
+    """E7's simulation and matrix analysis: figures, first success, frequencies."""
+    n = _E7_N
     protocol = WakeupProtocol(n, seed=seed)
     params = protocol.params
     wake_times = {3: 1, 11: params.window + 1, 23: 2 * params.window + 1}
-    result.figures["figure1_row_traversal"] = render_matrix_occupancy(
-        params, wake_times, columns=72
-    )
+    figures = {
+        "figure1_row_traversal": render_matrix_occupancy(params, wake_times, columns=72)
+    }
     pattern = WakeupPattern(n, wake_times)
-    run = run_deterministic(protocol, pattern, max_slots=scale.max_slots, record_trace=True)
+    run = run_deterministic(protocol, pattern, max_slots=max_slots, record_trace=True)
     if run.trace is not None:
-        result.figures["figure2_column_alignment"] = render_trace(run.trace)
-    isolation = first_isolation(protocol.matrix, pattern, max_slots=scale.max_slots)
-    agreement = (
-        isolation is not None
-        and run.solved
-        and isolation[0] == run.success_slot
-        and isolation[1] == run.winner
-    )
-    result.notes.append(
-        "protocol simulation and matrix-level isolation analysis agree on the first "
-        f"success: {'yes' if agreement else 'NO'}"
-    )
-    result.rows.append(
-        {
-            "experiment": "E7",
-            "n": n,
-            "protocol_success_slot": run.success_slot,
-            "protocol_winner": run.winner,
-            "matrix_isolation_slot": isolation[0] if isolation else None,
-            "matrix_isolated_station": isolation[1] if isolation else None,
-            "agreement": agreement,
-        }
-    )
+        figures["figure2_column_alignment"] = render_trace(run.trace)
+    isolation = first_isolation(protocol.matrix, pattern, max_slots=max_slots)
 
     # Empirical membership frequencies vs the prescribed 2^-(i+rho) probabilities.
-    table = TextTable(["row i", "rho(j)", "empirical Pr[u in M_ij]", "2^-(i+rho)"])
+    frequencies = []
     matrix = protocol.matrix
     columns = np.arange(0, min(params.length, 2048), dtype=np.int64)
     for row in range(1, min(params.rows, 4) + 1):
@@ -743,17 +746,66 @@ def _e7_render(
             hits = int(member.sum())
             total = int(member.size)
             empirical = hits / total if total else 0.0
-            expected = 2.0 ** (-(row + rho))
-            table.add_row([row, rho, empirical, expected])
-            result.rows.append(
-                {
-                    "experiment": "E7",
-                    "row": row,
-                    "rho": rho,
-                    "empirical_probability": empirical,
-                    "expected_probability": expected,
-                }
-            )
+            frequencies.append([row, rho, empirical, 2.0 ** (-(row + rho))])
+    return {
+        "figures": figures,
+        "solved": run.solved,
+        "success_slot": run.success_slot,
+        "winner": run.winner,
+        "isolation": list(isolation) if isolation is not None else None,
+        "frequencies": frequencies,
+    }
+
+
+def _e7_render(
+    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment="E7",
+        title="Transmission-matrix structure (paper Figures 1 and 2)",
+        scale=scale.name,
+    )
+    computed = resolved.memo(
+        "E7",
+        {"n": _E7_N, "max_slots": scale.max_slots, "seed": seed},
+        lambda: _e7_compute(scale.max_slots, seed),
+    )
+    result.figures.update(computed["figures"])
+    isolation = computed["isolation"]
+    agreement = (
+        isolation is not None
+        and computed["solved"]
+        and isolation[0] == computed["success_slot"]
+        and isolation[1] == computed["winner"]
+    )
+    result.notes.append(
+        "protocol simulation and matrix-level isolation analysis agree on the first "
+        f"success: {'yes' if agreement else 'NO'}"
+    )
+    result.rows.append(
+        {
+            "experiment": "E7",
+            "n": _E7_N,
+            "protocol_success_slot": computed["success_slot"],
+            "protocol_winner": computed["winner"],
+            "matrix_isolation_slot": isolation[0] if isolation else None,
+            "matrix_isolated_station": isolation[1] if isolation else None,
+            "agreement": agreement,
+        }
+    )
+
+    table = TextTable(["row i", "rho(j)", "empirical Pr[u in M_ij]", "2^-(i+rho)"])
+    for row, rho, empirical, expected in computed["frequencies"]:
+        table.add_row([row, rho, empirical, expected])
+        result.rows.append(
+            {
+                "experiment": "E7",
+                "row": row,
+                "rho": rho,
+                "empirical_probability": empirical,
+                "expected_probability": expected,
+            }
+        )
     result.tables["membership_probabilities"] = table.render()
     return result
 
@@ -763,10 +815,32 @@ def _e7_render(
 # ---------------------------------------------------------------------------
 
 
+def _e8_cells(scale: ExperimentScale) -> List[Tuple[int, int]]:
+    return [(n, k) for n in scale.n_values for k in [2, 4, 8, 16] if k <= n]
+
+
+def _e8_compute(cells: List[Tuple[int, int]], seed: int) -> List[list]:
+    """Per cell, ``[target, random length, selectivity, explicit length]``.
+
+    The random families and their Monte-Carlo checks share one sequential
+    ``rng``, so the whole table is computed (and memoized) at once.
+    """
+    rng = as_generator(seed)
+    out = []
+    for n, k in cells:
+        target = selective_family_target_length(n, k, multiplier=1.0)
+        random_fam = random_selective_family(n, k, rng=rng)
+        selectivity = monte_carlo_selectivity(random_fam.family, k, trials=200, rng=rng)
+        explicit_length: Optional[int] = None
+        if k <= 8:
+            explicit_length = explicit_selective_family(n, k).length
+        out.append([target, random_fam.length, selectivity, explicit_length])
+    return out
+
+
 def _e8_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    rng = as_generator(seed)
     result = ExperimentResult(
         experiment="E8",
         title="Selective families: length and selectivity of the constructions",
@@ -782,32 +856,25 @@ def _e8_render(
             "explicit length",
         ]
     )
-    for n in scale.n_values:
-        for k in [2, 4, 8, 16]:
-            if k > n:
-                continue
-            target = selective_family_target_length(n, k, multiplier=1.0)
-            random_fam = random_selective_family(n, k, rng=rng)
-            selectivity = monte_carlo_selectivity(
-                random_fam.family, k, trials=200, rng=rng
-            )
-            explicit_length: Optional[int] = None
-            if k <= 8:
-                explicit_length = explicit_selective_family(n, k).length
-            table.add_row(
-                [n, k, target, random_fam.length, selectivity, explicit_length]
-            )
-            result.rows.append(
-                {
-                    "experiment": "E8",
-                    "n": n,
-                    "k": k,
-                    "target_length": target,
-                    "random_length": random_fam.length,
-                    "random_selectivity": selectivity,
-                    "explicit_length": explicit_length,
-                }
-            )
+    cells = _e8_cells(scale)
+    computed = resolved.memo(
+        "E8", {"cells": cells, "seed": seed}, lambda: _e8_compute(cells, seed)
+    )
+    for (n, k), (target, random_length, selectivity, explicit_length) in zip(
+        cells, computed
+    ):
+        table.add_row([n, k, target, random_length, selectivity, explicit_length])
+        result.rows.append(
+            {
+                "experiment": "E8",
+                "n": n,
+                "k": k,
+                "target_length": target,
+                "random_length": random_length,
+                "random_selectivity": selectivity,
+                "explicit_length": explicit_length,
+            }
+        )
     result.tables["selective_family_quality"] = table.render()
     rates = [row["random_selectivity"] for row in result.rows if "random_selectivity" in row]
     result.notes.append(
@@ -1111,7 +1178,7 @@ def _e11_render(
     degradations = [
         row["local_clock_schedule"] / max(1, row["wait_and_go_global"]) for row in result.rows
     ]
-    median_ratio = float(np.median(degradations))
+    median_ratio = sorted_median(degradations)
     result.notes.append(
         "median latency ratio local/global for the selective-family schedules: "
         f"{median_ratio:.2f}x on this pattern battery"

@@ -139,8 +139,21 @@ class SweepConfig:
         form of :meth:`as_dict`, so two configs share a key iff they describe
         the same computation — across processes, sessions and platforms.
         """
-        canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        # Computed once per instance: the fields are frozen, and the campaign
+        # asks for one spec's hash several times (dedup, store path, lookup).
+        cached = self.__dict__.get("_config_hash")
+        if cached is None:
+            canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_config_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The cached hash is derived data; a pickle carries the fields alone,
+        # identical whether or not the hash was asked for.
+        state = dict(self.__dict__)
+        state.pop("_config_hash", None)
+        return state
 
     def label(self) -> str:
         """Short human-readable identifier used in tables and progress lines."""

@@ -254,7 +254,8 @@ class SweepStore:
     # Besides per-config result records, a store can hold named auxiliary
     # JSON blobs — checkpoints of long-running drivers that want the same
     # atomic-write + resume semantics (the adversarial-search driver keeps
-    # its per-step state under ``adversary/<spec-hash>``).  Blob keys map to
+    # its per-step state under ``adversary/<spec-hash>``, the paper campaign
+    # its render-side compute under ``render/<hash>``).  Blob keys map to
     # ``<key>.json`` under the store root; a ``/`` in the key creates a
     # subdirectory, which keeps blobs out of the top-level ``*.json`` record
     # namespace (and out of ``len(store)``).  Schema versioning of the blob
