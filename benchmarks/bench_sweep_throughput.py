@@ -13,7 +13,10 @@ processes, and gate three contracts:
 * **bit-for-bit equality** — the sharded sweep returns exactly the serial
   outcome columns;
 * **resume** — a sweep restarted from a partial store completes to the same
-  result without recomputing stored configs.
+  result without recomputing stored configs;
+* **draw budget** — serial ``WorkloadSuite.generate`` over the five sweep
+  workloads of perfbench's ``sweep-scan`` grid (n=1024, k ∈ {16, 64}, batch
+  256) costs at most :data:`DRAW_US_PER_PATTERN_BUDGET` per pattern.
 
 Run with::
 
@@ -28,6 +31,7 @@ import time
 import pytest
 
 from repro.sweeps import SweepRunner, SweepSpec, SweepStore
+from repro.workloads import WorkloadSuite
 
 #: The reference grid: 16 configs (1 protocol x 2 n x 4 k x 2 seeds).
 SPEC = SweepSpec(
@@ -48,6 +52,21 @@ SMALL_SPEC = SweepSpec(
     batch=48,
     max_slots=200_000,
 )
+
+
+#: The sweep workloads, universe, contender budgets and batch of the draw gate.
+DRAW_WORKLOADS = ("uniform", "churn", "heavy-tailed", "late-turn", "simultaneous")
+DRAW_N = 1024
+DRAW_KS = (16, 64)
+DRAW_BATCH = 256
+
+#: Timed passes over the draw grid; the fastest one is gated.
+DRAW_PASSES = 7
+
+#: Most microseconds one drawn pattern may cost, averaged over the draw grid:
+#: 3x over the ~50 us of a quiet 2-vCPU host, whose readings drifted up to
+#: ~95 us as the host slowed (the dict-building draw it replaced read 82-151).
+DRAW_US_PER_PATTERN_BUDGET = 150.0
 
 
 def _usable_cpus() -> int:
@@ -130,6 +149,45 @@ def test_sweep_parallel_speedup_is_at_least_2x(record_gate):
     assert speedup >= 2.0, (
         f"4-worker sweep only {speedup:.2f}x over serial "
         f"(serial {serial_time:.3f}s, parallel {parallel_time:.3f}s for {len(configs)} configs)"
+    )
+
+
+def test_workload_draw_budget(record_gate):
+    """Regression gate: the per-pattern cost of drawing the sweep workloads.
+
+    Every row is one vector draw from its own spawned generator, built
+    through ``WakeupPattern.from_arrays``; the fastest of :data:`DRAW_PASSES`
+    passes over the grid is charged against the budget.
+    """
+    suite = WorkloadSuite()
+    grid = [(name, k) for name in DRAW_WORKLOADS for k in DRAW_KS]
+    patterns = len(grid) * DRAW_BATCH
+
+    def draw_all():
+        for seed, (name, k) in enumerate(grid):
+            suite.generate(name, n=DRAW_N, k=k, batch=DRAW_BATCH, seed=seed)
+
+    draw_all()
+    us_per_pattern = _best_of(draw_all, repeats=DRAW_PASSES) / patterns * 1e6
+    print(
+        f"workload draw: {us_per_pattern:.1f} us/pattern over {patterns} patterns "
+        f"(budget {DRAW_US_PER_PATTERN_BUDGET:.0f})"
+    )
+    record_gate(
+        "workload_draw",
+        threshold=DRAW_US_PER_PATTERN_BUDGET,
+        unit="us/pattern",
+        measurements=[
+            {
+                "grid": f"{'+'.join(DRAW_WORKLOADS)}, n={DRAW_N}, k={DRAW_KS}, batch={DRAW_BATCH}",
+                "draw_us_per_pattern": round(us_per_pattern, 2),
+                "budget_us": DRAW_US_PER_PATTERN_BUDGET,
+            }
+        ],
+    )
+    assert us_per_pattern <= DRAW_US_PER_PATTERN_BUDGET, (
+        f"drawing the sweep workloads costs {us_per_pattern:.1f} us/pattern, "
+        f"over the {DRAW_US_PER_PATTERN_BUDGET:.0f} us budget"
     )
 
 

@@ -18,7 +18,7 @@ adversarial strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "window_boundary_pattern",
     "family_boundary_pattern",
     "random_station_subset",
+    "row_stations",
     "worst_case_search",
     "AdaptiveLowerBoundAdversary",
     "PATTERN_GENERATORS",
@@ -44,8 +45,26 @@ __all__ = [
 def random_station_subset(n: int, k: int, rng: RngLike = None) -> List[int]:
     """Pick ``k`` distinct station IDs uniformly at random from ``[1, n]``."""
     k, n = validate_k_n(k, n)
-    gen = as_generator(rng)
-    return sorted(int(u) + 1 for u in gen.choice(n, size=k, replace=False))
+    return row_stations(n, k, None, rng).tolist()
+
+
+def row_stations(
+    n: int, k: int, stations: Optional[Iterable[int]], rng: RngLike = None
+) -> np.ndarray:
+    """The station array of one generated row, in pair order.
+
+    With ``stations=None`` this is one vector draw from ``rng``: ``k``
+    distinct IDs from ``[1, n]``, sorted ascending.  An explicit ``stations``
+    (any iterable) is kept in its given order and must hold exactly ``k``
+    IDs; :meth:`WakeupPattern.from_arrays` then rejects IDs outside
+    ``[1, n]`` and repeats, so every generator validates the same way.
+    """
+    if stations is None:
+        return np.sort(as_generator(rng).choice(n, size=k, replace=False)) + 1
+    chosen = stations if isinstance(stations, np.ndarray) else np.asarray(list(stations))
+    if chosen.ndim != 1 or chosen.size != k:
+        raise ValueError(f"stations must list exactly k={k} distinct IDs, got {chosen.size}")
+    return chosen
 
 
 def simultaneous_pattern(
@@ -53,8 +72,8 @@ def simultaneous_pattern(
 ) -> WakeupPattern:
     """All ``k`` stations wake at the same slot (the classical synchronized case)."""
     k, n = validate_k_n(k, n)
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, rng)
-    return WakeupPattern(n, {u: start for u in chosen})
+    chosen = row_stations(n, k, stations, rng)
+    return WakeupPattern.from_arrays(n, chosen, np.full(k, start, dtype=np.int64))
 
 
 def staggered_pattern(
@@ -75,8 +94,8 @@ def staggered_pattern(
     k, n = validate_k_n(k, n)
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, rng)
-    return WakeupPattern(n, {u: start + i * gap for i, u in enumerate(chosen)})
+    chosen = row_stations(n, k, stations, rng)
+    return WakeupPattern.from_arrays(n, chosen, start + np.arange(k, dtype=np.int64) * gap)
 
 
 def batched_pattern(
@@ -95,12 +114,9 @@ def batched_pattern(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if batch_gap < 0:
         raise ValueError(f"batch_gap must be >= 0, got {batch_gap}")
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, rng)
-    times = {}
-    for i, u in enumerate(chosen):
-        batch = i // batch_size
-        times[u] = start + batch * batch_gap
-    return WakeupPattern(n, times)
+    chosen = row_stations(n, k, stations, rng)
+    times = start + (np.arange(k, dtype=np.int64) // batch_size) * batch_gap
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 def uniform_random_pattern(
@@ -121,10 +137,10 @@ def uniform_random_pattern(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     gen = as_generator(rng)
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, gen)
-    times = {u: start + int(gen.integers(0, window)) for u in chosen}
-    times[chosen[0]] = start
-    return WakeupPattern(n, times)
+    chosen = row_stations(n, k, stations, gen)
+    times = start + gen.integers(0, window, size=k)
+    times[0] = start
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 def window_boundary_pattern(
@@ -146,10 +162,10 @@ def window_boundary_pattern(
     k, n = validate_k_n(k, n)
     if window_length < 1:
         raise ValueError(f"window_length must be >= 1, got {window_length}")
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, rng)
+    chosen = row_stations(n, k, stations, rng)
     offset = 1 if window_length > 1 else 0
-    times = {u: start + i * window_length + offset for i, u in enumerate(chosen)}
-    return WakeupPattern(n, times)
+    times = start + np.arange(k, dtype=np.int64) * window_length + offset
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 def family_boundary_pattern(
@@ -172,15 +188,12 @@ def family_boundary_pattern(
     k, n = validate_k_n(k, n)
     if not boundaries:
         raise ValueError("boundaries must be non-empty")
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, rng)
-    sorted_bounds = sorted(int(b) for b in boundaries)
-    times = {}
-    for i, u in enumerate(chosen):
-        b = sorted_bounds[i % len(sorted_bounds)]
-        times[u] = max(start, b + 1)
+    chosen = row_stations(n, k, stations, rng)
+    sorted_bounds = np.sort(np.asarray([int(b) for b in boundaries], dtype=np.int64))
+    times = np.maximum(start, sorted_bounds[np.arange(k) % sorted_bounds.size] + 1)
     # Ensure at least one station defines s = start for comparability.
-    times[chosen[0]] = start
-    return WakeupPattern(n, times)
+    times[0] = start
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 #: Registry of the named stochastic/structured generators used by experiments.

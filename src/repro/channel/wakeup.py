@@ -10,13 +10,17 @@ universe ``[1, n]``.  The pattern determines
 
 Patterns are immutable value objects; the generators that build interesting
 patterns (adversarial, random, bursty, ...) live in
-:mod:`repro.channel.adversary`.
+:mod:`repro.channel.adversary`.  Generators draw whole rows as arrays and
+build their patterns with :meth:`WakeupPattern.from_arrays`, which keeps the
+aligned ``int64`` station/wake arrays on the instance; the batch engines read
+those arrays directly (:meth:`WakeupPattern.pair_arrays`) instead of walking
+the mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +106,84 @@ class WakeupPattern:
             raise ValueError("a wake-up pattern must awaken at least one station")
         object.__setattr__(self, "wake_times", dict(cleaned))
 
+    @classmethod
+    def from_arrays(cls, n: int, stations: Any, wake_times: Any) -> "WakeupPattern":
+        """Build a pattern from aligned station and wake-time arrays.
+
+        ``stations[i]`` wakes at ``wake_times[i]``; the pattern's
+        ``wake_times`` mapping keeps this order, which is the order the
+        randomized engines draw in.  Validation is vectorized but raises what
+        the mapping constructor raises: :class:`TypeError` for non-integer
+        (or bool) input, :class:`ValueError` for an empty pattern, a station
+        outside ``[1, n]``, a negative wake time or a repeated station.  The
+        arrays are copied to read-only ``int64`` and served by
+        :meth:`pair_arrays` without touching the mapping.
+
+        >>> p = WakeupPattern.from_arrays(8, [3, 5, 7], [0, 2, 2])
+        >>> p == WakeupPattern(8, {3: 0, 5: 2, 7: 2})
+        True
+        """
+        n = validate_positive_int(n, "n")
+        stations = np.asarray(stations)
+        times = np.asarray(wake_times)
+        if stations.ndim != 1 or stations.shape != times.shape:
+            raise ValueError(
+                "stations and wake_times must be 1-D and aligned, got shapes "
+                f"{stations.shape} and {times.shape}"
+            )
+        if stations.size == 0:
+            raise ValueError("a wake-up pattern must awaken at least one station")
+        for values, name in ((stations, "station ID"), (times, "wake time")):
+            if values.dtype.kind not in "iu":
+                raise TypeError(f"{name} must be an integer, got dtype {values.dtype}")
+        low = int(np.minimum.reduce(stations))
+        high = int(np.maximum.reduce(stations))
+        if low < 1 or high > n:
+            raise ValueError(f"station ID must be in [1, {n}], got {low if low < 1 else high}")
+        if int(np.minimum.reduce(times)) < 0:
+            bad = int(np.argmax(times < 0))
+            raise ValueError(
+                f"wake time must be >= 0, got {int(times[bad])} for station {int(stations[bad])}"
+            )
+        if times.dtype == np.uint64 and int(np.maximum.reduce(times)) > np.iinfo(np.int64).max:
+            raise ValueError(f"wake time must fit in int64, got {int(np.maximum.reduce(times))}")
+        stations = stations.astype(np.int64)
+        times = times.astype(np.int64)
+        mapping = dict(zip(stations.tolist(), times.tolist()))
+        if len(mapping) != stations.size:
+            raise ValueError("station IDs must be distinct")
+        stations.flags.writeable = False
+        times.flags.writeable = False
+        pattern = cls.__new__(cls)
+        object.__setattr__(pattern, "n", n)
+        object.__setattr__(pattern, "wake_times", mapping)
+        object.__setattr__(pattern, "_pair_cache", (stations, times))
+        return pattern
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The pair arrays are derived data; a pickle carries the fields alone,
+        # identical whichever constructor built the pattern.
+        state = dict(self.__dict__)
+        state.pop("_pair_cache", None)
+        return state
+
+    def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(stations, wake_times)`` as aligned read-only ``int64`` arrays.
+
+        Pairs come in ``wake_times`` insertion order.  Patterns built by
+        :meth:`from_arrays` return their own arrays; a mapping-built pattern
+        derives them once and keeps them.
+        """
+        cached = self.__dict__.get("_pair_cache")
+        if cached is None:
+            stations = np.fromiter(self.wake_times.keys(), np.int64, len(self.wake_times))
+            times = np.fromiter(self.wake_times.values(), np.int64, len(self.wake_times))
+            stations.flags.writeable = False
+            times.flags.writeable = False
+            cached = (stations, times)
+            object.__setattr__(self, "_pair_cache", cached)
+        return cached
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -146,10 +228,10 @@ class WakeupPattern:
         return sum(1 for t in self.wake_times.values() if t <= slot)
 
     def wake_array(self) -> np.ndarray:
-        """Return ``(stations, wake_times)`` as two aligned numpy arrays."""
-        stations = np.array(self.stations, dtype=np.int64)
-        times = np.array([self.wake_times[int(u)] for u in stations], dtype=np.int64)
-        return np.stack([stations, times])
+        """Return ``(stations, wake_times)`` as two aligned numpy arrays, sorted by ID."""
+        stations, times = self.pair_arrays()
+        order = np.argsort(stations, kind="stable")
+        return np.stack([stations[order], times[order]])
 
     def shifted(self, offset: int) -> "WakeupPattern":
         """Return a copy with every wake time shifted by ``offset`` slots."""

@@ -310,25 +310,25 @@ class _ScanScratch:
             self.reused_bytes += self._fixed_bytes + self._singles.nbytes
 
 
-def _flatten_patterns(
+def _batch_pairs(
     patterns: Sequence[WakeupPattern],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten (row, station, wake) triples into aligned pair arrays.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate the batch into aligned pair arrays plus per-row columns.
 
-    Pairs are emitted row-major and, within a row, in the pattern's own
-    station order — the order the slot-loop engine iterates stations in,
-    which the randomized engine's draw discipline relies on.
+    Returns ``(pair_row, pair_station, pair_wake, k, first_wake)``.  Pairs
+    are emitted row-major and, within a row, in the pattern's own station
+    order (:meth:`~repro.channel.wakeup.WakeupPattern.pair_arrays`) — the
+    order the slot-loop engine iterates stations in, which the randomized
+    engines' draw discipline relies on.  ``k`` is each row's pair count and
+    ``first_wake`` its minimum wake slot, reduced over the pair arrays.
     """
-    B = len(patterns)
-    counts = np.fromiter((p.k for p in patterns), dtype=np.int64, count=B)
-    pair_row = np.repeat(np.arange(B, dtype=np.int64), counts)
-    pair_station = np.concatenate(
-        [np.fromiter(p.wake_times.keys(), np.int64, p.k) for p in patterns]
-    )
-    pair_wake = np.concatenate(
-        [np.fromiter(p.wake_times.values(), np.int64, p.k) for p in patterns]
-    )
-    return pair_row, pair_station, pair_wake
+    stations, wakes = zip(*(p.pair_arrays() for p in patterns))
+    k = np.fromiter(map(len, stations), dtype=np.int64, count=len(stations))
+    pair_station = np.concatenate(stations)
+    pair_wake = np.concatenate(wakes)
+    pair_row = np.repeat(np.arange(k.size, dtype=np.int64), k)
+    first_wake = np.minimum.reduceat(pair_wake, np.cumsum(k) - k)
+    return pair_row, pair_station, pair_wake, k, first_wake
 
 
 def _chunked_first_success_scan(
@@ -524,9 +524,7 @@ def run_deterministic_batch(
     if not patterns:
         return BatchResult.empty(protocol)
 
-    pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
-    k = np.asarray([p.k for p in patterns], dtype=np.int64)
-    first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
+    pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
     horizon = first_wake + int(max_slots)
 
     def emit(live_pairs: np.ndarray, chunk_start: int, chunk_stop: int):
@@ -665,9 +663,7 @@ def run_randomized_batch(
         )
 
     B = len(patterns)
-    pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
-    k = np.asarray([p.k for p in patterns], dtype=np.int64)
-    first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
+    pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
     horizon = first_wake + int(max_slots)
 
     def emit(live_pairs: np.ndarray, chunk_start: int, chunk_stop: int):

@@ -58,7 +58,7 @@ from repro.channel.simulator import DEFAULT_MAX_SLOTS
 from repro.channel.wakeup import WakeupPattern
 from repro.engine.batch import (
     BatchResult,
-    _flatten_patterns,
+    _batch_pairs,
     _resolve_generators,
     _validate_batch,
 )
@@ -157,9 +157,7 @@ def run_feedback_batch(
     lut = signal_table(feedback)
 
     B = len(patterns)
-    pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
-    k = np.asarray([p.k for p in patterns], dtype=np.int64)
-    first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
+    pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
     max_slots = int(max_slots)
     horizon = first_wake + max_slots
 

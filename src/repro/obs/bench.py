@@ -60,8 +60,9 @@ HIGHER_IS_BETTER = frozenset(
 )
 
 #: Metric keys where a *rise* beyond tolerance is a regression: event
-#: counts, and the per-unit wall-time budgets of the store and service gates
-#: (cold and warm milliseconds per campaign spec or per query).
+#: counts, and the per-unit wall-time budgets of the store, service and
+#: workload-draw gates (cold and warm milliseconds per campaign spec or per
+#: query, microseconds per drawn pattern).
 LOWER_IS_BETTER = frozenset(
     {
         "trace_events",
@@ -70,6 +71,7 @@ LOWER_IS_BETTER = frozenset(
         "warm_ms_per_spec",
         "cold_ms_per_query",
         "warm_ms_per_query",
+        "draw_us_per_pattern",
     }
 )
 

@@ -50,7 +50,7 @@ import numpy as np
 from repro._util import RngLike, as_generator, validate_k_n
 from repro.channel.adversary import (
     family_boundary_pattern,
-    random_station_subset,
+    row_stations,
     simultaneous_pattern,
     staggered_pattern,
     uniform_random_pattern,
@@ -97,11 +97,11 @@ def heavy_tailed_pattern(
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     gen = as_generator(rng)
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, gen)
+    chosen = row_stations(n, k, stations, gen)
     offsets = np.minimum(np.floor(scale * gen.pareto(alpha, size=k)).astype(np.int64), cap)
-    times = {u: start + int(o) for u, o in zip(chosen, offsets)}
-    times[chosen[0]] = start
-    return WakeupPattern(n, times)
+    times = start + offsets
+    times[0] = start
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 def duty_cycle_pattern(
@@ -130,13 +130,13 @@ def duty_cycle_pattern(
     if not 0.0 < active_fraction <= 1.0:
         raise ValueError(f"active_fraction must be in (0, 1], got {active_fraction}")
     gen = as_generator(rng)
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, gen)
+    chosen = row_stations(n, k, stations, gen)
     active_len = max(1, int(period * active_fraction))
     cycle = gen.integers(0, periods, size=k)
     offset = gen.integers(0, active_len, size=k)
-    times = {u: start + int(c) * period + int(o) for u, c, o in zip(chosen, cycle, offset)}
-    times[chosen[0]] = start
-    return WakeupPattern(n, times)
+    times = start + cycle * period + offset
+    times[0] = start
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 def churn_burst_pattern(
@@ -166,13 +166,11 @@ def churn_burst_pattern(
     if spread < 0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     gen = as_generator(rng)
-    chosen = list(stations) if stations is not None else random_station_subset(n, k, gen)
+    chosen = row_stations(n, k, stations, gen)
     jitter = gen.integers(0, spread + 1, size=k)
-    times = {
-        u: start + (i % bursts) * burst_gap + int(jitter[i]) for i, u in enumerate(chosen)
-    }
-    times[chosen[0]] = start
-    return WakeupPattern(n, times)
+    times = start + (np.arange(k, dtype=np.int64) % bursts) * burst_gap + jitter
+    times[0] = start
+    return WakeupPattern.from_arrays(n, chosen, times)
 
 
 def clustered_id_pattern(
@@ -203,19 +201,18 @@ def clustered_id_pattern(
     # base ID; collisions between runs are topped up with fresh random IDs so
     # the pattern always has exactly k stations.
     sizes = [k // clusters + (1 if c < k % clusters else 0) for c in range(clusters)]
-    chosen: set[int] = set()
+    taken = np.zeros(n + 1, dtype=bool)
     for size in sizes:
         base = int(gen.integers(1, n - size + 2))
-        chosen.update(range(base, base + size))
-    pool = [u for u in range(1, n + 1) if u not in chosen]
-    shortfall = k - len(chosen)
+        taken[base : base + size] = True
+    shortfall = k - int(np.count_nonzero(taken))
     if shortfall > 0:
-        extra = gen.choice(len(pool), size=shortfall, replace=False)
-        chosen.update(pool[int(i)] for i in extra)
-    ordered = sorted(chosen)[:k]
-    times = {u: start + int(gen.integers(0, window)) for u in ordered}
-    times[ordered[0]] = start
-    return WakeupPattern(n, times)
+        pool = np.flatnonzero(~taken[1:]) + 1
+        taken[pool[gen.choice(pool.size, size=shortfall, replace=False)]] = True
+    ordered = np.flatnonzero(taken)
+    times = start + gen.integers(0, window, size=k)
+    times[0] = start
+    return WakeupPattern.from_arrays(n, ordered, times)
 
 
 def density_drawn_pattern(
@@ -262,7 +259,7 @@ def late_turn_pattern(
     k, n = validate_k_n(k, n)
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
-    stations = list(range(n - k + 1, n + 1))
+    stations = np.arange(n - k + 1, n + 1, dtype=np.int64)
     if gap == 0:
         return simultaneous_pattern(n, k, start=start, stations=stations)
     return staggered_pattern(n, k, start=start, gap=gap, stations=stations)

@@ -111,3 +111,108 @@ class TestWakeTimesCodec:
 
         with pytest.raises(ValueError):
             decode_wake_times(text)
+
+
+class TestFromArrays:
+    MAPPINGS = [
+        {3: 0},
+        {3: 0, 5: 2, 7: 2},
+        {7: 2, 3: 0, 5: 2},
+        {8: 11, 1: 0, 4: 3, 2: 3},
+    ]
+
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    def test_equals_the_mapping_constructor(self, mapping):
+        import numpy as np
+
+        expected = WakeupPattern(8, mapping)
+        for stations, times in (
+            (list(mapping), list(mapping.values())),
+            (
+                np.array(list(mapping), dtype=np.int32),
+                np.array(list(mapping.values()), dtype=np.uint16),
+            ),
+        ):
+            p = WakeupPattern.from_arrays(8, stations, times)
+            assert p == expected
+            assert list(p.wake_times.items()) == list(expected.wake_times.items())
+            assert repr(p) == repr(expected)
+            assert type(p.wake_times) is dict
+
+    @pytest.mark.parametrize(
+        ("stations", "times", "error"),
+        [
+            ([1.0], [0], TypeError),
+            ([True], [0], TypeError),
+            (["3"], [0], TypeError),
+            ([9], [0], ValueError),
+            ([0], [0], ValueError),
+            ([-2], [0], ValueError),
+            ([3], [-1], ValueError),
+            ([], [], ValueError),
+            ([3, 5, 3], [0, 1, 2], ValueError),
+            ([3, 5], [0], ValueError),
+        ],
+    )
+    def test_bad_input_raises_the_mapping_constructors_error(self, stations, times, error):
+        with pytest.raises(error):
+            WakeupPattern.from_arrays(8, stations, times)
+        if len(stations) == len(times) and len(set(map(str, stations))) == len(stations):
+            # The same content through the mapping constructor fails the same way.
+            with pytest.raises(error):
+                WakeupPattern(8, dict(zip(stations, times)))
+
+    def test_wake_times_must_be_integers(self):
+        # Stricter than the mapping constructor, which coerces with int().
+        for times in ([0.5], [True], ["1"]):
+            with pytest.raises(TypeError):
+                WakeupPattern.from_arrays(8, [3], times)
+
+    def test_bad_universe_is_rejected(self):
+        with pytest.raises(ValueError):
+            WakeupPattern.from_arrays(0, [1], [0])
+        with pytest.raises(TypeError):
+            WakeupPattern.from_arrays(8.0, [1], [0])
+
+    def test_pickle_round_trip_drops_the_array_cache(self):
+        import pickle
+
+        p = WakeupPattern.from_arrays(8, [7, 3, 5], [2, 0, 2])
+        assert "_pair_cache" in vars(p)
+        restored = pickle.loads(pickle.dumps(p))
+        assert restored == p
+        assert list(restored.wake_times.items()) == list(p.wake_times.items())
+        assert "_pair_cache" not in vars(restored)
+        assert pickle.dumps(restored) == pickle.dumps(p)
+        assert pickle.dumps(p) == pickle.dumps(WakeupPattern(8, {7: 2, 3: 0, 5: 2}))
+
+    def test_fields_are_unchanged(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(WakeupPattern)] == ["n", "wake_times"]
+
+    def test_derived_views_are_unchanged(self):
+        import numpy as np
+
+        mapping = {7: 2, 3: 0, 5: 4}
+        p = WakeupPattern.from_arrays(8, list(mapping), list(mapping.values()))
+        q = WakeupPattern(8, mapping)
+        assert np.array_equal(p.wake_array(), q.wake_array())
+        assert p.wake_array().tolist() == [[3, 5, 7], [0, 4, 2]]
+        assert p.wake_array().dtype == np.int64
+        assert (p.k, p.first_wake, p.last_wake) == (q.k, q.first_wake, q.last_wake) == (3, 0, 4)
+
+    def test_pair_arrays_follow_insertion_order_and_are_read_only(self):
+        import numpy as np
+
+        source = np.array([7, 3, 5])
+        p = WakeupPattern.from_arrays(8, source, [2, 0, 4])
+        source[0] = 1  # the pattern keeps its own copy
+        stations, times = p.pair_arrays()
+        assert stations.tolist() == [7, 3, 5] and times.tolist() == [2, 0, 4]
+        assert stations.dtype == times.dtype == np.int64
+        with pytest.raises(ValueError):
+            stations[0] = 1
+        q = WakeupPattern(8, {7: 2, 3: 0, 5: 4})
+        assert [a.tolist() for a in q.pair_arrays()] == [[7, 3, 5], [2, 0, 4]]
+        assert q.pair_arrays()[0] is q.pair_arrays()[0]

@@ -257,3 +257,29 @@ class TestRenderReport:
         report = compare_artifacts(("base", _artifact()), ("cur", _artifact()))
         text = render_report(report)
         assert "OK: no metric drifted beyond tolerance" in text
+
+
+class TestDrawBudget:
+    def _artifact(self, us):
+        data = _artifact()
+        data["gates"]["workload_draw"] = {
+            "threshold_speedup": 120.0,
+            "unit": "us/pattern",
+            "measurements": [
+                {"grid": "uniform, n=1024", "draw_us_per_pattern": us, "budget_us": 120.0}
+            ],
+        }
+        return data
+
+    def test_draw_cost_regresses_when_it_rises(self):
+        slower = compare_artifacts(("a", self._artifact(50.0)), ("b", self._artifact(80.0)))
+        assert [(d.gate, d.metric) for d in slower.regressions] == [
+            ("workload_draw", "draw_us_per_pattern")
+        ]
+
+    def test_draw_cost_falling_is_an_improvement(self):
+        faster = compare_artifacts(("a", self._artifact(80.0)), ("b", self._artifact(50.0)))
+        assert faster.ok
+        assert [d.metric for d in faster.deltas if d.gate == "workload_draw"] == [
+            "draw_us_per_pattern"
+        ]
