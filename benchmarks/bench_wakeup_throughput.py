@@ -9,8 +9,10 @@ patterns, n = 1024, k = 16 uniform wake-ups, record the patterns/sec of
 * one ``run_deterministic_batch`` call with the generic
   ``DeterministicProtocol.batch_transmit_slots`` fallback pinned (the engine
   without the native override), and
-* one ``run_deterministic_batch`` call on the native path (batched
-  ``membership_for_pairs`` over one ``searchsorted`` row-geometry pass),
+* one ``run_deterministic_batch`` call on the native path (the pairs
+  deduplicated into ``(station, start)`` keys, each key's operational cells
+  hashed from per-key, per-row and per-column terms, and the member cells
+  expanded back to pairs),
 
 as ``extra_info["patterns_per_sec"]`` — plus hard regression gates asserting
 the native path stays at least 10× over the per-pattern pair-by-pair loop and
@@ -18,6 +20,10 @@ at least 3× over the engine-with-generic-fallback, and that all three resolve
 every pattern identically (same matrix, so outcomes must be bit-for-bit
 equal).  At landing time the native path measured ~38× over the loop and
 ~5× over the generic engine fallback.
+
+``test_matrix_scan_budget`` holds the native path to absolute microseconds
+per pattern on both clocks over the ``simultaneous``, ``late-turn`` and
+``uniform`` workloads at k ∈ {16, 64} (n = 1024, B = 256).
 
 Run with::
 
@@ -32,12 +38,38 @@ import numpy as np
 
 from repro.channel.protocols import DeterministicProtocol
 from repro.channel.simulator import run_deterministic
+from repro.core.local_clock import LocalClockScenarioC
 from repro.core.scenario_c import WakeupProtocol
 from repro.engine import run_deterministic_batch
 from repro.workloads import WorkloadSuite
 
 N, K, BATCH = 1024, 16, 256
 SEED = 7
+
+#: Clocks, workloads and contender counts of the matrix-scan budget gate.
+SCAN_CLOCKS = {"global": WakeupProtocol, "local": LocalClockScenarioC}
+SCAN_WORKLOADS = ("simultaneous", "late-turn", "uniform")
+SCAN_KS = (16, 64)
+
+#: Timed batched scans per shape; the fastest one is gated.
+SCAN_PASSES = 5
+
+#: Most microseconds one pattern's batched scan may cost, per (workload, k),
+#: on either clock: about 3x over the medians of 7 runs on a 2-vCPU host
+#: (global / local: simultaneous 44 / 27 and 154 / 160, late-turn 16 / 17
+#: and 100 / 112, uniform 51 / 41 and 177 / 203 us).  The per-cell kernel
+#: this replaced read, interleaved with those runs, 271 / 226 and
+#: 1154 / 1060 (simultaneous), 203 / 198 and 932 / 931 (late-turn),
+#: 97 / 85 and 421 / 399 (uniform), so every simultaneous and late-turn
+#: budget fails on it.
+SCAN_US_PER_PATTERN_BUDGET = {
+    ("simultaneous", 16): 130.0,
+    ("simultaneous", 64): 450.0,
+    ("late-turn", 16): 50.0,
+    ("late-turn", 64): 330.0,
+    ("uniform", 16): 150.0,
+    ("uniform", 64): 600.0,
+}
 
 
 class FallbackWakeup(WakeupProtocol):
@@ -149,3 +181,50 @@ def test_wakeup_batch_speedup_is_at_least_10x(record_gate):
         f"native Scenario C batch only {generic_speedup:.1f}x over the generic "
         f"batch_transmit_slots fallback ({native_time:.4f}s vs {generic_time:.4f}s)"
     )
+
+
+def test_matrix_scan_budget(record_gate):
+    """Regression gate: absolute us/pattern of the native batched scan.
+
+    Twelve shapes — {global, local clock} × {simultaneous, late-turn,
+    uniform} × k ∈ {16, 64} at n = 1024, B = 256 — each timed as the fastest
+    of :data:`SCAN_PASSES` ``run_deterministic_batch`` calls and charged
+    against :data:`SCAN_US_PER_PATTERN_BUDGET`.
+    """
+    suite = WorkloadSuite()
+    measurements = []
+    over = []
+    for clock, cls in SCAN_CLOCKS.items():
+        protocol = cls(N, seed=SEED)
+        for workload in SCAN_WORKLOADS:
+            for k in SCAN_KS:
+                patterns = suite.generate(workload, n=N, k=k, batch=BATCH, seed=0)
+                run_deterministic_batch(protocol, patterns[:16])
+                seconds = _best_of(
+                    lambda: run_deterministic_batch(protocol, patterns), repeats=SCAN_PASSES
+                )
+                us_per_pattern = seconds / BATCH * 1e6
+                budget = SCAN_US_PER_PATTERN_BUDGET[workload, k]
+                print(
+                    f"matrix scan {clock:6s} {workload:12s} k={k:2d}: "
+                    f"{us_per_pattern:7.1f} us/pattern (budget {budget:.0f})"
+                )
+                measurements.append(
+                    {
+                        "clock": clock,
+                        "workload": workload,
+                        "config": f"B={BATCH} n={N} k={k}",
+                        "us_per_pattern": round(us_per_pattern, 2),
+                        "budget_us": budget,
+                    }
+                )
+                if us_per_pattern > budget:
+                    over.append(f"{clock} {workload} k={k}: {us_per_pattern:.1f} > {budget:.0f}")
+    # Record before asserting so a regression still lands in the trajectory.
+    record_gate(
+        "matrix_scan",
+        threshold=max(SCAN_US_PER_PATTERN_BUDGET.values()),
+        unit="us/pattern",
+        measurements=measurements,
+    )
+    assert not over, "batched Scenario C scan over its us/pattern budget: " + "; ".join(over)

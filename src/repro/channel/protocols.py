@@ -134,7 +134,7 @@ class DeterministicProtocol(ABC):
         The default evaluates :meth:`transmit_slots` pair by pair, which is
         correct for every protocol; schedule-backed protocols and the
         matrix-backed Scenario C protocols (via
-        :meth:`~repro.core.waking_matrix.TransmissionMatrix.membership_for_pairs`)
+        :func:`~repro.core.waking_matrix.matrix_batch_transmit_slots`)
         override it with a fully vectorized computation.
         """
         idx_pieces = []

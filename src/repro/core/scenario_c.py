@@ -42,12 +42,17 @@ class WakeupProtocol(DeterministicProtocol):
     """Algorithm ``wakeup(n)`` (Section 5.4): the general Scenario C protocol.
 
     A native fast-path protocol of the batch engine: it overrides
-    :meth:`batch_transmit_slots` with one vectorized computation — per-pair
-    ``µ(σ)`` / row-segment geometry from the cumulative row spans
-    (``searchsorted`` instead of a per-slot row walk) resolved through one
-    batched :meth:`~repro.core.waking_matrix.TransmissionMatrix.membership_for_pairs`
-    hash evaluation — so E3/E5/E7/E10 sweeps and ``worst_case_search`` run
-    at engine speed instead of the generic pair-by-pair fallback.
+    :meth:`batch_transmit_slots` with one vectorized computation
+    (:func:`~repro.core.waking_matrix.matrix_batch_transmit_slots`).  A
+    pair's transmit slots depend only on its station and its ``µ(σ)``, so
+    the pairs are deduplicated into ``(station, µ)`` keys; each key's
+    operational cells are split into row segments from the cumulative row
+    spans and hashed from one station term per key, one row term per row
+    and one column term per cell; the member cells are then expanded back
+    to the pairs holding each key.  Hash work thus scales with distinct
+    keys, not pairs — a batch of B patterns over one ``n`` repeats
+    stations — and E3/E5/E7/E10 sweeps and ``worst_case_search`` run at
+    engine speed instead of the generic pair-by-pair fallback.
 
     Parameters
     ----------

@@ -24,6 +24,9 @@ This module provides:
   ``log n × ℓ × n`` tensor;
 * :class:`ExplicitTransmissionMatrix` — a small dense matrix with arbitrary
   entries, used in unit tests and for rendering the paper's Figures 1–2;
+* :func:`matrix_batch_transmit_slots` — the batch engine's transmit query
+  for the matrix-driven protocols, resolving each distinct
+  ``(station, start)`` key once;
 * the analysis helpers of Section 5.2: the operational sets ``S_{i,j}``,
   the well-balancedness conditions S1/S2, and isolation checks.
 """
@@ -112,6 +115,11 @@ class MatrixParameters:
     def _cumulative_spans_array(self) -> np.ndarray:
         return np.asarray(self.cumulative_spans, dtype=np.int64)
 
+    @cached_property
+    def _row_starts_array(self) -> np.ndarray:
+        """Offset at which each row begins (entry ``i`` is row ``i + 1``'s)."""
+        return self._cumulative_spans_array - np.asarray(self.row_spans, dtype=np.int64)
+
     @property
     def total_span(self) -> int:
         """``m_1 + ... + m_rows`` — slots a station spends before exhausting all rows."""
@@ -179,8 +187,9 @@ class MatrixParameters:
         ``(pair_index, slots, offsets, rows)`` covering the intersection of
         every pair's operational interval with ``[chunk_start, chunk_stop)``;
         offsets lie in ``[0, total_span)`` by construction, so every cell
-        maps to a real 1-based row.  This is the shared geometry behind the
-        native batch paths and :func:`first_isolation`.
+        maps to a real 1-based row.  This is the per-cell geometry behind
+        :meth:`TransmissionMatrix.transmit_cells`' default and
+        :func:`first_isolation`.
         """
         starts = np.asarray(starts, dtype=np.int64)
         lo = np.maximum(starts, int(chunk_start))
@@ -286,6 +295,41 @@ class TransmissionMatrix(ABC):
             count=stations.size,
         ).reshape(stations.shape)
 
+    def transmit_cells(
+        self,
+        stations: np.ndarray,
+        starts: np.ndarray,
+        start: int,
+        stop: int,
+        *,
+        local_columns: bool = False,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Transmit cells of aligned ``(station, start)`` keys within ``[start, stop)``.
+
+        Key ``j`` executes the matrix rows over ``[starts[j], starts[j] +
+        total_span)`` and reads column ``slot mod ℓ`` (or ``(slot - starts[j])
+        mod ℓ`` with ``local_columns``).  Returns aligned int64 arrays
+        ``(key_index, slots)`` listing every operational cell whose entry
+        contains the key's station, each at most once.  Stations must lie in
+        ``[1, n]``.
+
+        The default enumerates every operational cell
+        (:meth:`MatrixParameters.operational_cells`) and resolves it with one
+        :meth:`membership_for_pairs` call;
+        :class:`HashedTransmissionMatrix` overrides it with a kernel that
+        hashes each key's cells from precomputed per-key, per-row and
+        per-column terms.
+        """
+        params = self.params
+        key_index, slots, offsets, rows = params.operational_cells(starts, start, stop)
+        if not slots.size:
+            return key_index, slots
+        columns = (offsets if local_columns else slots) % params.length
+        member = self.membership_for_pairs(
+            np.asarray(stations, dtype=np.int64)[key_index], rows, columns
+        )
+        return key_index[member], slots[member]
+
     def column_set(self, row: int, column: int) -> FrozenSet[int]:
         """The full transmission set ``M_{row, column}`` (O(n); diagnostics only)."""
         return frozenset(
@@ -301,22 +345,41 @@ class TransmissionMatrix(ABC):
         )
 
 
-# 64-bit mixing constants (splitmix64 finalizer).
+# 64-bit mixing constants: the splitmix64 finalizer's, then the multipliers
+# that spread a cell's station, row and column over 64 bits before mixing.
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_STATION_MIX = np.uint64(0xA24BAED4963EE407)
+_ROW_MIX = np.uint64(0x9FB21C651E98DF25)
+_COLUMN_MIX = np.uint64(0xD6E8FEB86659FD93)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; input and output are uint64 arrays."""
+    """Vectorized splitmix64 finalizer, in place over a uint64 array (returned)."""
+    tmp = np.empty_like(x)
     with np.errstate(over="ignore"):
-        x = (x + _GOLDEN).astype(np.uint64)
-        x ^= x >> np.uint64(30)
+        x += _GOLDEN
+        x ^= np.right_shift(x, np.uint64(30), out=tmp)
         x *= _MIX1
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=tmp)
         x *= _MIX2
-        x ^= x >> np.uint64(31)
+        x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
+
+
+def _row_terms(rows: np.ndarray) -> np.ndarray:
+    """Row term of the hash input: ``row · _ROW_MIX`` (mod 2^64), a fresh array."""
+    terms = np.asarray(rows).astype(np.uint64)
+    terms *= _ROW_MIX
+    return terms
+
+
+def _column_terms(columns: np.ndarray) -> np.ndarray:
+    """Column term of the hash input: ``column · _COLUMN_MIX`` (mod 2^64), a fresh array."""
+    terms = np.asarray(columns).astype(np.uint64)
+    terms *= _COLUMN_MIX
+    return terms
 
 
 class HashedTransmissionMatrix(TransmissionMatrix):
@@ -349,25 +412,30 @@ class HashedTransmissionMatrix(TransmissionMatrix):
             + np.arange(params.window, dtype=np.int64)[None, :]
         )
         self._threshold_by_row_rho = self._thresholds(exponents)
+        # Row term per 1-based row (entry 0 unused).
+        self._row_term_by_row = _row_terms(np.arange(params.rows + 1, dtype=np.int64))
+
+    def _station_terms(self, stations: np.ndarray) -> np.ndarray:
+        """Station term of the hash input, salted with the seed: ``u · _STATION_MIX ^ seed``."""
+        terms = np.asarray(stations).astype(np.uint64)
+        terms *= _STATION_MIX
+        terms ^= self._seed64
+        return terms
 
     def _hash_cells(
         self, rows: np.ndarray, columns: np.ndarray, stations: np.ndarray
     ) -> np.ndarray:
         """Broadcasted splitmix64 over aligned ``(row, column, station)`` cells.
 
-        ``columns`` must already be reduced modulo ``length``.  All uint64
-        arithmetic wraps modulo 2^64, matching the scalar Python-int salt the
-        original per-station path computed.
+        ``columns`` must already be reduced modulo ``length``.  The hash input
+        is the XOR of a station term, a row term and a column term; the
+        batched kernel (:meth:`transmit_cells`) builds the same three terms,
+        once per key, per row and per column instead of once per cell.  All
+        uint64 arithmetic wraps modulo 2^64.
         """
-        with np.errstate(over="ignore"):
-            salt = (
-                (stations.astype(np.uint64) * np.uint64(0xA24BAED4963EE407))
-                ^ (rows.astype(np.uint64) * np.uint64(0x9FB21C651E98DF25))
-                ^ self._seed64
-            )
-            x = columns.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93)
-            x ^= salt
-            return _splitmix64(x)
+        x = self._station_terms(stations) ^ _row_terms(rows)
+        x ^= _column_terms(columns)
+        return _splitmix64(x)
 
     @staticmethod
     def _thresholds(exponents: np.ndarray) -> np.ndarray:
@@ -390,6 +458,78 @@ class HashedTransmissionMatrix(TransmissionMatrix):
             np.uint64(0),
             np.left_shift(np.uint64(1), shift),
         )
+
+    def transmit_cells(
+        self,
+        stations: np.ndarray,
+        starts: np.ndarray,
+        start: int,
+        stop: int,
+        *,
+        local_columns: bool = False,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        # A key's operational cells in the window split into segments, one
+        # per (key, row) and never wrapping modulo ℓ, so that along a
+        # segment the column is the segment's first column plus the
+        # position.  Each segment carries its key's station term XOR its
+        # row's term; a cell then costs one column term, one XOR, the
+        # finalizer and one threshold lookup.  Cells before a key's start or
+        # past its last row are never enumerated.
+        stations = np.asarray(stations, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        params = self.params
+        length, window = params.length, params.window
+        row_ends = params._cumulative_spans_array
+        lo = np.maximum(starts, start)
+        hi = np.minimum(starts + params.total_span, stop)
+        live = np.flatnonzero(lo < hi)
+        empty = np.empty(0, dtype=np.int64)
+        if not live.size:
+            return empty, empty
+        origin = starts[live]
+        lo, hi = lo[live], hi[live]
+        first_row = np.searchsorted(row_ends, lo - origin, side="right")
+        row_count = np.searchsorted(row_ends, hi - 1 - origin, side="right") - first_row + 1
+        seg_key = np.repeat(live, row_count)
+        seg_row = np.repeat(first_row, row_count) + ragged_arange(row_count)
+        origin = np.repeat(origin, row_count)
+        lo = np.maximum(np.repeat(lo, row_count), origin + params._row_starts_array[seg_row])
+        hi = np.minimum(np.repeat(hi, row_count), origin + row_ends[seg_row])
+        counts = hi - lo
+        first_column = (lo - origin if local_columns else lo) % length
+        overflow = first_column + counts - length
+        wraps = np.flatnonzero(overflow > 0)
+        if wraps.size:
+            # A row spans at most ℓ slots (m_i <= ℓ for every row
+            # matrix_parameters builds), so a segment wraps at most once:
+            # its tail restarts at column 0.
+            counts[wraps] -= overflow[wraps]
+            seg_key = np.concatenate((seg_key, seg_key[wraps]))
+            seg_row = np.concatenate((seg_row, seg_row[wraps]))
+            lo = np.concatenate((lo, lo[wraps] + counts[wraps]))
+            first_column = np.concatenate((first_column, np.zeros(wraps.size, np.int64)))
+            counts = np.concatenate((counts, overflow[wraps]))
+
+        seg_salt = self._station_terms(stations[seg_key])
+        seg_salt ^= self._row_term_by_row[seg_row + 1]
+        ends = np.cumsum(counts)
+        seg_first_cell = ends - counts
+        columns = np.arange(int(ends[-1]), dtype=np.int64)
+        columns -= np.repeat(seg_first_cell - first_column, counts)
+        # ρ = column mod window, via floor division (much faster than
+        # NumPy's integer remainder).
+        threshold_index = columns // window
+        threshold_index *= -window
+        threshold_index += columns
+        threshold_index += np.repeat(seg_row * window, counts)
+        hashes = _column_terms(columns)
+        del columns
+        hashes ^= np.repeat(seg_salt, counts)
+        member = _splitmix64(hashes) < self._threshold_by_row_rho.ravel()[threshold_index]
+        cells = np.flatnonzero(member)
+        seg_members = np.add.reduceat(member, seg_first_cell, dtype=np.int64)
+        seg = np.repeat(np.arange(counts.size, dtype=np.int64), seg_members)
+        return seg_key[seg], lo[seg] + (cells - seg_first_cell[seg])
 
     def contains(self, row: int, column: int, station: int) -> bool:
         return bool(
@@ -513,34 +653,62 @@ def matrix_batch_transmit_slots(
     ``(slot - starts[j]) mod ℓ``
     (:class:`~repro.core.local_clock.LocalClockScenarioC`).
 
-    The window is processed in slices so that pairs × slice-length never
-    exceeds the engine's cells-per-chunk budget — the engine caps its chunk
-    length by active *patterns*, while this enumeration is dense in *pairs*,
-    so without the inner slicing a k-heavy unsolved batch could materialize
-    k-fold more cells than the engine's documented working-set bound.
-    Returns the aligned ``(pair_index, slots)`` arrays of the
-    ``batch_transmit_slots`` contract.
+    Either way a pair's transmit slots depend only on its ``(station,
+    start)`` *key*, and a batch over one ``n`` repeats keys across its
+    patterns, so the pairs are deduplicated into keys first;
+    :meth:`TransmissionMatrix.transmit_cells` resolves the keys and every
+    member ``(key, slot)`` entry is then expanded to the pairs holding that
+    key.  Stations must lie in ``[1, n]``.
+
+    The window is processed in slices of ``max(16, MAX_CELLS_PER_CHUNK //
+    pairs)`` slots.  Per slice, the keys' operational cells (at most keys ×
+    slice length) and the expanded entries (at most pairs × slice length)
+    both stay within the engine's cells-per-chunk budget: the engine caps
+    its chunk length by active *patterns*, so without the slicing a k-heavy
+    unsolved batch could materialize k-fold more cells than the engine's
+    documented working-set bound.  Returns the aligned ``(pair_index,
+    slots)`` arrays of the ``batch_transmit_slots`` contract, each (pair,
+    slot) at most once.
     """
     stations = np.asarray(stations, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
-    params = matrix.params
     start, stop = int(start), int(stop)
-    step = max(16, MAX_CELLS_PER_CHUNK // max(1, len(stations)))
+    pairs = len(stations)
+    empty = np.empty(0, dtype=np.int64)
+    if not pairs or stop <= start:
+        return empty, empty
+    if int(stations.min()) < 1 or int(stations.max()) > matrix.n:
+        raise ValueError(f"stations must be in [1, {matrix.n}]")
+    # Group the pairs by key: pairs order[first[q]:first[q] + holders[q]]
+    # hold key q.  The int64 key code is exact while the starts' spread
+    # times n stays below 2^63 (slots of one scan are far closer).
+    low = int(starts.min())
+    if (int(starts.max()) - low + 1) * matrix.n >= 1 << 63:
+        raise ValueError("starts spread too wide to key by (station, start)")
+    code = (starts - low) * matrix.n + (stations - 1)
+    order = np.argsort(code)
+    sorted_code = code[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_code[1:] != sorted_code[:-1])))
+    key_stations = stations[order[first]]
+    key_starts = starts[order[first]]
+    holders = np.diff(np.append(first, pairs))
+
+    step = max(16, MAX_CELLS_PER_CHUNK // pairs)
     idx_pieces: List[np.ndarray] = []
     slot_pieces: List[np.ndarray] = []
     for lo in range(start, stop, step):
-        pair_index, slots, offsets, rows = params.operational_cells(
-            starts, lo, min(stop, lo + step)
+        key_index, slots = matrix.transmit_cells(
+            key_stations, key_starts, lo, min(stop, lo + step), local_columns=local_columns
         )
         if not slots.size:
             continue
-        columns = (offsets if local_columns else slots) % params.length
-        member = matrix.membership_for_pairs(stations[pair_index], rows, columns)
-        if member.any():
-            idx_pieces.append(pair_index[member])
-            slot_pieces.append(slots[member])
+        counts = holders[key_index]
+        ends = np.cumsum(counts)
+        positions = np.arange(int(ends[-1]), dtype=np.int64)
+        positions -= np.repeat(ends - counts - first[key_index], counts)
+        idx_pieces.append(order[positions])
+        slot_pieces.append(np.repeat(slots, counts))
     if not slot_pieces:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty
     return np.concatenate(idx_pieces), np.concatenate(slot_pieces)
 

@@ -12,11 +12,10 @@ by both protocol kinds:
   the library answers its per-chunk ``batch_transmit_slots`` query natively:
   periodic schedules (round-robin, TDMA), family schedules and their cyclic /
   interleaved combinators (scenarios A and B, Komlós–Greenberg), and the
-  Scenario C waking-matrix protocols (global- and local-clock) via one
-  batched
-  :meth:`~repro.core.waking_matrix.TransmissionMatrix.membership_for_pairs`
-  hash evaluation; only ad-hoc user protocols fall back to the pair-by-pair
-  loop;
+  Scenario C waking-matrix protocols (global- and local-clock) via
+  :func:`~repro.core.waking_matrix.matrix_batch_transmit_slots`, which
+  hashes each distinct ``(station, start)`` key's cells once; only ad-hoc
+  user protocols fall back to the pair-by-pair loop;
 * :func:`~repro.engine.batch.run_randomized_batch` — the same scan fed by
   Bernoulli samples over each policy's
   :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`,

@@ -60,9 +60,9 @@ HIGHER_IS_BETTER = frozenset(
 )
 
 #: Metric keys where a *rise* beyond tolerance is a regression: event
-#: counts, and the per-unit wall-time budgets of the store, service and
-#: workload-draw gates (cold and warm milliseconds per campaign spec or per
-#: query, microseconds per drawn pattern).
+#: counts, and the per-unit wall-time budgets of the store, service,
+#: workload-draw and matrix-scan gates (cold and warm milliseconds per
+#: campaign spec or per query, microseconds per drawn or scanned pattern).
 LOWER_IS_BETTER = frozenset(
     {
         "trace_events",
@@ -72,6 +72,7 @@ LOWER_IS_BETTER = frozenset(
         "cold_ms_per_query",
         "warm_ms_per_query",
         "draw_us_per_pattern",
+        "us_per_pattern",
     }
 )
 

@@ -283,3 +283,35 @@ class TestDrawBudget:
         assert [d.metric for d in faster.deltas if d.gate == "workload_draw"] == [
             "draw_us_per_pattern"
         ]
+
+
+class TestMatrixScanBudget:
+    def _artifact(self, us):
+        data = _artifact()
+        data["gates"]["matrix_scan"] = {
+            "threshold_speedup": 600.0,
+            "unit": "us/pattern",
+            "measurements": [
+                {
+                    "clock": "global",
+                    "workload": "simultaneous",
+                    "config": "B=256 n=1024 k=64",
+                    "us_per_pattern": us,
+                    "budget_us": 450.0,
+                }
+            ],
+        }
+        return data
+
+    def test_scan_cost_regresses_when_it_rises(self):
+        slower = compare_artifacts(("a", self._artifact(150.0)), ("b", self._artifact(240.0)))
+        assert [(d.gate, d.metric) for d in slower.regressions] == [
+            ("matrix_scan", "us_per_pattern")
+        ]
+
+    def test_scan_cost_falling_is_an_improvement(self):
+        faster = compare_artifacts(("a", self._artifact(1100.0)), ("b", self._artifact(150.0)))
+        assert faster.ok
+        assert [d.metric for d in faster.deltas if d.gate == "matrix_scan"] == [
+            "us_per_pattern"
+        ]
