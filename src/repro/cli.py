@@ -940,17 +940,7 @@ def _parse_param_overrides(pairs: Optional[List[str]]) -> dict:
 
 def _cmd_service(args: argparse.Namespace) -> int:
     """``repro service``: the long-lived results daemon and its clients."""
-    from repro.service import (
-        QueryError,
-        ResultsService,
-        ServiceClient,
-        discover_endpoint,
-        experiment_queries,
-        normalize_query,
-        parse_response,
-        render_response,
-        serve,
-    )
+    from repro.service import ResultsService, ServiceClient, discover_endpoint, serve
 
     if args.action == "start":
         if not args.store:
@@ -991,7 +981,32 @@ def _cmd_service(args: argparse.Namespace) -> int:
 
     store = SweepStore(args.store) if args.store else None
     endpoint = args.url or (discover_endpoint(store) if store is not None else None)
-    client: Optional[ServiceClient] = ServiceClient(endpoint) if endpoint else None
+    try:
+        client: Optional[ServiceClient] = ServiceClient(endpoint) if endpoint else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _service_request(args, store, endpoint, client)
+    finally:
+        if client is not None:
+            client.close()
+
+
+def _service_request(args: argparse.Namespace, store, endpoint, client) -> int:
+    """``repro service status|stop|query`` through one ``ServiceClient``.
+
+    ``client`` is ``None`` when no daemon endpoint is known; ``query`` then
+    resolves in-process against ``store``.
+    """
+    from repro.service import (
+        QueryError,
+        ResultsService,
+        experiment_queries,
+        normalize_query,
+        parse_response,
+        render_response,
+    )
 
     if args.action in ("status", "stop"):
         if client is None:

@@ -62,7 +62,8 @@ HIGHER_IS_BETTER = frozenset(
 #: Metric keys where a *rise* beyond tolerance is a regression: event
 #: counts, and the per-unit wall-time budgets of the store, service,
 #: workload-draw and matrix-scan gates (cold and warm milliseconds per
-#: campaign spec or per query, microseconds per drawn or scanned pattern).
+#: campaign spec or per query, milliseconds per warm hit over HTTP,
+#: microseconds per drawn or scanned pattern).
 LOWER_IS_BETTER = frozenset(
     {
         "trace_events",
@@ -71,6 +72,7 @@ LOWER_IS_BETTER = frozenset(
         "warm_ms_per_spec",
         "cold_ms_per_query",
         "warm_ms_per_query",
+        "http_ms_per_hit",
         "draw_us_per_pattern",
         "us_per_pattern",
     }

@@ -315,3 +315,35 @@ class TestMatrixScanBudget:
         assert [d.metric for d in faster.deltas if d.gate == "matrix_scan"] == [
             "us_per_pattern"
         ]
+
+
+class TestServiceHttpBudget:
+    def _artifact(self, ms):
+        data = _artifact()
+        data["gates"]["service_http"] = {
+            "threshold_speedup": 1.5,
+            "unit": "ms/hit",
+            "measurements": [
+                {
+                    "protocol": "scenario-b",
+                    "hash": "0123456789abcdef",
+                    "http_ms_per_hit": ms,
+                    "connections": 1,
+                    "budget_ms": 1.5,
+                }
+            ],
+        }
+        return data
+
+    def test_hit_cost_regresses_when_it_rises(self):
+        slower = compare_artifacts(("a", self._artifact(1.0)), ("b", self._artifact(1.4)))
+        assert [(d.gate, d.metric) for d in slower.regressions] == [
+            ("service_http", "http_ms_per_hit")
+        ]
+
+    def test_hit_cost_falling_is_an_improvement(self):
+        faster = compare_artifacts(("a", self._artifact(1.8)), ("b", self._artifact(1.0)))
+        assert faster.ok
+        assert [d.metric for d in faster.deltas if d.gate == "service_http"] == [
+            "http_ms_per_hit"
+        ]
