@@ -1,4 +1,4 @@
-"""Benchmark E10 — design-choice ablations, DESIGN.md experiment E10."""
+"""Benchmark E10 — design-choice ablations."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Benchmark E9 — baseline comparison, DESIGN.md experiment E9."""
+"""Benchmark E9 — baseline comparison."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Benchmark E11 — global clock vs local clock (extension experiment), DESIGN.md E11."""
+"""Benchmark E11 — global clock vs local clock (extension experiment)."""
 
 from __future__ import annotations
 

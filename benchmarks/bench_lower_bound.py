@@ -1,4 +1,4 @@
-"""Benchmark E4 — the Theorem 2.1 lower-bound adversary, DESIGN.md experiment E4."""
+"""Benchmark E4 — the Theorem 2.1 lower-bound adversary."""
 
 from __future__ import annotations
 

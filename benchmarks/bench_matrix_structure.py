@@ -1,4 +1,4 @@
-"""Benchmark E7 — transmission-matrix structure (paper Figures 1–2), DESIGN.md experiment E7."""
+"""Benchmark E7 — transmission-matrix structure (paper Figures 1–2)."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Benchmark E6 — randomized protocols (Section 6), DESIGN.md experiment E6."""
+"""Benchmark E6 — randomized protocols (Section 6)."""
 
 from __future__ import annotations
 

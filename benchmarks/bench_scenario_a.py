@@ -1,4 +1,4 @@
-"""Benchmark E1 — Scenario A (``wakeup_with_s``), DESIGN.md experiment E1.
+"""Benchmark E1 — Scenario A (``wakeup_with_s``).
 
 Regenerates the latency-vs-(n, k) table for the algorithm of Section 3 and
 asserts its bound certificate, so the benchmark doubles as a correctness

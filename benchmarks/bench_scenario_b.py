@@ -1,4 +1,4 @@
-"""Benchmark E2 — Scenario B (``wakeup_with_k``), DESIGN.md experiment E2."""
+"""Benchmark E2 — Scenario B (``wakeup_with_k``)."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Benchmark E3 — Scenario C (``wakeup(n)``), DESIGN.md experiment E3."""
+"""Benchmark E3 — Scenario C (``wakeup(n)``)."""
 
 from __future__ import annotations
 

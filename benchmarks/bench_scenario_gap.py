@@ -1,4 +1,4 @@
-"""Benchmark E5 — the Scenario C vs Scenario A/B gap figure, DESIGN.md experiment E5."""
+"""Benchmark E5 — the Scenario C vs Scenario A/B gap figure."""
 
 from __future__ import annotations
 

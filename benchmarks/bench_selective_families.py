@@ -1,4 +1,4 @@
-"""Benchmark E8 — selective-family construction quality, DESIGN.md experiment E8."""
+"""Benchmark E8 — selective-family construction quality."""
 
 from __future__ import annotations
 

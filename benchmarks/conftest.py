@@ -1,10 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one experiment from the registry (see DESIGN.md's
-experiment index) at the ``QUICK`` scale, so a full ``pytest benchmarks/
---benchmark-only`` run takes on the order of a minute.  The experiment
-machinery itself accepts larger scales; regenerate the numbers recorded in
-EXPERIMENTS.md with ``python -m repro.experiments.report --scale standard``.
+Every benchmark regenerates one experiment from the E1–E11 registry at the
+``QUICK`` scale, so a full ``pytest benchmarks/ --benchmark-only`` run takes
+on the order of a minute.  The experiment machinery itself accepts larger
+scales; render every experiment at one with ``python -m repro paper report
+--scale standard``.
 
 Besides the fixtures, this module is the home of the **benchmark trajectory
 recorder**: every hard throughput gate reports its measured speedups and

@@ -27,8 +27,8 @@ B         contender bound ``k``   :class:`repro.core.scenario_b.WakeupWithK`
 C         nothing (only ``n``)    :class:`repro.core.scenario_c.WakeupProtocol`
 ========  ======================  ======================================
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured record of every experiment.
+``repro paper report`` renders the paper-vs-measured record of every
+experiment (E1–E11); ``README.md`` maps the package's modules.
 """
 
 from repro.channel import (
@@ -52,7 +52,6 @@ from repro.channel.adversary import (
     simultaneous_pattern,
     staggered_pattern,
     uniform_random_pattern,
-    worst_case_search,
 )
 from repro.adversary import (
     SearchCertificate,
@@ -92,7 +91,6 @@ from repro.experiments import (
     QUICK,
     STANDARD,
     FULL,
-    generate_experiments_report,
     run_experiment,
 )
 from repro.service import (
@@ -106,7 +104,6 @@ from repro.sweeps import (
     SweepRunner,
     SweepSpec,
     SweepStore,
-    worst_case_grid,
 )
 from repro.workloads import (
     WORKLOADS,
@@ -138,7 +135,6 @@ __all__ = [
     "simultaneous_pattern",
     "staggered_pattern",
     "uniform_random_pattern",
-    "worst_case_search",
     # guided adversarial search
     "SearchCertificate",
     "SearchSpec",
@@ -179,7 +175,6 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "SweepStore",
-    "worst_case_grid",
     # workload suite
     "WORKLOADS",
     "WorkloadSuite",
@@ -190,7 +185,6 @@ __all__ = [
     "QUICK",
     "STANDARD",
     "FULL",
-    "generate_experiments_report",
     "run_experiment",
     "__version__",
 ]

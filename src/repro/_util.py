@@ -14,9 +14,9 @@ Seed-derivation convention
 
 Whenever one seed has to fan out into several independent streams — batch
 shards in :mod:`repro.engine`, per-pattern draws in :mod:`repro.workloads`,
-worker processes in a :class:`~repro.engine.Campaign` — child generators MUST
+search steps and candidates in :mod:`repro.adversary` — child generators MUST
 be derived with :meth:`numpy.random.SeedSequence.spawn` (wrapped here as
-:func:`spawn_generators` / :func:`derived_generator`), never with ad-hoc
+:func:`spawn_generators`), never with ad-hoc
 integer offsets such as ``seed + i``.  Offset seeds produce correlated
 streams (neighbouring seeds of the same bit-generator share state-setup
 structure) and collide across call sites (two loops both using ``seed + i``
@@ -39,7 +39,6 @@ __all__ = [
     "RngLike",
     "as_generator",
     "spawn_generators",
-    "derived_generator",
     "stable_key",
     "ragged_arange",
     "MAX_CELLS_PER_CHUNK",
@@ -109,16 +108,6 @@ def spawn_generators(seed: RngLike, count: int, *keys: Union[int, str]) -> list[
         parent = seed
     sequence = np.random.SeedSequence([int(parent)] + entropy)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
-def derived_generator(seed: RngLike, *keys: Union[int, str]) -> np.random.Generator:
-    """Derive one child generator from ``seed`` namespaced by ``keys``.
-
-    Equivalent to ``spawn_generators(seed, 1, *keys)[0]``; use it when a call
-    site needs a single independent stream (e.g. the pattern draw for shard
-    ``i`` of workload ``"heavy-tailed"``).
-    """
-    return spawn_generators(seed, 1, *keys)[0]
 
 
 #: Cap on the cells (pairs × slots, or rows × slots) a vectorized chunked

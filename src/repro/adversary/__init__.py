@@ -8,9 +8,10 @@ space directly, building on the rest of the library:
 * :mod:`repro.adversary.mutations` — shift/swap/merge neighbourhood
   operators over :class:`~repro.channel.wakeup.WakeupPattern` (always valid,
   station count preserved);
-* :mod:`repro.adversary.strategies` — three pluggable strategies with plain
-  JSON state: simulated annealing, an elitist evolutionary population, and a
-  UCB bandit over workload-generator parameterizations;
+* :mod:`repro.adversary.strategies` — pluggable strategies with plain JSON
+  state: the blind ``random`` baseline, simulated annealing, an elitist
+  evolutionary population, and a UCB bandit over workload-generator
+  parameterizations;
 * :mod:`repro.adversary.search` — the budgeted driver: one candidate
   population per step through the batch engine
   (:func:`repro.engine.run_batch`), every stream derived from config content
@@ -54,6 +55,7 @@ from repro.adversary.strategies import (
     AnnealingStrategy,
     BanditStrategy,
     EvolutionStrategy,
+    RandomStrategy,
     SearchStrategy,
     get_strategy,
     strategy_names,
@@ -67,6 +69,7 @@ __all__ = [
     "effective_latencies",
     "checkpoint_summaries",
     "SearchStrategy",
+    "RandomStrategy",
     "AnnealingStrategy",
     "EvolutionStrategy",
     "BanditStrategy",

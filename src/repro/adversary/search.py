@@ -1,10 +1,11 @@
-"""Budgeted guided adversarial search over the wake-pattern space.
+"""Budgeted adversarial search over the wake-pattern space.
 
-:func:`repro.channel.adversary.worst_case_search` samples patterns blindly;
-this driver *searches*: a strategy (:mod:`repro.adversary.strategies`)
-proposes one candidate population per step, the batch engine
-(:func:`repro.engine.run_batch`) resolves the whole population in one chunked
-scan, and the measured latencies steer the next proposal.  The search spends
+A strategy (:mod:`repro.adversary.strategies`) proposes one candidate
+population per step, the batch engine (:func:`repro.engine.run_batch`)
+resolves the whole population in one chunked scan, and the guided strategies
+let the measured latencies steer the next proposal (the ``random`` baseline
+samples blindly).  This is the repository's one worst-case search: ``repro
+adversary search`` and ``repro sweep worst-case`` both run it.  The search spends
 a fixed budget of candidate evaluations and exports its worst finding as a
 replayable :class:`~repro.adversary.certificates.SearchCertificate`.
 
@@ -24,8 +25,8 @@ Resumability: with a :class:`~repro.sweeps.store.SweepStore`, the driver
 checkpoints its full JSON state (strategy state, history, best certificate)
 under the blob key ``adversary/<spec-hash>`` after every step; a re-run with
 the same spec picks up at the next step and finishes with the identical
-result.  Tie-breaking follows :func:`worst_case_search`: unsolved candidates
-count as ``max_slots``, the earliest candidate wins within a step
+result.  Tie-breaking is one convention for every strategy: unsolved
+candidates count as ``max_slots``, the earliest candidate wins within a step
 (``numpy.argmax``), and an earlier step's incumbent survives later ties
 (strict ``>``).
 """
@@ -174,11 +175,7 @@ class SearchResult:
 def effective_latencies(
     latency: np.ndarray, solved: np.ndarray, max_slots: int
 ) -> np.ndarray:
-    """The search's scoring convention: unsolved rows count as ``max_slots``.
-
-    Shared with :func:`repro.channel.adversary.worst_case_search` so the two
-    searches rank any set of candidates identically.
-    """
+    """The search's scoring convention: unsolved rows count as ``max_slots``."""
     return np.where(np.asarray(solved, dtype=bool), latency, int(max_slots)).astype(np.int64)
 
 

@@ -15,10 +15,12 @@ search checkpointable and bit-for-bit reproducible:
   content-derived generator per step, consumed ``propose`` first then
   ``observe``), never from ambient entropy, so a resumed search replays the
   exact decisions of an uninterrupted one;
-* **ties break earliest-first** (``numpy.argmax`` convention), matching
-  :func:`repro.channel.adversary.worst_case_search`.
+* **ties break earliest-first** (``numpy.argmax`` convention), the same
+  rule the driver applies to its best-so-far certificate.
 
-The three built-ins cover the classical search families: simulated
+:class:`RandomStrategy` is the blind baseline: uniform random patterns,
+nothing learned from earlier steps.  The three guided built-ins cover the
+classical search families: simulated
 :class:`AnnealingStrategy` over one incumbent pattern (shift/swap/merge
 mutations, population-parallel neighbourhoods), an evolutionary
 :class:`EvolutionStrategy` maintaining an elitist population — the
@@ -35,12 +37,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.channel.adversary import PATTERN_GENERATORS
+from repro.channel.adversary import PATTERN_GENERATORS, uniform_random_pattern
 from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
 from repro.adversary.mutations import mutate
 
 __all__ = [
     "SearchStrategy",
+    "RandomStrategy",
     "AnnealingStrategy",
     "EvolutionStrategy",
     "BanditStrategy",
@@ -105,6 +108,34 @@ class SearchStrategy:
     def gauges(self, state: Dict[str, object]) -> Dict[str, float]:
         """Strategy-specific gauges the driver emits each step."""
         return {}
+
+
+class RandomStrategy(SearchStrategy):
+    """Blind sampling: the baseline every guided strategy must beat.
+
+    After the driver's step-0 seed population, each step draws ``count``
+    independent :func:`~repro.channel.adversary.uniform_random_pattern`
+    candidates (``k`` random stations, wake times in ``[0, window)``) from
+    the step stream; nothing observed steers the next draw.  The state is
+    the best effective latency seen, replaced only on a strict improvement.
+    """
+
+    name = "random"
+
+    def initial_state(self, spec) -> Dict[str, object]:
+        return {"best": -1}
+
+    def propose(self, spec, state, step, count, rng):
+        return [
+            uniform_random_pattern(spec.n, spec.k, window=spec.window, rng=rng)
+            for _ in range(count)
+        ], {}
+
+    def observe(self, spec, state, step, patterns, effective, meta, rng):
+        step_best = int(np.max(effective))
+        if step_best > int(state["best"]):
+            return {"best": step_best}, 1
+        return state, 0
 
 
 class AnnealingStrategy(SearchStrategy):
@@ -313,7 +344,12 @@ class BanditStrategy(SearchStrategy):
 #: Registry of the built-in strategies, keyed by their CLI/spec names.
 STRATEGIES: Dict[str, SearchStrategy] = {
     strategy.name: strategy
-    for strategy in (AnnealingStrategy(), EvolutionStrategy(), BanditStrategy())
+    for strategy in (
+        RandomStrategy(),
+        AnnealingStrategy(),
+        EvolutionStrategy(),
+        BanditStrategy(),
+    )
 }
 
 

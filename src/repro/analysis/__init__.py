@@ -10,7 +10,7 @@ bounds are asymptotic — so the experiment harness validates *shape* instead:
   ``k log n log log n``, ...) and model selection;
 * :mod:`repro.analysis.certificates` — "the measured latency divided by the
   theoretical bound stays below a constant" checks, the machine-checkable
-  form of each claim in EXPERIMENTS.md;
+  form of each claim in ``repro paper report``;
 * :mod:`repro.analysis.shape` — who-wins comparisons and crossover detection
   between algorithms (e.g. round-robin vs the selective arm as ``k → n``).
 """

@@ -2,7 +2,7 @@
 
 A *certificate* asserts that, over a sweep of configurations, the measured
 latency stays within a constant factor of a theoretical bound (upper bounds)
-or never drops below it (lower bounds).  EXPERIMENTS.md records the
+or never drops below it (lower bounds).  ``repro paper report`` lists the
 certificate verdicts next to the raw tables so a reader can see at a glance
 which claims the reproduction confirms.
 """

@@ -51,7 +51,6 @@ from repro.channel.adversary import (
     uniform_random_pattern,
     window_boundary_pattern,
     family_boundary_pattern,
-    worst_case_search,
     AdaptiveLowerBoundAdversary,
     PATTERN_GENERATORS,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "uniform_random_pattern",
     "window_boundary_pattern",
     "family_boundary_pattern",
-    "worst_case_search",
     "AdaptiveLowerBoundAdversary",
     "PATTERN_GENERATORS",
 ]

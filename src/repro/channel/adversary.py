@@ -9,8 +9,8 @@ adversarial strategies:
   (waking just after a selective-family boundary to maximize the wait of
   ``wait_and_go``; waking inside a window so Scenario C stations must idle
   until the next window boundary);
-* stochastic patterns (uniform, bursty/batched) for average-case curves;
-* a randomized *search* over patterns that reports the worst latency found;
+* stochastic patterns (uniform, bursty/batched) for average-case curves and
+  for the candidate draws of :mod:`repro.adversary`, the worst-case search;
 * the adaptive replacement adversary from the proof of Theorem 2.1, which
   certifies an empirical lower bound against any deterministic protocol.
 """
@@ -24,7 +24,6 @@ import numpy as np
 
 from repro._util import RngLike, as_generator, validate_k_n
 from repro.channel.protocols import DeterministicProtocol
-from repro.channel.simulator import WakeupResult
 from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "family_boundary_pattern",
     "random_station_subset",
     "row_stations",
-    "worst_case_search",
     "AdaptiveLowerBoundAdversary",
     "PATTERN_GENERATORS",
 ]
@@ -203,50 +201,6 @@ PATTERN_GENERATORS: Dict[str, Callable[..., WakeupPattern]] = {
     "batched": batched_pattern,
     "uniform": uniform_random_pattern,
 }
-
-
-def worst_case_search(
-    protocol: DeterministicProtocol,
-    n: int,
-    k: int,
-    *,
-    trials: int = 32,
-    window: int = 256,
-    max_slots: int = 200_000,
-    rng: RngLike = None,
-    include_structured: bool = True,
-) -> Tuple[WakeupResult, WakeupPattern]:
-    """Randomized search for a bad wake-up pattern for a given protocol.
-
-    Draws ``trials`` random patterns (uniform wake times over ``window``,
-    random station subsets, plus — when ``include_structured`` — the
-    simultaneous and fully staggered patterns), runs the protocol on each, and
-    returns the run with the largest latency together with its pattern.
-
-    This does not certify the true worst case (that is what the theory is
-    for); it provides the empirical "max over adversary moves" column in the
-    experiment tables.  All candidates are resolved in one shared scan by the
-    batch engine (:func:`repro.engine.run_deterministic_batch`), so raising
-    ``trials`` is cheap.
-    """
-    from repro.engine import run_deterministic_batch
-
-    k, n = validate_k_n(k, n)
-    gen = as_generator(rng)
-    candidates: List[WakeupPattern] = []
-    if include_structured:
-        candidates.append(simultaneous_pattern(n, k, rng=gen))
-        candidates.append(staggered_pattern(n, k, gap=1, rng=gen))
-        candidates.append(staggered_pattern(n, k, gap=max(1, window // max(k, 1)), rng=gen))
-    for _ in range(trials):
-        candidates.append(uniform_random_pattern(n, k, window=window, rng=gen))
-
-    batch = run_deterministic_batch(protocol, candidates, max_slots=max_slots)
-    # Unsolved rows count as max_slots; ties keep the earliest candidate,
-    # matching the sequential search this replaced.
-    effective = np.where(batch.solved, batch.latency, max_slots)
-    worst_index = int(np.argmax(effective))
-    return batch[worst_index], candidates[worst_index]
 
 
 @dataclass

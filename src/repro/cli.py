@@ -41,16 +41,17 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     Orchestrate whole config grids through :mod:`repro.sweeps`: ``run`` a
     grid (from a JSON spec file or inline axis flags) across worker
     processes, ``resume`` an interrupted run from its on-disk store, print
-    the ``status`` of a store against a spec, or drive the randomized
-    ``worst-case`` search over the grid's (n, k) cells.  Results are
-    bit-for-bit identical for any worker count.  ``--trace PATH`` records a
+    the ``status`` of a store against a spec, or run ``worst-case``: the
+    ``random`` strategy of the adversarial search (:mod:`repro.adversary`)
+    on every (protocol, n, k, seed) cell.  Results are bit-for-bit
+    identical for any worker count.  ``--trace PATH`` records a
     structured JSONL trace of the run through :mod:`repro.obs`.
 
 ``adversary``
     Guided adversarial search (:mod:`repro.adversary`): ``search`` hunts the
     wake-pattern space for a bad input with a chosen strategy
-    (``anneal``/``evolution``/``bandit``) under a fixed candidate budget,
-    prints the best finding and optionally exports it as a replayable
+    (``random``/``anneal``/``evolution``/``bandit``) under a fixed candidate
+    budget, prints the best finding and optionally exports it as a replayable
     certificate; ``replay`` re-measures a certificate standalone and fails
     when the recorded latency does not reproduce; ``report`` summarizes the
     searches checkpointed in a store.  With ``--store``, an interrupted
@@ -96,7 +97,7 @@ Examples
     python -m repro workloads list
     python -m repro workloads sample --workload heavy-tailed --n 64 --k 8
     python -m repro workloads run --workload churn --protocol scenario-b \\
-        --n 256 --k 16 --batch 256 --workers 4
+        --n 256 --k 16 --batch 256
     python -m repro sweep run --protocols scenario-b scenario-c --n-values 256 512 \\
         --k-values 8 16 --store sweep-store --workers 4
     python -m repro sweep run --n-values 128 --workers 4 --trace sweep-trace.jsonl
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--seed", type=int, default=0, help="base seed (batches are reproducible)")
     wl.add_argument("--max-slots", type=int, default=1_000_000)
     wl.add_argument("--shard-size", type=int, default=256, help="patterns per campaign shard")
-    wl.add_argument("--workers", type=int, default=0, help="worker threads (0 = serial)")
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -320,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-slots", type=int, default=200_000)
     sweep.add_argument(
         "--store", default=None,
-        help="result-store directory for run/resume/status (required for "
-        "resume/status; enables resumable runs; unused by worst-case)",
+        help="result-store directory (required for resume/status; makes "
+        "run resumable; worst-case checkpoints each cell's search in it)",
     )
     sweep.add_argument("--workers", type=int, default=0, help="worker processes (0 = serial)")
     sweep.add_argument(
         "--trials", type=int, default=32,
-        help="random candidates per cell for the `worst-case` action",
+        help="candidates each cell's search spends (`worst-case` action)",
     )
     sweep.add_argument(
         "--export", default=None, metavar="PATH",
@@ -667,7 +667,6 @@ def _cmd_workloads_inner(args: argparse.Namespace) -> int:
         protocol,
         max_slots=args.max_slots,
         shard_size=args.shard_size,
-        workers=args.workers,
         seed=args.seed,
     )
     result = campaign.run(patterns)
@@ -748,7 +747,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 0
         with _tracing(args.trace, argv=getattr(args, "raw_argv", None)):
             if args.action == "worst-case":
-                return _cmd_sweep_worst_case(args, spec)
+                return _cmd_sweep_worst_case(args, spec, store)
             obs.annotate("sweep_spec", spec.as_dict())
             obs.annotate(
                 "config_hashes", [config.config_hash() for config in spec.configs()]
@@ -756,9 +755,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             result = runner.run(spec, progress=print)
     except (KeyError, TypeError, ValueError) as exc:
         # Unknown protocol/workload names, empty grids, invalid worker
-        # counts and protocol kinds an action cannot handle (worst-case is
-        # deterministic-only) are usage errors, not crashes: print the
-        # message, exit like argparse.
+        # counts and unreadable checkpoints are usage errors, not crashes:
+        # print the message, exit like argparse.
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
@@ -793,34 +791,52 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_worst_case(args: argparse.Namespace, spec: SweepSpec) -> int:
-    """The ``sweep worst-case`` action: `worst_case_search` over the grid."""
-    from repro.sweeps import worst_case_grid
+def _cmd_sweep_worst_case(
+    args: argparse.Namespace, spec: SweepSpec, store: Optional[SweepStore]
+) -> int:
+    """The ``sweep worst-case`` action: the ``random`` search on every grid cell.
+
+    One :func:`~repro.adversary.adversarial_search` per (protocol, n, k,
+    seed) cell with ``k <= n``, spending ``--trials`` candidates; with a
+    store every search checkpoints and resumes like ``adversary search``.
+    """
+    from repro.adversary import SearchSpec, adversarial_search
     from repro.sweeps.spec import powers_of_two_up_to
 
     k_values = spec.k_values
     if k_values is None:
         k_values = powers_of_two_up_to(max(spec.n_values))
-    table = TextTable(["protocol", "n", "k", "worst latency", "solved"])
-    all_records = []
-    for name in spec.protocols:
-        all_records += worst_case_grid(
-            name,
-            spec.n_values,
-            k_values,
-            trials=args.trials,
+    searches = [
+        SearchSpec(
+            protocol=name,
+            n=n,
+            k=k,
+            strategy="random",
+            budget=args.trials,
+            seed=seed,
             max_slots=spec.max_slots,
-            seed=spec.seeds[0],
-            workers=args.workers,
         )
-    for record in all_records:
-        table.add_row([record.protocol, record.n, record.k, record.latency, record.solved])
+        for name in spec.protocols
+        for n in spec.n_values
+        for k in k_values
+        if k <= n
+        for seed in spec.seeds
+    ]
+    if not searches:
+        raise ValueError("worst-case grid is empty (every k exceeded its n)")
+    best = [
+        adversarial_search(search, store=store, workers=args.workers).best
+        for search in searches
+    ]
+    table = TextTable(["protocol", "n", "k", "seed", "worst latency", "solved"])
+    for cert in best:
+        table.add_row([cert.protocol, cert.n, cert.k, cert.seed, cert.latency, cert.solved])
     print(table.render())
     if args.export:
         from repro.reporting.export import write_rows
 
-        print(f"wrote {write_rows([record.row() for record in all_records], args.export)}")
-    if not all(record.solved for record in all_records):
+        print(f"wrote {write_rows([cert.as_dict() for cert in best], args.export)}")
+    if not all(cert.solved for cert in best):
         print(f"NOT SOLVED on some cells (horizon {spec.max_slots})")
         return 1
     return 0

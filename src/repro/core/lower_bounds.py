@@ -1,8 +1,8 @@
 """Closed-form bounds from the paper (Section 2, Corollary 2.1, Section 6).
 
 Every experiment normalizes its measured latencies by one of these functions;
-keeping the formulas in one module guarantees the tables in EXPERIMENTS.md and
-the assertions in the test-suite use identical definitions.
+keeping the formulas in one module guarantees the tables of ``repro paper
+report`` and the assertions in the test-suite use identical definitions.
 
 Following the paper's convention the logarithmic factors never drop below 1
 (``Θ(k log(n/k) + 1)`` — the ``+1`` keeps the bound positive at ``k = n``),
@@ -97,7 +97,7 @@ def greenberg_winograd_lower_bound(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One row of the summary bound table (used by reports and EXPERIMENTS.md)."""
+    """One row of the summary bound table (``repro bounds`` and the reports)."""
 
     n: int
     k: int

@@ -51,7 +51,7 @@ class WakeupProtocol(DeterministicProtocol):
     and one column term per cell; the member cells are then expanded back
     to the pairs holding each key.  Hash work thus scales with distinct
     keys, not pairs — a batch of B patterns over one ``n`` repeats
-    stations — and E3/E5/E7/E10 sweeps and ``worst_case_search`` run at
+    stations — and E3/E5/E7/E10 sweeps and the adversarial search run at
     engine speed instead of the generic pair-by-pair fallback.
 
     Parameters

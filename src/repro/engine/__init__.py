@@ -32,8 +32,8 @@ by both protocol kinds:
 * :class:`~repro.engine.batch.BatchResult` — column-oriented results with
   summary statistics, convertible row-by-row to
   :class:`~repro.channel.simulator.WakeupResult`;
-* :class:`~repro.engine.campaign.Campaign` — shards large pattern sets across
-  ``concurrent.futures`` workers through a single engine dispatch, with
+* :class:`~repro.engine.campaign.Campaign` — resolves large pattern sets in
+  memory-bounded shards through a single engine dispatch, with
   :class:`~repro.experiments.cache.FamilyCache` integration.
 
 The scenario generators that feed this engine live in

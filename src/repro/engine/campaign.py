@@ -1,4 +1,4 @@
-"""Campaign orchestration: shard large pattern sets across workers.
+"""Campaign orchestration: resolve large pattern sets shard by shard.
 
 A *campaign* is the unit of empirical confidence: thousands of wake-up
 patterns pushed through one protocol.  :class:`Campaign` cuts the pattern set
@@ -16,13 +16,14 @@ Two invariants make campaigns reproducible and composable:
   oblivious by construction; for randomized policies every pattern gets its
   own child generator derived with ``numpy.random.SeedSequence.spawn`` (see
   :mod:`repro._util`) *before* sharding, so the outcome of pattern ``i`` does
-  not depend on the shard size or worker count.  This covers feedback-driven
-  policies too: their stochastic feedback updates (backoff windows, splitting
+  not depend on the shard size.  This covers feedback-driven policies
+  too: their stochastic feedback updates (backoff windows, splitting
   coins) draw from the same per-pattern streams — whether resolved through
   the vectorized feedback engine
   (:func:`~repro.engine.feedback_batch.run_feedback_batch`) or the slot-loop
   fallback — so binary exponential backoff and tree splitting campaigns are
-  reproducible at any worker count.
+  reproducible at any shard size.  Parallelism lives one layer up, in the
+  process-sharded sweeps (:mod:`repro.sweeps`).
 * **Construction cost is shared.**  The selective-family constructions behind
   Scenario A/B protocols are served from a
   :class:`~repro.experiments.cache.FamilyCache`
@@ -35,7 +36,7 @@ Example
 >>> from repro.engine import Campaign
 >>> from repro.workloads import WorkloadSuite
 >>> patterns = WorkloadSuite().generate("uniform", n=64, k=8, batch=32, seed=0)
->>> campaign = Campaign(RoundRobin(64), shard_size=8, workers=2)
+>>> campaign = Campaign(RoundRobin(64), shard_size=8)
 >>> result = campaign.run(patterns)
 >>> len(result), bool(result.solved.all())
 (32, True)
@@ -43,7 +44,6 @@ Example
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -84,13 +84,8 @@ class Campaign:
         scan starts shorter because expected randomized latencies are
         logarithmic).
     shard_size:
-        Number of patterns per shard.  Sharding only affects scheduling —
-        results are identical for every shard size.
-    workers:
-        Worker threads resolving shards concurrently; ``0`` or ``1`` runs the
-        shards serially in the calling thread.  The batch engine spends its
-        time in NumPy kernels that release the GIL, so threads scale without
-        requiring picklable protocols.
+        Number of patterns per shard; it bounds the scan's working memory
+        for large batches.  Results are identical for every shard size.
     seed:
         Base seed for randomized policies; each pattern's generator is derived
         from it via ``SeedSequence.spawn`` before sharding.  Ignored for
@@ -101,7 +96,6 @@ class Campaign:
     max_slots: int = DEFAULT_MAX_SLOTS
     chunk: Optional[int] = None
     shard_size: int = 256
-    workers: int = 0
     seed: RngLike = None
 
     def __post_init__(self) -> None:
@@ -112,8 +106,6 @@ class Campaign:
             )
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
 
     @classmethod
     def for_scenario_b(
@@ -148,7 +140,7 @@ class Campaign:
             return BatchResult.empty(self.protocol)
         if isinstance(self.protocol, RandomizedPolicy):
             # One child generator per pattern, derived before sharding so the
-            # stream assignment is independent of shard_size and workers.
+            # stream assignment is independent of shard_size.
             generators: List[Optional[np.random.Generator]] = list(
                 spawn_generators(self.seed, len(patterns), "campaign")
             )
@@ -161,11 +153,7 @@ class Campaign:
         with obs.span(
             "campaign.run", shards=len(jobs), patterns=len(patterns)
         ):
-            if self.workers > 1 and len(jobs) > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    results = list(pool.map(self._run_shard, jobs))
-            else:
-                results = [self._run_shard(job) for job in jobs]
+            results = [self._run_shard(job) for job in jobs]
         obs.add("campaign.shards", len(jobs))
         obs.add("campaign.patterns", len(patterns))
         return BatchResult.concat(results)

@@ -1,7 +1,7 @@
 """Experiment orchestration: configurations, the E1–E11 registry, and the campaign.
 
-The experiment index in ``DESIGN.md`` maps every claim of the paper to an
-experiment; this package contains the code that runs them.  Each experiment is
+Every claim of the paper maps to one experiment of the E1–E11 registry;
+this package contains the code that runs them.  Each experiment is
 an :class:`~repro.experiments.campaign.ExperimentDefinition` — a ``plan``
 function stating its measurement demand as content-hashable specs, plus a pure
 ``render`` over the resolved records — and the historical per-experiment
@@ -11,9 +11,10 @@ callables wrap the definitions, taking an
 tables/figures, and bound certificates.
 :class:`~repro.experiments.campaign.PaperCampaign` runs all of E1–E11 against
 one shared, resumable :class:`~repro.sweeps.store.SweepStore` (``repro paper``
-on the command line).  The ``benchmarks/`` tree and ``EXPERIMENTS.md`` are
-both generated from this registry so that the numbers in the documentation are
-always reproducible by re-running the benchmarks.
+on the command line); ``repro paper report`` renders every experiment's
+section (paper claim, certificates, tables, figures) through
+:meth:`~repro.experiments.runner.ExperimentResult.summary`, and the
+``benchmarks/`` tree runs the same registry.
 """
 
 from repro.experiments.config import ExperimentScale, QUICK, STANDARD, FULL
@@ -50,7 +51,6 @@ from repro.experiments.registry import (
     experiment_e10_ablations,
     experiment_e11_global_vs_local_clock,
 )
-from repro.experiments.report import generate_experiments_report
 
 __all__ = [
     "ExperimentScale",
@@ -85,5 +85,4 @@ __all__ = [
     "experiment_e9_baselines",
     "experiment_e10_ablations",
     "experiment_e11_global_vs_local_clock",
-    "generate_experiments_report",
 ]

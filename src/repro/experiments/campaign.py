@@ -453,9 +453,11 @@ class PaperCampaign:
 
 
 def render_campaign_report(campaign: CampaignResult) -> str:
-    """Render a full paper report — every experiment plus the run manifest."""
-    from repro.experiments.report import _render_result
+    """Render a full paper report — every experiment plus the run manifest.
 
+    Each experiment's section is its :meth:`ExperimentResult.summary`, the
+    same text ``repro experiment`` prints.
+    """
     manifest = campaign.manifest
     lines: List[str] = [
         "# Paper campaign report",
@@ -472,8 +474,7 @@ def render_campaign_report(campaign: CampaignResult) -> str:
         f"(hit rate {manifest.get('store_hit_rate', 0.0):.0%})",
         "",
     ]
-    for result in campaign.results.values():
-        lines.extend(_render_result(result))
+    lines += [result.summary() for result in campaign.results.values()]
     lines += ["## Campaign manifest", "", "```json"]
     lines.append(json.dumps(manifest, indent=2))
     lines += ["```", ""]

@@ -5,7 +5,8 @@ three purposes:
 
 * ``QUICK`` — seconds per experiment; used by the pytest-benchmark harness and
   by CI, where wall-clock time matters more than statistical power;
-* ``STANDARD`` — the scale whose outputs are recorded in ``EXPERIMENTS.md``;
+* ``STANDARD`` — the scale for a recorded ``repro paper report --scale
+  standard``;
 * ``FULL`` — an overnight-ish sweep for anyone who wants tighter constants.
 
 Scales deliberately cap the universe size rather than the number of seeds

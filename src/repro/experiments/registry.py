@@ -1,7 +1,7 @@
 """The experiment registry: E1–E11, each as a declarative plan/render pair.
 
-E1–E10 reproduce DESIGN.md's experiment index; E11 is the global-vs-local
-clock extension (the paper's closing open question).
+E1–E10 reproduce the paper's claims; E11 is the global-vs-local clock
+extension (the paper's closing open question).
 
 Every experiment is an :class:`~repro.experiments.campaign.ExperimentDefinition`:
 
@@ -29,12 +29,13 @@ across experiments; the per-experiment ``seed`` argument only feeds that
 render-side randomness.  The historical callables
 (``experiment_e1_scenario_a`` …) remain as thin wrappers over the
 definitions, and the benchmark files under ``benchmarks/`` still call them
-with the ``QUICK`` scale; ``EXPERIMENTS.md`` is generated from the
-``STANDARD`` scale via :func:`repro.experiments.report.generate_experiments_report`.
+with the ``QUICK`` scale; ``repro paper report`` renders every experiment's
+section at any scale.
 
 The paper is a theory paper without numeric tables, so each experiment
-validates a stated theorem or comparative claim; the mapping is documented in
-DESIGN.md's experiment index and repeated in each definition's docstring.
+validates a stated theorem or comparative claim; the claim is quoted in
+:data:`repro.experiments.runner.PAPER_CLAIMS` (and so in each report section)
+and repeated in each definition's docstring.
 """
 
 from __future__ import annotations
@@ -1419,7 +1420,7 @@ def experiment_e9_baselines(
 def experiment_e10_ablations(
     scale: ExperimentScale = QUICK, *, seed: int = 10, cache=None
 ) -> ExperimentResult:
-    """E10: ablations of the design choices DESIGN.md calls out.
+    """E10: ablations of the protocols' design choices.
 
     (a) Scenario C window length: 1 vs the paper's ``log log n`` vs ``log n``.
     (b) Scenario C constant ``c``: 1, 2, 4.

@@ -3,7 +3,7 @@
 The benchmark harness prints the same rows/series the paper's claims are
 about; since the original paper contains no numeric tables (it is a theory
 paper), the formats here are the reproduction's own, designed so that the
-EXPERIMENTS.md tables can be regenerated verbatim from the benchmark runs.
+tables of ``repro paper report`` regenerate verbatim from the same runs.
 """
 
 from repro.reporting.tables import TextTable, markdown_table

@@ -2,7 +2,7 @@
 
 Experiments produce lists of flat dictionaries (one per configuration); this
 module turns them into CSV / JSON files so results can be archived next to
-EXPERIMENTS.md and re-plotted outside the repository.
+the ``repro paper report`` output and re-plotted outside the repository.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def ascii_line_plot(
 
     Each series gets a distinct marker; collisions of markers in the same cell
     show the marker of the last series drawn.  Intended for the "shape"
-    figures in EXPERIMENTS.md, not for precision reading.
+    figures of ``repro paper report``, not for precision reading.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:

@@ -2,7 +2,8 @@
 
 Small, dependency-free table rendering used by the benchmark harness and the
 examples.  Numbers are formatted compactly (integers as integers, floats with
-three significant digits) so that the tables in EXPERIMENTS.md stay readable.
+three significant digits) so that the tables of ``repro paper report`` stay
+readable.
 """
 
 from __future__ import annotations

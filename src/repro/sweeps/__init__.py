@@ -16,8 +16,6 @@ resumable campaign:
 * :class:`~repro.sweeps.store.SweepStore` — one JSON record per config keyed
   by config hash, written atomically as configs finish, so interrupted
   sweeps resume and overlapping sweeps share work;
-* :func:`~repro.sweeps.search.worst_case_grid` — the worst-case-search driver
-  over an (n, k) grid, sharded the same way;
 * :mod:`repro.sweeps.protocols` — the name → builder registry workers use to
   reconstruct protocols from primitives (shared with the CLI).
 
@@ -35,7 +33,6 @@ The CLI front end is ``repro sweep run|resume|status`` (see
 
 from repro.sweeps.protocols import PROTOCOL_BUILDERS, build_protocol, protocol_names
 from repro.sweeps.runner import SweepResult, SweepRunner, SweepStatus, map_jobs, resolve_config
-from repro.sweeps.search import WorstCaseRecord, worst_case_grid
 from repro.sweeps.spec import SweepConfig, SweepSpec
 from repro.sweeps.store import ConfigRecord, StoreSchemaError, SweepStore, load_record
 
@@ -54,6 +51,4 @@ __all__ = [
     "SweepStatus",
     "map_jobs",
     "resolve_config",
-    "WorstCaseRecord",
-    "worst_case_grid",
 ]

@@ -169,3 +169,77 @@ class TestCheckpointSummaries:
 
     def test_empty_store_reports_nothing(self, tmp_path):
         assert checkpoint_summaries(SweepStore(tmp_path)) == []
+
+
+class TestRandomStrategy:
+    """The blind baseline: seeded step 0, then uniform draws; best kept strictly."""
+
+    def _record_populations(self, monkeypatch, spec):
+        from repro.adversary import search as search_module
+
+        populations = []
+        evaluate = search_module._evaluate
+
+        def recording(spec_, spec_hash, step, patterns, **kwargs):
+            populations.append(list(patterns))
+            return evaluate(spec_, spec_hash, step, patterns, **kwargs)
+
+        monkeypatch.setattr(search_module, "_evaluate", recording)
+        result = adversarial_search(spec)
+        return result, populations
+
+    def test_step_zero_is_the_seed_population(self, monkeypatch):
+        spec = _spec(strategy="random", budget=40, population=16)
+        _, populations = self._record_populations(monkeypatch, spec)
+        expected = seed_population(spec, 16, _step_generator(spec, spec.config_hash(), 0))
+        assert populations[0] == expected
+
+    def test_later_steps_draw_k_distinct_stations_inside_the_window(self, monkeypatch):
+        spec = _spec(strategy="random", budget=40, population=16, window=32)
+        _, populations = self._record_populations(monkeypatch, spec)
+        assert [len(p) for p in populations] == [16, 16, 8]
+        for population in populations[1:]:
+            for pattern in population:
+                stations = list(pattern.wake_times)
+                assert len(stations) == len(set(stations)) == spec.k
+                assert all(1 <= u <= spec.n for u in stations)
+                assert all(0 <= t < spec.window for t in pattern.wake_times.values())
+
+    def test_later_steps_follow_the_step_stream(self, monkeypatch):
+        from repro.adversary import RandomStrategy
+
+        spec = _spec(strategy="random", budget=48, population=16)
+        _, populations = self._record_populations(monkeypatch, spec)
+        state = RandomStrategy().initial_state(spec)
+        for step in (1, 2):
+            rng = _step_generator(spec, spec.config_hash(), step)
+            proposed, _ = RandomStrategy().propose(spec, state, step, 16, rng)
+            assert proposed == populations[step]
+
+    def test_best_is_the_worst_candidate_evaluated(self):
+        result = adversarial_search(_spec(strategy="random", protocol="round-robin"))
+        assert result.best.latency == max(entry["step_best"] for entry in result.history)
+        assert result.best.solved
+        assert result.best.pattern().k == result.spec.k
+
+    def test_more_budget_never_finds_less(self):
+        # Budget 1 resolves only the first seed (the simultaneous burst on
+        # stations 1..k), which every larger step-0 population also holds.
+        single = adversarial_search(_spec(strategy="random", budget=1)).best
+        wider = adversarial_search(_spec(strategy="random", budget=8)).best
+        assert wider.latency >= single.latency
+
+    def test_observe_keeps_the_best_on_strict_improvement_only(self):
+        import json
+
+        import numpy as np
+
+        from repro.adversary import RandomStrategy
+
+        strategy, spec = RandomStrategy(), _spec(strategy="random")
+        state = strategy.initial_state(spec)
+        state, accepted = strategy.observe(spec, state, 0, [], np.array([3, 7, 7]), {}, None)
+        assert (state, accepted) == ({"best": 7}, 1)
+        state, accepted = strategy.observe(spec, state, 1, [], np.array([7, 2]), {}, None)
+        assert (state, accepted) == ({"best": 7}, 0)
+        assert json.loads(json.dumps(state)) == state

@@ -13,7 +13,6 @@ from repro.channel.adversary import (
     staggered_pattern,
     uniform_random_pattern,
     window_boundary_pattern,
-    worst_case_search,
 )
 from repro.core.lower_bounds import trivial_lower_bound
 from repro.core.round_robin import RoundRobin
@@ -85,23 +84,6 @@ class TestPatternGenerators:
     def test_family_boundary_requires_boundaries(self, rng):
         with pytest.raises(ValueError):
             family_boundary_pattern(32, 4, boundaries=[], rng=rng)
-
-
-class TestWorstCaseSearch:
-    def test_returns_worst_of_the_candidates(self):
-        protocol = RoundRobin(16)
-        result, pattern = worst_case_search(protocol, 16, 4, trials=4, rng=1)
-        assert result.solved
-        assert pattern.k == 4
-        # The worst case cannot be better than the simultaneous best case.
-        assert result.latency >= 0
-
-    def test_worst_case_at_least_average(self):
-        protocol = RoundRobin(32)
-        worst, _ = worst_case_search(protocol, 32, 8, trials=8, rng=3)
-        single = worst_case_search(protocol, 32, 8, trials=1, rng=3)[0]
-        assert worst.latency >= 0
-        assert worst.latency is not None and single.latency is not None
 
 
 class TestAdaptiveLowerBoundAdversary:

@@ -1,4 +1,4 @@
-"""Tests for :class:`repro.engine.Campaign` (sharding, workers, randomized path)."""
+"""Tests for :class:`repro.engine.Campaign` (sharding, randomized path)."""
 
 from __future__ import annotations
 
@@ -26,8 +26,9 @@ class TestCampaignValidation:
     def test_rejects_bad_shard_size_and_workers(self):
         with pytest.raises(ValueError):
             Campaign(RoundRobin(8), shard_size=0)
-        with pytest.raises(ValueError):
-            Campaign(RoundRobin(8), workers=-1)
+        # Shards run serially; there is no worker-thread option to set.
+        with pytest.raises(TypeError):
+            Campaign(RoundRobin(8), workers=2)
 
     def test_empty_run_is_empty_for_both_protocol_kinds(self):
         # Deterministic and randomized campaigns agree on the empty batch:
@@ -43,8 +44,8 @@ class TestDeterministicCampaign:
     def test_matches_unsharded_batch(self, patterns):
         protocol = RoundRobin(64)
         expected = run_deterministic_batch(protocol, patterns)
-        for shard_size, workers in ((7, 0), (10, 2), (30, 1), (1, 3)):
-            result = Campaign(protocol, shard_size=shard_size, workers=workers).run(patterns)
+        for shard_size in (7, 10, 30, 1):
+            result = Campaign(protocol, shard_size=shard_size).run(patterns)
             np.testing.assert_array_equal(result.latency, expected.latency)
             np.testing.assert_array_equal(result.winner, expected.winner)
             np.testing.assert_array_equal(result.success_slot, expected.success_slot)
@@ -57,11 +58,9 @@ class TestDeterministicCampaign:
 class TestRandomizedCampaign:
     def test_outcomes_independent_of_sharding(self, patterns):
         policy = RepeatedProbabilityDecrease(64)
-        baseline = Campaign(policy, seed=3, shard_size=30, workers=0).run(patterns)
-        for shard_size, workers in ((4, 0), (11, 2), (1, 3), (7, 0)):
-            result = Campaign(policy, seed=3, shard_size=shard_size, workers=workers).run(
-                patterns
-            )
+        baseline = Campaign(policy, seed=3, shard_size=30).run(patterns)
+        for shard_size in (4, 11, 1, 7):
+            result = Campaign(policy, seed=3, shard_size=shard_size).run(patterns)
             np.testing.assert_array_equal(result.success_slot, baseline.success_slot)
             np.testing.assert_array_equal(result.winner, baseline.winner)
             np.testing.assert_array_equal(result.latency, baseline.latency)
@@ -69,16 +68,14 @@ class TestRandomizedCampaign:
     def test_feedback_policy_outcomes_independent_of_sharding(self):
         # Feedback baselines draw backoff windows / splitting coins from the
         # per-pattern streams spawned before sharding, so campaigns over them
-        # are shard- and worker-invariant too (the old caveat is gone).
+        # are shard-invariant too.
         from repro.baselines import BinaryExponentialBackoff, TreeSplitting
 
         patterns = WorkloadSuite().generate("simultaneous", n=64, k=8, batch=24, seed=2)
         for policy in (BinaryExponentialBackoff(64), TreeSplitting(64)):
-            baseline = Campaign(policy, seed=3, shard_size=24, workers=0).run(patterns)
-            for shard_size, workers in ((5, 0), (9, 3)):
-                result = Campaign(
-                    policy, seed=3, shard_size=shard_size, workers=workers
-                ).run(patterns)
+            baseline = Campaign(policy, seed=3, shard_size=24).run(patterns)
+            for shard_size in (5, 9):
+                result = Campaign(policy, seed=3, shard_size=shard_size).run(patterns)
                 np.testing.assert_array_equal(result.success_slot, baseline.success_slot)
                 np.testing.assert_array_equal(result.winner, baseline.winner)
                 np.testing.assert_array_equal(

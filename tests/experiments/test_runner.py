@@ -59,7 +59,7 @@ class TestExperimentResult:
         )
         result.notes.append("a note")
         text = result.summary()
-        assert "E0: demo" in text
+        assert "## E0 — demo" in text
         assert "a | b" in text
         assert "claim" in text
         assert "a note" in text

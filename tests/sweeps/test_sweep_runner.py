@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sweeps.runner import SweepRunner, map_jobs, resolve_config
-from repro.sweeps.search import worst_case_grid
 from repro.sweeps.spec import SweepConfig, SweepSpec
 from repro.sweeps.store import SweepStore
 
@@ -186,71 +185,3 @@ class TestMapJobs:
 
 def _square(x: int) -> int:
     return x * x
-
-
-class TestWorstCaseGrid:
-    def test_grid_is_worker_invariant(self):
-        kwargs = dict(trials=4, window=32, max_slots=20_000, seed=0)
-        serial = worst_case_grid("scenario-b", [32], [2, 4], workers=0, **kwargs)
-        parallel = worst_case_grid("scenario-b", [32], [2, 4], workers=2, **kwargs)
-        assert serial == parallel
-        assert [(r.n, r.k) for r in serial] == [(32, 2), (32, 4)]
-        assert all(r.solved and r.latency >= 0 and r.wake_times for r in serial)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            worst_case_grid("scenario-b", [4], [8])
-
-
-class TestWorstCaseRecord:
-    """The exported row must be a complete replay recipe (round-trippable)."""
-
-    def _record(self):
-        from repro.sweeps.search import WorstCaseRecord
-
-        return WorstCaseRecord(
-            protocol="scenario-b",
-            n=32,
-            k=3,
-            latency=17,
-            solved=True,
-            wake_times={3: 0, 5: 2, 7: 2},
-            trials=16,
-            window=64,
-            seed=9,
-        )
-
-    def test_row_carries_the_search_parameters(self):
-        row = self._record().row()
-        assert row["trials"] == 16
-        assert row["window"] == 64
-        assert row["seed"] == 9
-        assert row["wake_times"] == "3@0;5@2;7@2"
-        assert row["pattern_size"] == 3
-
-    def test_from_row_inverts_row_exactly(self):
-        from repro.sweeps.search import WorstCaseRecord
-
-        record = self._record()
-        assert WorstCaseRecord.from_row(record.row()) == record
-
-    def test_from_row_tolerates_pre_upgrade_rows(self):
-        # Rows exported before the search parameters were recorded lack the
-        # trials/window/seed columns; they load with zero defaults.
-        from repro.sweeps.search import WorstCaseRecord
-
-        row = self._record().row()
-        for legacy_missing in ("trials", "window", "seed"):
-            del row[legacy_missing]
-        record = WorstCaseRecord.from_row(row)
-        assert (record.trials, record.window, record.seed) == (0, 0, 0)
-        assert record.wake_times == {3: 0, 5: 2, 7: 2}
-
-    def test_grid_records_round_trip(self):
-        from repro.sweeps.search import WorstCaseRecord
-
-        records = worst_case_grid(
-            "scenario-b", [32], [2, 4], trials=4, window=32, max_slots=20_000, seed=0
-        )
-        for record in records:
-            assert WorstCaseRecord.from_row(record.row()) == record

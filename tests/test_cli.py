@@ -101,6 +101,19 @@ class TestExperimentCommand:
         assert exit_code == 0
         assert "E8" in out
 
+    def test_prints_the_experiment_section_of_the_paper_report(self, capsys, tmp_path):
+        assert main(["experiment", "E8", "--scale", "quick"]) == 0
+        printed = capsys.readouterr().out
+        report_path = tmp_path / "report.md"
+        assert main([
+            "paper", "report", "--scale", "quick", "--store", "",
+            "--experiments", "E8", "--output", str(report_path),
+        ]) == 0
+        report = report_path.read_text(encoding="utf-8")
+        section = report[report.index("## E8"):report.index("## Campaign manifest")]
+        assert printed == section
+        assert printed.startswith("## E8 — ") and "**Paper claim.**" in printed
+
 
 class TestPaperCommand:
     def test_run_resolves_into_the_store_and_resumes_warm(self, capsys, tmp_path):
@@ -206,6 +219,12 @@ class TestWorkloadsCommand:
         assert exit_code == 1
         assert "NOT SOLVED" in out
 
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["workloads", "run", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     INLINE = [
@@ -268,13 +287,76 @@ class TestSweepCommand:
         assert "worst latency" in out
         assert out.count("scenario-b") == 2  # one row per (n, k) cell
 
-    def test_worst_case_rejects_randomized_protocols_cleanly(self, capsys):
+    WORST_CASE = [
+        "sweep", "worst-case", "--protocols", "scenario-b", "--n-values", "32",
+        "--k-values", "2", "4", "--trials", "12", "--max-slots", "20000",
+    ]
+
+    def _worst_case_rows(self, tmp_path, name, *extra):
+        out = tmp_path / f"{name}.json"
+        assert main([*self.WORST_CASE, *extra, "--export", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_worst_case_searches_randomized_protocols(self, capsys):
         exit_code = main([
             "sweep", "worst-case", "--protocols", "rpd", "--n-values", "32",
             "--k-values", "4", "--trials", "2",
         ])
+        assert exit_code == 0
+        assert "rpd" in capsys.readouterr().out
+
+    def test_worst_case_unknown_protocol_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "worst-case", "--protocols", "psychic", "--n-values", "32"])
+        assert exc.value.code == 2
+        spec = tmp_path / "grid.json"
+        spec.write_text('{"protocols": ["psychic"], "n_values": [32], "k_values": [4]}')
+        assert main(["sweep", "worst-case", "--spec", str(spec), "--trials", "2"]) == 2
+        assert "unknown protocol" in capsys.readouterr().err
+
+    def test_worst_case_empty_grid_is_usage_error(self, capsys):
+        exit_code = main([
+            "sweep", "worst-case", "--protocols", "scenario-b", "--n-values", "4",
+            "--k-values", "8",
+        ])
         assert exit_code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "grid is empty" in capsys.readouterr().err
+
+    def test_worst_case_searches_every_seed(self, capsys, tmp_path):
+        both = self._worst_case_rows(tmp_path, "both", "--seeds", "0", "1")
+        assert [(r["n"], r["k"], r["seed"]) for r in both] == [
+            (32, 2, 0), (32, 2, 1), (32, 4, 0), (32, 4, 1),
+        ]
+        assert all(r["strategy"] == "random" for r in both)
+        only_one = self._worst_case_rows(tmp_path, "one", "--seeds", "1")
+        assert only_one == [r for r in both if r["seed"] == 1]
+        out = capsys.readouterr().out
+        assert "seed" in out.splitlines()[0]
+
+    def test_worst_case_is_worker_invariant(self, capsys, tmp_path):
+        serial = self._worst_case_rows(tmp_path, "serial", "--workers", "0")
+        parallel = self._worst_case_rows(tmp_path, "parallel", "--workers", "2")
+        assert serial == parallel
+        assert all(r["solved"] and r["latency"] >= 0 and r["wake_times"] for r in serial)
+
+    def test_worst_case_export_replays(self, capsys, tmp_path):
+        from repro.adversary import load_certificate, replay_certificate
+
+        rows = self._worst_case_rows(tmp_path, "export", "--protocols", "scenario-b", "rpd")
+        assert len(rows) == 4
+        for row in rows:
+            cert = load_certificate(row)
+            assert cert.as_dict() == row
+            assert replay_certificate(cert) == cert
+
+    def test_worst_case_store_checkpoints_every_cell(self, capsys, tmp_path):
+        store = str(tmp_path / "wc-store")
+        first = self._worst_case_rows(tmp_path, "first", "--store", store)
+        assert main(["adversary", "report", "--store", store]) == 0
+        report = capsys.readouterr().out
+        assert report.count("random") == 2
+        assert "2 search(es) checkpointed" in report
+        assert self._worst_case_rows(tmp_path, "again", "--store", store) == first
 
     def test_worst_case_export_writes_rows(self, capsys, tmp_path):
         csv_path = tmp_path / "wc.csv"

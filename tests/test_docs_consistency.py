@@ -117,7 +117,8 @@ class TestDocsDirectory:
             "config_hash",
             "StoreSchemaError",
             "CertificateSchemaError",
-            "worst_case_search",
+            "`random`",
+            "repro sweep worst-case",
         ):
             assert anchor in text, f"docs/adversary.md misses {anchor!r}"
 
