@@ -1,15 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one experiment from the E1–E11 registry at the
-``QUICK`` scale, so a full ``pytest benchmarks/ --benchmark-only`` run takes
-on the order of a minute.  The experiment machinery itself accepts larger
-scales; render every experiment at one with ``python -m repro paper report
---scale standard``.
-
-Besides the fixtures, this module is the home of the **benchmark trajectory
-recorder**: every hard throughput gate reports its measured speedups and
-rates through :func:`record_gate_measurements`, which merges them into a
-machine-readable ``BENCH_results.json`` (override the location with the
+This module is the home of the **benchmark trajectory recorder**: every hard
+throughput gate reports its measured speedups and rates through
+:func:`record_gate_measurements`, which merges them into a machine-readable
+``BENCH_results.json`` (override the location with the
 ``BENCH_RESULTS_PATH`` environment variable).  CI uploads the file as a
 build artifact, so the performance trajectory of every gate is preserved
 run over run instead of being discarded in the logs.
@@ -24,9 +18,6 @@ import time
 from pathlib import Path
 
 import pytest
-
-from repro.experiments.cache import FamilyCache
-from repro.experiments.config import QUICK
 
 #: Default location of the trajectory file: the repository root.
 _DEFAULT_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
@@ -75,29 +66,3 @@ def record_gate_measurements(gate, *, threshold, unit, measurements):
 def record_gate():
     """Session fixture handing gate tests the trajectory recorder."""
     return record_gate_measurements
-
-
-@pytest.fixture(scope="session")
-def scale():
-    """The experiment scale used by the benchmark harness."""
-    return QUICK
-
-
-@pytest.fixture(scope="session")
-def family_cache():
-    """A benchmark-session-wide cache of selective-family constructions."""
-    return FamilyCache()
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run a callable exactly once under pytest-benchmark timing.
-
-    Experiments are too slow for repeated benchmark rounds; one round is
-    enough to record their wall-clock cost alongside the correctness outcome.
-    """
-
-    def _run(func, *args, **kwargs):
-        return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return _run

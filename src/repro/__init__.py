@@ -71,7 +71,6 @@ from repro.core import (
     WakeupProtocol,
     WakeupWithK,
     WakeupWithS,
-    build_selective_family,
     concatenated_families,
     matrix_parameters,
     random_selective_family,
@@ -87,7 +86,7 @@ from repro.engine import (
     run_randomized_batch,
 )
 from repro.experiments import (
-    EXPERIMENTS,
+    DEFINITIONS,
     QUICK,
     STANDARD,
     FULL,
@@ -152,7 +151,6 @@ __all__ = [
     "WakeupProtocol",
     "WakeupWithK",
     "WakeupWithS",
-    "build_selective_family",
     "concatenated_families",
     "matrix_parameters",
     "random_selective_family",
@@ -181,7 +179,7 @@ __all__ = [
     "load_entry_point_workloads",
     "register_workload",
     # experiments
-    "EXPERIMENTS",
+    "DEFINITIONS",
     "QUICK",
     "STANDARD",
     "FULL",

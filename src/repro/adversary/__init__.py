@@ -31,7 +31,7 @@ from repro.adversary.certificates import (
     SearchCertificate,
     evaluation_generator,
     load_certificate,
-    read_certificate,
+    read_certificates,
     replay_certificate,
     write_certificate,
 )
@@ -86,7 +86,7 @@ __all__ = [
     "CERTIFICATE_SCHEMA",
     "evaluation_generator",
     "load_certificate",
-    "read_certificate",
+    "read_certificates",
     "write_certificate",
     "replay_certificate",
 ]

@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Mapping, Union
+from typing import Dict, List, Mapping, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
     "SearchCertificate",
     "evaluation_generator",
     "load_certificate",
-    "read_certificate",
+    "read_certificates",
     "write_certificate",
     "replay_certificate",
 ]
@@ -194,18 +194,26 @@ def write_certificate(certificate: SearchCertificate, path: Union[str, Path]) ->
     return path
 
 
-def read_certificate(path: Union[str, Path]) -> SearchCertificate:
-    """Read one certificate file through the :func:`load_certificate` gate.
+def read_certificates(path: Union[str, Path]) -> List[SearchCertificate]:
+    """Read a certificate file through the :func:`load_certificate` gate.
 
-    Unreadable JSON raises :class:`CertificateSchemaError` naming the path,
-    exactly like a schema mismatch.
+    The file holds one certificate (what :func:`write_certificate` writes)
+    or a JSON array of them (what ``repro sweep worst-case --export
+    PATH.json`` writes, one row per grid cell); element ``i`` is lifted with
+    source ``PATH[i]``.  Unreadable JSON and an empty array raise
+    :class:`CertificateSchemaError` naming the path, exactly like a schema
+    mismatch.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CertificateSchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return load_certificate(data, source=str(path))
+    if not isinstance(data, list):
+        return [load_certificate(data, source=str(path))]
+    if not data:
+        raise CertificateSchemaError(f"{path}: holds no certificates")
+    return [load_certificate(row, source=f"{path}[{i}]") for i, row in enumerate(data)]
 
 
 def replay_certificate(

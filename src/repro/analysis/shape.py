@@ -1,4 +1,4 @@
-"""Shape checks: who wins, where curves cross, and monotonicity.
+"""Shape checks: who wins a comparison between algorithms.
 
 Several of the paper's statements are *comparative* rather than absolute:
 
@@ -8,49 +8,15 @@ Several of the paper's statements are *comparative* rather than absolute:
 * deterministic algorithms lose to tuned randomized ones on expectation but
   never exceed their worst-case bound.
 
-This module provides the small comparison utilities the experiment harness
-uses to turn such statements into table columns.
+This module provides the comparison utility the experiment harness uses to
+turn such statements into table columns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-import numpy as np
-
-__all__ = ["crossover_point", "who_wins", "monotonicity_violations", "relative_gap"]
-
-
-def crossover_point(
-    xs: Sequence[float], series_a: Sequence[float], series_b: Sequence[float]
-) -> Optional[float]:
-    """First x at which series A stops being strictly better (smaller) than B.
-
-    Both series are sampled at the common points ``xs`` (e.g. a sweep over
-    ``k``).  Returns ``None`` when A stays better everywhere, and ``xs[0]``
-    when B is already at least as good at the first point.  Linear
-    interpolation between the bracketing points gives a fractional crossover.
-    """
-    xs = np.asarray(xs, dtype=float)
-    a = np.asarray(series_a, dtype=float)
-    b = np.asarray(series_b, dtype=float)
-    if not (len(xs) == len(a) == len(b)):
-        raise ValueError("xs, series_a and series_b must have equal lengths")
-    if len(xs) == 0:
-        raise ValueError("need at least one sample point")
-    diff = a - b  # negative while A wins
-    if diff[0] >= 0:
-        return float(xs[0])
-    for i in range(1, len(xs)):
-        if diff[i] >= 0:
-            # Interpolate between i-1 and i for the zero crossing.
-            x0, x1 = xs[i - 1], xs[i]
-            d0, d1 = diff[i - 1], diff[i]
-            if d1 == d0:
-                return float(x1)
-            t = -d0 / (d1 - d0)
-            return float(x0 + t * (x1 - x0))
-    return None
+__all__ = ["who_wins"]
 
 
 def who_wins(results: Dict[str, float]) -> Tuple[str, float]:
@@ -59,39 +25,3 @@ def who_wins(results: Dict[str, float]) -> Tuple[str, float]:
         raise ValueError("results must be non-empty")
     winner = min(sorted(results), key=lambda name: results[name])
     return winner, results[winner]
-
-
-def monotonicity_violations(
-    xs: Sequence[float], ys: Sequence[float], *, slack: float = 0.0
-) -> List[int]:
-    """Indices ``i`` where ``ys[i] < ys[i-1] * (1 - slack)`` despite ``xs`` increasing.
-
-    Used as a sanity check on sweeps that should be (weakly) increasing, such
-    as latency versus ``k``; ``slack`` tolerates simulation noise.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal lengths")
-    violations = []
-    for i in range(1, len(ys)):
-        if xs[i] <= xs[i - 1]:
-            raise ValueError("xs must be strictly increasing")
-        if ys[i] < ys[i - 1] * (1.0 - slack):
-            violations.append(i)
-    return violations
-
-
-def relative_gap(series_a: Sequence[float], series_b: Sequence[float]) -> np.ndarray:
-    """Element-wise ratio ``series_a / series_b`` (the empirical gap factor).
-
-    Used for the Scenario C vs Scenario A/B comparison (experiment E5): the
-    paper predicts the gap grows like ``log n log log n / log(n/k)``.
-    """
-    a = np.asarray(series_a, dtype=float)
-    b = np.asarray(series_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("series must have the same shape")
-    if np.any(b <= 0):
-        raise ValueError("series_b must be strictly positive")
-    return a / b

@@ -9,18 +9,14 @@ summary rows that the reporting layer prints.  Plain numpy is used throughout
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
-
-from repro._util import RngLike, as_generator
 
 __all__ = [
     "SummaryStatistics",
     "sorted_median",
     "summarize",
-    "bootstrap_confidence_interval",
-    "geometric_mean",
 ]
 
 
@@ -83,57 +79,3 @@ def summarize(samples: Iterable[float]) -> SummaryStatistics:
         p90=float(np.percentile(data, 90)),
         maximum=float(data.max()),
     )
-
-
-def bootstrap_confidence_interval(
-    samples: Sequence[float],
-    *,
-    statistic=np.mean,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    rng: RngLike = None,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for an arbitrary statistic.
-
-    Parameters
-    ----------
-    samples:
-        The observed latencies (non-empty).
-    statistic:
-        Callable mapping an array to a scalar (default: the mean).
-    confidence:
-        Two-sided confidence level in (0, 1).
-    resamples:
-        Number of bootstrap resamples.
-    rng:
-        Seed or generator.
-    """
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    gen = as_generator(rng)
-    estimates = np.empty(resamples, dtype=float)
-    for i in range(resamples):
-        resample = data[gen.integers(0, data.size, size=data.size)]
-        estimates[i] = float(statistic(resample))
-    alpha = (1.0 - confidence) / 2.0
-    lower = float(np.quantile(estimates, alpha))
-    upper = float(np.quantile(estimates, 1.0 - alpha))
-    return lower, upper
-
-
-def geometric_mean(samples: Iterable[float]) -> float:
-    """Geometric mean of strictly positive samples.
-
-    Used when aggregating *ratios* (measured latency / theoretical bound)
-    across configurations, where the arithmetic mean over-weights large
-    ratios.
-    """
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot take the geometric mean of an empty sample")
-    if np.any(data <= 0):
-        raise ValueError("geometric mean requires strictly positive samples")
-    return float(np.exp(np.mean(np.log(data))))

@@ -22,7 +22,6 @@ from repro.baselines.aloha import SlottedAloha, tuned_aloha
 from repro.baselines.backoff import BinaryExponentialBackoff
 from repro.baselines.tree_splitting import TreeSplitting
 from repro.baselines.komlos_greenberg import KomlosGreenberg
-from repro.baselines.unknown_n import DoublingRoundRobin
 
 __all__ = [
     "TDMA",
@@ -31,5 +30,4 @@ __all__ = [
     "BinaryExponentialBackoff",
     "TreeSplitting",
     "KomlosGreenberg",
-    "DoublingRoundRobin",
 ]

@@ -17,8 +17,7 @@ This subpackage implements that model exactly and provides:
 * :mod:`repro.channel.simulator` — execution engines for deterministic
   protocols (vectorized) and randomized policies (slot loop);
 * :mod:`repro.channel.adversary` — adversarial and stochastic wake-up pattern
-  generators, including the lower-bound adversary of Theorem 2.1;
-* :mod:`repro.channel.clock` — global and local clock views.
+  generators, including the lower-bound adversary of Theorem 2.1.
 """
 
 from repro.channel.events import SlotOutcome, SlotRecord
@@ -37,7 +36,6 @@ from repro.channel.protocols import (
     StationState,
 )
 from repro.channel.trace import ExecutionTrace
-from repro.channel.clock import GlobalClock, LocalClock
 from repro.channel.simulator import (
     WakeupResult,
     Simulator,
@@ -69,8 +67,6 @@ __all__ = [
     "RandomizedPolicy",
     "StationState",
     "ExecutionTrace",
-    "GlobalClock",
-    "LocalClock",
     "WakeupResult",
     "Simulator",
     "run_deterministic",

@@ -12,7 +12,7 @@ Eleven subcommands cover the workflows a user needs without writing Python:
 
 ``experiment``
     Run one experiment from the E1–E11 registry (see
-    :data:`repro.experiments.registry.EXPERIMENTS`) at a chosen scale and
+    :data:`repro.experiments.registry.DEFINITIONS`) at a chosen scale and
     print its summary (tables, figures and certificates).
 
 ``paper``
@@ -52,8 +52,9 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     wake-pattern space for a bad input with a chosen strategy
     (``random``/``anneal``/``evolution``/``bandit``) under a fixed candidate
     budget, prints the best finding and optionally exports it as a replayable
-    certificate; ``replay`` re-measures a certificate standalone and fails
-    when the recorded latency does not reproduce; ``report`` summarizes the
+    certificate; ``replay`` re-measures a certificate (or every row of a
+    ``sweep worst-case --export`` JSON array) standalone and fails when a
+    recorded latency does not reproduce; ``report`` summarizes the
     searches checkpointed in a store.  With ``--store``, an interrupted
     search resumes at its last completed step; results are bit-for-bit
     identical for any ``--workers`` count and across interrupt/resume.
@@ -141,7 +142,7 @@ from repro.experiments.campaign import (
     render_campaign_report,
 )
 from repro.experiments.config import FULL, QUICK, STANDARD
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import DEFINITIONS, run_experiment
 from repro.reporting.figures import render_trace
 from repro.reporting.tables import TextTable
 from repro.adversary.strategies import strategy_names
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = subparsers.add_parser("experiment", help="run one experiment from the registry")
-    exp.add_argument("experiment_id", choices=sorted(EXPERIMENTS), metavar="EXPERIMENT")
+    exp.add_argument("experiment_id", choices=sorted(DEFINITIONS), metavar="EXPERIMENT")
     exp.add_argument("--scale", choices=sorted(_SCALES), default="quick")
 
     paper = subparsers.add_parser(
@@ -387,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     adversary.add_argument(
         "--certificate", default=None, metavar="PATH",
         help="search: write the best finding to PATH; replay: the "
-        "certificate to re-measure (required)",
+        "certificate, or `sweep worst-case --export` JSON array, to "
+        "re-measure (required)",
     )
     adversary.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -584,8 +586,10 @@ def _cmd_paper(args: argparse.Namespace) -> int:
                 f"unique specs stored ({status['specs_total']} planned, {where})"
             )
             return 0
+        # Progress goes to stderr so `paper report > report.md` holds only
+        # the report.
         with _tracing(args.trace, argv=getattr(args, "raw_argv", None)):
-            result = campaign.run(progress=print)
+            result = campaign.run(progress=lambda line: print(line, file=sys.stderr))
     except (KeyError, TypeError, ValueError) as exc:
         # Unknown experiment IDs, protocol/workload names and invalid worker
         # counts are usage errors, not crashes.
@@ -849,7 +853,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         SearchSpec,
         adversarial_search,
         checkpoint_summaries,
-        read_certificate,
+        read_certificates,
         replay_certificate,
         write_certificate,
     )
@@ -860,15 +864,18 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             if not args.certificate:
                 print("error: `adversary replay` requires --certificate", file=sys.stderr)
                 return 2
-            certificate = read_certificate(args.certificate)
-            replayed = replay_certificate(certificate)
-            print(f"recorded: {certificate.describe()}")
-            print(f"replayed: {replayed.describe()}")
-            if replayed != certificate:
-                print("REPLAY MISMATCH: the certificate does not reproduce")
-                return 1
-            print("replay OK: measured latency matches the certificate")
-            return 0
+            # A worst-case `.json` export is an array: replay every row.
+            mismatches = 0
+            for certificate in read_certificates(args.certificate):
+                replayed = replay_certificate(certificate)
+                print(f"recorded: {certificate.describe()}")
+                print(f"replayed: {replayed.describe()}")
+                if replayed != certificate:
+                    print("REPLAY MISMATCH: the certificate does not reproduce")
+                    mismatches += 1
+                else:
+                    print("replay OK: measured latency matches the certificate")
+            return 1 if mismatches else 0
         if args.action == "report":
             if not args.store:
                 print("error: `adversary report` requires --store", file=sys.stderr)

@@ -35,7 +35,6 @@ from repro.combinatorics.selectors import (
     binary_selector,
     strongly_selective_family,
     singleton_family,
-    power_of_two_blocks,
 )
 from repro.combinatorics.verification import (
     is_selective_for,
@@ -60,7 +59,6 @@ __all__ = [
     "binary_selector",
     "strongly_selective_family",
     "singleton_family",
-    "power_of_two_blocks",
     "is_selective_for",
     "is_strongly_selective_for",
     "is_cover_free",

@@ -17,8 +17,7 @@ constructions of :mod:`repro.core.selective` are not wanted:
 * :func:`strongly_selective_family` — an explicit ``(n, k)``-strongly-selective
   family built from a Kautz–Singleton superimposed code, of length
   ``O(k² log²_k n)`` (quadratically worse than the existential bound but fully
-  constructive);
-* :func:`power_of_two_blocks` — utility partitioning used by ablations.
+  constructive).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "singleton_family",
     "binary_selector",
     "strongly_selective_family",
-    "power_of_two_blocks",
 ]
 
 
@@ -337,25 +335,6 @@ def binary_selector(n: int) -> SetFamily:
         rows += [stations[bit], stations[~bit]]
     offsets = np.cumsum([0] + [row.size for row in rows])
     return SetFamily.from_csr(n, offsets, np.concatenate(rows), label=f"binary-selector({n})")
-
-
-def power_of_two_blocks(n: int) -> List[Tuple[int, int]]:
-    """Partition ``[1, n]`` into blocks of doubling size.
-
-    Returns a list of ``(lo, hi)`` inclusive ranges: ``(1,1), (2,3), (4,7)...``
-    Used by ablation schedules that replace selective families with plain
-    block scans.
-    """
-    n = validate_positive_int(n, "n")
-    blocks: List[Tuple[int, int]] = []
-    lo = 1
-    size = 1
-    while lo <= n:
-        hi = min(n, lo + size - 1)
-        blocks.append((lo, hi))
-        lo = hi + 1
-        size *= 2
-    return blocks
 
 
 def strongly_selective_family(n: int, k: int) -> SetFamily:

@@ -5,8 +5,8 @@ This subpackage contains the algorithms of De Marco & Kowalski (IPDPS 2013):
 * :mod:`repro.core.schedules` — schedule building blocks (family schedules,
   interleaving, silence) shared by all scenarios;
 * :mod:`repro.core.round_robin` — the round-robin arm used in Scenarios A/B;
-* :mod:`repro.core.selective` — (n, k)-selective families (randomized, greedy
-  and explicit constructions) and the concatenated schedules built from them;
+* :mod:`repro.core.selective` — (n, k)-selective families (randomized and
+  explicit constructions) and the concatenated schedules built from them;
 * :mod:`repro.core.scenario_a` — ``SELECT-AMONG-THE-FIRST`` and
   ``WAKEUP-WITH-S`` (known start time, Section 3);
 * :mod:`repro.core.scenario_b` — ``WAIT-AND-GO`` and ``WAKEUP-WITH-K``
@@ -31,9 +31,7 @@ from repro.core.selective import (
     SelectiveFamily,
     selective_family_target_length,
     random_selective_family,
-    greedy_selective_family,
     explicit_selective_family,
-    build_selective_family,
     concatenated_families,
 )
 from repro.core.scenario_a import SelectAmongTheFirst, WakeupWithS
@@ -86,9 +84,7 @@ __all__ = [
     "SelectiveFamily",
     "selective_family_target_length",
     "random_selective_family",
-    "greedy_selective_family",
     "explicit_selective_family",
-    "build_selective_family",
     "concatenated_families",
     "SelectAmongTheFirst",
     "WakeupWithS",

@@ -7,7 +7,7 @@ element.  Komlós & Greenberg proved (non-constructively) that families of
 length ``O(k + k log(n/k))`` exist; the paper's Scenario A/B algorithms use a
 concatenation of ``(n, 2^j)``-selective families for ``j = 1, 2, ...``.
 
-Three constructions are provided:
+Two constructions are provided:
 
 ``random``
     The probabilistic-method construction: each station joins each set
@@ -17,12 +17,6 @@ Three constructions are provided:
     otherwise) re-draws with a fresh seed until the check passes.  This is
     the construction the experiments use — it matches the existential
     ``O(k log(n/k))`` length that the paper's bounds are stated in.
-
-``greedy``
-    A derandomized greedy cover for small instances: repeatedly add the
-    transmission set that isolates the largest number of not-yet-selected
-    contender sets.  Exact but exponential in ``n``; used in tests and to
-    cross-check the random construction's length on small universes.
 
 ``explicit``
     The Kautz–Singleton strongly-selective family from
@@ -35,8 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import List, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +51,7 @@ __all__ = [
     "SelectiveFamily",
     "selective_family_target_length",
     "random_selective_family",
-    "greedy_selective_family",
     "explicit_selective_family",
-    "build_selective_family",
     "concatenated_families",
     "ConcatenatedFamilies",
     "concatenate_families",
@@ -71,7 +62,7 @@ __all__ = [
 #: enough for correctness with probability 1 - n^{-Ω(k)}; 6 leaves headroom.
 DEFAULT_LENGTH_MULTIPLIER = 6.0
 
-ConstructionMethod = Literal["random", "greedy", "explicit"]
+ConstructionMethod = Literal["random", "explicit"]
 
 #: Uniform draws per RNG call of the random construction (512 KiB of doubles).
 _DRAW_BLOCK_CELLS = 1 << 16
@@ -88,8 +79,8 @@ class SelectiveFamily:
     family:
         The underlying ordered :class:`~repro.combinatorics.selectors.SetFamily`.
     method:
-        Which construction produced it (``random`` / ``greedy`` / ``explicit``
-        / ``singleton``).
+        Which construction produced it (``random`` / ``explicit`` /
+        ``singleton``).
     seed:
         Seed used by the randomized construction (``None`` otherwise).
     verified:
@@ -245,105 +236,11 @@ def random_selective_family(
     )
 
 
-def greedy_selective_family(
-    n: int,
-    k: int,
-    *,
-    candidate_pool: Optional[int] = None,
-    rng: RngLike = None,
-    exhaustive_limit: int = 200_000,
-) -> SelectiveFamily:
-    """Greedy derandomized construction (small instances only).
-
-    Enumerates every contender set ``X`` with ``k/2 <= |X| <= k`` and greedily
-    adds, at each step, the candidate transmission set that isolates the
-    largest number of still-unselected ``X``.  Candidates are all subsets of a
-    random pool when ``candidate_pool`` is given, otherwise the natural
-    candidates: for every contender size, sets drawn as "every ``k``-th
-    station" plus singletons — in practice the greedy cover over random
-    candidates matches the ``O(k log(n/k))`` shape, which is what tests assert.
-
-    Raises
-    ------
-    ValueError
-        If the number of contender sets to enumerate exceeds ``exhaustive_limit``.
-    """
-    k, n = validate_k_n(k, n)
-    if k == 1 or n == 1:
-        return SelectiveFamily(
-            n=n, k=k, family=singleton_family(n), method="singleton", verified="exhaustive"
-        )
-    lo = max(1, k // 2)
-    total = sum(math.comb(n, size) for size in range(lo, k + 1))
-    if total > exhaustive_limit:
-        raise ValueError(
-            f"greedy construction would enumerate {total} contender sets "
-            f"(limit {exhaustive_limit}); use random_selective_family for n={n}, k={k}"
-        )
-    targets: List[frozenset] = []
-    for size in range(lo, k + 1):
-        targets.extend(frozenset(c) for c in combinations(range(1, n + 1), size))
-
-    gen = as_generator(rng)
-    pool_size = candidate_pool if candidate_pool is not None else 4 * selective_family_target_length(n, k, multiplier=1.0)
-    candidates: List[frozenset] = [frozenset({u}) for u in range(1, n + 1)]
-    probability = 1.0 / k
-    for _ in range(pool_size):
-        members = np.flatnonzero(gen.random(n) < probability)
-        if members.size:
-            candidates.append(frozenset(int(u) + 1 for u in members))
-
-    chosen: List[frozenset] = []
-    unselected = set(range(len(targets)))
-    while unselected:
-        best_set = None
-        best_hits: set = set()
-        for cand in candidates:
-            hits = {
-                idx
-                for idx in unselected
-                if len(targets[idx] & cand) == 1
-            }
-            if len(hits) > len(best_hits):
-                best_hits = hits
-                best_set = cand
-        if best_set is None or not best_hits:
-            # Fall back to isolating one remaining target directly via a singleton.
-            idx = next(iter(unselected))
-            member = next(iter(targets[idx]))
-            best_set = frozenset({member})
-            best_hits = {
-                i for i in unselected if len(targets[i] & best_set) == 1
-            }
-        chosen.append(best_set)
-        unselected -= best_hits
-    family = SetFamily(n, tuple(chosen), label=f"greedy-selective({n},{k})")
-    return SelectiveFamily(n=n, k=k, family=family, method="greedy", verified="exhaustive")
-
-
 def explicit_selective_family(n: int, k: int) -> SelectiveFamily:
     """Deterministic Kautz–Singleton construction (strongly selective, longer)."""
     k, n = validate_k_n(k, n)
     family = strongly_selective_family(n, k)
     return SelectiveFamily(n=n, k=k, family=family, method="explicit", verified="constructive")
-
-
-def build_selective_family(
-    n: int,
-    k: int,
-    *,
-    method: ConstructionMethod = "random",
-    rng: RngLike = None,
-    **kwargs,
-) -> SelectiveFamily:
-    """Dispatch to one of the constructions by name."""
-    if method == "random":
-        return random_selective_family(n, k, rng=rng, **kwargs)
-    if method == "greedy":
-        return greedy_selective_family(n, k, rng=rng, **kwargs)
-    if method == "explicit":
-        return explicit_selective_family(n, k)
-    raise ValueError(f"unknown construction method {method!r}")
 
 
 def concatenated_families(
@@ -372,8 +269,6 @@ def concatenated_families(
         target_k = min(2**j, n)
         if method == "random":
             fam = random_selective_family(n, target_k, rng=gen, multiplier=multiplier)
-        elif method == "greedy":
-            fam = greedy_selective_family(n, target_k, rng=gen)
         elif method == "explicit":
             fam = explicit_selective_family(n, target_k)
         else:

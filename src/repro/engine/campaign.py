@@ -2,13 +2,13 @@
 
 A *campaign* is the unit of empirical confidence: thousands of wake-up
 patterns pushed through one protocol.  :class:`Campaign` cuts the pattern set
-into shards, resolves each shard with the batched engine for the protocol's
-kind — :func:`~repro.engine.batch.run_deterministic_batch` for deterministic
-protocols, :func:`~repro.engine.batch.run_randomized_batch` for randomized
-policies — and reassembles the per-shard columns in input order.  Both
-engines share one chunked scan, so the campaign has a single execution path;
-the only per-kind difference is that randomized shards carry their patterns'
-child generators.
+into shards, resolves each shard with :func:`~repro.engine.batch.run_batch`
+— the one kind dispatch of the batch layer, which sends deterministic
+protocols to :func:`~repro.engine.batch.run_deterministic_batch` and
+randomized policies to :func:`~repro.engine.batch.run_randomized_batch` — and
+reassembles the per-shard columns in input order.  Both engines share one
+chunked scan, so the campaign has a single execution path; the only per-kind
+difference is that randomized shards carry their patterns' child generators.
 
 Two invariants make campaigns reproducible and composable:
 
@@ -54,17 +54,13 @@ from repro._util import RngLike, spawn_generators
 from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
 from repro.channel.wakeup import WakeupPattern
-from repro.engine.batch import (
-    BatchResult,
-    run_deterministic_batch,
-    run_randomized_batch,
-)
+from repro.engine.batch import BatchResult, run_batch
 
 __all__ = ["Campaign"]
 
 #: One shard job: the patterns plus their per-pattern generators (``None``
-#: entries for deterministic protocols, which need no randomness).
-_Shard = Tuple[List[WakeupPattern], List[Optional[np.random.Generator]]]
+#: for deterministic protocols, which need no randomness).
+_Shard = Tuple[List[WakeupPattern], Optional[List[np.random.Generator]]]
 
 
 @dataclass
@@ -138,16 +134,16 @@ class Campaign:
         patterns = list(patterns)
         if not patterns:
             return BatchResult.empty(self.protocol)
+        generators: Optional[List[np.random.Generator]] = None
         if isinstance(self.protocol, RandomizedPolicy):
             # One child generator per pattern, derived before sharding so the
             # stream assignment is independent of shard_size.
-            generators: List[Optional[np.random.Generator]] = list(
-                spawn_generators(self.seed, len(patterns), "campaign")
-            )
-        else:
-            generators = [None] * len(patterns)
+            generators = list(spawn_generators(self.seed, len(patterns), "campaign"))
         jobs: List[_Shard] = [
-            (patterns[i : i + self.shard_size], generators[i : i + self.shard_size])
+            (
+                patterns[i : i + self.shard_size],
+                None if generators is None else generators[i : i + self.shard_size],
+            )
             for i in range(0, len(patterns), self.shard_size)
         ]
         with obs.span(
@@ -161,9 +157,6 @@ class Campaign:
     def _run_shard(self, job: _Shard) -> BatchResult:
         """The single engine dispatch: one batched call per shard."""
         shard, rngs = job
-        options = {"max_slots": self.max_slots}
-        if self.chunk is not None:
-            options["chunk"] = self.chunk
-        if isinstance(self.protocol, RandomizedPolicy):
-            return run_randomized_batch(self.protocol, shard, rngs=rngs, **options)
-        return run_deterministic_batch(self.protocol, shard, **options)
+        return run_batch(
+            self.protocol, shard, rngs=rngs, max_slots=self.max_slots, chunk=self.chunk
+        )

@@ -245,8 +245,7 @@ class ExperimentDefinition:
         :meth:`ResolvedSpecs.memo`; engine measurements are keyed by the
         specs' own seeds, so two renders over one store agree bit for bit.
     default_seed:
-        The ``seed`` used when the caller does not pass one (the historical
-        per-experiment defaults).
+        The ``seed`` used when the caller does not pass one.
     """
 
     experiment: str

@@ -26,21 +26,18 @@ from stored records and blobs alone and simulates nothing.
 
 Every spec uses :data:`BATTERY_SEED` so overlapping cells hash identically
 across experiments; the per-experiment ``seed`` argument only feeds that
-render-side randomness.  The historical callables
-(``experiment_e1_scenario_a`` …) remain as thin wrappers over the
-definitions, and the benchmark files under ``benchmarks/`` still call them
-with the ``QUICK`` scale; ``repro paper report`` renders every experiment's
-section at any scale.
+render-side randomness.  ``repro paper report`` renders every experiment's
+section at any scale; ``repro experiment EX`` (:func:`run_experiment`)
+renders one.
 
 The paper is a theory paper without numeric tables, so each experiment
 validates a stated theorem or comparative claim; the claim is quoted in
-:data:`repro.experiments.runner.PAPER_CLAIMS` (and so in each report section)
-and repeated in each definition's docstring.
+:data:`repro.experiments.runner.PAPER_CLAIMS` (and so in each report section).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -82,19 +79,7 @@ from repro.reporting.tables import TextTable
 __all__ = [
     "BATTERY_SEED",
     "DEFINITIONS",
-    "EXPERIMENTS",
     "run_experiment",
-    "experiment_e1_scenario_a",
-    "experiment_e2_scenario_b",
-    "experiment_e3_scenario_c",
-    "experiment_e4_lower_bound",
-    "experiment_e5_scenario_gap",
-    "experiment_e6_randomized",
-    "experiment_e7_matrix_structure",
-    "experiment_e8_selective_families",
-    "experiment_e9_baselines",
-    "experiment_e10_ablations",
-    "experiment_e11_global_vs_local_clock",
 ]
 
 
@@ -1277,188 +1262,6 @@ DEFINITIONS: Dict[str, ExperimentDefinition] = {
         render=_e11_render,
         default_seed=11,
     ),
-}
-
-
-# -- historical callables ----------------------------------------------------
-#
-# The single-experiment entry points predate the plan/render split and are
-# kept with their original signatures; each routes through its definition's
-# ``run`` (plan → ephemeral resolve → render), so the campaign path and the
-# direct path produce identical results by construction.
-
-
-def experiment_e1_scenario_a(
-    scale: ExperimentScale = QUICK, *, seed: int = 1, cache=None
-) -> ExperimentResult:
-    """E1: WAKEUP-WITH-S latency grows as Θ(k log(n/k) + 1) (paper Section 3).
-
-    For each ``(n, k)`` the worst latency over the adversarial pattern
-    battery (all with ``s = 0``, which Scenario A assumes known) is recorded
-    and normalized by ``k log(n/k) + 1``.  The certificate asserts the
-    normalized ratio is bounded by a fixed constant across the sweep, and the
-    model fit confirms ``k log(n/k)`` explains the data better than the
-    neighbouring candidates (``k``, ``k log n``).
-    """
-    return DEFINITIONS["E1"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e2_scenario_b(
-    scale: ExperimentScale = QUICK, *, seed: int = 2, cache=None
-) -> ExperimentResult:
-    """E2: WAKEUP-WITH-K latency grows as Θ(k log(n/k) + 1) (paper Section 4).
-
-    Same sweep as E1, but the protocol only knows ``k`` (not ``s``) and the
-    battery additionally contains the adversarial patterns that wake stations
-    just after a selective-family boundary — the worst case for the
-    ``wait_and_go`` waiting rule.
-    """
-    return DEFINITIONS["E2"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e3_scenario_c(
-    scale: ExperimentScale = QUICK, *, seed: int = 3
-) -> ExperimentResult:
-    """E3: WAKEUP(n) latency is O(k log n log log n) (paper Theorem 5.3).
-
-    The battery includes the window-boundary adversary (stations wake one
-    slot after a window starts, maximizing the forced idle time of µ).
-    Measured worst latencies are normalized by ``k log n log log n``; the
-    certificate asserts a uniform constant.
-    """
-    return DEFINITIONS["E3"].run(scale, seed=seed)
-
-
-def experiment_e4_lower_bound(
-    scale: ExperimentScale = QUICK, *, seed: int = 4, cache=None
-) -> ExperimentResult:
-    """E4: the replacement adversary forces ≥ min{k, n-k+1} rounds (Theorem 2.1).
-
-    The adaptive adversary is run against every protocol in the library.  For
-    round-robin the worst case is also constructed exactly (the ``k`` stations
-    whose turns come last), giving a tight check; for the other protocols the
-    heuristic adversary provides an empirical floor which is compared to the
-    theoretical bound.
-    """
-    return DEFINITIONS["E4"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e5_scenario_gap(
-    scale: ExperimentScale = QUICK, *, seed: int = 5, cache=None
-) -> ExperimentResult:
-    """E5: the price of knowing nothing — Scenario C vs Scenarios A/B.
-
-    For fixed ``k`` and growing ``n`` the measured gap
-    ``latency_C / latency_A`` should track the theoretical factor
-    ``log n log log n / log(n/k)`` (paper: Scenario C is a ``Θ(log log n)``
-    factor away from optimal, and loses the ``log(n/k) → log n`` refinement).
-    """
-    return DEFINITIONS["E5"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e6_randomized(
-    scale: ExperimentScale = QUICK, *, seed: int = 6
-) -> ExperimentResult:
-    """E6: randomized protocols (Section 6) — RPD is O(log n), O(log k) with known k.
-
-    Expected latencies (mean over repeated runs) of RPD with and without the
-    knowledge of ``k``, of the Decay ablation, and of genie-tuned ALOHA are
-    compared against ``log n`` and ``log k``, and against the
-    Kushilevitz–Mansour ``Ω(log k)`` lower bound.  The classical
-    feedback-driven baselines — binary exponential backoff and tree
-    splitting, both resolved through the vectorized feedback engine on the
-    collision-detection channel — ride along for comparison (capped at the
-    horizon; they carry no certificate because they use a strictly stronger
-    channel than the paper's model).
-    """
-    return DEFINITIONS["E6"].run(scale, seed=seed)
-
-
-def experiment_e7_matrix_structure(
-    scale: ExperimentScale = QUICK, *, seed: int = 7
-) -> ExperimentResult:
-    """E7: structural reproduction of the paper's Figures 1 and 2.
-
-    Renders (a) which matrix rows a station traverses after waking (Figure 1)
-    and (b) the per-slot timeline of a small execution where stations with
-    different wake-up times transmit according to different rows of the same
-    column (Figure 2).  Also validates that the protocol-level simulation and
-    the matrix-level isolation analysis agree on the first success, and that
-    the empirical membership frequencies match the prescribed probabilities
-    ``2^-(i+ρ(j))``.
-    """
-    return DEFINITIONS["E7"].run(scale, seed=seed)
-
-
-def experiment_e8_selective_families(
-    scale: ExperimentScale = QUICK, *, seed: int = 8
-) -> ExperimentResult:
-    """E8: constructed selective-family lengths vs the O(k log(n/k)) target.
-
-    Compares the randomized (existential-style) construction and the explicit
-    Kautz–Singleton construction on length and verified selectivity, exposing
-    the price of explicitness the paper's conclusion mentions ("an efficient
-    implementation ... could require an explicit construction").
-    """
-    return DEFINITIONS["E8"].run(scale, seed=seed)
-
-
-def experiment_e9_baselines(
-    scale: ExperimentScale = QUICK, *, seed: int = 9, cache=None
-) -> ExperimentResult:
-    """E9: the paper's algorithms vs classical baselines (who wins where).
-
-    Deterministic worst-case protocols are compared against TDMA, the
-    synchronized Komlós–Greenberg schedule, tuned slotted ALOHA, binary
-    exponential backoff and tree splitting, on simultaneous and staggered
-    wake-ups.  Baselines that need collision detection or knowledge the
-    paper's model does not provide are flagged in the notes.
-    """
-    return DEFINITIONS["E9"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e10_ablations(
-    scale: ExperimentScale = QUICK, *, seed: int = 10, cache=None
-) -> ExperimentResult:
-    """E10: ablations of the protocols' design choices.
-
-    (a) Scenario C window length: 1 vs the paper's ``log log n`` vs ``log n``.
-    (b) Scenario C constant ``c``: 1, 2, 4.
-    (c) The ``wait_and_go`` waiting rule vs starting immediately
-        (Komlós–Greenberg schedule) on family-boundary adversarial wake-ups.
-    (d) Interleaving round-robin vs running the selective arm alone for
-        ``k`` close to ``n``.
-    """
-    return DEFINITIONS["E10"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e11_global_vs_local_clock(
-    scale: ExperimentScale = QUICK, *, seed: int = 11, cache=None
-) -> ExperimentResult:
-    """E11 (extension): how much does the global clock buy?
-
-    The paper's conclusions ask whether the global clock is necessary and
-    conjecture the gap to locally synchronous solutions cannot be removed.
-    This experiment runs the globally-clocked algorithms next to their
-    locally-clocked counterparts (schedules indexed by each station's own
-    wake-up-relative time) on staggered wake-ups — the regime where the
-    clocks actually differ — and reports the latency ratio.
-    """
-    return DEFINITIONS["E11"].run(scale, seed=seed, cache=cache)
-
-
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "E1": experiment_e1_scenario_a,
-    "E2": experiment_e2_scenario_b,
-    "E3": experiment_e3_scenario_c,
-    "E4": experiment_e4_lower_bound,
-    "E5": experiment_e5_scenario_gap,
-    "E6": experiment_e6_randomized,
-    "E7": experiment_e7_matrix_structure,
-    "E8": experiment_e8_selective_families,
-    "E9": experiment_e9_baselines,
-    "E10": experiment_e10_ablations,
-    "E11": experiment_e11_global_vs_local_clock,
 }
 
 

@@ -15,7 +15,7 @@ from repro.adversary import (
     adversarial_search,
     evaluation_generator,
     load_certificate,
-    read_certificate,
+    read_certificates,
     replay_certificate,
     write_certificate,
 )
@@ -51,7 +51,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         certificate = _search()
         path = write_certificate(certificate, tmp_path / "worst.json")
-        assert read_certificate(path) == certificate
+        assert read_certificates(path) == [certificate]
 
 
 class TestSchemaGate:
@@ -61,7 +61,7 @@ class TestSchemaGate:
         path = tmp_path / "future.json"
         path.write_text(json.dumps(data))
         with pytest.raises(CertificateSchemaError, match="99") as err:
-            read_certificate(path)
+            read_certificates(path)
         assert str(path) in str(err.value)
 
     def test_legacy_unmarked_certificate_is_rejected(self):
@@ -80,7 +80,7 @@ class TestSchemaGate:
         path = tmp_path / "torn.json"
         path.write_text("{not json")
         with pytest.raises(CertificateSchemaError, match="not valid JSON") as err:
-            read_certificate(path)
+            read_certificates(path)
         assert str(path) in str(err.value)
 
     def test_non_object_payload_is_rejected(self):
@@ -108,7 +108,8 @@ class TestReplay:
         # The full CLI flow: search -> export -> read back -> replay.
         certificate = _search()
         path = write_certificate(certificate, tmp_path / "cert.json")
-        assert replay_certificate(read_certificate(path)) == certificate
+        (read,) = read_certificates(path)
+        assert replay_certificate(read) == certificate
 
 
 class TestEvaluationGenerator:

@@ -2,46 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis.shape import (
-    crossover_point,
-    monotonicity_violations,
-    relative_gap,
-    who_wins,
-)
-
-
-class TestCrossoverPoint:
-    def test_no_crossover(self):
-        xs = [1, 2, 3, 4]
-        assert crossover_point(xs, [1, 2, 3, 4], [10, 10, 10, 10]) is None
-
-    def test_crossover_at_first_point(self):
-        xs = [1, 2, 3]
-        assert crossover_point(xs, [5, 6, 7], [1, 1, 1]) == 1.0
-
-    def test_interpolated_crossover(self):
-        xs = [0, 10]
-        # A goes 0 -> 10, B constant 5: crossing at x = 5.
-        assert crossover_point(xs, [0, 10], [5, 5]) == pytest.approx(5.0)
-
-    def test_round_robin_vs_selective_shape(self):
-        # The textbook picture: k log(n/k) crosses n - k + 1 somewhere below n.
-        n = 256
-        ks = list(range(2, n + 1, 2))
-        selective = [k * max(1.0, np.log2(n / k)) for k in ks]
-        round_robin = [n - k + 1 for k in ks]
-        cross = crossover_point(ks, selective, round_robin)
-        assert cross is not None
-        assert 2 < cross < n
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            crossover_point([1, 2], [1], [1, 2])
-        with pytest.raises(ValueError):
-            crossover_point([], [], [])
+from repro.analysis.shape import who_wins
 
 
 class TestWhoWins:
@@ -56,35 +19,3 @@ class TestWhoWins:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             who_wins({})
-
-
-class TestMonotonicity:
-    def test_no_violations_for_increasing(self):
-        assert monotonicity_violations([1, 2, 3], [1, 5, 9]) == []
-
-    def test_detects_dip(self):
-        assert monotonicity_violations([1, 2, 3, 4], [1, 5, 2, 6]) == [2]
-
-    def test_slack_tolerates_noise(self):
-        assert monotonicity_violations([1, 2], [100, 95], slack=0.1) == []
-        assert monotonicity_violations([1, 2], [100, 80], slack=0.1) == [1]
-
-    def test_xs_must_increase(self):
-        with pytest.raises(ValueError):
-            monotonicity_violations([1, 1], [1, 2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            monotonicity_violations([1, 2], [1])
-
-
-class TestRelativeGap:
-    def test_elementwise_ratio(self):
-        gaps = relative_gap([10, 20], [5, 4])
-        assert gaps.tolist() == [2.0, 5.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            relative_gap([1, 2], [1])
-        with pytest.raises(ValueError):
-            relative_gap([1.0], [0.0])

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis.statistics import (
-    bootstrap_confidence_interval,
-    geometric_mean,
-    summarize,
-)
+from repro.analysis.statistics import summarize
 
 
 class TestSummarize:
@@ -34,41 +29,3 @@ class TestSummarize:
         d = stats.as_dict()
         assert d["count"] == 2 and d["mean"] == pytest.approx(3.0)
         assert set(d) == {"count", "mean", "std", "min", "median", "p90", "max"}
-
-
-class TestBootstrap:
-    def test_interval_contains_mean_for_tight_data(self):
-        data = [10.0] * 50
-        lo, hi = bootstrap_confidence_interval(data, rng=0)
-        assert lo == pytest.approx(10.0)
-        assert hi == pytest.approx(10.0)
-
-    def test_interval_ordering_and_coverage(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(5.0, 1.0, size=200)
-        lo, hi = bootstrap_confidence_interval(data, rng=2, resamples=500)
-        assert lo < hi
-        assert lo < 5.2 and hi > 4.8
-
-    def test_custom_statistic(self):
-        data = [1, 2, 3, 100]
-        lo, hi = bootstrap_confidence_interval(data, statistic=np.median, rng=0, resamples=200)
-        assert hi <= 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([], rng=0)
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([1.0], confidence=1.5, rng=0)
-
-
-class TestGeometricMean:
-    def test_value(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        assert geometric_mean([2, 2, 2]) == pytest.approx(2.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -8,7 +8,6 @@ import pytest
 from repro.combinatorics.selectors import (
     SetFamily,
     binary_selector,
-    power_of_two_blocks,
     singleton_family,
     strongly_selective_family,
 )
@@ -99,19 +98,6 @@ class TestBinarySelector:
         for s in fam:
             appearing |= s
         assert appearing == set(range(1, 11))
-
-
-class TestPowerOfTwoBlocks:
-    def test_blocks_cover_and_double(self):
-        blocks = power_of_two_blocks(20)
-        assert blocks[0] == (1, 1)
-        assert blocks[1] == (2, 3)
-        assert blocks[2] == (4, 7)
-        # Coverage without overlap.
-        covered = []
-        for lo, hi in blocks:
-            covered.extend(range(lo, hi + 1))
-        assert covered == list(range(1, 21))
 
 
 class TestStronglySelectiveFamily:

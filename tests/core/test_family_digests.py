@@ -83,11 +83,6 @@ def test_concatenated_random_digest(n, max_k, seed):
     assert _digest(families) == CONCAT_DIGESTS[n, max_k, seed]
 
 
-def test_concatenated_greedy_digest():
-    families = concatenated_families(8, 4, method="greedy", rng=0)
-    assert _digest(families) == "4928821360307720"
-
-
 def test_concatenated_explicit_digest():
     families = concatenated_families(32, 8, method="explicit")
     assert _digest(families) == "d4ee0e80ec4cd940"

@@ -7,10 +7,8 @@ import pytest
 from repro._util import ceil_log2
 from repro.combinatorics.verification import exhaustive_selectivity_check
 from repro.core.selective import (
-    build_selective_family,
     concatenated_families,
     explicit_selective_family,
-    greedy_selective_family,
     random_selective_family,
     selective_family_target_length,
 )
@@ -75,26 +73,6 @@ class TestRandomSelectiveFamily:
             assert fam.selects(contenders.tolist())
 
 
-class TestGreedySelectiveFamily:
-    def test_is_exhaustively_selective(self):
-        fam = greedy_selective_family(10, 4, rng=0)
-        assert exhaustive_selectivity_check(fam.family, 4)
-        assert fam.method == "greedy"
-
-    def test_guard_on_large_instances(self):
-        with pytest.raises(ValueError):
-            greedy_selective_family(200, 20, rng=0)
-
-    def test_reasonable_length(self):
-        fam = greedy_selective_family(12, 4, rng=0)
-        # Greedy should not be wildly longer than the randomized construction.
-        assert fam.length <= selective_family_target_length(12, 4) * 2
-
-    def test_k_one(self):
-        fam = greedy_selective_family(6, 1)
-        assert fam.method == "singleton"
-
-
 class TestExplicitSelectiveFamily:
     def test_construction_and_metadata(self):
         fam = explicit_selective_family(32, 4)
@@ -107,17 +85,6 @@ class TestExplicitSelectiveFamily:
             size = int(rng.integers(2, 5))
             contenders = rng.choice(32, size=size, replace=False) + 1
             assert fam.selects(contenders.tolist())
-
-
-class TestBuildDispatch:
-    def test_dispatch_by_name(self):
-        assert build_selective_family(16, 2, method="random", rng=0).method == "random"
-        assert build_selective_family(10, 2, method="greedy", rng=0).method == "greedy"
-        assert build_selective_family(16, 2, method="explicit").method == "explicit"
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            build_selective_family(16, 2, method="magic")
 
 
 class TestConcatenatedFamilies:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.cache import FamilyCache
 from repro.experiments.config import ExperimentScale
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import DEFINITIONS, run_experiment
 from repro.experiments.runner import ExperimentResult
 
 #: A deliberately tiny scale so the whole registry runs in seconds.
@@ -28,7 +28,7 @@ def cache():
 
 class TestRegistry:
     def test_registry_lists_all_experiments(self):
-        assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 12)}
+        assert set(DEFINITIONS) == {f"E{i}" for i in range(1, 12)}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):

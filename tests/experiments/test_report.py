@@ -27,9 +27,9 @@ def tiny_e8():
 
 class TestPaperClaims:
     def test_every_experiment_has_a_claim(self):
-        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.registry import DEFINITIONS
 
-        assert set(PAPER_CLAIMS) == set(EXPERIMENTS)
+        assert set(PAPER_CLAIMS) == set(DEFINITIONS)
 
 
 class TestCampaignReport:

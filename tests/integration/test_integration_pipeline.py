@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.certificates import check_upper_bound
 from repro.analysis.fitting import best_model
-from repro.analysis.shape import crossover_point
 from repro.channel.adversary import simultaneous_pattern
 from repro.channel.simulator import run_deterministic
 from repro.core.lower_bounds import scenario_ab_bound
@@ -96,6 +95,3 @@ class TestCrossoverStory:
         # Round-robin's worst case shrinks as k grows while the selective arm's grows,
         # so round robin must win at k = n.
         assert round_robin_latency[-1] <= selective_latency[-1]
-        cross = crossover_point(ks, selective_latency, round_robin_latency)
-        # There is a finite crossover at or below k = n.
-        assert cross is None or cross <= n

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import DoublingRoundRobin, TDMA, KomlosGreenberg
+from repro.baselines import TDMA, KomlosGreenberg
 from repro.core.local_clock import LocalClockScenarioC, LocalClockWakeup
 from repro.core.round_robin import RoundRobin
 from repro.core.scenario_a import SelectAmongTheFirst, WakeupWithS
@@ -40,7 +40,6 @@ PROTOCOLS = [
     KomlosGreenberg(N, 4, families=_FAMILIES_K4),
     WakeupProtocol(N, seed=5),
     InterleavedProtocol([RoundRobin(N), WakeupProtocol(N, seed=5)]),
-    DoublingRoundRobin(N),
     LocalClockWakeup(N, 4, families=_FAMILIES_K4),
     LocalClockScenarioC(N, seed=5),
 ]

@@ -154,6 +154,31 @@ class TestPaperCommand:
         assert "## E7" in text and "## E8" in text
         assert "Campaign manifest" in text
 
+    def test_report_on_stdout_is_the_report_alone(self, capsys, tmp_path, monkeypatch):
+        # Progress lines go to stderr, so stdout is what --output writes plus
+        # print's newline.  The manifest carries wall-clock times, so each
+        # run's text is taken from the renderer and the two compared up to it.
+        import repro.cli
+
+        rendered = []
+        render = repro.cli.render_campaign_report
+        monkeypatch.setattr(
+            repro.cli, "render_campaign_report",
+            lambda result: rendered.append(render(result)) or rendered[-1],
+        )
+        argv = ["paper", "report", "--scale", "quick", "--store", "",
+                "--experiments", "E4"]
+        output = tmp_path / "report.md"
+        assert main([*argv, "--output", str(output)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert output.read_text() == rendered[0]
+        assert captured.out == rendered[1] + "\n"
+        assert captured.err.count("resolved ") == 5
+        manifest = "## Campaign manifest"
+        assert captured.out.split(manifest)[0] == rendered[0].split(manifest)[0]
+
     def test_export_writes_rows(self, capsys, tmp_path):
         export = tmp_path / "rows.json"
         exit_code = main(
@@ -592,6 +617,38 @@ class TestAdversaryCommand:
         cert.write_text(json.dumps(data))
         assert main(["adversary", "replay", "--certificate", str(cert)]) == 1
         assert "REPLAY MISMATCH" in capsys.readouterr().out
+
+    WORST_CASE = [
+        "sweep", "worst-case", "--protocols", "round-robin", "scenario-b",
+        "--n-values", "16", "--k-values", "4", "--trials", "4",
+    ]
+
+    def test_replay_reads_a_worst_case_json_export(self, capsys, tmp_path):
+        export = tmp_path / "wc.json"
+        assert main([*self.WORST_CASE, "--export", str(export)]) == 0
+        capsys.readouterr()
+        assert main(["adversary", "replay", "--certificate", str(export)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("replay OK") == 2
+        assert out.count("recorded:") == out.count("replayed:") == 2
+
+    def test_replay_export_fails_if_any_row_mismatches(self, capsys, tmp_path):
+        export = tmp_path / "wc.json"
+        assert main([*self.WORST_CASE, "--export", str(export)]) == 0
+        capsys.readouterr()
+        rows = json.loads(export.read_text())
+        rows[1]["latency"] += 1
+        export.write_text(json.dumps(rows))
+        assert main(["adversary", "replay", "--certificate", str(export)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("replay OK") == 1 and out.count("REPLAY MISMATCH") == 1
+        del rows[1]["schema"]
+        export.write_text(json.dumps(rows))
+        assert main(["adversary", "replay", "--certificate", str(export)]) == 2
+        assert f"{export}[1]" in capsys.readouterr().err
+        export.write_text("[]")
+        assert main(["adversary", "replay", "--certificate", str(export)]) == 2
+        assert "holds no certificates" in capsys.readouterr().err
 
     def test_replay_corrupt_certificate_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "torn.json"

@@ -10,14 +10,35 @@ import pytest
 import repro
 
 
+#: The sub-packages (and the CLI module) of the public surface.
+SUBMODULES = (
+    "repro.channel",
+    "repro.combinatorics",
+    "repro.core",
+    "repro.baselines",
+    "repro.analysis",
+    "repro.reporting",
+    "repro.experiments",
+    "repro.engine",
+    "repro.workloads",
+    "repro.sweeps",
+    "repro.adversary",
+    "repro.service",
+    "repro.cli",
+)
+
+
 class TestPublicSurface:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
 
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        # A name left in some __all__ after its definition is deleted breaks
+        # `from <module> import *`; check every module of the surface.
+        for module in (repro, *map(importlib.import_module, SUBMODULES)):
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_scenario_classes_exported(self):
         assert repro.WakeupWithS.name == "wakeup-with-s"
@@ -31,21 +52,7 @@ class TestPublicSurface:
         assert result.solved and result.winner is not None
 
     def test_submodules_importable(self):
-        for module in (
-            "repro.channel",
-            "repro.combinatorics",
-            "repro.core",
-            "repro.baselines",
-            "repro.analysis",
-            "repro.reporting",
-            "repro.experiments",
-            "repro.engine",
-            "repro.workloads",
-            "repro.sweeps",
-            "repro.adversary",
-            "repro.service",
-            "repro.cli",
-        ):
+        for module in SUBMODULES:
             assert importlib.import_module(module) is not None
 
     def test_bound_helpers_exported(self):
@@ -54,7 +61,7 @@ class TestPublicSurface:
         assert repro.scenario_c_bound(64, 4) > repro.scenario_ab_bound(64, 4)
 
     def test_experiment_registry_exported(self):
-        assert "E1" in repro.EXPERIMENTS
+        assert "E1" in repro.DEFINITIONS
         assert callable(repro.run_experiment)
         assert repro.QUICK.name == "quick"
 
