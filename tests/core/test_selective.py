@@ -79,6 +79,12 @@ class TestExplicitSelectiveFamily:
         assert fam.method == "explicit"
         assert fam.verified == "constructive"
 
+    @pytest.mark.parametrize(("n", "k"), [(8, 2), (8, 4), (12, 3), (16, 4)])
+    def test_is_exhaustively_selective(self, n, k):
+        fam = explicit_selective_family(n, k)
+        assert (fam.n, fam.k) == (n, k)
+        assert exhaustive_selectivity_check(fam.family, k)
+
     def test_is_selective_on_samples(self, rng):
         fam = explicit_selective_family(32, 4)
         for _ in range(30):
@@ -106,6 +112,14 @@ class TestConcatenatedFamilies:
         fams = concatenated_families(128, 64, rng=0)
         lengths = [f.length for f in fams]
         assert lengths == sorted(lengths)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_explicit_method(self, n):
+        fams = concatenated_families(n, n, method="explicit")
+        assert [f.k for f in fams] == [min(2**j, n) for j in range(1, ceil_log2(n) + 1)]
+        for fam in fams:
+            assert fam.method == "explicit"
+            assert exhaustive_selectivity_check(fam.family, fam.k)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

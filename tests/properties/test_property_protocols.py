@@ -16,7 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import TDMA, KomlosGreenberg
-from repro.core.local_clock import LocalClockScenarioC, LocalClockWakeup
+from repro.core.local_clock import (
+    LocalClockScenarioC,
+    LocalClockWakeup,
+    local_clock_wakeup_with_round_robin,
+)
 from repro.core.round_robin import RoundRobin
 from repro.core.scenario_a import SelectAmongTheFirst, WakeupWithS
 from repro.core.scenario_b import WaitAndGo, WakeupWithK
@@ -27,6 +31,7 @@ from repro.core.selective import concatenated_families
 N = 16
 _FAMILIES = concatenated_families(N, N, rng=99)
 _FAMILIES_K4 = _FAMILIES[:2]
+_EXPLICIT_K4 = concatenated_families(N, 4, method="explicit")
 
 #: Every deterministic protocol in the library, instantiated on the same universe.
 PROTOCOLS = [
@@ -42,6 +47,28 @@ PROTOCOLS = [
     InterleavedProtocol([RoundRobin(N), WakeupProtocol(N, seed=5)]),
     LocalClockWakeup(N, 4, families=_FAMILIES_K4),
     LocalClockScenarioC(N, seed=5),
+    # Variants of the above: a known first slot s > 0, the explicit
+    # construction, the non-cyclic local schedule, the E11 hybrid and a
+    # non-default Scenario C matrix (the E10 window ablation).
+    SelectAmongTheFirst(N, s=7, families=_FAMILIES),
+    WakeupWithS(N, s=7, families=_FAMILIES),
+    WakeupWithK(N, 4, families=_EXPLICIT_K4),
+    LocalClockWakeup(N, 4, families=_FAMILIES_K4, cyclic=False),
+    local_clock_wakeup_with_round_robin(N, 4, families=_FAMILIES_K4),
+    WakeupProtocol(N, c=3, window=4, seed=5),
+]
+
+#: Protocols whose schedule is indexed by the station's own clock (rounds
+#: since its wake-up), and protocols indexed by the global slot number.
+LOCAL_CLOCK_PROTOCOLS = [
+    LocalClockWakeup(N, 4, families=_FAMILIES_K4),
+    LocalClockWakeup(N, 4, families=_FAMILIES_K4, cyclic=False),
+    LocalClockScenarioC(N, seed=5),
+]
+GLOBAL_CLOCK_PROTOCOLS = [
+    RoundRobin(N),
+    TDMA(N, frame=N + 3),
+    KomlosGreenberg(N, 4, families=_FAMILIES_K4),
 ]
 
 station_strategy = st.integers(min_value=1, max_value=N)
@@ -78,3 +105,31 @@ class TestProtocolInvariants:
         if slots.size:
             assert slots.min() >= max(start, wake)
             assert slots.max() < stop
+
+
+@pytest.mark.parametrize("protocol", LOCAL_CLOCK_PROTOCOLS, ids=lambda p: p.describe())
+@given(station=station_strategy, wake=wake_strategy, window=window_strategy)
+@settings(max_examples=25, deadline=None)
+def test_local_clock_schedule_counts_from_wakeup(protocol, station, wake, window):
+    # Waking later shifts the whole schedule: the station transmits in its
+    # local round r whatever the global slot of its wake-up.
+    start, length = window
+    shifted = protocol.transmit_slots(station, wake, wake + start, wake + start + length)
+    anchored = protocol.transmit_slots(station, 0, start, start + length)
+    assert shifted.tolist() == (anchored + wake).tolist()
+
+
+@pytest.mark.parametrize("protocol", GLOBAL_CLOCK_PROTOCOLS, ids=lambda p: p.describe())
+@given(
+    station=station_strategy,
+    wakes=st.tuples(wake_strategy, wake_strategy),
+    length=st.integers(min_value=1, max_value=120),
+)
+@settings(max_examples=25, deadline=None)
+def test_global_clock_schedule_ignores_wakeup(protocol, station, wakes, length):
+    # Once awake, a station follows the global slot number: two wake-ups
+    # of one station agree on every slot after the later of them.
+    early, late = sorted(wakes)
+    a = protocol.transmit_slots(station, early, late, late + length)
+    b = protocol.transmit_slots(station, late, late, late + length)
+    assert a.tolist() == b.tolist()

@@ -33,12 +33,13 @@ class TestPublicSurface:
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
 
-    def test_all_names_resolve(self):
+    @pytest.mark.parametrize("module_name", ("repro", *SUBMODULES))
+    def test_all_names_resolve(self, module_name):
         # A name left in some __all__ after its definition is deleted breaks
         # `from <module> import *`; check every module of the surface.
-        for module in (repro, *map(importlib.import_module, SUBMODULES)):
-            for name in getattr(module, "__all__", ()):
-                assert hasattr(module, name), f"{module.__name__}.{name}"
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module_name}.{name}"
 
     def test_scenario_classes_exported(self):
         assert repro.WakeupWithS.name == "wakeup-with-s"
@@ -51,9 +52,9 @@ class TestPublicSurface:
         result = repro.run_deterministic(protocol, pattern)
         assert result.solved and result.winner is not None
 
-    def test_submodules_importable(self):
-        for module in SUBMODULES:
-            assert importlib.import_module(module) is not None
+    @pytest.mark.parametrize("module_name", SUBMODULES)
+    def test_submodules_importable(self, module_name):
+        assert importlib.import_module(module_name).__name__ == module_name
 
     def test_bound_helpers_exported(self):
         assert repro.trivial_lower_bound(16, 4) == 4
