@@ -47,6 +47,7 @@ from repro.adversary.certificates import (
 )
 from repro.adversary.strategies import STRATEGIES, get_strategy
 from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
+from repro.sweeps.runner import WorkerPool
 from repro.sweeps.spec import ParamItems, _freeze_params
 
 __all__ = [
@@ -277,24 +278,22 @@ def _evaluate(
     step: int,
     patterns: List[WakeupPattern],
     *,
-    workers: int,
+    pool: WorkerPool,
     protocol,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve one step's population, serially or sharded across processes."""
-    if workers <= 1 or len(patterns) <= 1:
+    """Resolve one step's population, in-process or sharded across the pool."""
+    if not pool.processes:
         return _resolve_patterns(spec, spec_hash, step, patterns, 0, protocol)
 
-    from repro.sweeps.runner import map_jobs
-
     spec_dict = spec.as_dict()
-    shards = min(workers, len(patterns))
+    shards = min(pool.processes, len(patterns))
     bounds = np.linspace(0, len(patterns), shards + 1, dtype=int)
-    jobs = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            encoded = [encode_wake_times(p.wake_times) for p in patterns[lo:hi]]
-            jobs.append((spec_dict, spec_hash, step, int(lo), encoded))
-    parts = map_jobs(_evaluate_job, jobs, workers=workers)
+    encoded = [encode_wake_times(p.wake_times) for p in patterns]
+    jobs = [
+        (spec_dict, spec_hash, step, int(lo), encoded[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    parts = pool.map(_evaluate_job, jobs)
     effective = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in parts])
     latency = np.concatenate([np.asarray(p[1], dtype=np.int64) for p in parts])
     solved = np.concatenate([np.asarray(p[2], dtype=bool) for p in parts])
@@ -354,8 +353,9 @@ def adversarial_search(
         :class:`~repro.sweeps.store.StoreSchemaError` naming the blob file.
     workers:
         ``<= 1`` resolves each step's population in-process; larger values
-        shard it across worker processes via
-        :func:`~repro.sweeps.runner.map_jobs`.  The result is bit-for-bit
+        shard it across the processes of one
+        :class:`~repro.sweeps.runner.WorkerPool`, opened for the whole
+        search and closed when it ends or aborts.  The result is bit-for-bit
         identical either way.
     progress:
         Optional ``progress(step, evaluated, best_latency)`` hook fired after
@@ -399,11 +399,8 @@ def adversarial_search(
             if data.get("best") is not None:
                 best = load_certificate(data["best"], source=str(path))
 
-    protocol = None
-    if workers <= 1:
-        protocol = _build_spec_protocol(spec, cache=cache)
-
-    with obs.span(
+    protocol = _build_spec_protocol(spec, cache=cache) if workers <= 1 else None
+    with WorkerPool(workers if workers > 1 else 0) as pool, obs.span(
         "adversary.search",
         protocol=spec.protocol,
         strategy=spec.strategy,
@@ -419,7 +416,7 @@ def adversarial_search(
             else:
                 patterns, meta = strategy.propose(spec, state, step, count, rng)
             effective, latency, solved = _evaluate(
-                spec, spec_hash, step, patterns, workers=workers, protocol=protocol
+                spec, spec_hash, step, patterns, pool=pool, protocol=protocol
             )
             index = int(np.argmax(effective))  # earliest candidate wins ties
             value = int(effective[index])

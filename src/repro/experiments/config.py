@@ -45,12 +45,11 @@ class ExperimentScale:
     adversary_trials:
         Number of random patterns tried by the worst-case search.
     workers:
-        Worker processes the multi-config experiment sweeps (E3/E5/E10/E11)
-        shard their per-config measurements across, via
-        :func:`repro.sweeps.runner.map_jobs`.  ``0``/``1`` resolves configs
-        serially; results are identical either way (the sweeps are
-        deterministic), so the default quick scale stays serial to keep CI
-        free of process-pool overhead.
+        Worker processes the campaign's resolve phase shards its specs
+        across, via :func:`repro.sweeps.runner.map_jobs`.  ``0``/``1``
+        resolves configs serially; results are identical either way (the
+        sweeps are deterministic), so the default quick scale stays serial to
+        keep CI free of process-pool overhead.
     """
 
     name: str

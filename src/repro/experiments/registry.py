@@ -37,7 +37,7 @@ validates a stated theorem or comparative claim; the claim is quoted in
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -159,22 +159,72 @@ def _battery(
     return specs
 
 
-def _growth_fit_note(points: List[Tuple[int, int, float]], *, small_k: bool) -> str:
-    """The best-model note E1/E2/E3 append, optionally on the k <= n/4 regime."""
-    if small_k:
+def _upper_bound_experiment(
+    experiment: str,
+    title: str,
+    cells: Callable[[ExperimentScale], List[Tuple[int, int, List[MeasurementSpec]]]],
+    *,
+    bound: Callable[[int, int], float],
+    bound_header: str,
+    protocol: str,
+    table_key: str,
+    claim: str,
+    tolerance: float,
+    small_k: bool,
+    default_seed: int,
+) -> ExperimentDefinition:
+    """E1–E3: each ``(n, k)`` cell's worst latency against an upper bound.
+
+    ``cells(scale)`` lists ``(n, k, specs)``; a cell's latency is the worst
+    over its specs.  The render tabulates it beside ``bound(n, k)``,
+    certifies ``claim`` within ``tolerance`` and notes the best-fitting
+    growth model (on the k <= n/4 regime when ``small_k``).
+    """
+
+    def plan(scale: ExperimentScale) -> List[MeasurementSpec]:
+        return [spec for _, _, specs in cells(scale) for spec in specs]
+
+    def render(
+        resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    ) -> ExperimentResult:
+        result = ExperimentResult(experiment=experiment, title=title, scale=scale.name)
+        table = TextTable(["n", "k", "worst latency", bound_header, "ratio"])
+        points: List[Tuple[int, int, float]] = []
+        for n, k, specs in cells(scale):
+            latency = resolved.worst(*specs)
+            value = bound(n, k)
+            ratio = latency / value
+            table.add_row([n, k, latency, value, ratio])
+            points.append((n, k, float(max(1, latency))))
+            result.rows.append(
+                {
+                    "experiment": experiment,
+                    "protocol": protocol,
+                    "n": n,
+                    "k": k,
+                    "latency": latency,
+                    "bound": value,
+                    "ratio": ratio,
+                }
+            )
+        result.tables[table_key] = table.render()
+        result.certificates.append(
+            check_upper_bound(points, bound, claim=claim, tolerance=tolerance)
+        )
         # Beyond k ~ n/4 the interleaved round-robin arm takes over (the
         # paper's min{n-k+1, ...} regime) and no single monotone model
         # describes the whole sweep.
-        restricted = [(n, k, y) for (n, k, y) in points if k <= n // 4]
-        fit = best_model(restricted or points)
-        return (
-            f"best-fitting growth model on the k <= n/4 regime: {fit.model.name} "
+        fitted = [(n, k, y) for (n, k, y) in points if k <= n // 4] if small_k else []
+        fit = best_model(fitted or points)
+        regime = " on the k <= n/4 regime" if small_k else ""
+        result.notes.append(
+            f"best-fitting growth model{regime}: {fit.model.name} "
             f"(constant {fit.constant:.2f}, residual {fit.residual:.3f})"
         )
-    fit = best_model(points)
-    return (
-        f"best-fitting growth model: {fit.model.name} "
-        f"(constant {fit.constant:.2f}, residual {fit.residual:.3f})"
+        return result
+
+    return ExperimentDefinition(
+        experiment, title=title, plan=plan, render=render, default_seed=default_seed
     )
 
 
@@ -189,50 +239,6 @@ def _e1_cells(scale: ExperimentScale):
         for n in scale.n_values
         for k in scale.k_values(n)
     ]
-
-
-def _e1_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e1_cells(scale) for spec in specs]
-
-
-def _e1_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E1",
-        title="Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
-        scale=scale.name,
-    )
-    table = TextTable(["n", "k", "worst latency", "k log(n/k)+1", "ratio"])
-    points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e1_cells(scale):
-        latency = resolved.worst(*specs)
-        bound = scenario_ab_bound(n, k)
-        ratio = latency / bound
-        table.add_row([n, k, latency, bound, ratio])
-        points.append((n, k, float(max(1, latency))))
-        result.rows.append(
-            {
-                "experiment": "E1",
-                "protocol": "wakeup_with_s",
-                "n": n,
-                "k": k,
-                "latency": latency,
-                "bound": bound,
-                "ratio": ratio,
-            }
-        )
-    result.tables["scenario_a_latency"] = table.render()
-    result.certificates.append(
-        check_upper_bound(
-            points,
-            scenario_ab_bound,
-            claim="wakeup_with_s latency = O(k log(n/k) + 1)",
-            tolerance=48.0,
-        )
-    )
-    result.notes.append(_growth_fit_note(points, small_k=True))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -257,50 +263,6 @@ def _e2_cells(scale: ExperimentScale):
     return cells
 
 
-def _e2_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e2_cells(scale) for spec in specs]
-
-
-def _e2_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E2",
-        title="Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
-        scale=scale.name,
-    )
-    table = TextTable(["n", "k", "worst latency", "k log(n/k)+1", "ratio"])
-    points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e2_cells(scale):
-        latency = resolved.worst(*specs)
-        bound = scenario_ab_bound(n, k)
-        ratio = latency / bound
-        table.add_row([n, k, latency, bound, ratio])
-        points.append((n, k, float(max(1, latency))))
-        result.rows.append(
-            {
-                "experiment": "E2",
-                "protocol": "wakeup_with_k",
-                "n": n,
-                "k": k,
-                "latency": latency,
-                "bound": bound,
-                "ratio": ratio,
-            }
-        )
-    result.tables["scenario_b_latency"] = table.render()
-    result.certificates.append(
-        check_upper_bound(
-            points,
-            scenario_ab_bound,
-            claim="wakeup_with_k latency = O(k log(n/k) + 1)",
-            tolerance=64.0,
-        )
-    )
-    result.notes.append(_growth_fit_note(points, small_k=True))
-    return result
-
-
 # ---------------------------------------------------------------------------
 # E3 — Scenario C
 # ---------------------------------------------------------------------------
@@ -319,50 +281,6 @@ def _e3_cells(scale: ExperimentScale):
             )
             cells.append((n, k, specs))
     return cells
-
-
-def _e3_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e3_cells(scale) for spec in specs]
-
-
-def _e3_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E3",
-        title="Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
-        scale=scale.name,
-    )
-    table = TextTable(["n", "k", "worst latency", "k·logn·loglogn", "ratio"])
-    points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e3_cells(scale):
-        latency = resolved.worst(*specs)
-        bound = scenario_c_bound(n, k)
-        ratio = latency / bound
-        table.add_row([n, k, latency, bound, ratio])
-        points.append((n, k, float(max(1, latency))))
-        result.rows.append(
-            {
-                "experiment": "E3",
-                "protocol": "wakeup_scenario_c",
-                "n": n,
-                "k": k,
-                "latency": latency,
-                "bound": bound,
-                "ratio": ratio,
-            }
-        )
-    result.tables["scenario_c_latency"] = table.render()
-    result.certificates.append(
-        check_upper_bound(
-            points,
-            scenario_c_bound,
-            claim="wakeup(n) latency = O(k log n log log n)",
-            tolerance=32.0,
-        )
-    )
-    result.notes.append(_growth_fit_note(points, small_k=False))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1185,25 +1103,43 @@ def _e11_render(
 
 #: The declarative registry: the campaign driver iterates these in order.
 DEFINITIONS: Dict[str, ExperimentDefinition] = {
-    "E1": ExperimentDefinition(
+    "E1": _upper_bound_experiment(
         "E1",
-        title="Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
-        plan=_e1_plan,
-        render=_e1_render,
+        "Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
+        _e1_cells,
+        bound=scenario_ab_bound,
+        bound_header="k log(n/k)+1",
+        protocol="wakeup_with_s",
+        table_key="scenario_a_latency",
+        claim="wakeup_with_s latency = O(k log(n/k) + 1)",
+        tolerance=48.0,
+        small_k=True,
         default_seed=1,
     ),
-    "E2": ExperimentDefinition(
+    "E2": _upper_bound_experiment(
         "E2",
-        title="Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
-        plan=_e2_plan,
-        render=_e2_render,
+        "Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
+        _e2_cells,
+        bound=scenario_ab_bound,
+        bound_header="k log(n/k)+1",
+        protocol="wakeup_with_k",
+        table_key="scenario_b_latency",
+        claim="wakeup_with_k latency = O(k log(n/k) + 1)",
+        tolerance=64.0,
+        small_k=True,
         default_seed=2,
     ),
-    "E3": ExperimentDefinition(
+    "E3": _upper_bound_experiment(
         "E3",
-        title="Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
-        plan=_e3_plan,
-        render=_e3_render,
+        "Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
+        _e3_cells,
+        bound=scenario_c_bound,
+        bound_header="k·logn·loglogn",
+        protocol="wakeup_scenario_c",
+        table_key="scenario_c_latency",
+        claim="wakeup(n) latency = O(k log n log log n)",
+        tolerance=32.0,
+        small_k=False,
         default_seed=3,
     ),
     "E4": ExperimentDefinition(

@@ -18,7 +18,7 @@ Three public surfaces:
 * **collection** (:mod:`repro.obs.core`) — nestable timing spans, named
   counters and gauges, a JSONL event sink, an end-of-run manifest, and the
   :func:`capture`/:func:`merge_snapshot` pair that aggregates worker-process
-  measurements back into the parent (see :func:`repro.sweeps.runner.map_jobs`);
+  measurements back into the parent (see :class:`repro.sweeps.runner.WorkerPool`);
 * **trace analytics** (:mod:`repro.obs.report`) — summarize a JSONL trace:
   top spans by cumulative time, counter totals, configs/sec;
 * **bench-trajectory analytics** (:mod:`repro.obs.bench`) — diff

@@ -20,10 +20,12 @@ Three kinds of measurements, with different determinism guarantees:
 * **timings** — per-span wall-clock aggregates ``(count, total_s, max_s)``,
   collected by :func:`span`.
 
-Cross-process aggregation uses :func:`capture`: a worker swaps in a fresh
-in-memory state around one job, returns the resulting :func:`snapshot`, and
-the parent folds it back with :func:`merge_snapshot`.  Because counters and
-gauges are additive, merge order cannot change totals.  The capture state
+Cross-process aggregation uses :func:`capture`: a worker collects one job
+into a fresh in-memory state, returns the resulting :func:`snapshot`, and
+the parent folds it back with :func:`merge_snapshot`.  Under an active
+session a capture takes only its own thread's measurements, so a job run
+inline in one serving thread never swallows another's.  Because counters
+and gauges are additive, merge order cannot change totals.  The capture state
 never opens a sink, so a forked worker can never interleave writes into the
 parent's trace file; the manifest writer additionally checks the owning PID
 so worker ``atexit`` hooks cannot clobber the parent's manifest.
@@ -101,6 +103,7 @@ class ObsState:
         "span_calls",
         "counter_calls",
         "_lock",
+        "captures",
     )
 
     def __init__(self, trace_path: Optional[Union[str, Path]] = None) -> None:
@@ -120,6 +123,8 @@ class ObsState:
         self.span_calls = 0
         self.counter_calls = 0
         self._lock = threading.Lock()
+        #: thread ident -> the capture that thread installed over this state
+        self.captures: Dict[int, "ObsState"] = {}
 
     # -- event sink ----------------------------------------------------------
 
@@ -238,6 +243,11 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _route(state: ObsState) -> ObsState:
+    """The capture the calling thread installed over ``state``, else ``state``."""
+    return state.captures.get(threading.get_ident(), state)
+
+
 def manifest_path_for(trace_path: Union[str, Path]) -> Path:
     """Where the manifest of a given trace file is written."""
     trace_path = Path(trace_path)
@@ -292,6 +302,8 @@ def add(name: str, value: int = 1) -> None:
     state = _STATE
     if state is None:
         return
+    if state.captures:
+        state = _route(state)
     with state._lock:
         state.counter_calls += 1
         state.counters[name] = state.counters.get(name, 0) + int(value)
@@ -302,6 +314,8 @@ def gauge(name: str, value: float = 1.0) -> None:
     state = _STATE
     if state is None:
         return
+    if state.captures:
+        state = _route(state)
     with state._lock:
         state.counter_calls += 1
         state.gauges[name] = state.gauges.get(name, 0.0) + float(value)
@@ -368,6 +382,8 @@ def span(name: str, **attrs) -> Union[_NullSpan, _Span]:
     state = _STATE
     if state is None:
         return _NULL_SPAN
+    if state.captures:
+        state = _route(state)
     with state._lock:
         state.span_calls += 1
     return _Span(state, name, attrs)
@@ -378,7 +394,7 @@ def event(type_: str, **fields) -> None:
     state = _STATE
     if state is None:
         return
-    state.emit({"type": type_, **fields})
+    _route(state).emit({"type": type_, **fields})
 
 
 def annotate(key: str, value: object) -> None:
@@ -386,6 +402,7 @@ def annotate(key: str, value: object) -> None:
     state = _STATE
     if state is None:
         return
+    state = _route(state)
     with state._lock:
         state.meta[key] = value
 
@@ -393,7 +410,7 @@ def annotate(key: str, value: object) -> None:
 def snapshot() -> Optional[Dict[str, dict]]:
     """Plain-data copy of the active aggregates, or ``None`` when disabled."""
     state = _STATE
-    return None if state is None else state.snapshot()
+    return None if state is None else _route(state).snapshot()
 
 
 def merge_snapshot(snap: Dict[str, dict]) -> None:
@@ -401,7 +418,7 @@ def merge_snapshot(snap: Dict[str, dict]) -> None:
     state = _STATE
     if state is None:
         return
-    state.merge(snap)
+    _route(state).merge(snap)
 
 
 @contextmanager
@@ -409,20 +426,31 @@ def capture() -> Iterator[ObsState]:
     """Collect into a fresh in-memory state for the duration of the block.
 
     The capture state has no sink, so nothing inside the block can write
-    events — the sweep workers run their jobs under a capture and ship the
-    resulting :meth:`ObsState.snapshot` back to the parent, which keeps
-    traces worker-count invariant in totals and free of interleaved writes.
-    The previous state (if any) is restored on exit; merging the snapshot is
-    the caller's decision.
+    events — :class:`~repro.sweeps.runner.WorkerPool` runs each job under a
+    capture and merges the resulting :meth:`ObsState.snapshot` in the
+    calling process, which keeps traces worker-count invariant in totals and
+    free of interleaved writes.  Under an active session the capture takes
+    only the calling thread's measurements; without one it is installed
+    process-wide.  The previous state is restored on exit; merging the
+    snapshot is the caller's decision.
     """
     global _STATE
-    previous = _STATE
-    local = ObsState(None)
-    _STATE = local
+    session, local = _STATE, ObsState(None)
+    if session is None:
+        _STATE = local
+    else:
+        ident = threading.get_ident()
+        outer = session.captures.get(ident)
+        session.captures[ident] = local
     try:
         yield local
     finally:
-        _STATE = previous
+        if session is None:
+            _STATE = None
+        elif outer is None:
+            del session.captures[ident]
+        else:
+            session.captures[ident] = outer
 
 
 def validate_manifest(data: Dict[str, object]) -> Dict[str, object]:

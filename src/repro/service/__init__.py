@@ -14,7 +14,8 @@ hashed-config hit exists and computed (and cached) otherwise.
   order, string-typed integers, default-valued ``protocol_params``)
   normalize to the same content hash and therefore the same store record;
 * :class:`~repro.service.daemon.ResultsService` — store-first resolution
-  over a long-lived ``ProcessPoolExecutor`` with single-flight misses;
+  over a long-lived :class:`~repro.sweeps.runner.WorkerPool` with
+  single-flight misses;
   responses are bit-for-bit identical to the batch/campaign path for the
   same spec hash, at any worker count;
 * :class:`~repro.service.daemon.ServiceServer` / :func:`~repro.service.daemon.serve`

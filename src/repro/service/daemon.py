@@ -2,14 +2,16 @@
 
 :class:`ResultsService` is the serving core, independent of any transport:
 it owns the shared :class:`~repro.sweeps.store.SweepStore`, a long-lived
-:class:`~concurrent.futures.ProcessPoolExecutor`, and the request counters.
+:class:`~repro.sweeps.runner.WorkerPool`, and the request counters.
 :meth:`ResultsService.resolve` answers one normalized query — a warm hit is
-a pure store lookup (zero engine work), a miss is routed to the pool, which
+a pure store lookup (zero engine work), a miss is mapped on the pool, which
 resolves it through the exact same unit of work the sweep layer uses
 (:func:`repro.sweeps.runner.resolve_config`), and the record is written back
-before the response returns.  Identical concurrent misses are *single
-flight*: the first request computes, the rest await the same future, so a
-thundering herd on one cold config costs one engine resolve.
+before the response returns.  The pool merges each miss's observability
+snapshot into the daemon's session, so its counters do not depend on the
+worker count.  Identical concurrent misses are *single flight*: the first
+request computes, the rest await the same future, so a thundering herd on
+one cold config costs one engine resolve.
 
 Because the store is keyed by config content hash and every config resolves
 from its own content alone, a service response is bit-for-bit identical to
@@ -57,13 +59,13 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.service.api import QueryError, normalize_query, render_response
-from repro.sweeps.runner import resolve_config
+from repro.sweeps.runner import WorkerPool, resolve_config
 from repro.sweeps.spec import SweepConfig
 from repro.sweeps.store import ConfigRecord, StoreSchemaError, SweepStore
 
@@ -99,8 +101,9 @@ class ResultsService:
     store:
         The shared :class:`~repro.sweeps.store.SweepStore` memoization tier.
     workers:
-        Worker processes for cold queries.  ``0`` resolves misses inline in
-        the serving thread (the CLI fallback path); results are bit-for-bit
+        Worker processes of the :class:`~repro.sweeps.runner.WorkerPool`
+        that resolves cold queries.  ``0`` resolves misses inline in the
+        serving thread (the CLI fallback path); results are bit-for-bit
         identical either way.
     """
 
@@ -112,27 +115,19 @@ class ResultsService:
         self.requests = 0
         self.hits = 0
         self.misses = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool = WorkerPool(workers)
         self._inflight: Dict[str, Future] = {}
         self._lock = threading.Lock()
         self._t0 = time.perf_counter()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "ResultsService":
-        """Create the worker pool (no-op when ``workers == 0``)."""
-        if self.workers > 0 and self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self
-
     def close(self) -> None:
         """Shut the worker pool down (waits for in-flight resolutions)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._pool.close()
 
     def __enter__(self) -> "ResultsService":
-        return self.start()
+        return self
 
     def __exit__(self, *exc) -> None:
         self.close()
@@ -143,10 +138,10 @@ class ResultsService:
         """Answer one query: ``(record, cached)``.
 
         A warm hit never touches the engine (pure store lookup).  A miss is
-        resolved through the pool (or inline without one), persisted, then
-        returned.  Counters advance in the serving process only, so
-        ``service.hits``/``service.misses`` totals are worker-count
-        invariant, exactly like the sweep layer's ``store.*`` counters.
+        resolved on the worker pool, persisted, then returned.  Counters
+        advance in the serving process only, so ``service.hits`` /
+        ``service.misses`` totals are worker-count invariant, exactly like
+        the sweep layer's ``store.*`` counters.
         """
         key = config.config_hash()
         t0 = time.perf_counter()
@@ -177,37 +172,33 @@ class ResultsService:
     def _compute(self, config: SweepConfig, key: str) -> ConfigRecord:
         """Resolve one miss, single-flight per config hash.
 
-        The first thread to miss a hash owns its future (pool-submitted, or
-        computed inline without a pool); concurrent requests for the same
-        hash await that future instead of resolving the config again.  Only
-        the owner writes the store, after the future resolves.
+        The first thread to miss a hash registers a future for it and
+        resolves the config on the worker pool; concurrent requests for the
+        same hash await that future instead of resolving the config again.
+        Only the owner writes the store, before it releases the waiters.
         """
         with self._lock:
             future = self._inflight.get(key)
             owner = future is None
             if owner:
-                if self._pool is None:
-                    future = Future()
-                else:
-                    future = self._pool.submit(resolve_config, config)
-                self._inflight[key] = future
-        if owner and self._pool is None:
-            try:
-                future.set_result(resolve_config(config))
-            except BaseException as exc:
-                future.set_exception(exc)
+                future = self._inflight[key] = Future()
+        if not owner:
+            return future.result()
         try:
-            record = future.result()
-            # Persist before deregistering: a request landing between the
-            # two would otherwise miss the store *and* the in-flight table
-            # and resolve the config a second time.
-            if owner:
-                self.store.save(record)
+            # `resolve_config` is looked up at call time, so a patched module
+            # attribute applies.  Persist before deregistering: a request
+            # landing between the two would otherwise miss the store *and*
+            # the in-flight table and resolve the config a second time.
+            record = self._pool.map(resolve_config, [config])[0]
+            self.store.save(record)
+            future.set_result(record)
+            return record
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
         finally:
-            if owner:
-                with self._lock:
-                    self._inflight.pop(key, None)
-        return record
+            with self._lock:
+                self._inflight.pop(key, None)
 
     # -- introspection -------------------------------------------------------
 

@@ -10,9 +10,10 @@ resumable campaign:
   — the grid and its cells as plain JSON-able data with stable content
   hashes;
 * :class:`~repro.sweeps.runner.SweepRunner` — shards pending configs across
-  ``ProcessPoolExecutor`` workers; results are bit-for-bit identical for any
-  worker count because every config derives its randomness from its own
-  content (``SeedSequence``, never a shared stream);
+  the processes of a :class:`~repro.sweeps.runner.WorkerPool`; results are
+  bit-for-bit identical for any worker count because every config derives
+  its randomness from its own content (``SeedSequence``, never a shared
+  stream);
 * :class:`~repro.sweeps.store.SweepStore` — one JSON record per config keyed
   by config hash, written atomically as configs finish, so interrupted
   sweeps resume and overlapping sweeps share work;

@@ -2,12 +2,15 @@
 
 The batch engine (:mod:`repro.engine`) made a *single* config fast; this
 module makes a *grid* of configs fast.  A :class:`SweepRunner` partitions the
-pending configs of a :class:`~repro.sweeps.spec.SweepSpec` across
-:class:`concurrent.futures.ProcessPoolExecutor` workers — unlike a
-:class:`~repro.engine.Campaign`'s threads, separate processes sidestep the
-GIL for the Python-side share of pattern generation and protocol
-construction, and isolate per-config memory — and merges the finished
+pending configs of a :class:`~repro.sweeps.spec.SweepSpec` across the worker
+processes of a :class:`WorkerPool` — separate processes sidestep the GIL for
+the Python-side share of pattern generation and protocol construction, and
+isolate per-config memory — and merges the finished
 :class:`~repro.sweeps.store.ConfigRecord` rows back in grid order.
+
+:class:`WorkerPool` is the package's one process pool: sweeps (through
+:func:`map_jobs`), guided adversarial searches and the results service all
+run their jobs through it.
 
 Worker-count invariance
 -----------------------
@@ -46,16 +49,23 @@ points, which every worker loads on import, or run with ``workers <= 1``.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from repro import obs
-from repro.engine import BatchResult, Campaign
+from repro.engine import Campaign
 from repro.sweeps.spec import SweepConfig, SweepSpec
 from repro.sweeps.store import ConfigRecord, SweepStore
 
-__all__ = ["SweepRunner", "SweepResult", "SweepStatus", "resolve_config", "map_jobs"]
+__all__ = [
+    "SweepRunner",
+    "SweepResult",
+    "SweepStatus",
+    "WorkerPool",
+    "map_jobs",
+    "resolve_config",
+]
 
 _Job = TypeVar("_Job")
 _Out = TypeVar("_Out")
@@ -66,9 +76,9 @@ def resolve_config(config: SweepConfig) -> ConfigRecord:
 
     Builds the protocol from the config's name axes, draws the pattern batch
     through the workload suite, pushes it through a serial
-    :class:`~repro.engine.Campaign` (parallelism lives at the config level —
-    nesting thread workers inside process workers would oversubscribe), and
-    returns the full-outcome :class:`~repro.sweeps.store.ConfigRecord`.
+    :class:`~repro.engine.Campaign` (parallelism lives at the config level,
+    across :class:`WorkerPool` processes), and returns the full-outcome
+    :class:`~repro.sweeps.store.ConfigRecord`.
     """
     from repro.sweeps.protocols import build_protocol
     from repro.workloads import WorkloadSuite
@@ -95,10 +105,10 @@ def resolve_config(config: SweepConfig) -> ConfigRecord:
 class _InstrumentedJob:
     """Picklable wrapper running one job under :func:`repro.obs.capture`.
 
-    Workers (or the serial path, for uniformity) collect the job's counters,
-    gauges and span timings into a fresh in-memory state and ship the
-    snapshot back with the result; the parent folds snapshots into its own
-    session with :func:`repro.obs.merge_snapshot`.  Because the aggregates
+    Worker processes (or the inline path, for uniformity) collect the job's
+    counters, gauges and span timings into a fresh in-memory state and ship
+    the snapshot back with the result; the parent folds snapshots into its
+    own session with :func:`repro.obs.merge_snapshot`.  Because the aggregates
     are additive and the capture state has no sink, trace files see no
     interleaved worker writes and counter totals are worker-count invariant.
     """
@@ -123,6 +133,82 @@ class _InstrumentedJob:
         return result, snap
 
 
+class WorkerPool:
+    """Worker processes that map picklable jobs; inline at 0 processes.
+
+    One pool serves many :meth:`map` calls (a search's steps, a service's
+    misses), so process start-up is paid once.  ``fn`` must be pure in its
+    job, so the inline and the process paths agree bit for bit.  Under an
+    observability session each job runs as an :class:`_InstrumentedJob`
+    whose snapshot is merged in the calling process, with one ``job`` trace
+    event per job: counter totals do not depend on the process count, and
+    workers never write to the trace file.
+    """
+
+    def __init__(self, processes: int = 0) -> None:
+        if processes < 0:
+            raise ValueError(f"processes must be >= 0, got {processes}")
+        self.processes = processes
+        self._executor = ProcessPoolExecutor(processes) if processes else None
+
+    def map(
+        self,
+        fn: Callable[[_Job], _Out],
+        jobs: Sequence[_Job],
+        on_result: Optional[Callable[[int, _Out], None]] = None,
+    ) -> List[_Out]:
+        """``[fn(job) for job in jobs]``, inline or across the processes.
+
+        ``on_result(index, result)`` fires in the calling thread as each job
+        finishes, in completion order (the sweep store saves records there).
+        """
+        jobs = list(jobs)
+        instrumented = obs.enabled()
+        run: Callable = _InstrumentedJob(fn) if instrumented else fn
+
+        def _deliver(index: int, raw) -> _Out:
+            if instrumented:
+                result, snap = raw
+                obs.merge_snapshot(snap)
+                obs.event(
+                    "job",
+                    index=index,
+                    counters=snap["counters"],
+                    gauges=snap["gauges"],
+                )
+            else:
+                result = raw
+            if on_result is not None:
+                on_result(index, result)
+            return result
+
+        if self._executor is None:
+            return [_deliver(index, run(job)) for index, job in enumerate(jobs)]
+        submit = self._executor.submit
+        futures = {submit(run, job): index for index, job in enumerate(jobs)}
+        out: Dict[int, _Out] = {}
+        try:
+            for future in as_completed(futures):
+                index = futures[future]
+                out[index] = _deliver(index, future.result())
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+        return [out[index] for index in range(len(jobs))]
+
+    def close(self) -> None:
+        """Shut the processes down once their jobs finish; no jobs after."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def map_jobs(
     fn: Callable[[_Job], _Out],
     jobs: Sequence[_Job],
@@ -130,57 +216,18 @@ def map_jobs(
     workers: int = 0,
     on_result: Optional[Callable[[int, _Out], None]] = None,
 ) -> List[_Out]:
-    """Map a picklable function over jobs, serially or across processes.
+    """Map ``fn`` over jobs on a :class:`WorkerPool` opened for this call.
 
-    The process-sharding primitive shared by :class:`SweepRunner`, the
-    worst-case grid driver (:mod:`repro.sweeps.search`) and the experiment
-    registry's sweeps.  ``workers <= 1`` (or a single job) runs serially in
-    the calling process; results always come back in job order, and callers
-    must guarantee ``fn`` is order-independent (pure in its job) so the two
-    paths agree bit for bit.
-
-    ``on_result(index, result)`` fires as each job finishes (completion
-    order) — the hook the sweep store uses to persist records incrementally.
-
-    When an observability session is active (:func:`repro.obs.enabled`), each
-    job runs under a capture (see :class:`_InstrumentedJob`) and its snapshot
-    is merged back here, on both the serial and the process path, so counter
-    totals do not depend on ``workers``.  One ``job`` trace event is emitted
-    per job with its duration and per-job aggregates.
+    :class:`SweepRunner` (and so the paper campaign) shards through it.
+    ``workers <= 1`` or at most one job runs serially in the calling
+    process; otherwise the pool has ``min(workers, len(jobs))`` processes.
     """
     jobs = list(jobs)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    instrumented = obs.enabled()
-    run: Callable = _InstrumentedJob(fn) if instrumented else fn
-
-    def _deliver(index: int, raw) -> _Out:
-        if instrumented:
-            result, snap = raw
-            obs.merge_snapshot(snap)
-            obs.event(
-                "job",
-                index=index,
-                counters=snap["counters"],
-                gauges=snap["gauges"],
-            )
-        else:
-            result = raw
-        if on_result is not None:
-            on_result(index, result)
-        return result
-
-    if workers <= 1 or len(jobs) <= 1:
-        return [_deliver(index, run(job)) for index, job in enumerate(jobs)]
-    out: Dict[int, _Out] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        pending = {pool.submit(run, job): index for index, job in enumerate(jobs)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = pending.pop(future)
-                out[index] = _deliver(index, future.result())
-    return [out[index] for index in range(len(jobs))]
+    processes = min(workers, len(jobs)) if workers > 1 and len(jobs) > 1 else 0
+    with WorkerPool(processes) as pool:
+        return pool.map(fn, jobs, on_result)
 
 
 @dataclass
@@ -255,10 +302,6 @@ class SweepResult:
     def rows(self) -> List[Dict[str, object]]:
         """Flat export rows (one per config) for ``repro.reporting.export``."""
         return [record.row() for record in self.records]
-
-    def batch_results(self) -> List[BatchResult]:
-        """Reconstructed :class:`BatchResult` per config, in grid order."""
-        return [record.to_batch_result() for record in self.records]
 
 
 @dataclass

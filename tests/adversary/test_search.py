@@ -114,6 +114,48 @@ class TestDriver:
         assert snap["timings"]["adversary.search"][0] == 1
 
 
+class TestWorkerPool:
+    def test_one_search_opens_one_pool(self, monkeypatch):
+        import repro.sweeps.runner as runner
+
+        opened = []
+
+        class CountingExecutor(runner.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingExecutor)
+        spec = _spec(budget=256, population=64)
+        pooled = adversarial_search(spec, workers=2)
+        assert len(opened) == 1
+        assert pooled.best == adversarial_search(spec).best
+
+    def test_a_one_candidate_step_resolves_on_the_pool(self):
+        spec = _spec(budget=17, population=16)  # the last step has 1 candidate
+        pooled = adversarial_search(spec, workers=2)
+        assert pooled.evaluated == 17
+        assert pooled.best == adversarial_search(spec).best
+
+    def test_the_pool_closes_when_progress_aborts(self, monkeypatch):
+        import repro.adversary.search as search
+
+        closed = []
+
+        class RecordingPool(search.WorkerPool):
+            def close(self):
+                closed.append(self.processes)
+                super().close()
+
+        def abort(step, evaluated, best):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "WorkerPool", RecordingPool)
+        with pytest.raises(KeyboardInterrupt):
+            adversarial_search(_spec(), workers=2, progress=abort)
+        assert closed == [2]
+
+
 class TestCheckpointing:
     def test_checkpoint_written_per_step_and_resumed(self, tmp_path):
         spec = _spec()

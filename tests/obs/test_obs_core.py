@@ -156,6 +156,34 @@ class TestCountersAndMerge:
             obs.event("job", index=0)  # swallowed: capture has no sink
         assert not (tmp_path / "t.jsonl").exists()
 
+    def test_capture_under_a_session_takes_only_its_own_thread(self, tmp_path):
+        import threading
+
+        trace = tmp_path / "t.jsonl"
+        state = obs.enable(trace, argv=["t"])
+        inside, release = threading.Event(), threading.Event()
+
+        def capturing():
+            with obs.capture() as worker:
+                obs.add("job.counter")
+                inside.set()
+                assert release.wait(timeout=10)
+            obs.merge_snapshot(worker.snapshot())
+
+        thread = threading.Thread(target=capturing)
+        thread.start()
+        assert inside.wait(timeout=10)
+        # Another thread records into the session while the capture is open.
+        obs.add("request.counter")
+        obs.event("request", index=0)
+        release.set()
+        thread.join(timeout=10)
+        assert obs.snapshot()["counters"] == {"job.counter": 1, "request.counter": 1}
+        assert state.captures == {}
+        obs.disable()
+        types = [json.loads(line)["type"] for line in trace.read_text().splitlines()]
+        assert types == ["begin", "request", "manifest"]
+
     @pytest.mark.parametrize("workers", [1, 4])
     def test_sweep_counter_totals_are_worker_count_invariant(self, workers):
         obs.enable(None, argv=["t"])

@@ -153,6 +153,50 @@ class TestResolutionCore:
         assert all(e["hash"] == CONFIG.config_hash() for e in requests)
         assert all(e["dur_s"] >= 0 for e in requests)
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_traced_misses_count_the_same_at_any_worker_count(self, tmp_path, workers):
+        import json
+
+        trace = tmp_path / "service-trace.jsonl"
+        obs.enable(trace, argv=["test"])
+        with ResultsService(SweepStore(tmp_path / "store"), workers=workers) as pooled:
+            for k in (2, 3, 4):
+                pooled.resolve(api.normalize_query({**QUERY, "k": k}))
+        manifest = obs.disable()
+        # Every line is whole: the workers never write to the trace file.
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert events[0]["type"] == "begin" and events[-1]["type"] == "manifest"
+        assert sum(e["type"] == "job" for e in events) == 3
+        # The workers' engine and campaign counters reach the manifest.
+        assert manifest["counters"] == {
+            "campaign.patterns": 24,
+            "campaign.shards": 3,
+            "engine.chunks": 3,
+            "engine.patterns": 24,
+            "engine.patterns_solved": 24,
+            "engine.slots_scanned": 3072,
+            "service.misses": 3,
+            "service.requests": 3,
+        }
+
+    def test_concurrent_traced_inline_misses_keep_the_session(self, service, tmp_path):
+        trace = tmp_path / "service-trace.jsonl"
+        obs.enable(trace, argv=["test"])
+
+        def ask(k):
+            for seed in range(3):
+                service.resolve(api.normalize_query({**QUERY, "k": k, "seed": seed}))
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in (2, 3, 4, 5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        manifest = obs.disable()
+        assert manifest["counters"]["service.misses"] == 12
+        assert manifest["counters"]["campaign.shards"] == 12
+        assert obs.manifest_path_for(trace).exists()
+
     def test_status_shape(self, service):
         service.resolve(CONFIG)
         status = service.status()

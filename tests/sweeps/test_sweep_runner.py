@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sweeps.runner import SweepRunner, map_jobs, resolve_config
+from repro.sweeps.runner import SweepRunner, WorkerPool, map_jobs, resolve_config
 from repro.sweeps.spec import SweepConfig, SweepSpec
 from repro.sweeps.store import SweepStore
 
@@ -181,6 +181,43 @@ class TestMapJobs:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             map_jobs(_square, [1], workers=-1)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_one_pool_serves_many_maps_in_job_order(self, processes):
+        with WorkerPool(processes) as pool:
+            assert pool.map(_square, range(5)) == [0, 1, 4, 9, 16]
+            assert pool.map(_square, [7]) == [49]
+            assert pool.map(_square, []) == []
+
+    def test_on_result_fires_once_per_job(self):
+        seen = {}
+        with WorkerPool(2) as pool:
+            pool.map(_square, [1, 2, 3], on_result=seen.__setitem__)
+        assert seen == {0: 1, 1: 4, 2: 9}
+
+    def test_a_failing_job_raises_and_the_pool_stays_usable(self):
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="odd"):
+                pool.map(_even_only, [2, 3, 4])
+            assert pool.map(_even_only, [2, 4]) == [2, 4]
+
+    def test_a_closed_pool_refuses_jobs(self):
+        pool = WorkerPool(1)
+        pool.close()
+        with pytest.raises(RuntimeError):
+            pool.map(_square, [1])
+
+    def test_negative_processes_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            WorkerPool(-1)
+
+
+def _even_only(x: int) -> int:
+    if x % 2:
+        raise ValueError(f"odd job {x}")
+    return x
 
 
 def _square(x: int) -> int:
