@@ -1,10 +1,12 @@
 """The results service's cold and warm cost per query, against fixed budgets.
 
 The whole point of :mod:`repro.service` is that a query whose config hash is
-already in the shared :class:`~repro.sweeps.store.SweepStore` is a pure store
-lookup — zero engine work — while a miss builds the protocol and resolves
-it.  This gate resolves one engine-heavy config cold through
-:class:`~repro.service.daemon.ResultsService`, reissues it warm, and asserts
+already known costs zero engine work — answered from the daemon's in-memory
+answer memo first, from the shared :class:`~repro.sweeps.store.SweepStore`
+when the memo does not hold it — while a miss builds the protocol and
+resolves it.  This gate resolves one engine-heavy config cold through
+:class:`~repro.service.daemon.ResultsService`, reissues it warm (memo hits,
+since the cold resolve memoized it), and asserts
 
 * **cold budget** — the fastest of :data:`COLD_ROUNDS` cold resolves
   (protocol construction included) takes at most

@@ -1028,7 +1028,6 @@ def _service_request(args: argparse.Namespace, store, endpoint, client) -> int:
         experiment_queries,
         normalize_query,
         parse_response,
-        render_response,
     )
 
     if args.action in ("status", "stop"):
@@ -1052,6 +1051,10 @@ def _service_request(args: argparse.Namespace, store, endpoint, client) -> int:
         fields = ("store", "records", "requests", "hits", "misses", "inflight", "workers")
         for field in fields:
             print(f"{field:<9}: {status.get(field)}")
+        print(
+            f"memo     : {status.get('memo_entries')} record(s), "
+            f"{status.get('memo_bytes')} bytes"
+        )
         print(f"uptime   : {status.get('uptime_s')}s (pid {status.get('pid')})")
         return 0
 
@@ -1102,8 +1105,8 @@ def _service_request(args: argparse.Namespace, store, endpoint, client) -> int:
             raise OSError("no --store to resolve against")
         if fallback is None:
             fallback = ResultsService(store, workers=0)
-        record, cached = fallback.resolve(config)
-        return render_response(record), "hit" if cached else "miss"
+        body, cached = fallback.answer(config)
+        return body.decode("utf-8"), "hit" if cached else "miss"
 
     if client is None and store is None:
         print(

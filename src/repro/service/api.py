@@ -4,13 +4,15 @@ A service query is a plain JSON mapping naming the measurement it wants —
 protocol name (plus optional ``protocol_params``), ``n``, ``k``, workload,
 seed and scale knobs.  :func:`normalize_query` is the single gate that turns
 such a mapping into a :class:`~repro.sweeps.spec.SweepConfig`: it coerces
-string-typed integers (HTTP clients send text), rejects unknown fields and
-unknown protocol/workload names with a :class:`QueryError` (a 400, never a
-worker crash), and defers every equivalence decision to the config's own
-canonical form.  Dict key order, an explicitly empty ``protocol_params`` and
-``"256"`` vs ``256`` all normalize to the same content hash — and therefore
-to the same :class:`~repro.sweeps.store.SweepStore` record, which is what
-makes the store a memoization tier the CLI, sweeps and service can share.
+string-typed integers (HTTP clients send text), rejects unknown fields,
+unknown protocol/workload names and sizes over the fixed ceilings
+(:data:`MAX_QUERY_N`, :data:`MAX_QUERY_BATCH`, :data:`MAX_QUERY_MAX_SLOTS`)
+with a :class:`QueryError` (a 400, never a worker crash), and defers every
+equivalence decision to the config's own canonical form.  Dict key order,
+an explicitly empty ``protocol_params`` and ``"256"`` vs ``256`` all
+normalize to the same content hash — and therefore to the same
+:class:`~repro.sweeps.store.SweepStore` record, which is what makes the
+store a memoization tier the CLI, sweeps and service can share.
 
 Responses are rendered by :func:`render_response` as canonical JSON (sorted
 keys, no whitespace) over the stored record alone — no timestamps, no cache
@@ -29,6 +31,9 @@ from repro.sweeps.spec import SweepConfig
 from repro.sweeps.store import ConfigRecord
 
 __all__ = [
+    "MAX_QUERY_BATCH",
+    "MAX_QUERY_MAX_SLOTS",
+    "MAX_QUERY_N",
     "RESPONSE_SCHEMA",
     "QueryError",
     "normalize_query",
@@ -40,6 +45,24 @@ __all__ = [
 #: Version stamped into every response body; :func:`parse_response` rejects
 #: anything else, so a client never misreads a newer server's payload.
 RESPONSE_SCHEMA = 1
+
+#: Largest ``n`` a query may ask for (the FULL campaign's largest is 2048).
+MAX_QUERY_N = 4096
+
+#: Largest ``batch`` a query may ask for (the FULL campaign's largest is 25,
+#: a sweep's is 256).  Record columns, and so a response body, grow with it.
+MAX_QUERY_BATCH = 1024
+
+#: Largest ``max_slots`` a query may ask for (the FULL campaign's largest is
+#: 4,000,000).
+MAX_QUERY_MAX_SLOTS = 10_000_000
+
+#: The ceilings above, by query field.
+_CEILINGS = {
+    "n": MAX_QUERY_N,
+    "batch": MAX_QUERY_BATCH,
+    "max_slots": MAX_QUERY_MAX_SLOTS,
+}
 
 #: Integer-valued query fields (coerced, so ``"256"`` and ``256`` agree).
 _INT_FIELDS = ("n", "k", "batch", "seed", "max_slots")
@@ -64,9 +87,10 @@ class QueryError(ValueError):
     """A query could not be normalized into a valid measurement spec.
 
     Raised for malformed shapes (unknown fields, non-integer ``n``), unknown
-    protocol or workload names, and invalid combinations (``k > n``) — the
-    errors the HTTP front door answers with a 400 instead of handing the
-    worker pool a config that can only crash.
+    protocol or workload names, sizes over a ceiling (``n`` above
+    :data:`MAX_QUERY_N`) and invalid combinations (``k > n``) — the errors
+    the HTTP front door answers with a 400 instead of handing the worker
+    pool a config that can only crash.
     """
 
 
@@ -89,7 +113,9 @@ def normalize_query(query: Mapping[str, object]) -> SweepConfig:
     minimal query is just ``{"protocol": ..., "n": ..., "k": ...}``.
     Equivalent queries — any key order, integers as strings, explicitly
     empty or default-valued ``params``/``protocol_params`` — normalize to
-    one config and therefore one content hash.
+    one config and therefore one content hash.  ``n``, ``batch`` and
+    ``max_slots`` above their ceilings are refused, because a worker would
+    spend unbounded memory or time on them.
     """
     if not isinstance(query, Mapping):
         raise QueryError(f"query must be a JSON object, got {type(query).__name__}")
@@ -114,6 +140,12 @@ def normalize_query(query: Mapping[str, object]) -> SweepConfig:
     for name in _INT_FIELDS:
         if name in query:
             known[name] = _coerce_int(name, query[name])
+            ceiling = _CEILINGS.get(name)
+            if ceiling is not None and known[name] > ceiling:
+                raise QueryError(
+                    f"query field {name!r} is {known[name]}, "
+                    f"over the ceiling of {ceiling}"
+                )
     for name in ("params", "protocol_params"):
         value = query.get(name, {})
         if not isinstance(value, Mapping):

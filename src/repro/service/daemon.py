@@ -2,16 +2,27 @@
 
 :class:`ResultsService` is the serving core, independent of any transport:
 it owns the shared :class:`~repro.sweeps.store.SweepStore`, a long-lived
-:class:`~repro.sweeps.runner.WorkerPool`, and the request counters.
-:meth:`ResultsService.resolve` answers one normalized query — a warm hit is
-a pure store lookup (zero engine work), a miss is mapped on the pool, which
-resolves it through the exact same unit of work the sweep layer uses
+:class:`~repro.sweeps.runner.WorkerPool`, a bounded in-memory answer memo
+and the request counters.  :meth:`ResultsService.resolve` answers one
+normalized query memory first, then the store: a config in the memo is a
+dict lookup, one only in the store is a store read (zero engine work either
+way), and a miss is mapped on the pool, which resolves it through the exact
+same unit of work the sweep layer uses
 (:func:`repro.sweeps.runner.resolve_config`), and the record is written back
-before the response returns.  The pool merges each miss's observability
-snapshot into the daemon's session, so its counters do not depend on the
-worker count.  Identical concurrent misses are *single flight*: the first
-request computes, the rest await the same future, so a thundering herd on
-one cold config costs one engine resolve.
+before the response returns.  :meth:`ResultsService.answer` adds the
+response body, rendered once per config and kept beside its record in the
+memo, so a warm hit re-reads, re-parses and re-renders nothing.  The pool
+merges each miss's observability snapshot into the daemon's session, so its
+counters do not depend on the worker count.  Identical concurrent misses
+are *single flight*: the first request computes and fills the memo, the
+rest await the same future and answer from the memo, so a thundering herd
+on one cold config costs one engine resolve.
+
+The memo maps config hash to ``(record, body)``, least recently used first
+out, and holds at most :data:`MEMO_BUDGET_BYTES` of body bytes.  Records
+are content-addressed and deterministic in their config alone, so a
+memoized body never goes stale; a record deleted on disk is still served
+from the memo until it is evicted or the daemon restarts.
 
 Because the store is keyed by config content hash and every config resolves
 from its own content alone, a service response is bit-for-bit identical to
@@ -27,7 +38,7 @@ worker count (``tests/service`` holds the literal byte comparison).
   (``hit``/``miss``), 400 for malformed queries, 500 for resolution
   failures (the daemon survives them);
 * ``GET /status`` — live counters: requests, hits, misses, in-flight,
-  stored records, uptime;
+  stored records, memo entries and bytes, uptime;
 * ``POST /stop`` — acknowledges (``Connection: close``), then shuts the
   server down.
 
@@ -59,6 +70,7 @@ import os
 import socket
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Set, Tuple
@@ -74,6 +86,7 @@ __all__ = [
     "ENDPOINT_SCHEMA",
     "IDLE_TIMEOUT_S",
     "MAX_BODY_BYTES",
+    "MEMO_BUDGET_BYTES",
     "ResultsService",
     "ServiceServer",
     "serve",
@@ -92,9 +105,15 @@ MAX_BODY_BYTES = 64 * 1024
 #: and frees its thread.
 IDLE_TIMEOUT_S = 30.0
 
+#: Response-body bytes the answer memo holds before it evicts the least
+#: recently used entry.  Each entry also keeps its record, whose columns are
+#: Python lists: a full memo costs about four times its body bytes in RSS
+#: (25-28 MB at this budget, so under 32 MB).
+MEMO_BUDGET_BYTES = 6 * 1024 * 1024
+
 
 class ResultsService:
-    """The serving core: store-first resolution over a persistent pool.
+    """The serving core: memory-first, then store, resolution over a pool.
 
     Parameters
     ----------
@@ -117,6 +136,9 @@ class ResultsService:
         self.misses = 0
         self._pool = WorkerPool(workers)
         self._inflight: Dict[str, Future] = {}
+        # config hash -> (record, body), least recently used first.
+        self._memo: "OrderedDict[str, Tuple[ConfigRecord, bytes]]" = OrderedDict()
+        self._memo_bytes = 0
         self._lock = threading.Lock()
         self._t0 = time.perf_counter()
 
@@ -137,18 +159,27 @@ class ResultsService:
     def resolve(self, config: SweepConfig) -> Tuple[ConfigRecord, bool]:
         """Answer one query: ``(record, cached)``.
 
-        A warm hit never touches the engine (pure store lookup).  A miss is
-        resolved on the worker pool, persisted, then returned.  Counters
-        advance in the serving process only, so ``service.hits`` /
-        ``service.misses`` totals are worker-count invariant, exactly like
-        the sweep layer's ``store.*`` counters.
+        A warm hit never touches the engine: a config in the memo is a dict
+        lookup, one only in the store is a store read that also fills the
+        memo.  A miss is resolved on the worker pool, persisted, memoized,
+        then returned.  Counters advance in the serving process only, so
+        ``service.hits`` / ``service.misses`` totals are worker-count
+        invariant, exactly like the sweep layer's ``store.*`` counters.
         """
         key = config.config_hash()
         t0 = time.perf_counter()
         with obs.span("service.request", hash=key):
             with self._lock:
                 self.requests += 1
-            record = self.store.load(config)
+                entry = self._memo.get(key)
+                if entry is not None:
+                    self._memo.move_to_end(key)
+            if entry is not None:
+                record = entry[0]
+            else:
+                record = self.store.load(config)
+                if record is not None:
+                    self._remember(key, record)
             if record is not None:
                 with self._lock:
                     self.hits += 1
@@ -164,6 +195,35 @@ class ResultsService:
             self._log_request(key, "miss", t0)
             return record, False
 
+    def answer(self, config: SweepConfig) -> Tuple[bytes, bool]:
+        """Answer one query as its canonical response body: ``(body, cached)``.
+
+        :meth:`resolve` fills the memo, so the body comes from memory; it is
+        rendered here only when the entry was evicted in between (or alone
+        outgrows the whole budget).
+        """
+        record, cached = self.resolve(config)
+        key = config.config_hash()
+        with self._lock:
+            entry = self._memo.get(key)
+        body = entry[1] if entry is not None else self._remember(key, record)
+        return body, cached
+
+    def _remember(self, key: str, record: ConfigRecord) -> bytes:
+        """Render ``record`` once and memoize it; evicts the least recently used."""
+        body = render_response(record).encode("utf-8")
+        budget = MEMO_BUDGET_BYTES
+        with self._lock:
+            previous = self._memo.pop(key, None)
+            if previous is not None:
+                self._memo_bytes -= len(previous[1])
+            self._memo[key] = (record, body)
+            self._memo_bytes += len(body)
+            while self._memo_bytes > budget:
+                _, (_, evicted) = self._memo.popitem(last=False)
+                self._memo_bytes -= len(evicted)
+        return body
+
     def _log_request(self, key: str, cache: str, t0: float) -> None:
         seconds = time.perf_counter() - t0
         obs.gauge("service.request_seconds", seconds)
@@ -175,7 +235,8 @@ class ResultsService:
         The first thread to miss a hash registers a future for it and
         resolves the config on the worker pool; concurrent requests for the
         same hash await that future instead of resolving the config again.
-        Only the owner writes the store, before it releases the waiters.
+        Only the owner writes the store and fills the memo, before it
+        releases the waiters.
         """
         with self._lock:
             future = self._inflight.get(key)
@@ -191,6 +252,7 @@ class ResultsService:
             # the in-flight table and resolve the config a second time.
             record = self._pool.map(resolve_config, [config])[0]
             self.store.save(record)
+            self._remember(key, record)
             future.set_result(record)
             return record
         except BaseException as exc:
@@ -207,6 +269,7 @@ class ResultsService:
         with self._lock:
             requests, hits, misses = self.requests, self.hits, self.misses
             inflight = len(self._inflight)
+            memo_entries, memo_bytes = len(self._memo), self._memo_bytes
         return {
             "schema": 1,
             "requests": requests,
@@ -215,6 +278,8 @@ class ResultsService:
             "inflight": inflight,
             "workers": self.workers,
             "records": len(self.store),
+            "memo_entries": memo_entries,
+            "memo_bytes": memo_bytes,
             "store": str(self.store.root),
             "pid": os.getpid(),
             "uptime_s": round(time.perf_counter() - self._t0, 3),
@@ -322,18 +387,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
             return
         try:
-            record, cached = self.service.resolve(config)
+            body, cached = self.service.answer(config)
         except StoreSchemaError as exc:
             self._send_json(500, {"error": str(exc)})
             return
         except Exception as exc:  # a failed resolution must not kill the daemon
             self._send_json(500, {"error": f"resolution failed: {exc}"})
             return
-        self._send(
-            200,
-            render_response(record).encode("utf-8"),
-            headers=(("X-Repro-Cache", "hit" if cached else "miss"),),
-        )
+        cache = "hit" if cached else "miss"
+        self._send(200, body, headers=(("X-Repro-Cache", cache),))
 
 
 class ServiceServer(ThreadingHTTPServer):
