@@ -8,8 +8,8 @@ step at n = 1024, k = 16, the candidates/sec of
 
 * the per-candidate loop (one ``run_deterministic`` per pattern — the path
   a naive search driver would take), and
-* one batched resolution of the same population (``_evaluate``, exactly the
-  call the driver makes per step),
+* one batched resolution of the same population (``_evaluate`` over a
+  serial ``WorkerPool``, exactly the call the driver makes per step),
 
 plus a hard regression gate asserting the batched path stays at least 10x
 over the loop, with an in-loop check that both paths rank the candidates
@@ -34,6 +34,7 @@ from repro.adversary.search import (
 )
 from repro.channel.simulator import run_deterministic
 from repro.sweeps.protocols import build_protocol
+from repro.sweeps.runner import WorkerPool
 
 N, K, POPULATION = 1024, 16, 64
 MAX_SLOTS = 200_000
@@ -54,6 +55,12 @@ def _spec() -> SearchSpec:
 
 def _step_population(spec: SearchSpec):
     return seed_population(spec, POPULATION, np.random.default_rng(0))
+
+
+def _resolve_step(spec: SearchSpec, spec_hash: str, patterns, protocol):
+    """Resolve one step population as a serial ``adversarial_search`` does."""
+    with WorkerPool(0) as pool:
+        return _evaluate(spec, spec_hash, 0, patterns, pool=pool, protocol=protocol)
 
 
 def _loop_effective(protocol, patterns, max_slots):
@@ -85,7 +92,7 @@ def test_benchmark_batched_step_resolution(benchmark):
     spec_hash = spec.config_hash()
 
     effective, _, solved = benchmark(
-        lambda: _evaluate(spec, spec_hash, 0, patterns, workers=0, protocol=protocol)
+        lambda: _resolve_step(spec, spec_hash, patterns, protocol)
     )
     assert len(effective) == POPULATION and bool(np.asarray(solved).all())
     benchmark.extra_info["candidates_per_sec"] = POPULATION / benchmark.stats["mean"]
@@ -99,7 +106,7 @@ def test_batched_resolution_is_at_least_10x(record_gate):
     spec_hash = spec.config_hash()
 
     # Warm up both paths (page faults, lazy schedule caches).
-    _evaluate(spec, spec_hash, 0, patterns[:8], workers=0, protocol=protocol)
+    _resolve_step(spec, spec_hash, patterns[:8], protocol)
     _loop_effective(protocol, patterns[:8], MAX_SLOTS)
 
     def best_of(fn, repeats=3):
@@ -111,14 +118,14 @@ def test_batched_resolution_is_at_least_10x(record_gate):
         return min(times)
 
     batch_time = best_of(
-        lambda: _evaluate(spec, spec_hash, 0, patterns, workers=0, protocol=protocol)
+        lambda: _resolve_step(spec, spec_hash, patterns, protocol)
     )
     loop_time = best_of(lambda: _loop_effective(protocol, patterns, MAX_SLOTS))
     speedup = loop_time / batch_time
 
     # The speedup must not buy a different search: both paths must rank the
     # population identically.
-    batched, _, _ = _evaluate(spec, spec_hash, 0, patterns, workers=0, protocol=protocol)
+    batched, _, _ = _resolve_step(spec, spec_hash, patterns, protocol)
     looped = _loop_effective(protocol, patterns, MAX_SLOTS)
     assert batched.tolist() == looped.tolist()
     assert int(np.argmax(batched)) == int(np.argmax(looped))

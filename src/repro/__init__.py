@@ -107,7 +107,6 @@ from repro.sweeps import (
 from repro.workloads import (
     WORKLOADS,
     WorkloadSuite,
-    load_entry_point_workloads,
     register_workload,
 )
 
@@ -176,7 +175,6 @@ __all__ = [
     # workload suite
     "WORKLOADS",
     "WorkloadSuite",
-    "load_entry_point_workloads",
     "register_workload",
     # experiments
     "DEFINITIONS",

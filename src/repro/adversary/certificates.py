@@ -216,9 +216,7 @@ def read_certificates(path: Union[str, Path]) -> List[SearchCertificate]:
     return [load_certificate(row, source=f"{path}[{i}]") for i, row in enumerate(data)]
 
 
-def replay_certificate(
-    certificate: SearchCertificate, *, cache=None
-) -> SearchCertificate:
+def replay_certificate(certificate: SearchCertificate) -> SearchCertificate:
     """Re-measure a certificate standalone and return the re-measured copy.
 
     Rebuilds the protocol from the registry
@@ -241,7 +239,6 @@ def replay_certificate(
         certificate.n,
         certificate.k,
         seed=certificate.seed,
-        cache=cache,
         **certificate.protocol_params,
     )
     rngs = None

@@ -223,12 +223,11 @@ def _step_generator(spec: SearchSpec, spec_hash: str, step: int) -> np.random.Ge
     return spawn_generators(spec.seed, 1, "adversary-step", spec_hash, int(step))[0]
 
 
-def _build_spec_protocol(spec: SearchSpec, cache=None):
+def _build_spec_protocol(spec: SearchSpec):
     from repro.sweeps.protocols import build_protocol
 
     return build_protocol(
-        spec.protocol, spec.n, spec.k, seed=spec.seed, cache=cache,
-        **dict(spec.protocol_params),
+        spec.protocol, spec.n, spec.k, seed=spec.seed, **dict(spec.protocol_params)
     )
 
 
@@ -336,7 +335,6 @@ def adversarial_search(
     store=None,
     workers: int = 0,
     progress: Optional[Callable[[int, int, int], None]] = None,
-    cache=None,
 ) -> SearchResult:
     """Run (or resume) one guided search and return its best certificate.
 
@@ -362,8 +360,6 @@ def adversarial_search(
         each step's checkpoint is written.  An exception it raises aborts the
         search *after* the checkpoint, so a later call resumes cleanly — the
         interrupt/resume property tests drive the search exactly this way.
-    cache:
-        Optional family cache forwarded to the in-process protocol builder.
     """
     strategy = get_strategy(spec.strategy)
     spec_hash = spec.config_hash()
@@ -399,7 +395,7 @@ def adversarial_search(
             if data.get("best") is not None:
                 best = load_certificate(data["best"], source=str(path))
 
-    protocol = _build_spec_protocol(spec, cache=cache) if workers <= 1 else None
+    protocol = _build_spec_protocol(spec) if workers <= 1 else None
     with WorkerPool(workers if workers > 1 else 0) as pool, obs.span(
         "adversary.search",
         protocol=spec.protocol,

@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--samples", type=int, default=3, help="patterns printed by `sample`")
     wl.add_argument("--seed", type=int, default=0, help="base seed (batches are reproducible)")
     wl.add_argument("--max-slots", type=int, default=1_000_000)
-    wl.add_argument("--shard-size", type=int, default=256, help="patterns per campaign shard")
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -667,13 +666,7 @@ def _cmd_workloads_inner(args: argparse.Namespace) -> int:
     patterns = suite.generate(
         args.workload, n=args.n, k=args.k, batch=args.batch, seed=args.seed
     )
-    campaign = Campaign(
-        protocol,
-        max_slots=args.max_slots,
-        shard_size=args.shard_size,
-        seed=args.seed,
-    )
-    result = campaign.run(patterns)
+    result = Campaign(protocol, max_slots=args.max_slots, seed=args.seed).run(patterns)
     print(f"protocol: {protocol.describe()}")
     print(
         f"workload: {args.workload} (n={args.n}, k={args.k}, batch={args.batch}, "

@@ -33,8 +33,8 @@ by both protocol kinds:
   summary statistics, convertible row-by-row to
   :class:`~repro.channel.simulator.WakeupResult`;
 * :class:`~repro.engine.campaign.Campaign` — resolves large pattern sets in
-  memory-bounded shards through a single engine dispatch, with
-  :class:`~repro.experiments.cache.FamilyCache` integration.
+  memory-bounded shards (:data:`~repro.engine.campaign.SHARD_SIZE`
+  patterns each) through a single engine dispatch.
 
 The scenario generators that feed this engine live in
 :mod:`repro.workloads`; the layer above it — whole config grids sharded

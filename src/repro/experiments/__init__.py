@@ -8,21 +8,17 @@ function stating its measurement demand as content-hashable specs, plus a pure
 :class:`~repro.experiments.config.ExperimentScale` into an
 :class:`~repro.experiments.runner.ExperimentResult` with raw rows, rendered
 tables/figures, and bound certificates.
-:class:`~repro.experiments.campaign.PaperCampaign` runs all of E1–E11 against
-one shared, resumable :class:`~repro.sweeps.store.SweepStore` (``repro paper``
-on the command line); ``repro paper report`` renders every experiment's
-section (paper claim, certificates, tables, figures) through
-:meth:`~repro.experiments.runner.ExperimentResult.summary`.
+:class:`~repro.experiments.campaign.PaperCampaign` is the one path that runs
+them: all of E1–E11 against one shared, resumable
+:class:`~repro.sweeps.store.SweepStore` for ``repro paper``, a single one for
+``repro experiment`` (:func:`~repro.experiments.registry.run_experiment`).
+Every experiment's section (paper claim, certificates, tables, figures) is
+rendered by :meth:`~repro.experiments.runner.ExperimentResult.summary`.
 """
 
 from repro.experiments.config import ExperimentScale, QUICK, STANDARD, FULL
 from repro.experiments.cache import FamilyCache, shared_cache
-from repro.experiments.runner import (
-    ExperimentResult,
-    measure_latency,
-    worst_latency,
-    mean_latency,
-)
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.campaign import (
     CampaignResult,
     ExperimentDefinition,
@@ -46,9 +42,6 @@ __all__ = [
     "FamilyCache",
     "shared_cache",
     "ExperimentResult",
-    "measure_latency",
-    "worst_latency",
-    "mean_latency",
     "CampaignResult",
     "ExperimentDefinition",
     "MeasurementSpec",

@@ -1,8 +1,10 @@
 """The paper campaign: plan → resolve → render over one shared result store.
 
-``repro experiment`` runs one experiment at a time; this module runs the
-*paper* — all of E1–E11 — as a single resumable campaign.  The refactored
-registry (:mod:`repro.experiments.registry`) expresses each experiment as an
+This module is the one path that runs experiments: ``repro paper`` runs the
+*paper* — all of E1–E11 — as a single resumable campaign, and ``repro
+experiment`` runs a one-experiment campaign
+(:func:`~repro.experiments.registry.run_experiment`).  The registry
+(:mod:`repro.experiments.registry`) expresses each experiment as an
 :class:`ExperimentDefinition` whose measurement demand is pure data:
 
 * ``plan(scale)`` returns the experiment's :class:`MeasurementSpec` list —
@@ -245,7 +247,7 @@ class ExperimentDefinition:
         :meth:`ResolvedSpecs.memo`; engine measurements are keyed by the
         specs' own seeds, so two renders over one store agree bit for bit.
     default_seed:
-        The ``seed`` used when the caller does not pass one.
+        The ``seed`` :class:`PaperCampaign` renders the experiment with.
     """
 
     experiment: str
@@ -255,34 +257,6 @@ class ExperimentDefinition:
         [ResolvedSpecs, ExperimentScale, int, FamilyCache], ExperimentResult
     ]
     default_seed: int = 0
-
-    def run(
-        self,
-        scale: ExperimentScale = QUICK,
-        *,
-        seed: Optional[int] = None,
-        cache: Optional[FamilyCache] = None,
-        store: Optional[SweepStore] = None,
-        workers: Optional[int] = None,
-    ) -> ExperimentResult:
-        """Plan, resolve and render this experiment end to end.
-
-        Without a ``store`` the resolution is ephemeral (computed, returned,
-        forgotten) — exactly what the single-experiment entry points need;
-        with one, the experiment shares the campaign's memoization tier.
-        ``workers=None`` follows ``scale.workers``.
-        """
-        seed = self.default_seed if seed is None else seed
-        cache = cache if cache is not None else shared_cache
-        workers = scale.workers if workers is None else workers
-        with obs.span("experiments.plan", experiment=self.experiment):
-            specs = self.plan(scale)
-        with obs.span(
-            "experiments.resolve", experiment=self.experiment, specs=len(specs)
-        ):
-            resolved = resolve_specs(specs, workers=workers, store=store)
-        with obs.span("experiments.render", experiment=self.experiment):
-            return self.render(resolved, scale, seed, cache)
 
 
 @dataclass

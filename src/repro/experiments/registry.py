@@ -25,10 +25,10 @@ kept as a schema-versioned ``render/<hash>`` blob, so a warm rerun renders
 from stored records and blobs alone and simulates nothing.
 
 Every spec uses :data:`BATTERY_SEED` so overlapping cells hash identically
-across experiments; the per-experiment ``seed`` argument only feeds that
+across experiments; each definition's ``default_seed`` only feeds that
 render-side randomness.  ``repro paper report`` renders every experiment's
-section at any scale; ``repro experiment EX`` (:func:`run_experiment`)
-renders one.
+section at any scale; ``repro experiment EX`` (:func:`run_experiment`, a
+one-experiment campaign) renders one.
 
 The paper is a theory paper without numeric tables, so each experiment
 validates a stated theorem or comparative claim; the claim is quoted in
@@ -69,6 +69,7 @@ from repro.core.waking_matrix import first_isolation, matrix_parameters
 from repro.experiments.campaign import (
     ExperimentDefinition,
     MeasurementSpec,
+    PaperCampaign,
     ResolvedSpecs,
 )
 from repro.experiments.config import ExperimentScale, QUICK
@@ -1201,19 +1202,12 @@ DEFINITIONS: Dict[str, ExperimentDefinition] = {
 }
 
 
-def run_experiment(
-    experiment_id: str, scale: ExperimentScale = QUICK, **kwargs
-) -> ExperimentResult:
+def run_experiment(experiment_id: str, scale: ExperimentScale = QUICK) -> ExperimentResult:
     """Run a single experiment by its ID (``"E1"`` ... ``"E11"``).
 
-    Routes through the experiment's :class:`ExperimentDefinition`, so it
-    accepts the definition's ``run`` keywords (``seed``, ``cache`` and also
-    ``store``/``workers`` for store-backed resolution).
+    A one-experiment :class:`~repro.experiments.campaign.PaperCampaign`
+    without a store, so ``repro experiment`` and ``repro paper`` share one
+    plan → resolve → render path.
     """
-    try:
-        definition = DEFINITIONS[experiment_id.upper()]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; valid IDs: {sorted(DEFINITIONS)}"
-        ) from exc
-    return definition.run(scale, **kwargs)
+    campaign = PaperCampaign(scale=scale, experiments=[experiment_id])
+    return next(iter(campaign.run().results.values()))

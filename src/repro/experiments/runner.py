@@ -1,33 +1,20 @@
-"""Runner helpers and the common result container for experiments.
+"""The common result container for experiments.
 
 An experiment produces an :class:`ExperimentResult`: the raw per-configuration
 rows (flat dictionaries suitable for CSV export), the rendered tables and
 figures of its ``repro paper report`` section, and the bound certificates that
-encode the pass/fail verdicts.  The measurement helpers wrap the simulator with the
-"max/mean over a batch of patterns" conventions every experiment shares.
+encode the pass/fail verdicts.  :data:`PAPER_CLAIMS` quotes the paper-side
+statement each report section opens with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-import numpy as np
-
-from repro._util import RngLike
 from repro.analysis.certificates import BoundCertificate
-from repro.channel.protocols import DeterministicProtocol
-from repro.channel.wakeup import WakeupPattern
-from repro.engine import BatchResult, run_batch
 
-__all__ = [
-    "PAPER_CLAIMS",
-    "ExperimentResult",
-    "resolve_batch",
-    "measure_latency",
-    "worst_latency",
-    "mean_latency",
-]
+__all__ = ["PAPER_CLAIMS", "ExperimentResult"]
 
 #: Paper-side statement for each experiment, quoted in its report section.
 PAPER_CLAIMS: Dict[str, str] = {
@@ -106,62 +93,3 @@ class ExperimentResult:
         for name, block in [*self.tables.items(), *self.figures.items()]:
             lines += [f"### {name}", "", "```text", block, "```", ""]
         return "\n".join(lines)
-
-
-def resolve_batch(
-    protocol,
-    patterns: Sequence[WakeupPattern],
-    *,
-    max_slots: int = 1_000_000,
-    rng: RngLike = None,
-) -> BatchResult:
-    """Resolve a pattern batch through :func:`repro.engine.run_batch`.
-
-    Randomized policies get one ``SeedSequence``-spawned child generator per
-    pattern, derived from ``rng``; deterministic protocols consume no
-    randomness, so ``rng`` is not forwarded to them.  Returns the columnar
-    :class:`~repro.engine.BatchResult`.
-    """
-    seed = None if isinstance(protocol, DeterministicProtocol) else rng
-    return run_batch(protocol, list(patterns), seed=seed, max_slots=max_slots)
-
-
-def measure_latency(
-    protocol,
-    patterns: Sequence[WakeupPattern],
-    *,
-    max_slots: int = 1_000_000,
-    rng: RngLike = None,
-) -> List[int]:
-    """Latency (slots from first wake-up to first success) for each pattern.
-
-    Both protocol kinds route through the vectorized batch engine via
-    :func:`resolve_batch` (bit-identical outcomes to per-pattern simulation,
-    resolved in one shared scan).  A run that does not solve wake-up within
-    the horizon raises, because every protocol in the library is supposed to
-    succeed and a silent truncation would corrupt the tables.
-    """
-    batch = resolve_batch(protocol, patterns, max_slots=max_slots, rng=rng)
-    return [int(latency) for latency in batch.require_all_solved()]
-
-
-def worst_latency(
-    protocol,
-    patterns: Sequence[WakeupPattern],
-    *,
-    max_slots: int = 1_000_000,
-    rng: RngLike = None,
-) -> int:
-    """Maximum latency over a batch of patterns (the worst-case estimate)."""
-    return max(measure_latency(protocol, patterns, max_slots=max_slots, rng=rng))
-
-
-def mean_latency(
-    protocol,
-    patterns: Sequence[WakeupPattern],
-    *,
-    max_slots: int = 1_000_000,
-    rng: RngLike = None,
-) -> float:
-    """Mean latency over a batch of patterns (used for randomized protocols)."""
-    return float(np.mean(measure_latency(protocol, patterns, max_slots=max_slots, rng=rng)))

@@ -26,13 +26,13 @@ __all__ = ["PROTOCOL_BUILDERS", "protocol_names", "register_protocol", "build_pr
 PROTOCOL_BUILDERS: Dict[str, Callable] = {}
 
 
-def register_protocol(name: str, builder: Callable, *, replace: bool = False) -> None:
+def register_protocol(name: str, builder: Callable) -> None:
     """Register a named protocol builder ``(n, k, seed, cache) -> protocol``.
 
-    ``replace=False`` (the default) refuses to overwrite an existing name, so
-    extensions cannot silently shadow the built-in set.
+    An existing name is refused, so extensions cannot silently shadow the
+    built-in set.
     """
-    if not replace and name in PROTOCOL_BUILDERS:
+    if name in PROTOCOL_BUILDERS:
         raise ValueError(f"protocol {name!r} is already registered")
     PROTOCOL_BUILDERS[name] = builder
 

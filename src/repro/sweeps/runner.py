@@ -42,8 +42,7 @@ One portability caveat: workers resolve workload and protocol *names*
 against their own process's registries.  Extensions registered in-process
 (``register_workload`` / ``register_protocol``) are visible to forked
 workers (Linux) but not to spawned ones (macOS/Windows default start
-method) — ship cross-platform extensions as ``repro.workloads`` entry
-points, which every worker loads on import, or run with ``workers <= 1``.
+method) — run those with ``workers <= 1``.
 """
 
 from __future__ import annotations

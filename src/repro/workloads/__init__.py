@@ -9,11 +9,9 @@ those shapes:
   (heavy-tailed staggering, periodic duty-cycles, churn bursts, clustered-ID
   adversaries, density sweeps), complementing the structured attacks in
   :mod:`repro.channel.adversary`;
-* :mod:`repro.workloads.suite` — the registry (:data:`WORKLOADS`,
-  :func:`register_workload`, plus :func:`load_entry_point_workloads` pulling
-  third-party generators from ``repro.workloads`` package entry points) and
-  the :class:`WorkloadSuite` façade yielding reproducible batches from
-  ``(name, n, k, seed)``.
+* :mod:`repro.workloads.suite` — the registry (:data:`WORKLOADS`, extended
+  only through :func:`register_workload`) and the :class:`WorkloadSuite`
+  façade yielding reproducible batches from ``(name, n, k, seed)``.
 
 Batches from the suite feed the batch engine directly:
 
@@ -40,7 +38,6 @@ from repro.workloads.suite import (
     WORKLOADS,
     Workload,
     WorkloadSuite,
-    load_entry_point_workloads,
     register_workload,
 )
 
@@ -49,7 +46,6 @@ __all__ = [
     "WorkloadSuite",
     "WORKLOADS",
     "register_workload",
-    "load_entry_point_workloads",
     "heavy_tailed_pattern",
     "duty_cycle_pattern",
     "churn_burst_pattern",

@@ -19,19 +19,13 @@ through :class:`WorkloadSuite`:
 >>> batch == suite.generate("heavy-tailed", n=64, k=8, batch=16, seed=0)
 True
 
-New workloads register with :func:`register_workload` (exposed for plugins and
-experiments that want project-specific traffic shapes).  Deployments can also
-ship workloads as package metadata: any entry point in the
-``repro.workloads`` group resolving to a :class:`Workload` or a pattern
-factory is loaded into the default registry the first time a
-:class:`WorkloadSuite` is built over it (see
-:func:`load_entry_point_workloads`), so third-party traffic shapes appear in
-``repro workloads list`` without patching the library.
+New workloads register with :func:`register_workload`, the one way to add a
+project-specific traffic shape; once registered, the suite serves it like a
+built-in one.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -59,11 +53,7 @@ __all__ = [
     "WorkloadSuite",
     "WORKLOADS",
     "register_workload",
-    "load_entry_point_workloads",
 ]
-
-#: Entry-point group third-party packages use to publish workloads.
-ENTRY_POINT_GROUP = "repro.workloads"
 
 
 @dataclass(frozen=True)
@@ -105,14 +95,13 @@ def register_workload(
     factory: Callable[..., WakeupPattern],
     *,
     defaults: Optional[Dict[str, object]] = None,
-    replace: bool = False,
 ) -> Workload:
     """Register a named workload; returns the :class:`Workload` record.
 
-    ``replace=False`` (the default) refuses to overwrite an existing name so
-    plugins cannot silently shadow the built-in suite.
+    An existing name is refused, so no registration can silently shadow the
+    built-in suite.
     """
-    if not replace and name in WORKLOADS:
+    if name in WORKLOADS:
         raise ValueError(f"workload {name!r} is already registered")
     workload = Workload(name, description, factory, defaults=dict(defaults or {}))
     WORKLOADS[name] = workload
@@ -182,86 +171,6 @@ register_workload(
 )
 
 
-def load_entry_point_workloads(
-    *,
-    group: str = ENTRY_POINT_GROUP,
-    registry: Optional[Dict[str, Workload]] = None,
-    strict: bool = True,
-) -> List[Workload]:
-    """Load third-party workloads published as package entry points.
-
-    Each entry point in ``group`` must resolve to either a ready-made
-    :class:`Workload` (registered under its own name) or a pattern factory
-    ``(n, k, *, rng, **params) -> WakeupPattern`` (registered under the
-    entry-point name, with the factory docstring's first line as the
-    description).  Names already present in the registry are refused — a
-    plugin cannot silently shadow the built-in suite.
-
-    Parameters
-    ----------
-    group:
-        Entry-point group to scan (default :data:`ENTRY_POINT_GROUP`).
-    registry:
-        Target registry (default: the global :data:`WORKLOADS`).
-    strict:
-        If True, a broken entry point raises; if False it is skipped with a
-        warning (the behaviour of the lazy auto-load, so one faulty plugin
-        cannot take down every :class:`WorkloadSuite` construction).
-
-    Returns
-    -------
-    list of Workload
-        The workloads that were registered by this call.
-    """
-    from importlib import metadata
-
-    target = WORKLOADS if registry is None else registry
-    # Stage everything first and commit to the registry only once the whole
-    # scan succeeded: a broken plugin under strict=True must not leave the
-    # registry partially populated (a retry would then refuse the survivors
-    # as "already registered").
-    staged: Dict[str, Workload] = {}
-    for entry_point in metadata.entry_points(group=group):
-        try:
-            obj = entry_point.load()
-            if isinstance(obj, Workload):
-                workload = obj
-            elif callable(obj):
-                doc = (obj.__doc__ or "").strip()
-                description = doc.splitlines()[0] if doc else f"entry point {entry_point.name}"
-                workload = Workload(entry_point.name, description, obj)
-            else:
-                raise TypeError(
-                    f"entry point {entry_point.name!r} must resolve to a Workload "
-                    f"or a pattern factory, got {type(obj).__name__}"
-                )
-            if workload.name in target or workload.name in staged:
-                raise ValueError(f"workload {workload.name!r} is already registered")
-            staged[workload.name] = workload
-        except Exception as exc:
-            if strict:
-                raise
-            warnings.warn(
-                f"skipping workload entry point {entry_point.name!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    target.update(staged)
-    return list(staged.values())
-
-
-#: Guard so the default registry scans package metadata only once per process.
-_entry_points_loaded = False
-
-
-def _ensure_entry_points_loaded() -> None:
-    global _entry_points_loaded
-    if _entry_points_loaded:
-        return
-    _entry_points_loaded = True
-    load_entry_point_workloads(strict=False)
-
-
 class WorkloadSuite:
     """Reproducible batches of wake-up patterns from ``(name, n, k, seed)``.
 
@@ -285,10 +194,6 @@ class WorkloadSuite:
     """
 
     def __init__(self, registry: Optional[Dict[str, Workload]] = None) -> None:
-        if registry is None:
-            # The default registry also serves plugin workloads published as
-            # ``repro.workloads`` entry points (scanned once per process).
-            _ensure_entry_points_loaded()
         self.registry = WORKLOADS if registry is None else registry
 
     def names(self) -> List[str]:

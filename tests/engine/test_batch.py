@@ -9,7 +9,7 @@ from repro.channel.simulator import WakeupResult, run_deterministic
 from repro.channel.wakeup import WakeupPattern
 from repro.core.randomized import FixedProbabilityPolicy, RepeatedProbabilityDecrease
 from repro.core.round_robin import RoundRobin
-from repro.engine import BatchResult, run_deterministic_batch, run_randomized_batch
+from repro.engine import BatchResult, run_batch, run_deterministic_batch, run_randomized_batch
 
 
 @pytest.fixture
@@ -89,16 +89,18 @@ class TestRunRandomizedBatch:
                 rngs=[np.random.default_rng(0), np.random.default_rng(1)],
             )
 
-    def test_seeded_call_matches_campaign(self):
+    def test_seeded_call_matches_campaign(self, monkeypatch):
         # Engine-level seed spawning uses the same namespace as Campaign, so
         # the two entry points agree on every outcome.
+        import repro.engine.campaign as campaign_module
         from repro.engine import Campaign
         from repro.workloads import WorkloadSuite
 
         policy = RepeatedProbabilityDecrease(64)
         patterns = WorkloadSuite().generate("uniform", n=64, k=6, batch=20, seed=4)
         direct = run_randomized_batch(policy, patterns, seed=123)
-        campaign = Campaign(policy, seed=123, shard_size=6).run(patterns)
+        monkeypatch.setattr(campaign_module, "SHARD_SIZE", 6)
+        campaign = Campaign(policy, seed=123).run(patterns)
         np.testing.assert_array_equal(direct.success_slot, campaign.success_slot)
         np.testing.assert_array_equal(direct.winner, campaign.winner)
         np.testing.assert_array_equal(direct.latency, campaign.latency)
@@ -132,6 +134,39 @@ class TestRunRandomizedBatch:
         assert int(result.winner[0]) == 5
         assert int(result.latency[0]) == 0
         assert int(result.slots_examined[0]) == 1
+
+
+class TestRunBatch:
+    """The kind dispatch every caller that takes *any* protocol goes through."""
+
+    def test_deterministic_latencies(self):
+        patterns = [WakeupPattern(8, {3: 0}), WakeupPattern(8, {5: 0, 6: 0})]
+        result = run_batch(RoundRobin(8), patterns)
+        assert result.require_all_solved().tolist() == [2, 4]
+
+    def test_randomized_policy_draws_from_the_seed(self):
+        result = run_batch(FixedProbabilityPolicy(8, 1.0), [WakeupPattern(8, {3: 0})], seed=0)
+        assert result.require_all_solved().tolist() == [0]
+
+    def test_deterministic_protocol_refuses_streams(self):
+        with pytest.raises(ValueError, match="deterministic"):
+            run_batch(RoundRobin(8), [WakeupPattern(8, {1: 0})], seed=0)
+
+    def test_unsolved_rows_fail_the_strict_read(self):
+        class Never(RoundRobin):
+            def transmits(self, station, wake_time, slot):
+                return False
+
+            def transmit_slots(self, station, wake_time, start, stop):
+                return np.empty(0, dtype=np.int64)
+
+        result = run_batch(Never(8), [WakeupPattern(8, {1: 0})], max_slots=50)
+        with pytest.raises(RuntimeError):
+            result.require_all_solved()
+
+    def test_unsupported_type(self):
+        with pytest.raises(TypeError):
+            run_batch(object(), [WakeupPattern(8, {1: 0})])
 
 
 class TestBatchResultContainer:

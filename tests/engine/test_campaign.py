@@ -8,8 +8,8 @@ import pytest
 from repro.channel.wakeup import WakeupPattern
 from repro.core.randomized import RepeatedProbabilityDecrease
 from repro.core.round_robin import RoundRobin
+import repro.engine.campaign as campaign_module
 from repro.engine import Campaign, run_deterministic_batch
-from repro.experiments.cache import FamilyCache
 from repro.workloads import WorkloadSuite
 
 
@@ -18,15 +18,27 @@ def patterns():
     return WorkloadSuite().generate("uniform", n=64, k=8, batch=30, seed=5)
 
 
+@pytest.fixture
+def run_sharded(monkeypatch):
+    """``run_sharded(campaign, patterns, size)``: run with ``size``-pattern shards."""
+
+    def run(campaign, patterns, size):
+        monkeypatch.setattr(campaign_module, "SHARD_SIZE", size)
+        return campaign.run(patterns)
+
+    return run
+
+
 class TestCampaignValidation:
     def test_rejects_non_protocols(self):
         with pytest.raises(TypeError):
             Campaign(object())
 
     def test_rejects_bad_shard_size_and_workers(self):
-        with pytest.raises(ValueError):
+        # The shard size is the module constant SHARD_SIZE, and shards run
+        # serially: neither is a per-campaign option.
+        with pytest.raises(TypeError):
             Campaign(RoundRobin(8), shard_size=0)
-        # Shards run serially; there is no worker-thread option to set.
         with pytest.raises(TypeError):
             Campaign(RoundRobin(8), workers=2)
 
@@ -41,14 +53,23 @@ class TestCampaignValidation:
 
 
 class TestDeterministicCampaign:
-    def test_matches_unsharded_batch(self, patterns):
+    def test_matches_unsharded_batch(self, patterns, run_sharded):
         protocol = RoundRobin(64)
         expected = run_deterministic_batch(protocol, patterns)
         for shard_size in (7, 10, 30, 1):
-            result = Campaign(protocol, shard_size=shard_size).run(patterns)
+            result = run_sharded(Campaign(protocol), patterns, shard_size)
             np.testing.assert_array_equal(result.latency, expected.latency)
             np.testing.assert_array_equal(result.winner, expected.winner)
             np.testing.assert_array_equal(result.success_slot, expected.success_slot)
+
+    def test_shard_constant_sets_the_shard_count(self, patterns, run_sharded):
+        # The invariance tests above are only meaningful if SHARD_SIZE really
+        # cuts the batch: 30 patterns in 7-pattern shards are 5 shards.
+        from repro import obs
+
+        with obs.capture() as state:
+            run_sharded(Campaign(RoundRobin(64)), patterns, 7)
+        assert state.snapshot()["counters"]["campaign.shards"] == 5
 
     def test_empty_run(self):
         result = Campaign(RoundRobin(8)).run([])
@@ -56,16 +77,16 @@ class TestDeterministicCampaign:
 
 
 class TestRandomizedCampaign:
-    def test_outcomes_independent_of_sharding(self, patterns):
+    def test_outcomes_independent_of_sharding(self, patterns, run_sharded):
         policy = RepeatedProbabilityDecrease(64)
-        baseline = Campaign(policy, seed=3, shard_size=30).run(patterns)
+        baseline = run_sharded(Campaign(policy, seed=3), patterns, 30)
         for shard_size in (4, 11, 1, 7):
-            result = Campaign(policy, seed=3, shard_size=shard_size).run(patterns)
+            result = run_sharded(Campaign(policy, seed=3), patterns, shard_size)
             np.testing.assert_array_equal(result.success_slot, baseline.success_slot)
             np.testing.assert_array_equal(result.winner, baseline.winner)
             np.testing.assert_array_equal(result.latency, baseline.latency)
 
-    def test_feedback_policy_outcomes_independent_of_sharding(self):
+    def test_feedback_policy_outcomes_independent_of_sharding(self, run_sharded):
         # Feedback baselines draw backoff windows / splitting coins from the
         # per-pattern streams spawned before sharding, so campaigns over them
         # are shard-invariant too.
@@ -73,16 +94,16 @@ class TestRandomizedCampaign:
 
         patterns = WorkloadSuite().generate("simultaneous", n=64, k=8, batch=24, seed=2)
         for policy in (BinaryExponentialBackoff(64), TreeSplitting(64)):
-            baseline = Campaign(policy, seed=3, shard_size=24).run(patterns)
+            baseline = run_sharded(Campaign(policy, seed=3), patterns, 24)
             for shard_size in (5, 9):
-                result = Campaign(policy, seed=3, shard_size=shard_size).run(patterns)
+                result = run_sharded(Campaign(policy, seed=3), patterns, shard_size)
                 np.testing.assert_array_equal(result.success_slot, baseline.success_slot)
                 np.testing.assert_array_equal(result.winner, baseline.winner)
                 np.testing.assert_array_equal(
                     result.slots_examined, baseline.slots_examined
                 )
 
-    def test_matches_per_pattern_slot_loop(self, patterns):
+    def test_matches_per_pattern_slot_loop(self, patterns, run_sharded):
         # The campaign's randomized path is the batched engine; its outcomes
         # must be bit-for-bit the slot-loop engine's under the same child
         # streams (spawned exactly as Campaign.run spawns them).
@@ -90,7 +111,7 @@ class TestRandomizedCampaign:
         from repro.channel.simulator import run_randomized
 
         policy = RepeatedProbabilityDecrease(64)
-        result = Campaign(policy, seed=9, shard_size=8).run(patterns)
+        result = run_sharded(Campaign(policy, seed=9), patterns, 8)
         generators = spawn_generators(9, len(patterns), "campaign")
         for i, (pattern, gen) in enumerate(zip(patterns, generators)):
             reference = run_randomized(policy, pattern, rng=gen)
@@ -100,13 +121,13 @@ class TestRandomizedCampaign:
             assert int(result.latency[i]) == reference.latency
             assert int(result.slots_examined[i]) == reference.slots_examined
 
-    def test_seed_streams_stable_under_batch_extension(self, patterns):
+    def test_seed_streams_stable_under_batch_extension(self, patterns, run_sharded):
         # Child generators are spawned per pattern index before sharding, so
         # the outcome of pattern i is a prefix property: running a longer
         # batch (with a different shard layout) must not disturb it.
         policy = RepeatedProbabilityDecrease(64)
-        prefix = Campaign(policy, seed=5, shard_size=7).run(patterns[:12])
-        full = Campaign(policy, seed=5, shard_size=13).run(patterns)
+        prefix = run_sharded(Campaign(policy, seed=5), patterns[:12], 7)
+        full = run_sharded(Campaign(policy, seed=5), patterns, 13)
         np.testing.assert_array_equal(full.success_slot[:12], prefix.success_slot)
         np.testing.assert_array_equal(full.winner[:12], prefix.winner)
         np.testing.assert_array_equal(full.latency[:12], prefix.latency)
@@ -143,13 +164,3 @@ class TestRandomizedCampaign:
         np.testing.assert_array_equal(result.k, [p.k for p in patterns])
         np.testing.assert_array_equal(result.first_wake, [p.first_wake for p in patterns])
 
-
-class TestScenarioBFactory:
-    def test_for_scenario_b_uses_the_given_cache(self, patterns):
-        cache = FamilyCache()
-        campaign = Campaign.for_scenario_b(64, 8, cache=cache, shard_size=8)
-        result = campaign.run(patterns)
-        assert bool(result.solved.all())
-        # The families used by the protocol came from (and stayed in) the cache:
-        # the cached slice holds the very same SelectiveFamily objects.
-        assert cache.concatenation(64, 8, seed=0) == campaign.protocol.wait_and_go_arm.families

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cache import FamilyCache
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import DEFINITIONS, run_experiment
 from repro.experiments.runner import ExperimentResult
@@ -21,11 +20,6 @@ TINY = ExperimentScale(
 )
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return FamilyCache()
-
-
 class TestRegistry:
     def test_registry_lists_all_experiments(self):
         assert set(DEFINITIONS) == {f"E{i}" for i in range(1, 12)}
@@ -34,21 +28,21 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run_experiment("E99", TINY)
 
-    def test_lookup_is_case_insensitive(self, cache):
+    def test_lookup_is_case_insensitive(self):
         result = run_experiment("e8", TINY)
         assert result.experiment == "E8"
 
 
 class TestScenarioExperiments:
-    def test_e1_certificates_hold(self, cache):
-        result = run_experiment("E1", TINY, cache=cache)
+    def test_e1_certificates_hold(self):
+        result = run_experiment("E1", TINY)
         assert isinstance(result, ExperimentResult)
         assert result.rows
         assert result.all_certificates_hold
         assert "scenario_a_latency" in result.tables
 
-    def test_e2_certificates_hold(self, cache):
-        result = run_experiment("E2", TINY, cache=cache)
+    def test_e2_certificates_hold(self):
+        result = run_experiment("E2", TINY)
         assert result.all_certificates_hold
         assert any(row["protocol"] == "wakeup_with_k" for row in result.rows)
 
@@ -57,13 +51,13 @@ class TestScenarioExperiments:
         assert result.all_certificates_hold
         assert all(row["latency"] <= 32 * row["bound"] for row in result.rows)
 
-    def test_e4_lower_bound(self, cache):
-        result = run_experiment("E4", TINY, cache=cache)
+    def test_e4_lower_bound(self):
+        result = run_experiment("E4", TINY)
         assert result.all_certificates_hold
         assert any(r.get("protocol") == "round_robin_exact_adversary" for r in result.rows)
 
-    def test_e5_gap(self, cache):
-        result = run_experiment("E5", TINY, cache=cache)
+    def test_e5_gap(self):
+        result = run_experiment("E5", TINY)
         assert result.rows
         for row in result.rows:
             assert row["latency_c"] > 0
@@ -87,10 +81,10 @@ class TestScenarioExperiments:
 
         from repro.core.scenario_c import WakeupProtocol
 
-        result = run_experiment("E7", TINY, seed=0)
+        result = run_experiment("E7", TINY)
         frequency_rows = [r for r in result.rows if "empirical_probability" in r]
         assert frequency_rows
-        protocol = WakeupProtocol(32, seed=0)
+        protocol = WakeupProtocol(32, seed=DEFINITIONS["E7"].default_seed)
         params, matrix = protocol.params, protocol.matrix
         columns = np.arange(0, min(params.length, 2048), dtype=np.int64)
         for entry in frequency_rows:
@@ -108,8 +102,8 @@ class TestScenarioExperiments:
         for row in result.rows:
             assert row["random_selectivity"] >= 0.95
 
-    def test_e9_baselines(self, cache):
-        result = run_experiment("E9", TINY, cache=cache)
+    def test_e9_baselines(self):
+        result = run_experiment("E9", TINY)
         protocols = {row["protocol"] for row in result.rows}
         assert {"wakeup_with_k", "tdma", "rpd"} <= protocols
         deterministic = [
@@ -117,13 +111,13 @@ class TestScenarioExperiments:
         ]
         assert all(r["solved"] for r in deterministic)
 
-    def test_e10_ablations(self, cache):
-        result = run_experiment("E10", TINY, cache=cache)
+    def test_e10_ablations(self):
+        result = run_experiment("E10", TINY)
         ablations = {row["ablation"] for row in result.rows}
         assert ablations == {"window_length", "constant_c", "waiting_rule", "interleaving"}
 
-    def test_e11_global_vs_local_clock(self, cache):
-        result = run_experiment("E11", TINY, cache=cache)
+    def test_e11_global_vs_local_clock(self):
+        result = run_experiment("E11", TINY)
         assert result.rows
         # The global-clock variants must never be worse than the horizon sentinel.
         for row in result.rows:

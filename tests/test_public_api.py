@@ -80,7 +80,7 @@ _RESOLVING_ENTRY_POINTS = [
     ("repro.sweeps.runner", "SweepRunner"),
     ("repro.service.daemon", "ResultsService"),
     ("repro.experiments.campaign", "resolve_specs"),
-    ("repro.experiments.campaign", "ExperimentDefinition.run"),
+    ("repro.experiments.registry", "run_experiment"),
     ("repro.experiments.campaign", "PaperCampaign"),
 ]
 
