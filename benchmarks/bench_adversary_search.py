@@ -8,8 +8,8 @@ step at n = 1024, k = 16, the candidates/sec of
 
 * the per-candidate loop (one ``run_deterministic`` per pattern — the path
   a naive search driver would take), and
-* one batched resolution of the same population (``_evaluate`` over a
-  serial ``WorkerPool``, exactly the call the driver makes per step),
+* one batched resolution of the same population (``_evaluate``, exactly
+  the call the driver makes per step),
 
 plus a hard regression gate asserting the batched path stays at least 10x
 over the loop, with an in-loop check that both paths rank the candidates
@@ -34,7 +34,6 @@ from repro.adversary.search import (
 )
 from repro.channel.simulator import run_deterministic
 from repro.sweeps.protocols import build_protocol
-from repro.sweeps.runner import WorkerPool
 
 N, K, POPULATION = 1024, 16, 64
 MAX_SLOTS = 200_000
@@ -58,9 +57,8 @@ def _step_population(spec: SearchSpec):
 
 
 def _resolve_step(spec: SearchSpec, spec_hash: str, patterns, protocol):
-    """Resolve one step population as a serial ``adversarial_search`` does."""
-    with WorkerPool(0) as pool:
-        return _evaluate(spec, spec_hash, 0, patterns, pool=pool, protocol=protocol)
+    """Resolve one step population as ``adversarial_search`` does."""
+    return _evaluate(spec, spec_hash, 0, patterns, protocol=protocol)
 
 
 def _loop_effective(protocol, patterns, max_slots):

@@ -15,8 +15,8 @@ space directly, building on the rest of the library:
 * :mod:`repro.adversary.search` — the budgeted driver: one candidate
   population per step through the batch engine
   (:func:`repro.engine.run_batch`), every stream derived from config content
-  via ``SeedSequence`` (bit-for-bit invariant to worker count and resume
-  point), checkpoints in a :class:`~repro.sweeps.store.SweepStore`;
+  via ``SeedSequence`` (bit-for-bit invariant to the resume point),
+  checkpoints in a :class:`~repro.sweeps.store.SweepStore`;
 * :mod:`repro.adversary.certificates` — schema-versioned replayable
   :class:`SearchCertificate` exports: protocol name, exact wake times,
   measured latency and its ratio to the paper's lower bound.

@@ -17,9 +17,14 @@ Every random stream is derived from config *content* via ``SeedSequence``
 ``(seed, spec_hash, s)``, and candidate ``i`` of step ``s`` evaluates under a
 generator keyed by ``(seed, spec_hash, s, i)``
 (:func:`~repro.adversary.certificates.evaluation_generator`).  Nothing is
-keyed by worker identity or wall-clock position, so the search result is
-bit-for-bit identical for any ``workers`` count and across interrupt/resume
-— the property suite in ``tests/properties`` asserts both.
+keyed by wall-clock position, so the search result is bit-for-bit identical
+across interrupt/resume — the property suite in ``tests/properties``
+asserts it.
+
+A search runs in one process: each step is one engine scan, never sharded.
+Parallelism lives one level up, where ``repro sweep worst-case --workers``
+maps whole searches (:func:`search_best`, one per grid cell) through
+:func:`~repro.sweeps.runner.map_jobs`.
 
 Resumability: with a :class:`~repro.sweeps.store.SweepStore`, the driver
 checkpoints its full JSON state (strategy state, history, best certificate)
@@ -46,9 +51,9 @@ from repro.adversary.certificates import (
     load_certificate,
 )
 from repro.adversary.strategies import STRATEGIES, get_strategy
-from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
-from repro.sweeps.runner import WorkerPool
+from repro.channel.wakeup import WakeupPattern
 from repro.sweeps.spec import ParamItems, _freeze_params
+from repro.sweeps.store import StoreSchemaError, SweepStore
 
 __all__ = [
     "SearchSpec",
@@ -223,27 +228,19 @@ def _step_generator(spec: SearchSpec, spec_hash: str, step: int) -> np.random.Ge
     return spawn_generators(spec.seed, 1, "adversary-step", spec_hash, int(step))[0]
 
 
-def _build_spec_protocol(spec: SearchSpec):
-    from repro.sweeps.protocols import build_protocol
-
-    return build_protocol(
-        spec.protocol, spec.n, spec.k, seed=spec.seed, **dict(spec.protocol_params)
-    )
-
-
-def _resolve_patterns(
+def _evaluate(
     spec: SearchSpec,
     spec_hash: str,
     step: int,
     patterns: Sequence[WakeupPattern],
-    start: int,
+    *,
     protocol,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve a (shard of a) step population; returns (effective, latency, solved).
+    """Resolve one step's population; returns (effective, latency, solved).
 
-    ``start`` is the global index of the shard's first candidate within the
-    step — the coordinate the per-candidate evaluation streams are keyed by,
-    which is what makes any sharding of the population equivalent.
+    The whole population goes through one :func:`~repro.engine.run_batch`
+    scan in the calling process.  A randomized policy draws candidate ``i``
+    from the stream keyed by ``(seed, spec_hash, step, i)``.
     """
     from repro.channel.protocols import RandomizedPolicy
     from repro.engine import run_batch
@@ -251,52 +248,12 @@ def _resolve_patterns(
     rngs = None
     if isinstance(protocol, RandomizedPolicy):
         rngs = [
-            evaluation_generator(spec.seed, spec_hash, step, start + i)
+            evaluation_generator(spec.seed, spec_hash, step, i)
             for i in range(len(patterns))
         ]
     batch = run_batch(protocol, list(patterns), rngs=rngs, max_slots=spec.max_slots)
     effective = effective_latencies(batch.latency, batch.solved, spec.max_slots)
     return effective, batch.latency, batch.solved
-
-
-def _evaluate_job(job) -> Tuple[List[int], List[int], List[bool]]:
-    """One worker shard (top-level so it pickles into worker processes)."""
-    spec_dict, spec_hash, step, start, encoded = job
-    spec = SearchSpec.from_dict(spec_dict)
-    patterns = [WakeupPattern(spec.n, decode_wake_times(text)) for text in encoded]
-    protocol = _build_spec_protocol(spec)
-    effective, latency, solved = _resolve_patterns(
-        spec, spec_hash, step, patterns, start, protocol
-    )
-    return effective.tolist(), latency.tolist(), solved.tolist()
-
-
-def _evaluate(
-    spec: SearchSpec,
-    spec_hash: str,
-    step: int,
-    patterns: List[WakeupPattern],
-    *,
-    pool: WorkerPool,
-    protocol,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve one step's population, in-process or sharded across the pool."""
-    if not pool.processes:
-        return _resolve_patterns(spec, spec_hash, step, patterns, 0, protocol)
-
-    spec_dict = spec.as_dict()
-    shards = min(pool.processes, len(patterns))
-    bounds = np.linspace(0, len(patterns), shards + 1, dtype=int)
-    encoded = [encode_wake_times(p.wake_times) for p in patterns]
-    jobs = [
-        (spec_dict, spec_hash, step, int(lo), encoded[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    parts = pool.map(_evaluate_job, jobs)
-    effective = np.concatenate([np.asarray(p[0], dtype=np.int64) for p in parts])
-    latency = np.concatenate([np.asarray(p[1], dtype=np.int64) for p in parts])
-    solved = np.concatenate([np.asarray(p[2], dtype=bool) for p in parts])
-    return effective, latency, solved
 
 
 def _certificate(
@@ -333,7 +290,6 @@ def adversarial_search(
     spec: SearchSpec,
     *,
     store=None,
-    workers: int = 0,
     progress: Optional[Callable[[int, int, int], None]] = None,
 ) -> SearchResult:
     """Run (or resume) one guided search and return its best certificate.
@@ -349,12 +305,6 @@ def adversarial_search(
         checkpoint of an unsupported schema (or of a different spec that
         collided on the key) raises
         :class:`~repro.sweeps.store.StoreSchemaError` naming the blob file.
-    workers:
-        ``<= 1`` resolves each step's population in-process; larger values
-        shard it across the processes of one
-        :class:`~repro.sweeps.runner.WorkerPool`, opened for the whole
-        search and closed when it ends or aborts.  The result is bit-for-bit
-        identical either way.
     progress:
         Optional ``progress(step, evaluated, best_latency)`` hook fired after
         each step's checkpoint is written.  An exception it raises aborts the
@@ -374,8 +324,6 @@ def adversarial_search(
     if store is not None:
         data = store.load_blob(checkpoint_key)
         if data is not None:
-            from repro.sweeps.store import StoreSchemaError
-
             path = store.blob_path(checkpoint_key)
             if data.get("schema") != CHECKPOINT_SCHEMA:
                 raise StoreSchemaError(
@@ -395,8 +343,12 @@ def adversarial_search(
             if data.get("best") is not None:
                 best = load_certificate(data["best"], source=str(path))
 
-    protocol = _build_spec_protocol(spec) if workers <= 1 else None
-    with WorkerPool(workers if workers > 1 else 0) as pool, obs.span(
+    from repro.sweeps.protocols import build_protocol
+
+    protocol = build_protocol(
+        spec.protocol, spec.n, spec.k, seed=spec.seed, **dict(spec.protocol_params)
+    )
+    with obs.span(
         "adversary.search",
         protocol=spec.protocol,
         strategy=spec.strategy,
@@ -412,7 +364,7 @@ def adversarial_search(
             else:
                 patterns, meta = strategy.propose(spec, state, step, count, rng)
             effective, latency, solved = _evaluate(
-                spec, spec_hash, step, patterns, pool=pool, protocol=protocol
+                spec, spec_hash, step, patterns, protocol=protocol
             )
             index = int(np.argmax(effective))  # earliest candidate wins ties
             value = int(effective[index])
@@ -464,6 +416,18 @@ def adversarial_search(
         steps=step,
         history=tuple(history),
     )
+
+
+def search_best(job: Tuple[SearchSpec, Optional[SweepStore]]) -> SearchCertificate:
+    """Run one ``(spec, store)`` search serially; return its best certificate.
+
+    The pool job of ``repro sweep worst-case`` (top-level, so it pickles into
+    worker processes).  With a store, the search checkpoints from inside the
+    job: every spec has its own blob key and :meth:`save_blob` ends in
+    ``os.replace``, so concurrent cells never interleave their writes.
+    """
+    spec, store = job
+    return adversarial_search(spec, store=store).best
 
 
 def checkpoint_summaries(store) -> List[Dict[str, object]]:

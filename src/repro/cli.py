@@ -43,9 +43,10 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     processes, ``resume`` an interrupted run from its on-disk store, print
     the ``status`` of a store against a spec, or run ``worst-case``: the
     ``random`` strategy of the adversarial search (:mod:`repro.adversary`)
-    on every (protocol, n, k, seed) cell.  Results are bit-for-bit
-    identical for any worker count.  ``--trace PATH`` records a
-    structured JSONL trace of the run through :mod:`repro.obs`.
+    on every (protocol, n, k, seed) cell, one whole search per worker job.
+    Results are bit-for-bit identical for any worker count.  ``--trace
+    PATH`` records a structured JSONL trace of the run through
+    :mod:`repro.obs`.
 
 ``adversary``
     Guided adversarial search (:mod:`repro.adversary`): ``search`` hunts the
@@ -55,9 +56,9 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     certificate; ``replay`` re-measures a certificate (or every row of a
     ``sweep worst-case --export`` JSON array) standalone and fails when a
     recorded latency does not reproduce; ``report`` summarizes the
-    searches checkpointed in a store.  With ``--store``, an interrupted
-    search resumes at its last completed step; results are bit-for-bit
-    identical for any ``--workers`` count and across interrupt/resume.
+    searches checkpointed in a store.  A search runs in one process; with
+    ``--store``, an interrupted search resumes at its last completed step
+    with a bit-for-bit identical result.
 
 ``service``
     The long-lived results service (:mod:`repro.service`): ``start`` runs a
@@ -146,7 +147,7 @@ from repro.experiments.registry import DEFINITIONS, run_experiment
 from repro.reporting.figures import render_trace
 from repro.reporting.tables import TextTable
 from repro.adversary.strategies import strategy_names
-from repro.sweeps import SweepRunner, SweepSpec, SweepStore
+from repro.sweeps import SweepRunner, SweepSpec, SweepStore, map_jobs
 from repro.sweeps.protocols import PROTOCOL_BUILDERS, build_protocol
 from repro.workloads import WorkloadSuite
 
@@ -345,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.adversary: a strategy proposes one candidate population per "
         "step, the batch engine resolves it, and the worst finding exports "
         "as a certificate that replays standalone. With --store the search "
-        "checkpoints after every step and an interrupted run resumes; "
-        "results are bit-for-bit identical for any --workers count. "
+        "checkpoints after every step and an interrupted run resumes with "
+        "a bit-for-bit identical result. The search runs in one process; "
+        "`repro sweep worst-case --workers N` runs whole searches in parallel. "
         "Examples: `repro adversary search --protocol scenario-b --n 256 "
         "--k 16 --strategy anneal --budget 2048 --certificate worst.json`; "
         "`repro adversary replay --certificate worst.json`; `repro "
@@ -379,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None,
         help="SweepStore directory for per-step checkpoints (search: enables "
         "resume; report: required)",
-    )
-    adversary.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes per step (0 = in-process; results identical)",
     )
     adversary.add_argument(
         "--certificate", default=None, metavar="PATH",
@@ -793,11 +791,14 @@ def _cmd_sweep_worst_case(
 ) -> int:
     """The ``sweep worst-case`` action: the ``random`` search on every grid cell.
 
-    One :func:`~repro.adversary.adversarial_search` per (protocol, n, k,
-    seed) cell with ``k <= n``, spending ``--trials`` candidates; with a
-    store every search checkpoints and resumes like ``adversary search``.
+    One serial :func:`~repro.adversary.adversarial_search` per (protocol, n,
+    k, seed) cell with ``k <= n``, spending ``--trials`` candidates; the
+    cells run as whole jobs through :func:`~repro.sweeps.runner.map_jobs`
+    at ``--workers``.  With a store every search checkpoints and resumes
+    like ``adversary search``.
     """
-    from repro.adversary import SearchSpec, adversarial_search
+    from repro.adversary import SearchSpec
+    from repro.adversary.search import search_best
     from repro.sweeps.spec import powers_of_two_up_to
 
     k_values = spec.k_values
@@ -821,10 +822,9 @@ def _cmd_sweep_worst_case(
     ]
     if not searches:
         raise ValueError("worst-case grid is empty (every k exceeded its n)")
-    best = [
-        adversarial_search(search, store=store, workers=args.workers).best
-        for search in searches
-    ]
+    best = map_jobs(
+        search_best, [(search, store) for search in searches], workers=args.workers
+    )
     table = TextTable(["protocol", "n", "k", "seed", "worst latency", "solved"])
     for cert in best:
         table.add_row([cert.protocol, cert.n, cert.k, cert.seed, cert.latency, cert.solved])
@@ -909,7 +909,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             result = adversarial_search(
                 spec,
                 store=store,
-                workers=args.workers,
                 progress=lambda step, evaluated, best: print(
                     f"step {step}: {evaluated}/{spec.budget} candidates, best latency {best}"
                 ),

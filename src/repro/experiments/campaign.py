@@ -14,7 +14,7 @@ experiment`` runs a one-experiment campaign
   E1/E2/E3/E5/E10/E11 share grid cells), serves stored ones from the
   :class:`~repro.sweeps.store.SweepStore`, and shards the rest across
   :class:`~repro.sweeps.runner.SweepRunner` worker processes;
-* ``render(resolved, scale, seed, cache)`` turns resolved records into the
+* ``render(resolved, scale)`` turns resolved records into the
   :class:`~repro.experiments.runner.ExperimentResult` — tables, figures,
   certificates.  Compute that is not a spec measurement (E4's adaptive
   adversary table, E7's matrix figures, E8's family constructions) goes
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.experiments.cache import FamilyCache, shared_cache
 from repro.experiments.config import ExperimentScale, QUICK
 from repro.experiments.runner import ExperimentResult
 from repro.sweeps.runner import SweepRunner
@@ -240,23 +239,18 @@ class ExperimentDefinition:
         as pure data.  Must be deterministic in ``scale`` alone (render calls
         it again to address results).  Render-only experiments return ``[]``.
     render:
-        ``(resolved, scale, seed, cache) -> ExperimentResult`` — turns
-        resolved records into tables/figures/certificates.  ``seed`` feeds
-        only render-side randomness (E4's adaptive adversary, E7/E8's
-        constructions), whose results render memoizes through
+        ``(resolved, scale) -> ExperimentResult`` — turns resolved records
+        into tables/figures/certificates.  Render-side randomness (E4's
+        adaptive adversary, E7/E8's constructions) uses a fixed seed per
+        experiment, and render memoizes its results through
         :meth:`ResolvedSpecs.memo`; engine measurements are keyed by the
         specs' own seeds, so two renders over one store agree bit for bit.
-    default_seed:
-        The ``seed`` :class:`PaperCampaign` renders the experiment with.
     """
 
     experiment: str
     title: str
     plan: Callable[[ExperimentScale], List[MeasurementSpec]]
-    render: Callable[
-        [ResolvedSpecs, ExperimentScale, int, FamilyCache], ExperimentResult
-    ]
-    default_seed: int = 0
+    render: Callable[[ResolvedSpecs, ExperimentScale], ExperimentResult]
 
 
 @dataclass
@@ -388,9 +382,7 @@ class PaperCampaign:
         for definition in definitions:
             t0 = time.perf_counter()
             with obs.span("experiments.render", experiment=definition.experiment):
-                results[definition.experiment] = definition.render(
-                    resolved, self.scale, definition.default_seed, shared_cache
-                )
+                results[definition.experiment] = definition.render(resolved, self.scale)
             render_seconds[definition.experiment] = time.perf_counter() - t0
 
         hit_rate = (

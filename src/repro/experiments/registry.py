@@ -9,7 +9,7 @@ Every experiment is an :class:`~repro.experiments.campaign.ExperimentDefinition`
   content-hashable :class:`~repro.experiments.campaign.MeasurementSpec`
   sweep configs (protocol name, ``(n, k)``, workload, batch, seed, horizon)
   — pure data, no live objects;
-* ``render(resolved, scale, seed, cache)`` turns the resolved records into
+* ``render(resolved, scale)`` turns the resolved records into
   the :class:`~repro.experiments.runner.ExperimentResult` tables, figures
   and certificates.
 
@@ -19,13 +19,14 @@ grid cells), resolve process-parallel through :mod:`repro.sweeps`, and
 memoize in one :class:`~repro.sweeps.store.SweepStore`.  Render functions are
 pure over the resolved records.  Compute that is not a spec measurement (E4's
 adaptive-adversary table, E7's matrix figures, E8's family constructions),
-driven by the experiment ``seed``, runs through
+driven by a fixed per-experiment seed (``_E4_SEED``, ``_E7_SEED``,
+``_E8_SEED``), runs through
 :meth:`~repro.experiments.campaign.ResolvedSpecs.memo`: with a store it is
 kept as a schema-versioned ``render/<hash>`` blob, so a warm rerun renders
 from stored records and blobs alone and simulates nothing.
 
 Every spec uses :data:`BATTERY_SEED` so overlapping cells hash identically
-across experiments; each definition's ``default_seed`` only feeds that
+across experiments; the per-experiment seeds above only feed that
 render-side randomness.  ``repro paper report`` renders every experiment's
 section at any scale; ``repro experiment EX`` (:func:`run_experiment`, a
 one-experiment campaign) renders one.
@@ -72,6 +73,7 @@ from repro.experiments.campaign import (
     PaperCampaign,
     ResolvedSpecs,
 )
+from repro.experiments.cache import shared_cache
 from repro.experiments.config import ExperimentScale, QUICK
 from repro.experiments.runner import ExperimentResult
 from repro.reporting.figures import ascii_line_plot, render_matrix_occupancy, render_trace
@@ -93,7 +95,7 @@ __all__ = [
 #: per-experiment seed — so a grid cell demanded by several experiments is
 #: one store record; workload streams are still decorrelated per workload
 #: name by the suite's ``SeedSequence`` discipline, and the per-experiment
-#: ``seed`` argument feeds only render-side randomness.
+#: render seeds feed only render-side randomness.
 BATTERY_SEED = 0
 
 
@@ -172,7 +174,6 @@ def _upper_bound_experiment(
     claim: str,
     tolerance: float,
     small_k: bool,
-    default_seed: int,
 ) -> ExperimentDefinition:
     """E1–E3: each ``(n, k)`` cell's worst latency against an upper bound.
 
@@ -186,7 +187,7 @@ def _upper_bound_experiment(
         return [spec for _, _, specs in cells(scale) for spec in specs]
 
     def render(
-        resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+        resolved: ResolvedSpecs, scale: ExperimentScale
     ) -> ExperimentResult:
         result = ExperimentResult(experiment=experiment, title=title, scale=scale.name)
         table = TextTable(["n", "k", "worst latency", bound_header, "ratio"])
@@ -224,9 +225,7 @@ def _upper_bound_experiment(
         )
         return result
 
-    return ExperimentDefinition(
-        experiment, title=title, plan=plan, render=render, default_seed=default_seed
-    )
+    return ExperimentDefinition(experiment, title=title, plan=plan, render=render)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +302,12 @@ def _e4_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
     return [spec for _, _, spec in _e4_cells(scale)]
 
 
+#: Seed of E4's adaptive-adversary runs and of its protocols' constructions.
+_E4_SEED = 4
+
+
 def _e4_adversary_table(
-    cells: List[Tuple[int, int]], max_slots: int, seed: int, cache
+    cells: List[Tuple[int, int]], max_slots: int, seed: int
 ) -> List[List[list]]:
     """Per cell, ``[protocol, adversary latency, distinct slots]`` rows.
 
@@ -314,10 +317,12 @@ def _e4_adversary_table(
     rng = as_generator(seed)
     table = []
     for n, k in cells:
-        families = cache.concatenation(n, k, seed=seed)
+        families = shared_cache.concatenation(n, k, seed=seed)
         protocols = {
             "round_robin": RoundRobin(n),
-            "wakeup_with_s": WakeupWithS(n, s=0, families=cache.concatenation(n, n, seed=seed)),
+            "wakeup_with_s": WakeupWithS(
+                n, s=0, families=shared_cache.concatenation(n, n, seed=seed)
+            ),
             "wakeup_with_k": WakeupWithK(n, k, families=families),
             "wakeup_scenario_c": WakeupProtocol(n, seed=seed),
         }
@@ -331,7 +336,7 @@ def _e4_adversary_table(
 
 
 def _e4_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E4",
@@ -345,8 +350,8 @@ def _e4_render(
     keys = [(n, k) for n, k, _ in cells]
     adversary_table = resolved.memo(
         "E4",
-        {"cells": keys, "max_slots": scale.max_slots, "seed": seed},
-        lambda: _e4_adversary_table(keys, scale.max_slots, seed, cache),
+        {"cells": keys, "max_slots": scale.max_slots, "seed": _E4_SEED},
+        lambda: _e4_adversary_table(keys, scale.max_slots, _E4_SEED),
     )
     exact_points: List[Tuple[int, int, float]] = []
     for (n, k, spec), reports in zip(cells, adversary_table):
@@ -425,7 +430,7 @@ def _e5_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
 
 
 def _e5_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E5",
@@ -511,7 +516,7 @@ def _e6_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
 
 
 def _e6_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E6",
@@ -615,6 +620,9 @@ def _render_only_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
 #: Universe size of E7's figures.
 _E7_N = 32
 
+#: Seed of E7's transmission matrix.
+_E7_SEED = 7
+
 
 def _e7_compute(max_slots: int, seed: int) -> Dict[str, object]:
     """E7's simulation and matrix analysis: figures, first success, frequencies."""
@@ -663,7 +671,7 @@ def _e7_compute(max_slots: int, seed: int) -> Dict[str, object]:
 
 
 def _e7_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E7",
@@ -672,8 +680,8 @@ def _e7_render(
     )
     computed = resolved.memo(
         "E7",
-        {"n": _E7_N, "max_slots": scale.max_slots, "seed": seed},
-        lambda: _e7_compute(scale.max_slots, seed),
+        {"n": _E7_N, "max_slots": scale.max_slots, "seed": _E7_SEED},
+        lambda: _e7_compute(scale.max_slots, _E7_SEED),
     )
     result.figures.update(computed["figures"])
     isolation = computed["isolation"]
@@ -720,6 +728,10 @@ def _e7_render(
 # ---------------------------------------------------------------------------
 
 
+#: Seed of E8's random families and their Monte-Carlo checks.
+_E8_SEED = 8
+
+
 def _e8_cells(scale: ExperimentScale) -> List[Tuple[int, int]]:
     return [(n, k) for n in scale.n_values for k in [2, 4, 8, 16] if k <= n]
 
@@ -744,7 +756,7 @@ def _e8_compute(cells: List[Tuple[int, int]], seed: int) -> List[list]:
 
 
 def _e8_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E8",
@@ -763,7 +775,7 @@ def _e8_render(
     )
     cells = _e8_cells(scale)
     computed = resolved.memo(
-        "E8", {"cells": cells, "seed": seed}, lambda: _e8_compute(cells, seed)
+        "E8", {"cells": cells, "seed": _E8_SEED}, lambda: _e8_compute(cells, _E8_SEED)
     )
     for (n, k), (target, random_length, selectivity, explicit_length) in zip(
         cells, computed
@@ -824,7 +836,7 @@ def _e9_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
 
 
 def _e9_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E9",
@@ -931,7 +943,7 @@ def _e10_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
 
 
 def _e10_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E10",
@@ -1047,7 +1059,7 @@ def _e11_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
 
 
 def _e11_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
+    resolved: ResolvedSpecs, scale: ExperimentScale
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E11",
@@ -1115,7 +1127,6 @@ DEFINITIONS: Dict[str, ExperimentDefinition] = {
         claim="wakeup_with_s latency = O(k log(n/k) + 1)",
         tolerance=48.0,
         small_k=True,
-        default_seed=1,
     ),
     "E2": _upper_bound_experiment(
         "E2",
@@ -1128,7 +1139,6 @@ DEFINITIONS: Dict[str, ExperimentDefinition] = {
         claim="wakeup_with_k latency = O(k log(n/k) + 1)",
         tolerance=64.0,
         small_k=True,
-        default_seed=2,
     ),
     "E3": _upper_bound_experiment(
         "E3",
@@ -1141,63 +1151,54 @@ DEFINITIONS: Dict[str, ExperimentDefinition] = {
         claim="wakeup(n) latency = O(k log n log log n)",
         tolerance=32.0,
         small_k=False,
-        default_seed=3,
     ),
     "E4": ExperimentDefinition(
         "E4",
         title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
         plan=_e4_plan,
         render=_e4_render,
-        default_seed=4,
     ),
     "E5": ExperimentDefinition(
         "E5",
         title="Gap between Scenario C and Scenarios A/B",
         plan=_e5_plan,
         render=_e5_render,
-        default_seed=5,
     ),
     "E6": ExperimentDefinition(
         "E6",
         title="Randomized wake-up: RPD expected O(log n) / O(log k)",
         plan=_e6_plan,
         render=_e6_render,
-        default_seed=6,
     ),
     "E7": ExperimentDefinition(
         "E7",
         title="Transmission-matrix structure (paper Figures 1 and 2)",
         plan=_render_only_plan,
         render=_e7_render,
-        default_seed=7,
     ),
     "E8": ExperimentDefinition(
         "E8",
         title="Selective families: length and selectivity of the constructions",
         plan=_render_only_plan,
         render=_e8_render,
-        default_seed=8,
     ),
     "E9": ExperimentDefinition(
         "E9",
         title="Baseline comparison on simultaneous and staggered wake-ups",
         plan=_e9_plan,
         render=_e9_render,
-        default_seed=9,
     ),
     "E10": ExperimentDefinition(
         "E10",
         title="Ablations: window length, constant c, waiting rule, interleaving",
         plan=_e10_plan,
         render=_e10_render,
-        default_seed=10,
     ),
     "E11": ExperimentDefinition(
         "E11",
         title="Extension: global clock vs local clock",
         plan=_e11_plan,
         render=_e11_render,
-        default_seed=11,
     ),
 }
 

@@ -8,9 +8,10 @@ the Python-side share of pattern generation and protocol construction, and
 isolate per-config memory — and merges the finished
 :class:`~repro.sweeps.store.ConfigRecord` rows back in grid order.
 
-:class:`WorkerPool` is the package's one process pool: sweeps (through
-:func:`map_jobs`), guided adversarial searches and the results service all
-run their jobs through it.
+:class:`WorkerPool` is the package's one process pool: sweeps and ``repro
+sweep worst-case`` (through :func:`map_jobs`) and the results service run
+their jobs through it.  A job is always a whole independent unit — a
+config, a query or a whole adversarial search — never a share of one.
 
 Worker-count invariance
 -----------------------
@@ -135,9 +136,9 @@ class _InstrumentedJob:
 class WorkerPool:
     """Worker processes that map picklable jobs; inline at 0 processes.
 
-    One pool serves many :meth:`map` calls (a search's steps, a service's
-    misses), so process start-up is paid once.  ``fn`` must be pure in its
-    job, so the inline and the process paths agree bit for bit.  Under an
+    One pool serves many :meth:`map` calls (a service's misses), so process
+    start-up is paid once.  ``fn`` must be pure in its job, so the inline
+    and the process paths agree bit for bit.  Under an
     observability session each job runs as an :class:`_InstrumentedJob`
     whose snapshot is merged in the calling process, with one ``job`` trace
     event per job: counter totals do not depend on the process count, and

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.experiments.registry import DEFINITIONS, run_experiment
+from repro.experiments.registry import DEFINITIONS, _E7_SEED, run_experiment
 from repro.experiments.runner import ExperimentResult
 
 #: A deliberately tiny scale so the whole registry runs in seconds.
@@ -84,7 +84,7 @@ class TestScenarioExperiments:
         result = run_experiment("E7", TINY)
         frequency_rows = [r for r in result.rows if "empirical_probability" in r]
         assert frequency_rows
-        protocol = WakeupProtocol(32, seed=DEFINITIONS["E7"].default_seed)
+        protocol = WakeupProtocol(32, seed=_E7_SEED)
         params, matrix = protocol.params, protocol.matrix
         columns = np.arange(0, min(params.length, 2048), dtype=np.int64)
         for entry in frequency_rows:

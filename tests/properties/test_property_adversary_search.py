@@ -4,8 +4,7 @@ The searchable invariants the driver promises:
 
 * mutation operators always yield valid patterns — exactly ``k`` awake
   stations, non-negative wake times;
-* search results are bit-identical across worker counts and across
-  interrupt/resume;
+* search results are bit-identical across interrupt/resume;
 * the best-so-far latency is monotone non-decreasing per step;
 * one tie convention for every strategy — unsolved rows count as
   ``max_slots``, the earliest candidate wins.
@@ -138,16 +137,6 @@ class TestSearchInvariance:
         assert best == sorted(best)
         assert result.best.latency == best[-1]
 
-    @given(strategy=st.sampled_from(["random", "anneal", "evolution", "bandit"]), seed=seeds)
-    @example(strategy="random", seed=0)
-    @settings(max_examples=3, deadline=None)
-    def test_bit_identical_across_worker_counts(self, strategy, seed):
-        spec = _spec(strategy, seed)
-        serial = adversarial_search(spec, workers=1)
-        sharded = adversarial_search(spec, workers=4)
-        assert serial.best == sharded.best
-        assert serial.history == sharded.history
-
     @given(
         strategy=st.sampled_from(["random", "anneal", "evolution", "bandit"]),
         seed=seeds,
@@ -178,24 +167,3 @@ class TestSearchInvariance:
         assert resumed.best == uninterrupted.best
         assert resumed.history == uninterrupted.history
         assert resumed.evaluated == uninterrupted.evaluated
-
-
-class TestRandomizedPolicyInvariance:
-    @given(seed=seeds)
-    @settings(max_examples=2, deadline=None)
-    def test_randomized_policy_search_is_worker_invariant(self, seed):
-        spec = SearchSpec(
-            protocol="rpd",
-            n=16,
-            k=4,
-            strategy="anneal",
-            budget=32,
-            population=8,
-            seed=seed,
-            window=32,
-            max_slots=5_000,
-        )
-        serial = adversarial_search(spec, workers=1)
-        sharded = adversarial_search(spec, workers=3)
-        assert serial.best == sharded.best
-        assert serial.history == sharded.history

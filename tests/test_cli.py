@@ -374,9 +374,12 @@ class TestSweepCommand:
             assert cert.as_dict() == row
             assert replay_certificate(cert) == cert
 
-    def test_worst_case_store_checkpoints_every_cell(self, capsys, tmp_path):
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_worst_case_store_checkpoints_every_cell(self, capsys, tmp_path, workers):
         store = str(tmp_path / "wc-store")
-        first = self._worst_case_rows(tmp_path, "first", "--store", store)
+        first = self._worst_case_rows(
+            tmp_path, "first", "--store", store, "--workers", workers
+        )
         assert main(["adversary", "report", "--store", store]) == 0
         report = capsys.readouterr().out
         assert report.count("random") == 2
@@ -447,12 +450,15 @@ class TestSweepCommand:
         summary = obs.summarize_trace(trace)
         assert summary.counters == manifest["counters"]
 
-    def test_trace_counter_totals_are_worker_count_invariant(self, capsys, tmp_path):
+    @pytest.mark.parametrize("action", ["run", "worst-case"])
+    def test_trace_counter_totals_are_worker_count_invariant(
+        self, capsys, tmp_path, action
+    ):
         counters = {}
         for workers in ("1", "4"):
             trace = tmp_path / f"w{workers}.jsonl"
             args = [
-                "sweep", "run", *self.INLINE,
+                "sweep", action, *self.INLINE,
                 "--workers", workers, "--trace", str(trace),
             ]
             assert main(args) == 0
@@ -678,6 +684,12 @@ class TestAdversaryCommand:
     def test_invalid_shape_is_usage_error(self, capsys):
         assert main(["adversary", "search", "--n", "4", "--k", "9"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["adversary", "search", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestSingleEnginePath:
