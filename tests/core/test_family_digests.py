@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from repro.combinatorics.superimposed import kautz_singleton_code
 from repro.core.selective import concatenated_families, random_selective_family
 
 
@@ -92,3 +94,51 @@ def test_monte_carlo_verified_digest():
     family = random_selective_family(64, 8, rng=5, verification="monte-carlo")
     assert family.verified == "monte-carlo"
     assert _digest([family]) == "9fe4e3aa49f2eae4"
+
+
+#: ``kautz_singleton_code(n, k)`` -> digest of ``n``, ``k``, ``q``, ``degree``
+#: and the packed code matrix.  Covers every explicit E8 cell (k <= 8), the
+#: larger strengths at n = 256 and n = 2048, and the n = 1 and k = 1 edges.
+KAUTZ_SINGLETON_DIGESTS = {
+    (64, 2): "f5c857916a5b5247",  # q=5, degree=2
+    (64, 4): "6c139956ebc244d0",  # q=11, degree=1
+    (64, 8): "a428a700f363ab56",  # q=11, degree=1
+    (128, 2): "05f827bf1a4b31f6",  # q=7, degree=2
+    (128, 4): "a1f516f0aa16a2a4",  # q=11, degree=2
+    (128, 8): "828a1616a338022b",  # q=13, degree=1
+    (256, 2): "5bfc1a516452b902",  # q=7, degree=2
+    (256, 4): "f748ae743edc57cf",  # q=11, degree=2
+    (256, 8): "eb6ab6edc67bde03",  # q=17, degree=1
+    (512, 2): "a6ea7d771cb31f59",  # q=7, degree=3
+    (512, 4): "f8d859724a6379e1",  # q=11, degree=2
+    (512, 8): "3738a2a1bb99c522",  # q=17, degree=2
+    (1024, 2): "4d7f0d4557ce6d03",  # q=7, degree=3
+    (1024, 4): "1b8e47af040bb488",  # q=11, degree=2
+    (1024, 8): "4969c9688b3656a7",  # q=17, degree=2
+    (2048, 2): "13085c3a7e1333ad",  # q=7, degree=3
+    (2048, 4): "a11781517a39f052",  # q=13, degree=2
+    (2048, 8): "b3a4b1ef48c62487",  # q=17, degree=2
+    (256, 16): "d29e9878a1bb6689",  # q=17, degree=1
+    (256, 32): "da57120d415c2c4d",  # q=37, degree=1
+    (256, 64): "459e642f52a86957",  # q=67, degree=1
+    (2048, 16): "f4b185e5d8fa14ad",  # q=37, degree=2
+    (2048, 32): "c7af138d2c30a42d",  # q=47, degree=1
+    (2048, 64): "26ed2a793be5c3e7",  # q=67, degree=1
+    (1, 1): "d76833b03420a3ae",  # q=1, degree=0
+    (2, 1): "4fccf0de4259f1ec",  # q=2, degree=1
+    (64, 1): "6f23a79ef738d42c",  # q=5, degree=2
+    (2048, 1): "2f8a7d9ddd559bb8",  # q=5, degree=4
+}
+
+
+def _code_digest(code) -> str:
+    h = hashlib.sha256(f"{code.n}|{code.strength}|{code.q}|{code.degree}\n".encode())
+    h.update(np.packbits(code.matrix).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(("n", "k"), sorted(KAUTZ_SINGLETON_DIGESTS))
+def test_kautz_singleton_digest(n, k):
+    code = kautz_singleton_code(n, k)
+    assert (code.n, code.strength) == (n, k)
+    assert _code_digest(code) == KAUTZ_SINGLETON_DIGESTS[n, k]
