@@ -31,7 +31,7 @@ what is documented in :mod:`repro`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "ragged_arange",
     "MAX_CELLS_PER_CHUNK",
     "ceil_log2",
-    "floor_log2",
     "ceil_div",
     "log2_safe",
     "loglog2_safe",
@@ -51,7 +50,6 @@ __all__ = [
     "validate_station_ids",
     "validate_positive_int",
     "validate_k_n",
-    "ensure_sorted_unique",
 ]
 
 #: Anything acceptable as a source of randomness: ``None`` (fresh entropy),
@@ -142,13 +140,6 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def floor_log2(x: int) -> int:
-    """Return ``floor(log2(x))`` for a positive integer ``x``."""
-    if x < 1:
-        raise ValueError(f"floor_log2 requires x >= 1, got {x}")
-    return x.bit_length() - 1
-
-
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling division ``ceil(a / b)`` for ``b > 0``."""
     if b <= 0:
@@ -213,12 +204,3 @@ def validate_k_n(k: int, n: int) -> tuple[int, int]:
     if k > n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     return k, n
-
-
-def ensure_sorted_unique(values: Sequence[int], name: str = "values") -> list[int]:
-    """Return a sorted list of distinct integers, validating uniqueness."""
-    out = sorted(int(v) for v in values)
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise ValueError(f"{name} must be distinct; {a} appears more than once")
-    return out

@@ -3,8 +3,7 @@
 The reproduction cannot (and should not) match the paper's constants — the
 bounds are asymptotic — so the experiment harness validates *shape* instead:
 
-* :mod:`repro.analysis.statistics` — summaries over repeated runs (mean,
-  median, quantiles);
+* :mod:`repro.analysis.statistics` — the numpy-free median of a sample;
 * :mod:`repro.analysis.fitting` — least-squares fitting of measured latencies
   against candidate growth models (``k``, ``k log(n/k)``, ``k log n``,
   ``k log n log log n``, ...) and model selection;
@@ -15,42 +14,32 @@ bounds are asymptotic — so the experiment harness validates *shape* instead:
   (e.g. round-robin vs the selective arm as ``k → n``).
 """
 
-from repro.analysis.statistics import (
-    SummaryStatistics,
-    sorted_median,
-    summarize,
-)
+from repro.analysis.statistics import sorted_median
 from repro.analysis.fitting import (
     GrowthModel,
     STANDARD_MODELS,
     FitResult,
     fit_model,
     best_model,
-    normalized_ratios,
 )
 from repro.analysis.certificates import (
     BoundCertificate,
     bound_ratio,
     check_upper_bound,
     check_lower_bound,
-    ratio_table,
 )
 from repro.analysis.shape import who_wins
 
 __all__ = [
-    "SummaryStatistics",
     "sorted_median",
-    "summarize",
     "GrowthModel",
     "STANDARD_MODELS",
     "FitResult",
     "fit_model",
     "best_model",
-    "normalized_ratios",
     "BoundCertificate",
     "bound_ratio",
     "check_upper_bound",
     "check_lower_bound",
-    "ratio_table",
     "who_wins",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "bound_ratio",
     "check_upper_bound",
     "check_lower_bound",
-    "ratio_table",
 ]
 
 
@@ -136,12 +135,3 @@ def check_lower_bound(
         tolerance=tolerance,
         violations=violations,
     )
-
-
-def ratio_table(
-    measurements: Sequence[Tuple[int, int, float]],
-    bound: Callable[[int, int], float],
-) -> List[Tuple[int, int, float, float, float]]:
-    """Return ``(n, k, measured, bound, measured/bound)`` rows for reporting."""
-    rows = _rows(measurements, bound)
-    return [(n, k, m, b, m / b) for (n, k, m, b) in rows]

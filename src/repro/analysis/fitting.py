@@ -24,7 +24,6 @@ __all__ = [
     "FitResult",
     "fit_model",
     "best_model",
-    "normalized_ratios",
 ]
 
 
@@ -123,17 +122,3 @@ def best_model(
     if not fits:
         raise ValueError("no candidate models supplied")
     return min(fits, key=lambda fit: fit.residual)
-
-
-def normalized_ratios(
-    points: Sequence[Tuple[int, int, float]], model: GrowthModel
-) -> np.ndarray:
-    """Return ``latency / g(n, k)`` for every measurement.
-
-    A bounded, roughly flat sequence of ratios across a growing parameter
-    sweep is the empirical signature of "latency = O(g)"; the certificates in
-    :mod:`repro.analysis.certificates` assert exactly that.
-    """
-    ns, ks, ys = _prepare(points)
-    g = np.asarray([model.evaluate(int(n), int(k)) for n, k in zip(ns, ks)], dtype=float)
-    return ys / g

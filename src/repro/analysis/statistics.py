@@ -1,48 +1,15 @@
 """Summary statistics over repeated simulation runs.
 
 Experiments run every configuration over multiple seeds and/or wake-up
-patterns; this module condenses the resulting latency samples into the
-summary rows that the reporting layer prints.  Plain numpy is used throughout
-(scipy is an optional dependency reserved for the fitting module).
+patterns; E11 condenses its per-pattern degradations into one median with
+:func:`sorted_median`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-__all__ = [
-    "SummaryStatistics",
-    "sorted_median",
-    "summarize",
-]
-
-
-@dataclass(frozen=True)
-class SummaryStatistics:
-    """Five-number-style summary of a latency sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    p90: float
-    maximum: float
-
-    def as_dict(self) -> dict:
-        """Dictionary form used by the CSV/JSON exporters."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "median": self.median,
-            "p90": self.p90,
-            "max": self.maximum,
-        }
+__all__ = ["sorted_median"]
 
 
 def sorted_median(values: Iterable[float]) -> float:
@@ -63,19 +30,3 @@ def sorted_median(values: Iterable[float]) -> float:
     if len(data) % 2:
         return 0.0 + data[mid]
     return (0.0 + data[mid - 1] + data[mid]) / 2.0
-
-
-def summarize(samples: Iterable[float]) -> SummaryStatistics:
-    """Compute a :class:`SummaryStatistics` over a non-empty sample."""
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return SummaryStatistics(
-        count=int(data.size),
-        mean=float(data.mean()),
-        std=float(data.std(ddof=1)) if data.size > 1 else 0.0,
-        minimum=float(data.min()),
-        median=sorted_median(data),
-        p90=float(np.percentile(data, 90)),
-        maximum=float(data.max()),
-    )

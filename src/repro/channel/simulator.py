@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -380,7 +380,3 @@ class Simulator:
         raise TypeError(
             f"expected a DeterministicProtocol or RandomizedPolicy, got {type(protocol).__name__}"
         )
-
-    def run_many(self, protocol, patterns) -> List[WakeupResult]:
-        """Run the same protocol against a list of patterns."""
-        return [self.run(protocol, p) for p in patterns]

@@ -10,9 +10,9 @@ tests (e.g. "no station transmits before its wake-up slot").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
-from repro.channel.events import SlotOutcome, SlotRecord
+from repro.channel.events import SlotRecord
 
 __all__ = ["ExecutionTrace"]
 
@@ -40,42 +40,9 @@ class ExecutionTrace:
     def __getitem__(self, index: int) -> SlotRecord:
         return self.records[index]
 
-    # -- queries -------------------------------------------------------------
-
     def first_success(self) -> Optional[SlotRecord]:
         """The first successful slot, or ``None`` if no success was recorded."""
         for record in self.records:
             if record.outcome.is_success:
                 return record
         return None
-
-    def outcome_counts(self) -> dict:
-        """Return ``{outcome: count}`` over all recorded slots."""
-        counts = {outcome: 0 for outcome in SlotOutcome}
-        for record in self.records:
-            counts[record.outcome] += 1
-        return counts
-
-    def collision_slots(self) -> List[int]:
-        """Slots at which a collision occurred."""
-        return [r.slot for r in self.records if r.outcome is SlotOutcome.COLLISION]
-
-    def silent_slots(self) -> List[int]:
-        """Slots at which nobody transmitted."""
-        return [r.slot for r in self.records if r.outcome is SlotOutcome.SILENCE]
-
-    def transmissions_of(self, station: int) -> List[int]:
-        """Slots at which ``station`` transmitted."""
-        return [r.slot for r in self.records if station in r.transmitters]
-
-    def busiest_slot(self) -> Optional[SlotRecord]:
-        """The record with the most simultaneous transmitters (ties: earliest)."""
-        best: Optional[SlotRecord] = None
-        for record in self.records:
-            if best is None or len(record.transmitters) > len(best.transmitters):
-                best = record
-        return best
-
-    def to_rows(self) -> List[Tuple[int, str, int]]:
-        """Return ``(slot, outcome, #transmitters)`` rows for reporting."""
-        return [(r.slot, r.outcome.value, len(r.transmitters)) for r in self.records]

@@ -84,10 +84,10 @@ class WakeupPattern:
     >>> p = WakeupPattern(8, {3: 0, 5: 2, 7: 2})
     >>> p.first_wake, p.k
     (0, 3)
-    >>> p.awake_at(1)
-    (3,)
-    >>> p.awake_at(2)
-    (3, 5, 7)
+    >>> p.awake_count_at(1)
+    1
+    >>> p.awake_count_at(2)
+    3
     """
 
     n: int
@@ -219,19 +219,9 @@ class WakeupPattern:
 
     # -- derived views -----------------------------------------------------
 
-    def awake_at(self, slot: int) -> Tuple[int, ...]:
-        """Stations awake at ``slot`` (woken at or before it), sorted by ID."""
-        return tuple(sorted(u for u, t in self.wake_times.items() if t <= slot))
-
     def awake_count_at(self, slot: int) -> int:
         """Number of stations awake at ``slot``."""
         return sum(1 for t in self.wake_times.values() if t <= slot)
-
-    def wake_array(self) -> np.ndarray:
-        """Return ``(stations, wake_times)`` as two aligned numpy arrays, sorted by ID."""
-        stations, times = self.pair_arrays()
-        order = np.argsort(stations, kind="stable")
-        return np.stack([stations[order], times[order]])
 
     def shifted(self, offset: int) -> "WakeupPattern":
         """Return a copy with every wake time shifted by ``offset`` slots."""

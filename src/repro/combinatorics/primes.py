@@ -1,29 +1,14 @@
 """Prime number utilities for explicit combinatorial constructions.
 
-Explicit selective-family constructions (Kautz–Singleton superimposed codes,
-polynomial selectors) need primes and prime powers of a prescribed size.  The
-sizes involved are tiny by number-theoretic standards (at most a few thousand
-for any realistic channel size ``n``), so simple deterministic algorithms —
-trial division and an Eratosthenes sieve — are both adequate and easy to
-verify.
+The Kautz–Singleton superimposed code works over a prime field GF(q) whose
+size ``q`` must be a prime of a prescribed size.  The sizes involved are tiny
+by number-theoretic standards (at most a few thousand for any realistic
+channel size ``n``), so trial division is both adequate and easy to verify.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
-
-from repro._util import validate_positive_int
-
-__all__ = [
-    "is_prime",
-    "next_prime",
-    "primes_up_to",
-    "prime_factors",
-    "is_prime_power",
-    "next_prime_power",
-]
+__all__ = ["is_prime", "next_prime"]
 
 
 def is_prime(x: int) -> bool:
@@ -50,53 +35,5 @@ def next_prime(x: int) -> int:
     """Return the smallest prime ``p >= x`` (``x`` may be any integer)."""
     candidate = max(2, int(x))
     while not is_prime(candidate):
-        candidate += 1
-    return candidate
-
-
-def primes_up_to(limit: int) -> List[int]:
-    """Return all primes ``<= limit`` using a sieve of Eratosthenes."""
-    limit = int(limit)
-    if limit < 2:
-        return []
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(sieve)]
-
-
-def prime_factors(x: int) -> Dict[int, int]:
-    """Return the prime factorization of ``x`` as ``{prime: exponent}``."""
-    x = validate_positive_int(x, "x")
-    factors: Dict[int, int] = {}
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
-    return factors
-
-
-def is_prime_power(x: int) -> bool:
-    """Return ``True`` iff ``x = p^e`` for a prime ``p`` and ``e >= 1``."""
-    if x < 2:
-        return False
-    return len(prime_factors(x)) == 1
-
-
-def next_prime_power(x: int) -> int:
-    """Return the smallest prime power ``q >= x``.
-
-    Explicit polynomial constructions work over any prime field; we only ever
-    *use* prime fields (not extension fields), so in practice this returns the
-    next prime unless ``x`` itself is already a prime power such as 4, 8, 9.
-    """
-    candidate = max(2, int(x))
-    while not is_prime_power(candidate):
         candidate += 1
     return candidate

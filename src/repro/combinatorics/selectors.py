@@ -287,14 +287,6 @@ class SetFamily:
             f"{self.label}|restricted" if self.label else "restricted",
         )
 
-    def max_set_size(self) -> int:
-        """Size of the largest transmission set (0 for an empty family)."""
-        return int(np.diff(self.offsets).max(initial=0))
-
-    def total_membership(self) -> int:
-        """Sum of set sizes — total number of (station, slot) transmit grants."""
-        return int(self.flat.size)
-
 
 def _rebuild_family(n: int, offsets: np.ndarray, flat: np.ndarray, label: str) -> SetFamily:
     """Unpickle a :class:`SetFamily` without re-validating its arrays."""

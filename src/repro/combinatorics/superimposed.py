@@ -20,6 +20,10 @@ Reed–Solomon outer code with the identity inner code:
 Two distinct polynomials of degree ``≤ d`` agree on at most ``d`` points, so a
 codeword (weight ``q``) can share at most ``k·d < q`` positions with the union
 of ``k`` others — the code is ``k``-superimposed.  Length is ``q²``.
+
+All ``n`` polynomials are evaluated at all ``q`` points in one vectorized
+Horner pass over an ``(n, q)`` integer array; every intermediate stays below
+``q²``, so int64 arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import Tuple
 import numpy as np
 
 from repro._util import ceil_log2, validate_k_n
-from repro.combinatorics.finite_field import Polynomial, PrimeField
 from repro.combinatorics.primes import next_prime
 
 __all__ = ["SuperimposedCode", "kautz_singleton_code", "code_to_set_family"]
@@ -127,14 +130,20 @@ def kautz_singleton_code(n: int, k: int) -> SuperimposedCode:
             n=1, length=1, strength=k, matrix=np.ones((1, 1), dtype=bool), q=1, degree=0
         )
     q, degree = _choose_parameters(n, k)
-    field = PrimeField(q)
+    # Base-q digits of u - 1, least significant first: the coefficients of p_u.
+    digits = []
+    rest = np.arange(n, dtype=np.int64)
+    for _ in range(degree + 1):
+        rest, digit = np.divmod(rest, q)
+        digits.append(digit)
+    # Horner's rule from the leading coefficient: acc[u, x] = p_u(x) mod q.
+    x = np.arange(q, dtype=np.int64)
+    acc = np.zeros((n, q), dtype=np.int64)
+    for digit in reversed(digits):
+        acc = (acc * x + digit[:, None]) % q
     length = q * q
     matrix = np.zeros((n, length), dtype=bool)
-    for station in range(1, n + 1):
-        poly = Polynomial.from_integer(field, station - 1, degree)
-        evaluations = poly.evaluate_all()
-        for x, y in enumerate(evaluations):
-            matrix[station - 1, x * q + y] = True
+    matrix[np.arange(n)[:, None], x * q + acc] = True
     return SuperimposedCode(n=n, length=length, strength=k, matrix=matrix, q=q, degree=degree)
 
 

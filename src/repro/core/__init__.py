@@ -65,7 +65,6 @@ from repro.core.randomized import (
 from repro.core.local_clock import (
     LocalClockWakeup,
     LocalClockScenarioC,
-    local_clock_wakeup_with_round_robin,
 )
 from repro.core.matrix_search import (
     MatrixVerificationReport,
@@ -112,7 +111,6 @@ __all__ = [
     "FixedProbabilityPolicy",
     "LocalClockWakeup",
     "LocalClockScenarioC",
-    "local_clock_wakeup_with_round_robin",
     "MatrixVerificationReport",
     "adversarial_pattern_battery",
     "verify_matrix",

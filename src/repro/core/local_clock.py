@@ -24,10 +24,11 @@ extension experiment E11 to quantify that gap empirically:
   each indexes the matrix columns by its own local time, so two stations in
   the same slot may read *different* columns.
 
-Both protocols remain correct in the eventual sense (the interleaved
-round-robin arm of :func:`local_clock_wakeup_with_round_robin` guarantees a
-success within ``2n`` slots of the first wake-up) — the point of the
-experiment is the latency gap, not correctness.
+Either protocol becomes correct in the eventual sense when interleaved with
+round-robin, ``InterleavedProtocol([RoundRobin(n), LocalClockWakeup(n, k)])``,
+whose round-robin arm guarantees a success within ``2n`` slots of the first
+wake-up.  E11 runs both protocols bare: the point of the experiment is the
+latency gap, not correctness.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ import numpy as np
 from repro._util import RngLike, validate_k_n, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
 from repro.combinatorics.selectors import SetFamily
-from repro.core.round_robin import RoundRobin
-from repro.core.schedules import InterleavedProtocol, cyclic_slots
+from repro.core.schedules import cyclic_slots
 from repro.core.selective import (
     SelectiveFamily,
     concatenate_families,
@@ -53,11 +53,7 @@ from repro.core.waking_matrix import (
     matrix_parameters,
 )
 
-__all__ = [
-    "LocalClockWakeup",
-    "LocalClockScenarioC",
-    "local_clock_wakeup_with_round_robin",
-]
+__all__ = ["LocalClockWakeup", "LocalClockScenarioC"]
 
 
 class LocalClockWakeup(DeterministicProtocol):
@@ -217,21 +213,3 @@ class LocalClockScenarioC(DeterministicProtocol):
     def describe(self) -> str:
         p = self.params
         return f"{self.name}(n={self.n}, rows={p.rows}, window={p.window}, c={p.c})"
-
-
-def local_clock_wakeup_with_round_robin(
-    n: int,
-    k: Optional[int] = None,
-    families: Optional[Sequence[SelectiveFamily]] = None,
-    *,
-    rng: RngLike = None,
-) -> InterleavedProtocol:
-    """Interleave :class:`LocalClockWakeup` with round-robin.
-
-    Round-robin is itself global-clock based (it needs the slot number to know
-    whose turn it is), so this combination is a *hybrid*: it models systems
-    where a coarse global schedule exists but fine-grained coordination does
-    not.  It is used in experiment E11 as the strongest locally-flavoured
-    competitor.
-    """
-    return InterleavedProtocol([RoundRobin(n), LocalClockWakeup(n, k, families, rng=rng)])

@@ -22,9 +22,7 @@ __all__ = [
     "scenario_ab_bound",
     "scenario_c_bound",
     "randomized_lower_bound",
-    "randomized_rpd_bound",
     "round_robin_worst_case",
-    "greenberg_winograd_lower_bound",
     "BoundRow",
     "bound_table",
 ]
@@ -70,12 +68,6 @@ def randomized_lower_bound(k: int) -> float:
     return log2_safe(k)
 
 
-def randomized_rpd_bound(n: int, k: int, *, k_known: bool = False) -> float:
-    """Expected time of Repeated Probability Decrease: ``O(log n)``, or ``O(log k)`` with known ``k``."""
-    k, n = validate_k_n(k, n)
-    return log2_safe(k) if k_known else log2_safe(n)
-
-
 def round_robin_worst_case(n: int, k: int, *, simultaneous: bool = True) -> int:
     """Worst-case latency of round-robin.
 
@@ -85,14 +77,6 @@ def round_robin_worst_case(n: int, k: int, *, simultaneous: bool = True) -> int:
     """
     k, n = validate_k_n(k, n)
     return n - k + 1 if simultaneous else n
-
-
-def greenberg_winograd_lower_bound(n: int, k: int) -> float:
-    """The Ω(k log n / log k) bound of Greenberg–Winograd (holds even with collision detection)."""
-    k, n = validate_k_n(k, n)
-    if k < 2:
-        return 1.0
-    return k * log2_safe(n) / log2_safe(k)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,3 @@ class RoundRobin(DeterministicProtocol):
         self, stations: np.ndarray, wakes: np.ndarray, start: int, stop: int
     ) -> tuple[np.ndarray, np.ndarray]:
         return periodic_batch_transmit_slots(stations, wakes, start, stop, self.n)
-
-    def turn_of(self, slot: int) -> int:
-        """The station whose turn it is at ``slot`` (whether or not it is awake)."""
-        return slot % self.n + 1

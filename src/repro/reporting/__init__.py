@@ -6,7 +6,7 @@ paper), the formats here are the reproduction's own, designed so that the
 tables of ``repro paper report`` regenerate verbatim from the same runs.
 """
 
-from repro.reporting.tables import TextTable, markdown_table
+from repro.reporting.tables import TextTable
 from repro.reporting.figures import ascii_line_plot, render_matrix_occupancy, render_trace
 from repro.reporting.export import (
     results_to_csv,
@@ -17,7 +17,6 @@ from repro.reporting.export import (
 
 __all__ = [
     "TextTable",
-    "markdown_table",
     "ascii_line_plot",
     "render_matrix_occupancy",
     "render_trace",

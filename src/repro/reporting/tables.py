@@ -1,4 +1,4 @@
-"""Plain-text and Markdown tables.
+"""Plain-text tables.
 
 Small, dependency-free table rendering used by the benchmark harness and the
 examples.  Numbers are formatted compactly (integers as integers, floats with
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional, Sequence
 
-__all__ = ["TextTable", "markdown_table", "format_cell"]
+__all__ = ["TextTable", "format_cell"]
 
 
 def format_cell(value: Any) -> str:
@@ -80,30 +80,5 @@ class TextTable:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """Render the table as GitHub-flavoured Markdown."""
-        return markdown_table(self.headers, self.rows, title=self.title)
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def markdown_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    *,
-    title: Optional[str] = None,
-) -> str:
-    """Render headers and rows as a Markdown table."""
-    lines = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(str(h) for h in headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        cells = [format_cell(v) for v in row]
-        if len(cells) != len(headers):
-            raise ValueError("row length does not match header length")
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)

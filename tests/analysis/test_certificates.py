@@ -8,7 +8,6 @@ from repro.analysis.certificates import (
     BoundCertificate,
     check_lower_bound,
     check_upper_bound,
-    ratio_table,
 )
 
 
@@ -62,13 +61,6 @@ class TestLowerBound:
             [(64, 8, 5.0)], lambda n, k: float(k), claim="lower", tolerance=2.0
         )
         assert cert.holds
-
-
-class TestRatioTable:
-    def test_rows(self):
-        rows = ratio_table(MEASUREMENTS, lambda n, k: float(k * 10))
-        assert rows[0] == (64, 2, 20.0, 20.0, 1.0)
-        assert rows[2][4] == pytest.approx(90.0 / 80.0)
 
 
 class TestDescribe:

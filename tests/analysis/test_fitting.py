@@ -11,7 +11,6 @@ from repro.analysis.fitting import (
     GrowthModel,
     best_model,
     fit_model,
-    normalized_ratios,
 )
 
 
@@ -73,17 +72,7 @@ class TestBestModel:
             best_model([(4, 2, 1.0)], models=[])
 
 
-class TestNormalizedRatios:
-    def test_flat_for_matching_model(self):
-        data = _synthetic(GRID, lambda n, k: float(k), 5.0)
-        ratios = normalized_ratios(data, _model("k"))
-        assert np.allclose(ratios, 5.0)
-
-    def test_growing_for_wrong_model(self):
-        data = _synthetic(GRID, lambda n, k: float(k) ** 2, 1.0)
-        ratios = normalized_ratios(data, _model("k"))
-        assert ratios.max() / ratios.min() > 4
-
+class TestGrowthModel:
     def test_model_evaluate_guards_non_positive(self):
         bad = GrowthModel("zero", lambda n, k: 0.0)
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.analysis.statistics import sorted_median, summarize
+from repro.analysis.statistics import sorted_median
 from repro.experiments.config import QUICK
 from repro.experiments.registry import run_experiment
 
@@ -73,11 +73,6 @@ def test_matches_numpy_on_odd_even_and_tied_cases(values):
 def test_empty_sample_is_rejected():
     with pytest.raises(ValueError):
         sorted_median([])
-
-
-def test_summarize_median_uses_the_helper():
-    data = [9.0, 1.0, 4.0, 7.0]
-    assert summarize(data).median == float(np.median(data)) == 5.5
 
 
 def test_e11_note_is_unchanged():

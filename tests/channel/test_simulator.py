@@ -170,13 +170,6 @@ class TestSimulatorFacade:
         with pytest.raises(TypeError):
             sim.run(object(), WakeupPattern(4, {1: 0}))
 
-    def test_run_many(self):
-        sim = Simulator(max_slots=1000)
-        patterns = [WakeupPattern(8, {i: 0}) for i in range(1, 4)]
-        results = sim.run_many(RoundRobin(8), patterns)
-        assert len(results) == 3
-        assert all(r.solved for r in results)
-
 
 class TestVectorizedMatchesNaive:
     """The vectorized chunked scan must agree with per-slot evaluation."""

@@ -46,39 +46,3 @@ class TestExecutionTrace:
         trace = ExecutionTrace()
         trace.append(_record(0, [1, 2]))
         assert trace.first_success() is None
-
-    def test_outcome_counts_and_slot_queries(self):
-        trace = ExecutionTrace()
-        trace.append(_record(0, []))
-        trace.append(_record(1, [1, 2]))
-        trace.append(_record(2, [3]))
-        counts = trace.outcome_counts()
-        assert counts[SlotOutcome.SILENCE] == 1
-        assert counts[SlotOutcome.COLLISION] == 1
-        assert counts[SlotOutcome.SUCCESS] == 1
-        assert trace.collision_slots() == [1]
-        assert trace.silent_slots() == [0]
-
-    def test_transmissions_of(self):
-        trace = ExecutionTrace()
-        trace.append(_record(0, [1, 2]))
-        trace.append(_record(1, [1]))
-        assert trace.transmissions_of(1) == [0, 1]
-        assert trace.transmissions_of(2) == [0]
-        assert trace.transmissions_of(9) == []
-
-    def test_busiest_slot(self):
-        trace = ExecutionTrace()
-        trace.append(_record(0, [1]))
-        trace.append(_record(1, [1, 2, 3]))
-        trace.append(_record(2, [4, 5]))
-        busiest = trace.busiest_slot()
-        assert busiest is not None and busiest.slot == 1
-
-    def test_busiest_slot_empty(self):
-        assert ExecutionTrace().busiest_slot() is None
-
-    def test_to_rows(self):
-        trace = ExecutionTrace()
-        trace.append(_record(0, [7]))
-        assert trace.to_rows() == [(0, "success", 1)]

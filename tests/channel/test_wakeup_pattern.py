@@ -38,24 +38,13 @@ class TestConstruction:
 
 
 class TestDerivedViews:
-    def test_awake_at(self):
+    def test_awake_count_at(self):
         p = WakeupPattern(8, {3: 0, 5: 2, 7: 5})
-        assert p.awake_at(0) == (3,)
-        assert p.awake_at(1) == (3,)
-        assert p.awake_at(2) == (3, 5)
-        assert p.awake_at(10) == (3, 5, 7)
-        assert p.awake_count_at(4) == 2
+        assert [p.awake_count_at(t) for t in (0, 1, 2, 4, 10)] == [1, 1, 2, 2, 3]
 
     def test_iteration_order_by_wake_time_then_id(self):
         p = WakeupPattern(8, {7: 2, 3: 0, 5: 2})
         assert list(p) == [(3, 0), (5, 2), (7, 2)]
-
-    def test_wake_array(self):
-        p = WakeupPattern(8, {3: 0, 5: 2})
-        arr = p.wake_array()
-        assert arr.shape == (2, 2)
-        assert arr[0].tolist() == [3, 5]
-        assert arr[1].tolist() == [0, 2]
 
     def test_shifted_and_normalized(self):
         p = WakeupPattern(8, {3: 4, 5: 6})
@@ -192,14 +181,11 @@ class TestFromArrays:
         assert [f.name for f in dataclasses.fields(WakeupPattern)] == ["n", "wake_times"]
 
     def test_derived_views_are_unchanged(self):
-        import numpy as np
-
         mapping = {7: 2, 3: 0, 5: 4}
         p = WakeupPattern.from_arrays(8, list(mapping), list(mapping.values()))
         q = WakeupPattern(8, mapping)
-        assert np.array_equal(p.wake_array(), q.wake_array())
-        assert p.wake_array().tolist() == [[3, 5, 7], [0, 4, 2]]
-        assert p.wake_array().dtype == np.int64
+        assert list(p) == list(q) == [(3, 0), (7, 2), (5, 4)]
+        assert p.stations == q.stations == (3, 5, 7)
         assert (p.k, p.first_wake, p.last_wake) == (q.k, q.first_wake, q.last_wake) == (3, 0, 4)
 
     def test_pair_arrays_follow_insertion_order_and_are_read_only(self):

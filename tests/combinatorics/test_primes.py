@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.combinatorics.primes import (
-    is_prime,
-    is_prime_power,
-    next_prime,
-    next_prime_power,
-    prime_factors,
-    primes_up_to,
-)
+from repro.combinatorics.primes import is_prime, next_prime
 
 
 class TestIsPrime:
@@ -36,50 +29,3 @@ class TestNextPrime:
         assert next_prime(-10) == 2
         assert next_prime(0) == 2
 
-
-class TestPrimesUpTo:
-    def test_small_sieve(self):
-        assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-
-    def test_empty_below_two(self):
-        assert primes_up_to(1) == []
-
-    def test_sieve_matches_trial_division(self):
-        sieve = set(primes_up_to(500))
-        trial = {x for x in range(501) if is_prime(x)}
-        assert sieve == trial
-
-
-class TestPrimeFactors:
-    def test_factorization_of_composite(self):
-        assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
-
-    def test_factorization_of_prime(self):
-        assert prime_factors(97) == {97: 1}
-
-    def test_factorization_of_one_is_empty(self):
-        assert prime_factors(1) == {}
-
-    def test_product_reconstructs(self):
-        for x in [12, 97, 128, 1000, 121]:
-            product = 1
-            for p, e in prime_factors(x).items():
-                product *= p**e
-            assert product == x
-
-
-class TestPrimePowers:
-    @pytest.mark.parametrize("x", [2, 3, 4, 8, 9, 25, 27, 121, 128])
-    def test_prime_powers_recognized(self, x):
-        assert is_prime_power(x)
-
-    @pytest.mark.parametrize("x", [1, 6, 12, 100, 0])
-    def test_non_prime_powers_rejected(self, x):
-        assert not is_prime_power(x)
-
-    def test_next_prime_power(self):
-        assert next_prime_power(4) == 4
-        assert next_prime_power(5) == 5
-        assert next_prime_power(6) == 7
-        assert next_prime_power(10) == 11
-        assert next_prime_power(26) == 27

@@ -57,16 +57,6 @@ class TestSetFamily:
         restricted = fam.restricted_to([2, 4])
         assert restricted.sets == (frozenset({2}), frozenset({4}))
 
-    def test_max_set_size_and_total_membership(self):
-        fam = SetFamily(6, (frozenset({1, 2, 3}), frozenset({4, 5}), frozenset()))
-        assert fam.max_set_size() == 3
-        assert fam.total_membership() == 5
-
-    def test_empty_family_statistics(self):
-        fam = SetFamily(3, ())
-        assert fam.max_set_size() == 0
-        assert fam.total_membership() == 0
-
 
 class TestSingletonFamily:
     def test_is_round_robin(self):

@@ -7,11 +7,9 @@ import pytest
 from repro.channel.adversary import simultaneous_pattern, staggered_pattern
 from repro.channel.simulator import run_deterministic
 from repro.channel.wakeup import WakeupPattern
-from repro.core.local_clock import (
-    LocalClockScenarioC,
-    LocalClockWakeup,
-    local_clock_wakeup_with_round_robin,
-)
+from repro.core.local_clock import LocalClockScenarioC, LocalClockWakeup
+from repro.core.round_robin import RoundRobin
+from repro.core.schedules import InterleavedProtocol
 from repro.core.selective import concatenated_families
 from repro.baselines import KomlosGreenberg
 
@@ -108,7 +106,9 @@ class TestLocalClockScenarioC:
 
 class TestHybridInterleave:
     def test_round_robin_arm_caps_latency(self, families_32_k8):
-        protocol = local_clock_wakeup_with_round_robin(32, 8, families=families_32_k8)
+        protocol = InterleavedProtocol(
+            [RoundRobin(32), LocalClockWakeup(32, 8, families=families_32_k8)]
+        )
         pattern = staggered_pattern(32, 8, gap=1, stations=list(range(25, 33)))
         result = run_deterministic(protocol, pattern, max_slots=10_000)
         assert result.require_solved() <= 2 * 32

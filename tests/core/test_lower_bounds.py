@@ -10,9 +10,7 @@ from repro.core.lower_bounds import (
     BoundRow,
     bound_table,
     clementi_lower_bound,
-    greenberg_winograd_lower_bound,
     randomized_lower_bound,
-    randomized_rpd_bound,
     round_robin_worst_case,
     scenario_ab_bound,
     scenario_c_bound,
@@ -62,19 +60,13 @@ class TestScenarioBounds:
         # The O(log log n) gap: for k << n the scenario C bound is larger.
         assert scenario_c_bound(1024, 4) > scenario_ab_bound(1024, 4)
 
-    def test_randomized_bounds(self):
+    def test_randomized_lower_bound(self):
         assert randomized_lower_bound(16) == pytest.approx(4.0)
         assert randomized_lower_bound(1) == 1.0
-        assert randomized_rpd_bound(256, 16) == pytest.approx(8.0)
-        assert randomized_rpd_bound(256, 16, k_known=True) == pytest.approx(4.0)
 
     def test_round_robin_worst_case(self):
         assert round_robin_worst_case(16, 4) == 13
         assert round_robin_worst_case(16, 4, simultaneous=False) == 16
-
-    def test_greenberg_winograd(self):
-        assert greenberg_winograd_lower_bound(256, 16) == pytest.approx(16 * 8 / 4)
-        assert greenberg_winograd_lower_bound(256, 1) == 1.0
 
 
 class TestBoundTable:

@@ -9,12 +9,6 @@ from repro.core.round_robin import RoundRobin
 
 
 class TestRoundRobin:
-    def test_turn_assignment(self):
-        rr = RoundRobin(4)
-        assert rr.turn_of(0) == 1
-        assert rr.turn_of(3) == 4
-        assert rr.turn_of(4) == 1
-
     def test_transmits_only_on_own_turn(self):
         rr = RoundRobin(4)
         for t in range(12):

@@ -27,9 +27,9 @@ class TestWakeupPatternProperties:
     def test_first_wake_and_awake_sets_consistent(self, wakes):
         pattern = WakeupPattern(32, wakes)
         s = pattern.first_wake
-        assert pattern.awake_at(s - 1) == () if s > 0 else True
-        assert len(pattern.awake_at(s)) >= 1
-        assert pattern.awake_at(pattern.last_wake) == pattern.stations
+        assert pattern.awake_count_at(s - 1) == 0 if s > 0 else True
+        assert pattern.awake_count_at(s) >= 1
+        assert pattern.awake_count_at(pattern.last_wake) == pattern.k
         # awake_count is monotone in the slot.
         counts = [pattern.awake_count_at(t) for t in range(s, pattern.last_wake + 2)]
         assert counts == sorted(counts)

@@ -16,11 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import TDMA, KomlosGreenberg
-from repro.core.local_clock import (
-    LocalClockScenarioC,
-    LocalClockWakeup,
-    local_clock_wakeup_with_round_robin,
-)
+from repro.core.local_clock import LocalClockScenarioC, LocalClockWakeup
 from repro.core.round_robin import RoundRobin
 from repro.core.scenario_a import SelectAmongTheFirst, WakeupWithS
 from repro.core.scenario_b import WaitAndGo, WakeupWithK
@@ -48,13 +44,14 @@ PROTOCOLS = [
     LocalClockWakeup(N, 4, families=_FAMILIES_K4),
     LocalClockScenarioC(N, seed=5),
     # Variants of the above: a known first slot s > 0, the explicit
-    # construction, the non-cyclic local schedule, the E11 hybrid and a
-    # non-default Scenario C matrix (the E10 window ablation).
+    # construction, the non-cyclic local schedule, the round-robin +
+    # local-clock hybrid and a non-default Scenario C matrix (the E10 window
+    # ablation).
     SelectAmongTheFirst(N, s=7, families=_FAMILIES),
     WakeupWithS(N, s=7, families=_FAMILIES),
     WakeupWithK(N, 4, families=_EXPLICIT_K4),
     LocalClockWakeup(N, 4, families=_FAMILIES_K4, cyclic=False),
-    local_clock_wakeup_with_round_robin(N, 4, families=_FAMILIES_K4),
+    InterleavedProtocol([RoundRobin(N), LocalClockWakeup(N, 4, families=_FAMILIES_K4)]),
     WakeupProtocol(N, c=3, window=4, seed=5),
 ]
 

@@ -9,7 +9,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.statistics import summarize
 from repro.reporting.export import results_to_csv, results_to_json, write_csv, write_json
 
 
@@ -55,7 +54,11 @@ class TestJson:
         assert data[0]["ratio"] == 1.5
 
     def test_objects_with_as_dict(self):
-        rows = [{"stats": summarize([1, 2, 3])}]
+        class Summary:
+            def as_dict(self):
+                return {"count": 3}
+
+        rows = [{"stats": Summary()}]
         data = json.loads(results_to_json(rows))
         assert data[0]["stats"]["count"] == 3
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.reporting.tables import TextTable, format_cell, markdown_table
+from repro.reporting.tables import TextTable, format_cell
 
 
 class TestFormatCell:
@@ -54,26 +54,3 @@ class TestTextTable:
         table = TextTable(["a"])
         table.add_row([1])
         assert str(table) == table.render()
-
-
-class TestMarkdownTable:
-    def test_structure(self):
-        md = markdown_table(["x", "y"], [[1, 2.5], [3, None]])
-        lines = md.splitlines()
-        assert lines[0] == "| x | y |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2.5 |"
-        assert lines[3] == "| 3 | - |"
-
-    def test_title(self):
-        md = markdown_table(["x"], [[1]], title="T")
-        assert md.splitlines()[0] == "**T**"
-
-    def test_row_length_validation(self):
-        with pytest.raises(ValueError):
-            markdown_table(["x", "y"], [[1]])
-
-    def test_to_markdown_on_table(self):
-        table = TextTable(["x"])
-        table.add_row([1])
-        assert "| x |" in table.to_markdown()

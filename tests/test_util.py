@@ -10,8 +10,6 @@ from repro._util import (
     as_generator,
     ceil_div,
     ceil_log2,
-    ensure_sorted_unique,
-    floor_log2,
     log2_safe,
     loglog2_safe,
     validate_k_n,
@@ -43,17 +41,9 @@ class TestLogHelpers:
     def test_ceil_log2(self, x, expected):
         assert ceil_log2(x) == expected
 
-    @pytest.mark.parametrize(
-        "x, expected", [(1, 0), (2, 1), (3, 1), (4, 2), (7, 2), (8, 3), (1024, 10)]
-    )
-    def test_floor_log2(self, x, expected):
-        assert floor_log2(x) == expected
-
     def test_ceil_log2_rejects_non_positive(self):
         with pytest.raises(ValueError):
             ceil_log2(0)
-        with pytest.raises(ValueError):
-            floor_log2(0)
 
     def test_log2_safe_clamps_at_one(self):
         assert log2_safe(1.0) == 1.0
@@ -108,8 +98,3 @@ class TestValidation:
             validate_k_n(11, 10)
         with pytest.raises(ValueError):
             validate_k_n(0, 10)
-
-    def test_ensure_sorted_unique(self):
-        assert ensure_sorted_unique([3, 1, 2]) == [1, 2, 3]
-        with pytest.raises(ValueError):
-            ensure_sorted_unique([1, 1])
