@@ -15,14 +15,22 @@ Seed-derivation convention
 Whenever one seed has to fan out into several independent streams — batch
 shards in :mod:`repro.engine`, per-pattern draws in :mod:`repro.workloads`,
 search steps and candidates in :mod:`repro.adversary` — child generators MUST
-be derived with :meth:`numpy.random.SeedSequence.spawn` (wrapped here as
-:func:`spawn_generators`), never with ad-hoc
-integer offsets such as ``seed + i``.  Offset seeds produce correlated
-streams (neighbouring seeds of the same bit-generator share state-setup
-structure) and collide across call sites (two loops both using ``seed + i``
-reuse each other's streams); ``SeedSequence`` hashes the parent entropy with
-the spawn key, which guarantees independence and gives every derivation site
-its own namespace.
+be the children :meth:`numpy.random.SeedSequence.spawn` would give (derived
+here by :func:`spawn_generators` and :func:`indexed_generators`), never seeds
+made with ad-hoc integer offsets such as ``seed + i``.  Offset seeds produce
+correlated streams (neighbouring seeds of the same bit-generator share
+state-setup structure) and collide across call sites (two loops both using
+``seed + i`` reuse each other's streams); ``SeedSequence`` hashes the parent
+entropy with the spawn key, which guarantees independence and gives every
+derivation site its own namespace.
+
+The children are equal to numpy's bit for bit, but they are not built one
+``SeedSequence`` at a time: the entropy words every child shares are mixed
+into the 4-word pool once, in Python integers, and the one word that differs
+between children is mixed into all of them at once with ``uint32`` array
+operations (:func:`_child_states`).  Each ``PCG64`` is then seeded from its
+precomputed row.  numpy's own ``SeedSequence.spawn`` is the oracle the tests
+compare against; it is not called here.
 
 Nothing in here is part of the public API; the public surface re-exports only
 what is documented in :mod:`repro`.
@@ -34,11 +42,13 @@ import math
 from typing import Iterable, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RngLike",
     "as_generator",
     "spawn_generators",
+    "indexed_generators",
     "stable_key",
     "ragged_arange",
     "MAX_CELLS_PER_CHUNK",
@@ -86,16 +96,59 @@ def stable_key(name: str) -> int:
 def spawn_generators(seed: RngLike, count: int, *keys: Union[int, str]) -> list[np.random.Generator]:
     """Derive ``count`` independent child generators from one seed.
 
-    This is the library's only sanctioned way to fan a seed out into multiple
-    streams (see the module docstring): it builds a
-    :class:`numpy.random.SeedSequence` from ``seed`` and the optional
-    namespace ``keys`` (strings are hashed with :func:`stable_key`) and calls
-    :meth:`~numpy.random.SeedSequence.spawn`.  Passing a ``Generator`` draws a
+    This is the library's sanctioned way to fan a seed out into multiple
+    streams (see the module docstring).  Child ``i`` is the generator
+    ``default_rng(SeedSequence([seed, *keys]).spawn(count)[i])`` would give,
+    bit for bit, with string ``keys`` hashed by :func:`stable_key`; all
+    ``count`` seeds are derived in one pass.  Passing a ``Generator`` draws a
     fresh 64-bit parent seed from it, so generator-valued seeds stay usable.
+    Negative seeds or keys raise :class:`ValueError`, as ``SeedSequence``
+    does.
+
+    A child's ``bit_generator.seed_seq`` holds only its precomputed seed
+    words, so ``Generator.spawn`` on a child raises ``TypeError``; nothing in
+    the library spawns from a child.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    entropy: list[int] = [stable_key(k) if isinstance(k, str) else int(k) for k in keys]
+    head = _seed_words(seed, keys)
+    # SeedSequence pads a spawned child's run entropy to the pool size, so
+    # the spawn key is always mixed in after the pool is full.
+    head += [0] * (_POOL_SIZE - len(head))
+    return _generators(_child_states(head, np.arange(count, dtype=np.uint32)))
+
+
+def indexed_generators(seed: int, indices: Iterable[int], *keys: Union[int, str]) -> list[np.random.Generator]:
+    """``[spawn_generators(seed, 1, *keys, i)[0] for i in indices]`` in one pass.
+
+    The index is the last entropy word, so the derivation needs ``seed`` and
+    ``keys`` to fill ``SeedSequence``'s 4-word pool on their own (three keys
+    always do); each index must lie in ``[0, 2**32)``.
+    """
+    head = _seed_words(seed, keys)
+    if len(head) < _POOL_SIZE:
+        raise ValueError(f"seed and keys must span at least {_POOL_SIZE} entropy words, got {len(head)}")
+    values = [int(i) for i in indices]
+    for i in values:
+        if not 0 <= i <= _MASK32:
+            raise ValueError(f"indices must lie in [0, 2**32), got {i}")
+    # The child's spawn key (0) is the one entropy word after the index.
+    return _generators(_child_states(head, np.array(values, dtype=np.uint32), tail=(0,)))
+
+
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(seed: RngLike, keys: tuple) -> list[int]:
+    """The uint32 entropy words of ``[seed, *keys]``, as ``SeedSequence`` splits them."""
     if isinstance(seed, np.random.Generator):
         parent = int(seed.integers(0, 2**63))
     elif seed is None:
@@ -104,8 +157,102 @@ def spawn_generators(seed: RngLike, count: int, *keys: Union[int, str]) -> list[
         parent = np.random.SeedSequence().entropy
     else:
         parent = seed
-    sequence = np.random.SeedSequence([int(parent)] + entropy)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
+    words: list[int] = []
+    for value in [parent, *(stable_key(k) if isinstance(k, str) else k for k in keys)]:
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        # Little-endian 32-bit words; zero is one word.
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    return words
+
+
+def _hash_chain(hash_const: int, mult: int, length: int) -> list[int]:
+    """``hash_const`` followed by its next ``length`` multiples by ``mult`` (mod 2**32)."""
+    chain = [hash_const]
+    for _ in range(length):
+        hash_const = hash_const * mult & _MASK32
+        chain.append(hash_const)
+    return chain
+
+
+def _child_states(head: list[int], varying: np.ndarray, tail: tuple = ()) -> np.ndarray:
+    """PCG64 seed words, one ``(4,)`` uint64 row per value of ``varying``.
+
+    Row ``j`` is ``SeedSequence``'s ``generate_state(4, uint64)`` for the
+    assembled entropy words ``head + [varying[j]] + tail``.  ``head`` must
+    fill the pool (at least 4 words): it is mixed once, in Python ints, and
+    every later word is mixed into each pool word with ``uint32`` array
+    operations over all children at once.
+    """
+    # SeedSequence's hashmix advances one hash constant per call: 4 calls
+    # fill the pool, 12 mix it, and each later word makes 4 more.
+    mixed = _POOL_SIZE * len(head)
+    chain = _hash_chain(_INIT_A, _MULT_A, mixed + _POOL_SIZE * (1 + len(tail)))
+
+    def hashmix(value: int, call: int) -> int:
+        value = (value ^ chain[call]) * chain[call + 1] & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word, call) for call, word in enumerate(head[:_POOL_SIZE])]
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], call))
+                call += 1
+    for word in head[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word, call))
+            call += 1
+    # From here on the pool and the hash constants are uint32 arrays (which
+    # wrap), shaped (pool word, child): a Python int that overflows uint32
+    # beside a uint32 array could promote to float on numpy 1.x.
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    rest = np.array(chain[mixed:], dtype=np.uint32)[:, None]
+    left, right, shift = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(16)
+    for i, word in enumerate((varying, *tail)):
+        at = _POOL_SIZE * i
+        hashed = (word ^ rest[at : at + _POOL_SIZE]) * rest[at + 1 : at + _POOL_SIZE + 1]
+        hashed ^= hashed >> shift
+        pool = pool * left - hashed * right
+        pool ^= pool >> shift
+    # generate_state(4, uint64): 8 uint32 words cycling through the pool.
+    chain = np.array(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)[:, None]
+    out = (np.concatenate([pool, pool]) ^ chain[:-1]) * chain[1:]
+    out ^= out >> shift
+    out = out.astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` its precomputed seed words.
+
+    ``PCG64`` asks its seed sequence for ``generate_state(4, uint64)`` once,
+    at construction.  This is not an ``ISpawnableSeedSequence``, so
+    ``Generator.spawn`` on a generator seeded from it raises ``TypeError``.
+    """
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the 4 uint64 words PCG64 asks for are precomputed")
+        return self.state
+
+
+def _generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One ``Generator(PCG64)`` per row of precomputed seed words."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in states]
 
 
 #: Cap on the cells (pairs × slots, or rows × slots) a vectorized chunked

@@ -29,7 +29,7 @@ from repro.adversary.certificates import (
     CERTIFICATE_SCHEMA,
     CertificateSchemaError,
     SearchCertificate,
-    evaluation_generator,
+    evaluation_generators,
     load_certificate,
     read_certificates,
     replay_certificate,
@@ -84,7 +84,7 @@ __all__ = [
     "SearchCertificate",
     "CertificateSchemaError",
     "CERTIFICATE_SCHEMA",
-    "evaluation_generator",
+    "evaluation_generators",
     "load_certificate",
     "read_certificates",
     "write_certificate",

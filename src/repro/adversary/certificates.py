@@ -23,18 +23,18 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Union
+from typing import Dict, Iterable, List, Mapping, Union
 
 import numpy as np
 
-from repro._util import spawn_generators
+from repro._util import indexed_generators
 from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
 
 __all__ = [
     "CERTIFICATE_SCHEMA",
     "CertificateSchemaError",
     "SearchCertificate",
-    "evaluation_generator",
+    "evaluation_generators",
     "load_certificate",
     "read_certificates",
     "write_certificate",
@@ -54,10 +54,10 @@ class CertificateSchemaError(ValueError):
     """
 
 
-def evaluation_generator(
-    seed: int, spec_hash: str, step: int, index: int
-) -> np.random.Generator:
-    """The per-candidate stream for candidate ``index`` of search step ``step``.
+def evaluation_generators(
+    seed: int, spec_hash: str, step: int, indices: Iterable[int]
+) -> List[np.random.Generator]:
+    """The per-candidate streams for candidates ``indices`` of search step ``step``.
 
     Every randomized-policy evaluation in a guided search draws from a
     generator derived here — keyed by the search seed, the spec's content
@@ -66,10 +66,11 @@ def evaluation_generator(
     argument in one line: the stream a candidate consumes depends only on
     *which* candidate it is, so any sharding of a step's population across
     processes (or a resume that re-enters the step) replays identical draws.
-    A replayed certificate re-derives the same stream from its recorded
+    A search derives a whole step's population in one call; a replayed
+    certificate re-derives its one stream from its recorded
     ``(seed, spec_hash, step, index)``.
     """
-    return spawn_generators(int(seed), 1, "adversary-eval", spec_hash, int(step), int(index))[0]
+    return indexed_generators(int(seed), indices, "adversary-eval", spec_hash, int(step))
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class SearchCertificate:
     latency when solved, else ``max_slots`` (``solved`` disambiguates).
     ``step``/``index`` are the candidate's global coordinates inside the
     search — for randomized policies they pin down the evaluation stream via
-    :func:`evaluation_generator`.  ``bound_ratio`` is
+    :func:`evaluation_generators`.  ``bound_ratio`` is
     ``latency / trivial_lower_bound(n, k)`` computed through
     :func:`repro.analysis.certificates.bound_ratio`.
     """
@@ -222,7 +223,7 @@ def replay_certificate(certificate: SearchCertificate) -> SearchCertificate:
     Rebuilds the protocol from the registry
     (:func:`repro.sweeps.protocols.build_protocol`), re-runs the certified
     pattern through the batch engine — re-deriving the original evaluation
-    stream via :func:`evaluation_generator` when the protocol is a randomized
+    stream via :func:`evaluation_generators` when the protocol is a randomized
     policy — and returns a certificate identical to the input except for the
     re-measured ``latency``/``solved``/``bound_ratio``.  A faithful replay
     compares equal to its input; callers (the CLI's ``adversary replay``, the
@@ -243,11 +244,9 @@ def replay_certificate(certificate: SearchCertificate) -> SearchCertificate:
     )
     rngs = None
     if isinstance(protocol, RandomizedPolicy):
-        rngs = [
-            evaluation_generator(
-                certificate.seed, certificate.spec_hash, certificate.step, certificate.index
-            )
-        ]
+        rngs = evaluation_generators(
+            certificate.seed, certificate.spec_hash, certificate.step, [certificate.index]
+        )
     batch = run_batch(
         protocol, [certificate.pattern()], rngs=rngs, max_slots=certificate.max_slots
     )

@@ -16,7 +16,7 @@ Every random stream is derived from config *content* via ``SeedSequence``
 (:mod:`repro._util`): step ``s`` draws from a generator keyed by
 ``(seed, spec_hash, s)``, and candidate ``i`` of step ``s`` evaluates under a
 generator keyed by ``(seed, spec_hash, s, i)``
-(:func:`~repro.adversary.certificates.evaluation_generator`).  Nothing is
+(:func:`~repro.adversary.certificates.evaluation_generators`).  Nothing is
 keyed by wall-clock position, so the search result is bit-for-bit identical
 across interrupt/resume — the property suite in ``tests/properties``
 asserts it.
@@ -47,7 +47,7 @@ from repro import obs
 from repro._util import spawn_generators, validate_k_n, validate_positive_int
 from repro.adversary.certificates import (
     SearchCertificate,
-    evaluation_generator,
+    evaluation_generators,
     load_certificate,
 )
 from repro.adversary.strategies import STRATEGIES, get_strategy
@@ -247,10 +247,7 @@ def _evaluate(
 
     rngs = None
     if isinstance(protocol, RandomizedPolicy):
-        rngs = [
-            evaluation_generator(spec.seed, spec_hash, step, i)
-            for i in range(len(patterns))
-        ]
+        rngs = evaluation_generators(spec.seed, spec_hash, step, range(len(patterns)))
     batch = run_batch(protocol, list(patterns), rngs=rngs, max_slots=spec.max_slots)
     effective = effective_latencies(batch.latency, batch.solved, spec.max_slots)
     return effective, batch.latency, batch.solved

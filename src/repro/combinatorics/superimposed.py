@@ -84,25 +84,36 @@ class SuperimposedCode:
         return int(self.codeword(station).sum())
 
 
+def _ceil_root(n: int, exponent: int) -> int:
+    """Smallest integer ``r >= 1`` with ``r ** exponent >= n``, found exactly.
+
+    A floating-point ``ceil(n ** (1 / exponent))`` can round past an exact
+    root (``3125 ** (1 / 5)`` is ``5.000000000000001``), so this bisects in
+    integers.
+    """
+    low, high = 1, 1 << -(-n.bit_length() // exponent)
+    while low < high:
+        mid = (low + high) // 2
+        if mid**exponent >= n:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
 def _choose_parameters(n: int, k: int) -> Tuple[int, int]:
     """Choose Reed–Solomon parameters ``(q, degree)`` for a k-superimposed code.
 
     We need ``q**(degree+1) >= n`` (enough polynomials to give every station a
     distinct one) and ``q > k * degree`` (so k codewords cannot cover another).
     To keep the length ``q**2`` small we scan degrees and take the smallest
-    resulting ``q``.
+    resulting prime ``q``, the smallest degree on a tie.
     """
     best: Tuple[int, int] | None = None
     max_degree = max(1, ceil_log2(max(n, 2)))
     for degree in range(1, max_degree + 1):
-        # Smallest q with q^(degree+1) >= n.
-        q_floor = int(np.ceil(n ** (1.0 / (degree + 1))))
-        q = next_prime(max(q_floor, k * degree + 1, 2))
-        # next_prime may round q_floor up past the needed size already; ensure both
-        # constraints hold (they do by construction, but be explicit).
-        while q ** (degree + 1) < n:
-            q = next_prime(q + 1)
-        if best is None or q * q < best[0] * best[0]:
+        q = next_prime(max(_ceil_root(n, degree + 1), k * degree + 1, 2))
+        if best is None or q < best[0]:
             best = (q, degree)
     assert best is not None
     return best

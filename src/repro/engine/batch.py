@@ -591,9 +591,9 @@ def run_randomized_batch(
     """Resolve B wake-up patterns against one randomized policy in one scan.
 
     Each pattern's Bernoulli decisions are drawn from its *own* generator —
-    either supplied via ``rngs`` or spawned from ``seed`` with
-    ``SeedSequence.spawn`` (one child per pattern, derived before any
-    chunking) — so pattern ``i``'s outcome is independent of batch size,
+    either supplied via ``rngs`` or spawned from ``seed`` by
+    :func:`~repro._util.spawn_generators` (one ``SeedSequence`` child per
+    pattern, derived before any chunking) — so pattern ``i``'s outcome is independent of batch size,
     shard size and chunk layout.  Given the same per-pattern generators the
     outcome columns are bit-for-bit identical to
     :func:`~repro.channel.simulator.run_randomized` per pattern: the batch

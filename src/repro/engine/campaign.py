@@ -13,7 +13,7 @@ that randomized shards carry their patterns' child generators.
 
 **Sharding never changes results.**  Deterministic batches are sharding-
 oblivious by construction; for randomized policies every pattern gets its
-own child generator derived with ``numpy.random.SeedSequence.spawn`` (see
+own ``SeedSequence`` child generator, derived by ``spawn_generators`` (see
 :mod:`repro._util`) *before* sharding, so the outcome of pattern ``i`` does
 not depend on the shard size.  This covers feedback-driven policies too:
 their stochastic feedback updates (backoff windows, splitting coins) draw
@@ -74,7 +74,7 @@ class Campaign:
         Horizon forwarded to the underlying engines.
     seed:
         Base seed for randomized policies; each pattern's generator is derived
-        from it via ``SeedSequence.spawn`` before sharding.  Ignored for
+        from it by ``spawn_generators`` before sharding.  Ignored for
         deterministic protocols.
     """
 

@@ -2,8 +2,8 @@
 
 A *workload* is a named, parameterized recipe for drawing wake-up patterns:
 ``(name, n, k, seed)`` fully determines the batch it yields (per-pattern
-generators are derived with ``numpy.random.SeedSequence.spawn`` keyed on the
-workload name — see the seed-derivation convention in :mod:`repro._util`), so
+generators are ``SeedSequence`` children derived by ``spawn_generators``, keyed
+on the workload name — see the seed-derivation convention in :mod:`repro._util`), so
 any latency number in a report can be regenerated from those four values.
 
 The registry spans the :mod:`repro.channel.adversary` primitives

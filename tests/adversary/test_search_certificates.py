@@ -13,7 +13,7 @@ from repro.adversary import (
     SearchCertificate,
     SearchSpec,
     adversarial_search,
-    evaluation_generator,
+    evaluation_generators,
     load_certificate,
     read_certificates,
     replay_certificate,
@@ -114,16 +114,16 @@ class TestReplay:
 
 class TestEvaluationGenerator:
     def test_streams_are_deterministic_per_coordinates(self):
-        a = evaluation_generator(3, "abcd", 2, 7).integers(0, 2**32, size=4)
-        b = evaluation_generator(3, "abcd", 2, 7).integers(0, 2**32, size=4)
+        a = evaluation_generators(3, "abcd", 2, [7])[0].integers(0, 2**32, size=4)
+        b = evaluation_generators(3, "abcd", 2, [7])[0].integers(0, 2**32, size=4)
         assert a.tolist() == b.tolist()
 
     def test_streams_differ_across_coordinates(self):
-        base = evaluation_generator(3, "abcd", 2, 7).integers(0, 2**32, size=4).tolist()
+        base = evaluation_generators(3, "abcd", 2, [7])[0].integers(0, 2**32, size=4).tolist()
         for other in (
-            evaluation_generator(4, "abcd", 2, 7),
-            evaluation_generator(3, "abce", 2, 7),
-            evaluation_generator(3, "abcd", 3, 7),
-            evaluation_generator(3, "abcd", 2, 8),
+            evaluation_generators(4, "abcd", 2, [7])[0],
+            evaluation_generators(3, "abce", 2, [7])[0],
+            evaluation_generators(3, "abcd", 3, [7])[0],
+            evaluation_generators(3, "abcd", 2, [8])[0],
         ):
             assert other.integers(0, 2**32, size=4).tolist() != base

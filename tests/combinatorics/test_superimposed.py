@@ -82,3 +82,44 @@ class TestCodeToSetFamily:
         family = code_to_set_family(code)
         assert all(len(s) > 0 for s in family)
         assert family.length <= code.length
+
+
+def _brute_force_parameters(n_max: int, k: int) -> dict:
+    """``n -> (q, degree)`` for every ``n < n_max`` by scanning primes upward.
+
+    For each degree, the smallest prime ``q > k * degree`` with
+    ``q ** (degree + 1) >= n``; the smallest ``q`` over the degrees
+    ``1..max(1, ceil(log2 n))`` wins, the smallest degree on a tie.
+    """
+    primes = [p for p in range(2, 400) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    max_degree = (n_max - 1).bit_length()
+    first = {d: next(i for i, p in enumerate(primes) if p > k * d) for d in range(1, max_degree + 1)}
+    pointer = dict(first)
+    out = {}
+    for n in range(1, n_max):
+        best = None
+        for d in range(1, max(1, (max(n, 2) - 1).bit_length()) + 1):
+            while primes[pointer[d]] ** (d + 1) < n:
+                pointer[d] += 1
+            q = primes[pointer[d]]
+            if best is None or q < best[0]:
+                best = (q, d)
+        out[n] = best
+    return out
+
+
+class TestChooseParameters:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_matches_brute_force_search(self, k):
+        from repro.combinatorics.superimposed import _choose_parameters
+
+        expected = _brute_force_parameters(20_000, k)
+        got = {n: _choose_parameters(n, k) for n in expected}
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "n, k, q, degree", [(3125, 1, 5, 4), (16807, 1, 7, 4), (1024, 1, 5, 4)]
+    )
+    def test_exact_roots_at_perfect_powers(self, n, k, q, degree):
+        code = kautz_singleton_code(n, k)
+        assert (code.q, code.degree) == (q, degree)
