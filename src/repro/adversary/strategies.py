@@ -27,7 +27,7 @@ mutations, population-parallel neighbourhoods), an evolutionary
 population-vs-single-opponent lesson: one incumbent overfits to a line of
 descent, a population keeps diverse attack shapes alive — and a
 :class:`BanditStrategy` running UCB1 over workload-generator
-parameterizations from :data:`repro.channel.adversary.PATTERN_GENERATORS`.
+parameterizations from :data:`repro.workloads.WORKLOADS`.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.channel.adversary import PATTERN_GENERATORS, uniform_random_pattern
+from repro.channel.adversary import uniform_random_pattern
 from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
 from repro.adversary.mutations import mutate
+from repro.workloads.suite import WORKLOADS
 
 __all__ = [
     "SearchStrategy",
@@ -248,8 +249,8 @@ class EvolutionStrategy(SearchStrategy):
 class BanditStrategy(SearchStrategy):
     """UCB1 over workload-generator parameterizations.
 
-    The arms are parameterizations of the named generators in
-    :data:`repro.channel.adversary.PATTERN_GENERATORS` (simultaneous,
+    The arms are parameterizations of the named workloads in
+    :data:`repro.workloads.WORKLOADS` (simultaneous,
     staggered at unit and window-scale gaps, batched bursts, uniform windows
     at three scales) plus one *refine* arm that mutates the best pattern
     seen so far — adaptive operator selection: once some generator family
@@ -305,9 +306,9 @@ class BanditStrategy(SearchStrategy):
             kwargs = _mutation_kwargs(spec)
             patterns = [mutate(incumbent, rng, **kwargs) for _ in range(count)]
         else:
-            generator = PATTERN_GENERATORS.get(arm["generator"])
-            if generator is None:  # refine pulled before any incumbent exists
-                generator = PATTERN_GENERATORS["uniform"]
+            # refine pulled before any incumbent exists draws uniform patterns
+            name = "uniform" if arm["generator"] == "refine" else arm["generator"]
+            generator = WORKLOADS[name].factory
             patterns = [
                 generator(spec.n, spec.k, rng=rng, **arm["params"]) for _ in range(count)
             ]

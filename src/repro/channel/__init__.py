@@ -50,7 +50,6 @@ from repro.channel.adversary import (
     window_boundary_pattern,
     family_boundary_pattern,
     AdaptiveLowerBoundAdversary,
-    PATTERN_GENERATORS,
 )
 
 __all__ = [
@@ -78,5 +77,4 @@ __all__ = [
     "window_boundary_pattern",
     "family_boundary_pattern",
     "AdaptiveLowerBoundAdversary",
-    "PATTERN_GENERATORS",
 ]

@@ -18,7 +18,7 @@ adversarial strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "random_station_subset",
     "row_stations",
     "AdaptiveLowerBoundAdversary",
-    "PATTERN_GENERATORS",
 ]
 
 
@@ -192,15 +191,6 @@ def family_boundary_pattern(
     # Ensure at least one station defines s = start for comparability.
     times[0] = start
     return WakeupPattern.from_arrays(n, chosen, times)
-
-
-#: Registry of the named stochastic/structured generators used by experiments.
-PATTERN_GENERATORS: Dict[str, Callable[..., WakeupPattern]] = {
-    "simultaneous": simultaneous_pattern,
-    "staggered": staggered_pattern,
-    "batched": batched_pattern,
-    "uniform": uniform_random_pattern,
-}
 
 
 @dataclass

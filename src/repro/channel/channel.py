@@ -39,9 +39,9 @@ class Channel:
     --------
     >>> ch = Channel(8)
     >>> ch.resolve_slot(0, transmitters=[3])
-    SlotOutcome.SUCCESS
+    <SlotOutcome.SUCCESS: 'success'>
     >>> ch.resolve_slot(1, transmitters=[3, 5])
-    SlotOutcome.COLLISION
+    <SlotOutcome.COLLISION: 'collision'>
     >>> ch.success_slot, ch.winner
     (0, 3)
     """

@@ -275,18 +275,6 @@ class SetFamily:
         """Concatenate two families over the same universe."""
         return SetFamily.concatenated([self, other])
 
-    def restricted_to(self, stations: Iterable[int]) -> "SetFamily":
-        """Return the family with every set intersected with ``stations``."""
-        keep = np.isin(self.flat, np.fromiter((int(s) for s in stations), dtype=np.int64))
-        offsets = np.zeros(len(self) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._set_of()[keep], minlength=len(self)), out=offsets[1:])
-        return SetFamily._trusted(
-            self.n,
-            offsets,
-            self.flat[keep],
-            f"{self.label}|restricted" if self.label else "restricted",
-        )
-
 
 def _rebuild_family(n: int, offsets: np.ndarray, flat: np.ndarray, label: str) -> SetFamily:
     """Unpickle a :class:`SetFamily` without re-validating its arrays."""

@@ -1,11 +1,12 @@
 """Experiment orchestration: configurations, the E1–E11 registry, and the campaign.
 
 Every claim of the paper maps to one experiment of the E1–E11 registry;
-this package contains the code that runs them.  Each experiment is
-an :class:`~repro.experiments.campaign.ExperimentDefinition` — a ``plan``
-function stating its measurement demand as content-hashable specs, plus a pure
-``render`` over the resolved records — run at an
-:class:`~repro.experiments.config.ExperimentScale` into an
+this package contains the code that runs them.  Each experiment is stated
+once, as an :class:`~repro.experiments.campaign.ExperimentDefinition`
+record: its title, the paper claim it checks, a ``cells`` function laying
+out its content-hashable measurement specs, and a pure ``render`` over the
+resolved records.  The record's ``plan`` is derived from its cells.  It runs
+at an :class:`~repro.experiments.config.ExperimentScale` into an
 :class:`~repro.experiments.runner.ExperimentResult` with raw rows, rendered
 tables/figures, and bound certificates.
 :class:`~repro.experiments.campaign.PaperCampaign` is the one path that runs

@@ -4,21 +4,28 @@ This module is the one path that runs experiments: ``repro paper`` runs the
 *paper* — all of E1–E11 — as a single resumable campaign, and ``repro
 experiment`` runs a one-experiment campaign
 (:func:`~repro.experiments.registry.run_experiment`).  The registry
-(:mod:`repro.experiments.registry`) expresses each experiment as an
-:class:`ExperimentDefinition` whose measurement demand is pure data:
+(:mod:`repro.experiments.registry`) states each experiment once, as an
+:class:`ExperimentDefinition` record: ID, title, paper claim, ``cells`` and
+``render``.
 
-* ``plan(scale)`` returns the experiment's :class:`MeasurementSpec` list —
-  content-hashable sweep configs naming a protocol, ``(n, k)``, a workload
-  and a seed derivation, never a live object;
+* ``cells(scale)`` lays out what the experiment measures: plain tuples,
+  lists and dicts holding :class:`MeasurementSpec` values — content-hashable
+  sweep configs naming a protocol, ``(n, k)``, a workload and a seed
+  derivation, never a live object;
+* ``plan(scale)`` is derived, not written: every spec in the cells,
+  depth-first and in order, so a render can never read a spec the plan
+  left out;
 * :func:`resolve_specs` deduplicates specs (within *and across* experiments —
   E1/E2/E3/E5/E10/E11 share grid cells), serves stored ones from the
   :class:`~repro.sweeps.store.SweepStore`, and shards the rest across
   :class:`~repro.sweeps.runner.SweepRunner` worker processes;
-* ``render(resolved, scale)`` turns resolved records into the
-  :class:`~repro.experiments.runner.ExperimentResult` — tables, figures,
-  certificates.  Compute that is not a spec measurement (E4's adaptive
-  adversary table, E7's matrix figures, E8's family constructions) goes
-  through :meth:`ResolvedSpecs.memo`, which keeps its result as a
+* the campaign makes each :class:`~repro.experiments.runner.ExperimentResult`
+  from the record (ID, title, paper claim, scale), and
+  ``render(result, resolved, cells, scale)`` fills it with rows, tables,
+  figures and certificates; the campaign then stamps ``"experiment"`` as the
+  first key of every row.  Compute that is not a spec measurement (E4's
+  adaptive adversary table, E7's matrix figures, E8's family constructions)
+  goes through :meth:`ResolvedSpecs.memo`, which keeps its result as a
   schema-versioned ``render/<hash>`` blob in the same store.
 
 Because every measurement is keyed by its config hash, a
@@ -35,7 +42,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.experiments.config import ExperimentScale, QUICK
@@ -111,13 +118,7 @@ class ResolvedSpecs:
         return spec.config_hash() in self._records
 
     def __getitem__(self, spec: MeasurementSpec) -> ConfigRecord:
-        try:
-            return self._records[spec.config_hash()]
-        except KeyError:
-            raise KeyError(
-                f"no resolved record for spec {spec.label()!r} — "
-                "was it missing from the plan?"
-            ) from None
+        return self._records[spec.config_hash()]
 
     def latencies(self, spec: MeasurementSpec, *, capped: bool = False) -> List[int]:
         """Per-pattern latencies of one spec, strict or horizon-capped."""
@@ -224,33 +225,58 @@ def resolve_specs(
     )
 
 
+def _specs_in(cells: Any) -> Iterator[MeasurementSpec]:
+    """Every spec in ``cells``: depth-first through tuples, lists and dict values."""
+    if isinstance(cells, MeasurementSpec):
+        yield cells
+    elif isinstance(cells, (tuple, list)):
+        for item in cells:
+            yield from _specs_in(item)
+    elif isinstance(cells, dict):
+        for item in cells.values():
+            yield from _specs_in(item)
+
+
 @dataclass(frozen=True)
 class ExperimentDefinition:
-    """One experiment as a declarative plan/render pair.
+    """One experiment, stated once: its report heading, its cells and its render.
 
     Attributes
     ----------
     experiment:
         Registry ID (``"E1"`` … ``"E11"``).
     title:
-        The :class:`ExperimentResult` title the render produces.
-    plan:
-        ``scale -> [MeasurementSpec]`` — the experiment's measurement demand
-        as pure data.  Must be deterministic in ``scale`` alone (render calls
-        it again to address results).  Render-only experiments return ``[]``.
+        The heading of the experiment's report section.
+    paper_claim:
+        The paper-side statement its report section quotes.
+    cells:
+        ``scale -> cells`` — what the experiment measures, as plain data
+        (tuples, lists and dicts) holding every :class:`MeasurementSpec` the
+        render reads.  Must be deterministic in ``scale`` alone.
     render:
-        ``(resolved, scale) -> ExperimentResult`` — turns resolved records
-        into tables/figures/certificates.  Render-side randomness (E4's
-        adaptive adversary, E7/E8's constructions) uses a fixed seed per
-        experiment, and render memoizes its results through
+        ``(result, resolved, cells, scale) -> None`` — fills the
+        :class:`ExperimentResult` the campaign made from this record with
+        rows, tables, figures, certificates and notes.  Render-side
+        randomness (E4's adaptive adversary, E7/E8's constructions) uses a
+        fixed seed per experiment and is memoized through
         :meth:`ResolvedSpecs.memo`; engine measurements are keyed by the
         specs' own seeds, so two renders over one store agree bit for bit.
     """
 
     experiment: str
     title: str
-    plan: Callable[[ExperimentScale], List[MeasurementSpec]]
-    render: Callable[[ResolvedSpecs, ExperimentScale], ExperimentResult]
+    paper_claim: str
+    cells: Callable[[ExperimentScale], Any]
+    render: Callable[[ExperimentResult, ResolvedSpecs, Any, ExperimentScale], None]
+
+    def plan(self, scale: ExperimentScale) -> List[MeasurementSpec]:
+        """The measurement demand: every spec in ``cells(scale)``, in order.
+
+        A render reads specs only out of its cells, so it never reads one the
+        plan left out.  A definition whose cells name no spec (E7, E8) has
+        an empty plan.
+        """
+        return list(_specs_in(self.cells(scale)))
 
 
 @dataclass
@@ -381,8 +407,16 @@ class PaperCampaign:
         render_seconds: Dict[str, float] = {}
         for definition in definitions:
             t0 = time.perf_counter()
+            result = ExperimentResult(
+                experiment=definition.experiment,
+                title=definition.title,
+                scale=self.scale.name,
+                paper_claim=definition.paper_claim,
+            )
             with obs.span("experiments.render", experiment=definition.experiment):
-                results[definition.experiment] = definition.render(resolved, self.scale)
+                definition.render(result, resolved, definition.cells(self.scale), self.scale)
+            result.rows = [{"experiment": definition.experiment, **row} for row in result.rows]
+            results[definition.experiment] = result
             render_seconds[definition.experiment] = time.perf_counter() - t0
 
         hit_rate = (

@@ -1,17 +1,23 @@
-"""The experiment registry: E1–E11, each as a declarative plan/render pair.
+"""The experiment registry: E1–E11, each stated once as a definition record.
 
 E1–E10 reproduce the paper's claims; E11 is the global-vs-local clock
 extension (the paper's closing open question).
 
-Every experiment is an :class:`~repro.experiments.campaign.ExperimentDefinition`:
+Every experiment is one
+:class:`~repro.experiments.campaign.ExperimentDefinition` in
+:data:`DEFINITIONS`, holding its title, the paper claim its report section
+quotes, and two functions:
 
-* ``plan(scale)`` states the experiment's measurement demand as a list of
-  content-hashable :class:`~repro.experiments.campaign.MeasurementSpec`
-  sweep configs (protocol name, ``(n, k)``, workload, batch, seed, horizon)
-  — pure data, no live objects;
-* ``render(resolved, scale)`` turns the resolved records into
-  the :class:`~repro.experiments.runner.ExperimentResult` tables, figures
-  and certificates.
+* ``cells(scale)`` lays out what the experiment measures — ``(n, k)`` cells
+  holding content-hashable
+  :class:`~repro.experiments.campaign.MeasurementSpec` sweep configs
+  (protocol name, ``(n, k)``, workload, batch, seed, horizon), pure data
+  with no live objects.  The definition's ``plan(scale)`` is every spec in
+  the cells, in order, so nothing states the demand a second time;
+* ``render(result, resolved, cells, scale)`` reads the resolved records
+  back out of the same cells into the tables, figures and certificates of
+  the :class:`~repro.experiments.runner.ExperimentResult` the campaign
+  made from the record.
 
 The split is what makes the paper campaign (:mod:`repro.experiments.campaign`)
 possible: specs deduplicate across experiments (E1/E2/E3/E5/E10/E11 share
@@ -32,8 +38,7 @@ section at any scale; ``repro experiment EX`` (:func:`run_experiment`, a
 one-experiment campaign) renders one.
 
 The paper is a theory paper without numeric tables, so each experiment
-validates a stated theorem or comparative claim; the claim is quoted in
-:data:`repro.experiments.runner.PAPER_CLAIMS` (and so in each report section).
+validates a stated theorem or comparative claim, quoted in its section.
 """
 
 from __future__ import annotations
@@ -164,9 +169,10 @@ def _battery(
 
 def _upper_bound_experiment(
     experiment: str,
-    title: str,
-    cells: Callable[[ExperimentScale], List[Tuple[int, int, List[MeasurementSpec]]]],
     *,
+    title: str,
+    paper_claim: str,
+    cells: Callable[[ExperimentScale], List[Tuple[int, int, List[MeasurementSpec]]]],
     bound: Callable[[int, int], float],
     bound_header: str,
     protocol: str,
@@ -183,16 +189,12 @@ def _upper_bound_experiment(
     growth model (on the k <= n/4 regime when ``small_k``).
     """
 
-    def plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-        return [spec for _, _, specs in cells(scale) for spec in specs]
-
     def render(
-        resolved: ResolvedSpecs, scale: ExperimentScale
-    ) -> ExperimentResult:
-        result = ExperimentResult(experiment=experiment, title=title, scale=scale.name)
+        result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+    ) -> None:
         table = TextTable(["n", "k", "worst latency", bound_header, "ratio"])
         points: List[Tuple[int, int, float]] = []
-        for n, k, specs in cells(scale):
+        for n, k, specs in cells:
             latency = resolved.worst(*specs)
             value = bound(n, k)
             ratio = latency / value
@@ -200,7 +202,6 @@ def _upper_bound_experiment(
             points.append((n, k, float(max(1, latency))))
             result.rows.append(
                 {
-                    "experiment": experiment,
                     "protocol": protocol,
                     "n": n,
                     "k": k,
@@ -223,9 +224,8 @@ def _upper_bound_experiment(
             f"best-fitting growth model{regime}: {fit.model.name} "
             f"(constant {fit.constant:.2f}, residual {fit.residual:.3f})"
         )
-        return result
 
-    return ExperimentDefinition(experiment, title=title, plan=plan, render=render)
+    return ExperimentDefinition(experiment, title, paper_claim, cells, render)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +298,6 @@ def _e4_cells(scale: ExperimentScale):
     ]
 
 
-def _e4_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, spec in _e4_cells(scale)]
-
-
 #: Seed of E4's adaptive-adversary runs and of its protocols' constructions.
 _E4_SEED = 4
 
@@ -336,20 +332,14 @@ def _e4_adversary_table(
 
 
 def _e4_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E4",
-        title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     table = TextTable(
         ["protocol", "n", "k", "adversary latency", "distinct slots", "min{k,n-k+1}"]
     )
-    cells = _e4_cells(scale)
     keys = [(n, k) for n, k, _ in cells]
     adversary_table = resolved.memo(
-        "E4",
+        result.experiment,
         {"cells": keys, "max_slots": scale.max_slots, "seed": _E4_SEED},
         lambda: _e4_adversary_table(keys, scale.max_slots, _E4_SEED),
     )
@@ -360,7 +350,6 @@ def _e4_render(
             table.add_row([name, n, k, latency, distinct, bound])
             result.rows.append(
                 {
-                    "experiment": "E4",
                     "protocol": name,
                     "n": n,
                     "k": k,
@@ -373,12 +362,11 @@ def _e4_render(
         exact_points.append((n, k, float(exact + 1)))  # +1: latency t-s counts from 0
         result.rows.append(
             {
-                "experiment": "E4",
                 "protocol": "round_robin_exact_adversary",
                 "n": n,
                 "k": k,
                 "adversary_latency": exact,
-                "bound": trivial_lower_bound(n, k),
+                "bound": bound,
             }
         )
     result.tables["lower_bound_adversary"] = table.render()
@@ -394,7 +382,6 @@ def _e4_render(
         "the replacement adversary is a heuristic realization of the Theorem 2.1 proof; "
         "its latencies are empirical floors, not exact worst cases"
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -420,28 +407,14 @@ def _e5_cells(scale: ExperimentScale):
     ]
 
 
-def _e5_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [
-        spec
-        for _, _, batteries in _e5_cells(scale)
-        for specs in batteries.values()
-        for spec in specs
-    ]
-
-
 def _e5_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E5",
-        title="Gap between Scenario C and Scenarios A/B",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     table = TextTable(
         ["n", "k", "latency A", "latency B", "latency C", "gap C/A", "theory factor"]
     )
     ns, series_a, series_b, series_c = [], [], [], []
-    for n, k, batteries in _e5_cells(scale):
+    for n, k, batteries in cells:
         latency_a = resolved.worst(*batteries["a"])
         latency_b = resolved.worst(*batteries["b"])
         latency_c = resolved.worst(*batteries["c"])
@@ -455,7 +428,6 @@ def _e5_render(
         series_c.append(latency_c)
         result.rows.append(
             {
-                "experiment": "E5",
                 "n": n,
                 "k": k,
                 "latency_a": latency_a,
@@ -478,7 +450,6 @@ def _e5_render(
         "scenario C never beats scenario A on worst-case latency: "
         + ("confirmed" if gap_holds else "NOT confirmed")
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +482,9 @@ def _e6_cells(scale: ExperimentScale):
     return cells
 
 
-def _e6_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e6_cells(scale) for spec in specs.values()]
-
-
 def _e6_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E6",
-        title="Randomized wake-up: RPD expected O(log n) / O(log k)",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     table = TextTable(
         [
             "n",
@@ -540,7 +502,7 @@ def _e6_render(
     capped_names = {name for name, _ in _E6_CAPPED}
     rpd_known_points: List[Tuple[int, int, float]] = []
     rpd_unknown_points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e6_cells(scale):
+    for n, k, specs in cells:
         means = {
             name: resolved.mean(spec, capped=name in capped_names)
             for name, spec in specs.items()
@@ -563,7 +525,6 @@ def _e6_render(
         rpd_known_points.append((n, k, max(1.0, means["rpd_k"])))
         result.rows.append(
             {
-                "experiment": "E6",
                 "n": n,
                 "k": k,
                 "rpd_mean": means["rpd_n"],
@@ -605,16 +566,11 @@ def _e6_render(
             tolerance=8.0,
         )
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
-# E7 — Matrix structure (paper Figures 1 and 2); render-only
+# E7 — Matrix structure (paper Figures 1 and 2); no measurement specs
 # ---------------------------------------------------------------------------
-
-
-def _render_only_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return []
 
 
 #: Universe size of E7's figures.
@@ -622,6 +578,11 @@ _E7_N = 32
 
 #: Seed of E7's transmission matrix.
 _E7_SEED = 7
+
+
+def _e7_cells(scale: ExperimentScale) -> Dict[str, int]:
+    """The inputs of E7's figures, which are also its memo key."""
+    return {"n": _E7_N, "max_slots": scale.max_slots, "seed": _E7_SEED}
 
 
 def _e7_compute(max_slots: int, seed: int) -> Dict[str, object]:
@@ -671,17 +632,10 @@ def _e7_compute(max_slots: int, seed: int) -> Dict[str, object]:
 
 
 def _e7_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E7",
-        title="Transmission-matrix structure (paper Figures 1 and 2)",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     computed = resolved.memo(
-        "E7",
-        {"n": _E7_N, "max_slots": scale.max_slots, "seed": _E7_SEED},
-        lambda: _e7_compute(scale.max_slots, _E7_SEED),
+        result.experiment, cells, lambda: _e7_compute(cells["max_slots"], cells["seed"])
     )
     result.figures.update(computed["figures"])
     isolation = computed["isolation"]
@@ -697,7 +651,6 @@ def _e7_render(
     )
     result.rows.append(
         {
-            "experiment": "E7",
             "n": _E7_N,
             "protocol_success_slot": computed["success_slot"],
             "protocol_winner": computed["winner"],
@@ -712,7 +665,6 @@ def _e7_render(
         table.add_row([row, rho, empirical, expected])
         result.rows.append(
             {
-                "experiment": "E7",
                 "row": row,
                 "rho": rho,
                 "empirical_probability": empirical,
@@ -720,11 +672,10 @@ def _e7_render(
             }
         )
     result.tables["membership_probabilities"] = table.render()
-    return result
 
 
 # ---------------------------------------------------------------------------
-# E8 — Selective-family quality; render-only
+# E8 — Selective-family quality; no measurement specs
 # ---------------------------------------------------------------------------
 
 
@@ -756,13 +707,8 @@ def _e8_compute(cells: List[Tuple[int, int]], seed: int) -> List[list]:
 
 
 def _e8_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E8",
-        title="Selective families: length and selectivity of the constructions",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     table = TextTable(
         [
             "n",
@@ -773,9 +719,10 @@ def _e8_render(
             "explicit length",
         ]
     )
-    cells = _e8_cells(scale)
     computed = resolved.memo(
-        "E8", {"cells": cells, "seed": _E8_SEED}, lambda: _e8_compute(cells, _E8_SEED)
+        result.experiment,
+        {"cells": cells, "seed": _E8_SEED},
+        lambda: _e8_compute(cells, _E8_SEED),
     )
     for (n, k), (target, random_length, selectivity, explicit_length) in zip(
         cells, computed
@@ -783,7 +730,6 @@ def _e8_render(
         table.add_row([n, k, target, random_length, selectivity, explicit_length])
         result.rows.append(
             {
-                "experiment": "E8",
                 "n": n,
                 "k": k,
                 "target_length": target,
@@ -793,11 +739,10 @@ def _e8_render(
             }
         )
     result.tables["selective_family_quality"] = table.render()
-    rates = [row["random_selectivity"] for row in result.rows if "random_selectivity" in row]
+    rate = min(selectivity for _, _, selectivity, _ in computed)
     result.notes.append(
-        f"minimum Monte-Carlo selectivity rate of the randomized construction: {min(rates):.3f}"
+        f"minimum Monte-Carlo selectivity rate of the randomized construction: {rate:.3f}"
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -831,20 +776,11 @@ def _e9_cells(scale: ExperimentScale):
     return cells
 
 
-def _e9_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, _, specs in _e9_cells(scale) for spec in specs.values()]
-
-
 def _e9_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E9",
-        title="Baseline comparison on simultaneous and staggered wake-ups",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     table = TextTable(["k", "pattern", "protocol", "latency", "winner?"])
-    for n, k, pattern_name, specs in _e9_cells(scale):
+    for n, k, pattern_name, specs in cells:
         latencies: Dict[str, float] = {}
         for name, spec in specs.items():
             record = resolved[spec]
@@ -853,7 +789,6 @@ def _e9_render(
             latencies[name] = latency
             result.rows.append(
                 {
-                    "experiment": "E9",
                     "n": n,
                     "k": k,
                     "pattern": pattern_name,
@@ -871,7 +806,6 @@ def _e9_render(
         "paper's model); rpd, tuned_aloha and beb are randomized — their latencies are "
         "single-run samples, not worst cases"
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -932,33 +866,17 @@ def _e10_cells(scale: ExperimentScale):
     return n, k, k_large, cells
 
 
-def _e10_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    _, _, _, cells = _e10_cells(scale)
-    return [
-        spec
-        for ablation_cells in cells.values()
-        for _, specs in ablation_cells
-        for spec in specs
-    ]
-
-
 def _e10_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E10",
-        title="Ablations: window length, constant c, waiting rule, interleaving",
-        scale=scale.name,
-    )
-    n, k, k_large, cells = _e10_cells(scale)
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
+    n, k, k_large, ablations = cells
 
     table_a = TextTable(["window", "worst latency"])
-    for window, specs in cells["window_length"]:
+    for window, specs in ablations["window_length"]:
         latency = resolved.worst(*specs)
         table_a.add_row([window, latency])
         result.rows.append(
             {
-                "experiment": "E10",
                 "ablation": "window_length",
                 "n": n,
                 "k": k,
@@ -969,12 +887,11 @@ def _e10_render(
     result.tables["ablation_window_length"] = table_a.render()
 
     table_b = TextTable(["c", "worst latency", "matrix length"])
-    for (c, matrix_length), specs in cells["constant_c"]:
+    for (c, matrix_length), specs in ablations["constant_c"]:
         latency = resolved.worst(*specs)
         table_b.add_row([c, latency, matrix_length])
         result.rows.append(
             {
-                "experiment": "E10",
                 "ablation": "constant_c",
                 "n": n,
                 "k": k,
@@ -985,12 +902,11 @@ def _e10_render(
     result.tables["ablation_constant_c"] = table_b.render()
 
     table_c = TextTable(["protocol", "worst latency (boundary-adversarial wake-ups)"])
-    for name, specs in cells["waiting_rule"]:
+    for name, specs in ablations["waiting_rule"]:
         latency = resolved.worst(*specs)
         table_c.add_row([name, latency])
         result.rows.append(
             {
-                "experiment": "E10",
                 "ablation": "waiting_rule",
                 "n": n,
                 "k": k,
@@ -1001,12 +917,11 @@ def _e10_render(
     result.tables["ablation_waiting_rule"] = table_c.render()
 
     table_d = TextTable(["protocol", "k", "worst latency"])
-    for name, specs in cells["interleaving"]:
+    for name, specs in ablations["interleaving"]:
         latency = resolved.worst(*specs)
         table_d.add_row([name, k_large, latency])
         result.rows.append(
             {
-                "experiment": "E10",
                 "ablation": "interleaving",
                 "n": n,
                 "k": k_large,
@@ -1015,7 +930,6 @@ def _e10_render(
             }
         )
     result.tables["ablation_interleaving"] = table_d.render()
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1049,27 +963,13 @@ def _e11_cells(scale: ExperimentScale):
     return cells
 
 
-def _e11_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [
-        spec
-        for _, _, variants in _e11_cells(scale)
-        for specs in variants.values()
-        for spec in specs
-    ]
-
-
 def _e11_render(
-    resolved: ResolvedSpecs, scale: ExperimentScale
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E11",
-        title="Extension: global clock vs local clock",
-        scale=scale.name,
-    )
+    result: ExperimentResult, resolved: ResolvedSpecs, cells, scale: ExperimentScale
+) -> None:
     table = TextTable(
         ["k", "wait_and_go (global)", "local-clock schedule", "scenario C (global)", "scenario C (local)"]
     )
-    for n, k, variant_specs in _e11_cells(scale):
+    for n, k, variant_specs in cells:
         # Unsolved patterns count as the horizon, exactly like the old
         # capped latency jobs; all four protocols are deterministic, so
         # sharding cannot change the numbers.
@@ -1082,7 +982,6 @@ def _e11_render(
         )
         result.rows.append(
             {
-                "experiment": "E11",
                 "n": n,
                 "k": k,
                 "wait_and_go_global": latencies["global_b"],
@@ -1106,7 +1005,6 @@ def _e11_render(
         "near (or below) 1x here does not contradict the conjecture — it shows the gap is "
         "adversarial, not typical"
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1116,90 +1014,115 @@ def _e11_render(
 
 #: The declarative registry: the campaign driver iterates these in order.
 DEFINITIONS: Dict[str, ExperimentDefinition] = {
-    "E1": _upper_bound_experiment(
-        "E1",
-        "Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
-        _e1_cells,
-        bound=scenario_ab_bound,
-        bound_header="k log(n/k)+1",
-        protocol="wakeup_with_s",
-        table_key="scenario_a_latency",
-        claim="wakeup_with_s latency = O(k log(n/k) + 1)",
-        tolerance=48.0,
-        small_k=True,
-    ),
-    "E2": _upper_bound_experiment(
-        "E2",
-        "Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
-        _e2_cells,
-        bound=scenario_ab_bound,
-        bound_header="k log(n/k)+1",
-        protocol="wakeup_with_k",
-        table_key="scenario_b_latency",
-        claim="wakeup_with_k latency = O(k log(n/k) + 1)",
-        tolerance=64.0,
-        small_k=True,
-    ),
-    "E3": _upper_bound_experiment(
-        "E3",
-        "Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
-        _e3_cells,
-        bound=scenario_c_bound,
-        bound_header="k·logn·loglogn",
-        protocol="wakeup_scenario_c",
-        table_key="scenario_c_latency",
-        claim="wakeup(n) latency = O(k log n log log n)",
-        tolerance=32.0,
-        small_k=False,
-    ),
-    "E4": ExperimentDefinition(
-        "E4",
-        title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
-        plan=_e4_plan,
-        render=_e4_render,
-    ),
-    "E5": ExperimentDefinition(
-        "E5",
-        title="Gap between Scenario C and Scenarios A/B",
-        plan=_e5_plan,
-        render=_e5_render,
-    ),
-    "E6": ExperimentDefinition(
-        "E6",
-        title="Randomized wake-up: RPD expected O(log n) / O(log k)",
-        plan=_e6_plan,
-        render=_e6_render,
-    ),
-    "E7": ExperimentDefinition(
-        "E7",
-        title="Transmission-matrix structure (paper Figures 1 and 2)",
-        plan=_render_only_plan,
-        render=_e7_render,
-    ),
-    "E8": ExperimentDefinition(
-        "E8",
-        title="Selective families: length and selectivity of the constructions",
-        plan=_render_only_plan,
-        render=_e8_render,
-    ),
-    "E9": ExperimentDefinition(
-        "E9",
-        title="Baseline comparison on simultaneous and staggered wake-ups",
-        plan=_e9_plan,
-        render=_e9_render,
-    ),
-    "E10": ExperimentDefinition(
-        "E10",
-        title="Ablations: window length, constant c, waiting rule, interleaving",
-        plan=_e10_plan,
-        render=_e10_render,
-    ),
-    "E11": ExperimentDefinition(
-        "E11",
-        title="Extension: global clock vs local clock",
-        plan=_e11_plan,
-        render=_e11_render,
-    ),
+    definition.experiment: definition
+    for definition in (
+        _upper_bound_experiment(
+            "E1",
+            title="Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
+            paper_claim="Section 3: wakeup_with_s solves wake-up in Θ(k log(n/k) + 1) "
+            "rounds when s is known.",
+            cells=_e1_cells,
+            bound=scenario_ab_bound,
+            bound_header="k log(n/k)+1",
+            protocol="wakeup_with_s",
+            table_key="scenario_a_latency",
+            claim="wakeup_with_s latency = O(k log(n/k) + 1)",
+            tolerance=48.0,
+            small_k=True,
+        ),
+        _upper_bound_experiment(
+            "E2",
+            title="Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
+            paper_claim="Section 4: wakeup_with_k solves wake-up in Θ(k log(n/k) + 1) "
+            "rounds when k is known.",
+            cells=_e2_cells,
+            bound=scenario_ab_bound,
+            bound_header="k log(n/k)+1",
+            protocol="wakeup_with_k",
+            table_key="scenario_b_latency",
+            claim="wakeup_with_k latency = O(k log(n/k) + 1)",
+            tolerance=64.0,
+            small_k=True,
+        ),
+        _upper_bound_experiment(
+            "E3",
+            title="Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
+            paper_claim="Theorem 5.3: wakeup(n) solves wake-up in O(k log n log log n) "
+            "rounds with no knowledge.",
+            cells=_e3_cells,
+            bound=scenario_c_bound,
+            bound_header="k·logn·loglogn",
+            protocol="wakeup_scenario_c",
+            table_key="scenario_c_latency",
+            claim="wakeup(n) latency = O(k log n log log n)",
+            tolerance=32.0,
+            small_k=False,
+        ),
+        ExperimentDefinition(
+            "E4",
+            title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
+            paper_claim="Theorem 2.1: every algorithm needs min{k, n-k+1} rounds, "
+            "even with simultaneous start.",
+            cells=_e4_cells,
+            render=_e4_render,
+        ),
+        ExperimentDefinition(
+            "E5",
+            title="Gap between Scenario C and Scenarios A/B",
+            paper_claim="Scenario C pays at most an O(log log n) factor over the "
+            "Ω(k log(n/k)) lower bound.",
+            cells=_e5_cells,
+            render=_e5_render,
+        ),
+        ExperimentDefinition(
+            "E6",
+            title="Randomized wake-up: RPD expected O(log n) / O(log k)",
+            paper_claim="Section 6: RPD achieves expected O(log n) (O(log k) with known k); "
+            "Ω(log k) is necessary.",
+            cells=_e6_cells,
+            render=_e6_render,
+        ),
+        ExperimentDefinition(
+            "E7",
+            title="Transmission-matrix structure (paper Figures 1 and 2)",
+            paper_claim="Figures 1-2: stations traverse matrix rows and align on columns "
+            "as prescribed.",
+            cells=_e7_cells,
+            render=_e7_render,
+        ),
+        ExperimentDefinition(
+            "E8",
+            title="Selective families: length and selectivity of the constructions",
+            paper_claim="Selective families of length O(k log(n/k)) exist (Komlós-Greenberg); "
+            "explicit ones are longer.",
+            cells=_e8_cells,
+            render=_e8_render,
+        ),
+        ExperimentDefinition(
+            "E9",
+            title="Baseline comparison on simultaneous and staggered wake-ups",
+            paper_claim="Motivation: time-division (TDMA) is inefficient for k << n; "
+            "feedback-based baselines need a stronger channel.",
+            cells=_e9_cells,
+            render=_e9_render,
+        ),
+        ExperimentDefinition(
+            "E10",
+            title="Ablations: window length, constant c, waiting rule, interleaving",
+            paper_claim="Design choices: window waiting, the constant c, the wait_and_go "
+            "rule and interleaving all matter.",
+            cells=_e10_cells,
+            render=_e10_render,
+        ),
+        ExperimentDefinition(
+            "E11",
+            title="Extension: global clock vs local clock",
+            paper_claim="Conclusions (open question): does the global clock help? "
+            "(extension experiment, not a paper claim)",
+            cells=_e11_cells,
+            render=_e11_render,
+        ),
+    )
 }
 
 

@@ -3,8 +3,7 @@
 An experiment produces an :class:`ExperimentResult`: the raw per-configuration
 rows (flat dictionaries suitable for CSV export), the rendered tables and
 figures of its ``repro paper report`` section, and the bound certificates that
-encode the pass/fail verdicts.  :data:`PAPER_CLAIMS` quotes the paper-side
-statement each report section opens with.
+encode the pass/fail verdicts.
 """
 
 from __future__ import annotations
@@ -14,22 +13,7 @@ from typing import Dict, List
 
 from repro.analysis.certificates import BoundCertificate
 
-__all__ = ["PAPER_CLAIMS", "ExperimentResult"]
-
-#: Paper-side statement for each experiment, quoted in its report section.
-PAPER_CLAIMS: Dict[str, str] = {
-    "E1": "Section 3: wakeup_with_s solves wake-up in Θ(k log(n/k) + 1) rounds when s is known.",
-    "E2": "Section 4: wakeup_with_k solves wake-up in Θ(k log(n/k) + 1) rounds when k is known.",
-    "E3": "Theorem 5.3: wakeup(n) solves wake-up in O(k log n log log n) rounds with no knowledge.",
-    "E4": "Theorem 2.1: every algorithm needs min{k, n-k+1} rounds, even with simultaneous start.",
-    "E5": "Scenario C pays at most an O(log log n) factor over the Ω(k log(n/k)) lower bound.",
-    "E6": "Section 6: RPD achieves expected O(log n) (O(log k) with known k); Ω(log k) is necessary.",
-    "E7": "Figures 1-2: stations traverse matrix rows and align on columns as prescribed.",
-    "E8": "Selective families of length O(k log(n/k)) exist (Komlós-Greenberg); explicit ones are longer.",
-    "E9": "Motivation: time-division (TDMA) is inefficient for k << n; feedback-based baselines need a stronger channel.",
-    "E10": "Design choices: window waiting, the constant c, the wait_and_go rule and interleaving all matter.",
-    "E11": "Conclusions (open question): does the global clock help? (extension experiment, not a paper claim)",
-}
+__all__ = ["ExperimentResult"]
 
 
 @dataclass
@@ -39,11 +23,13 @@ class ExperimentResult:
     Attributes
     ----------
     experiment:
-        Identifier (``"E1"`` ... ``"E10"``).
+        Identifier (``"E1"`` ... ``"E11"``).
     title:
         Human-readable title (the heading of the experiment's report section).
     scale:
         Name of the :class:`~repro.experiments.config.ExperimentScale` used.
+    paper_claim:
+        The paper-side statement the report section quotes (none if empty).
     rows:
         Flat per-configuration dictionaries (exported to CSV by the harness).
     tables:
@@ -59,6 +45,7 @@ class ExperimentResult:
     experiment: str
     title: str
     scale: str
+    paper_claim: str = ""
     rows: List[Dict] = field(default_factory=list)
     tables: Dict[str, str] = field(default_factory=dict)
     figures: Dict[str, str] = field(default_factory=dict)
@@ -78,9 +65,8 @@ class ExperimentResult:
         campaign report joins the sections with a blank line between them.
         """
         lines = [f"## {self.experiment} — {self.title}", ""]
-        claim = PAPER_CLAIMS.get(self.experiment)
-        if claim:
-            lines += [f"**Paper claim.** {claim}", ""]
+        if self.paper_claim:
+            lines += [f"**Paper claim.** {self.paper_claim}", ""]
         lines += [f"**Scale.** `{self.scale}`", ""]
         if self.certificates:
             lines += ["**Certificates.**", ""]

@@ -9,7 +9,7 @@ readable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 __all__ = ["TextTable", "format_cell"]
 
@@ -57,11 +57,6 @@ class TextTable:
                 f"row has {len(values)} cells but the table has {len(self.headers)} columns"
             )
         self.rows.append([format_cell(v) for v in values])
-
-    def add_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append several rows."""
-        for row in rows:
-            self.add_row(row)
 
     def render(self) -> str:
         """Render the table as aligned plain text."""

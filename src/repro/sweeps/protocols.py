@@ -42,7 +42,7 @@ def protocol_names() -> list:
     return sorted(PROTOCOL_BUILDERS)
 
 
-def build_protocol(name: str, n: int, k: int = 1, *, seed: int = 0, cache=None, **params):
+def build_protocol(name: str, n: int, k: int = 1, *, seed: int = 0, **params):
     """Build one protocol from its registry name and ``(n, k, seed)``.
 
     Parameters
@@ -57,9 +57,6 @@ def build_protocol(name: str, n: int, k: int = 1, *, seed: int = 0, cache=None, 
         families, waking-matrix hash).  Purely randomized policies such as
         ``rpd`` are built deterministically and draw their randomness at
         simulation time instead.
-    cache:
-        :class:`~repro.experiments.cache.FamilyCache` serving selective
-        families (default: the process-wide shared cache).
     params:
         Extra construction parameters forwarded to the builder (e.g.
         ``window``/``c`` for ``scenario-c``).  A builder that does not accept
@@ -73,11 +70,9 @@ def build_protocol(name: str, n: int, k: int = 1, *, seed: int = 0, cache=None, 
         raise KeyError(
             f"unknown protocol {name!r}; registered: {protocol_names()}"
         ) from None
-    if cache is None:
-        from repro.experiments.cache import shared_cache
+    from repro.experiments.cache import shared_cache
 
-        cache = shared_cache
-    return builder(n, k, seed, cache, **params)
+    return builder(n, k, seed, shared_cache, **params)
 
 
 def _build_round_robin(n, k, seed, cache):

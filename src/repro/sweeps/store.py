@@ -308,20 +308,6 @@ class SweepStore:
             return []
         return sorted(directory.glob("*.json"))
 
-    def load_many(self, configs: Sequence[SweepConfig]) -> Dict[str, ConfigRecord]:
-        """Bulk load: records for every stored config, keyed by config hash.
-
-        Unstored configs are simply absent from the result — the campaign
-        driver uses this to partition a deduplicated spec list into hits and
-        pending work in one pass.
-        """
-        out: Dict[str, ConfigRecord] = {}
-        for config in configs:
-            record = self.load(config)
-            if record is not None:
-                out[config.config_hash()] = record
-        return out
-
     def completed(self, configs: Sequence[SweepConfig]) -> List[SweepConfig]:
         """The subset of ``configs`` that already have a stored record."""
         return [config for config in configs if config in self]

@@ -52,11 +52,6 @@ class TestSetFamily:
         with pytest.raises(ValueError):
             a.concatenate(b)
 
-    def test_restricted_to(self):
-        fam = SetFamily(6, (frozenset({1, 2, 3}), frozenset({4, 5})))
-        restricted = fam.restricted_to([2, 4])
-        assert restricted.sets == (frozenset({2}), frozenset({4}))
-
 
 class TestSingletonFamily:
     def test_is_round_robin(self):

@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.experiments.campaign import (
     MANIFEST_NAME,
+    ExperimentDefinition,
     PaperCampaign,
     dedup_specs,
     resolve_specs,
@@ -64,6 +65,18 @@ class TestPlanning:
         a = SweepConfig(protocol="round-robin", n=8, k=2)
         b = SweepConfig(protocol="tdma", n=8, k=2)
         assert dedup_specs([a, b, a, b, a]) == [a, b]
+
+    def test_plan_is_every_spec_in_the_cells_in_order(self):
+        a, b, c, d = (SweepConfig(protocol="round-robin", n=8, k=k) for k in (1, 2, 3, 4))
+        definition = ExperimentDefinition(
+            "E0",
+            title="demo",
+            paper_claim="",
+            cells=lambda scale: (8, [(1, {"x": [a, b], "y": c})], {"z": ("w", d, a)}),
+            render=lambda result, resolved, cells, scale: None,
+        )
+        assert definition.plan(TINY) == [a, b, c, d, a]
+        assert DEFINITIONS["E7"].plan(TINY) == DEFINITIONS["E8"].plan(TINY) == []
 
     def test_experiment_subset_and_unknown_id(self):
         campaign = PaperCampaign(scale=TINY, experiments=["e7", "E8"])

@@ -7,7 +7,8 @@ import pytest
 from repro.analysis.certificates import BoundCertificate
 from repro.experiments.campaign import PaperCampaign, render_campaign_report
 from repro.experiments.config import ExperimentScale
-from repro.experiments.runner import PAPER_CLAIMS, ExperimentResult
+from repro.experiments.registry import DEFINITIONS
+from repro.experiments.runner import ExperimentResult
 
 TINY = ExperimentScale(
     name="tiny",
@@ -27,9 +28,7 @@ def tiny_e8():
 
 class TestPaperClaims:
     def test_every_experiment_has_a_claim(self):
-        from repro.experiments.registry import DEFINITIONS
-
-        assert set(PAPER_CLAIMS) == set(DEFINITIONS)
+        assert all(definition.paper_claim for definition in DEFINITIONS.values())
 
 
 class TestCampaignReport:
@@ -52,7 +51,12 @@ class TestCampaignReport:
 
 class TestSummary:
     def test_section_layout(self):
-        result = ExperimentResult(experiment="E8", title="demo", scale="quick")
+        result = ExperimentResult(
+            experiment="E8",
+            title="demo",
+            scale="quick",
+            paper_claim=DEFINITIONS["E8"].paper_claim,
+        )
         result.certificates.append(
             BoundCertificate(claim="claim", holds=True, worst_ratio=1.0, tolerance=2.0)
         )
@@ -63,7 +67,7 @@ class TestSummary:
             [
                 "## E8 — demo",
                 "",
-                f"**Paper claim.** {PAPER_CLAIMS['E8']}",
+                f"**Paper claim.** {DEFINITIONS['E8'].paper_claim}",
                 "",
                 "**Scale.** `quick`",
                 "",

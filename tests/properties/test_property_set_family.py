@@ -106,19 +106,6 @@ class TestQueriesMatchFrozensets:
 
     @given(
         raw=raw_families(),
-        keep=st.lists(st.integers(min_value=-2, max_value=24), max_size=10),
-        label=labels,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_restricted_to(self, raw, keep, label):
-        n, sets = raw
-        restricted = SetFamily(n, sets, label=label).restricted_to(keep)
-        assert restricted.sets == tuple(s & frozenset(keep) for s in reference(sets))
-        assert restricted.label == (f"{label}|restricted" if label else "restricted")
-        assert restricted.n == n
-
-    @given(
-        raw=raw_families(),
         contenders=st.lists(st.integers(min_value=-1, max_value=22), max_size=8),
     )
     @settings(max_examples=60, deadline=None)

@@ -45,11 +45,6 @@ class TestTextTable:
         with pytest.raises(ValueError):
             table.add_row([1])
 
-    def test_add_rows(self):
-        table = TextTable(["a", "b"])
-        table.add_rows([[1, 2], [3, 4]])
-        assert len(table.rows) == 2
-
     def test_str_matches_render(self):
         table = TextTable(["a"])
         table.add_row([1])

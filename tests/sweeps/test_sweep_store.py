@@ -85,14 +85,6 @@ class TestSweepStore:
         assert data["config"] == CONFIG.as_dict()
         assert data["schema"] == 2
 
-    def test_load_many_partitions_by_presence(self, tmp_path):
-        store = SweepStore(tmp_path / "store")
-        other = SweepConfig(protocol="round-robin", n=32, k=8, batch=6, max_slots=10_000)
-        record = resolve_config(CONFIG)
-        store.save(record)
-        loaded = store.load_many([CONFIG, other])
-        assert loaded == {CONFIG.config_hash(): record}
-
 
 def _hammer_save(root: str, repeats: int) -> None:
     """Child-process body for the cross-process write race."""
