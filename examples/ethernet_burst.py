@@ -62,7 +62,7 @@ def main() -> None:
                 deterministic_worst["TDMA"],
                 run_deterministic(tdma, pattern).require_solved(),
             )
-            beb = BinaryExponentialBackoff(n, rng=seed)
+            beb = BinaryExponentialBackoff(n)
             randomized_samples["BEB"].append(
                 run_randomized(beb, pattern, rng=rng, max_slots=100_000).require_solved()
             )

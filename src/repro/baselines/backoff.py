@@ -27,24 +27,19 @@ uniform over the window (the window is a power of two well below 2^53).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro._util import RngLike, as_generator
 from repro.channel.feedback import FeedbackSignal
-from repro.channel.protocols import (
-    FeedbackVectorizedPolicy,
-    RandomizedPolicy,
-    StationState,
-)
+from repro.channel.protocols import FeedbackVectorizedPolicy, StationState
 
 __all__ = ["BinaryExponentialBackoff"]
 
 _COLLISION_CODE = FeedbackSignal.COLLISION.code
 
 
-class BinaryExponentialBackoff(FeedbackVectorizedPolicy, RandomizedPolicy):
+class BinaryExponentialBackoff(FeedbackVectorizedPolicy):
     """Binary exponential backoff over the slotted channel.
 
     Parameters
@@ -57,24 +52,16 @@ class BinaryExponentialBackoff(FeedbackVectorizedPolicy, RandomizedPolicy):
         the window and the resulting next-attempt slot stay exactly
         representable in the engine's int64 state arrays (the vectorized and
         scalar paths must agree bit for bit).
-    rng:
-        Fallback seed for the backoff draws, used only when the caller
-        invokes :meth:`observe` without a pattern generator (the simulator
-        always passes one, so simulated outcomes never depend on it).
     """
 
     name = "binary-exponential-backoff"
     requires_collision_detection = True
-    # Probabilities depend on observed collisions: the batch engine resolves
-    # BEB through run_feedback_batch (or the slot loop), never a matrix.
-    feedback_driven = True
 
-    def __init__(self, n: int, *, max_exponent: int = 10, rng: RngLike = None) -> None:
+    def __init__(self, n: int, *, max_exponent: int = 10) -> None:
         super().__init__(n)
         if not 0 <= max_exponent <= 62:
             raise ValueError(f"max_exponent must be in [0, 62], got {max_exponent}")
         self.max_exponent = int(max_exponent)
-        self._rng = as_generator(rng)
 
     # -- scalar surface (the slot-loop reference path) -----------------------
 
@@ -94,7 +81,8 @@ class BinaryExponentialBackoff(FeedbackVectorizedPolicy, RandomizedPolicy):
         slot: int,
         signal: FeedbackSignal,
         transmitted: bool,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().observe(state, slot, signal, transmitted, rng=rng)
         if transmitted and signal is FeedbackSignal.COLLISION:
@@ -102,8 +90,7 @@ class BinaryExponentialBackoff(FeedbackVectorizedPolicy, RandomizedPolicy):
                 state.extra["collisions"] + 1, self.max_exponent
             )
             window = 2 ** state.extra["collisions"]
-            draw = (rng if rng is not None else self._rng).random()
-            state.extra["next_attempt"] = slot + 1 + int(draw * window)
+            state.extra["next_attempt"] = slot + 1 + int(rng.random() * window)
 
     # -- vectorized surface (run_feedback_batch) -----------------------------
 

@@ -28,40 +28,23 @@ the slot loop's outcomes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro._util import RngLike, as_generator
 from repro.channel.feedback import FeedbackSignal
-from repro.channel.protocols import (
-    FeedbackVectorizedPolicy,
-    RandomizedPolicy,
-    StationState,
-)
+from repro.channel.protocols import FeedbackVectorizedPolicy, StationState
 
 __all__ = ["TreeSplitting"]
 
 _COLLISION_CODE = FeedbackSignal.COLLISION.code
 
 
-class TreeSplitting(FeedbackVectorizedPolicy, RandomizedPolicy):
-    """Binary tree splitting with free access (counter/stack formulation).
-
-    ``rng`` is a fallback seed for the splitting coins, used only when
-    :meth:`observe` is called without a pattern generator (the simulator
-    always passes one, so simulated outcomes never depend on it).
-    """
+class TreeSplitting(FeedbackVectorizedPolicy):
+    """Binary tree splitting with free access (counter/stack formulation)."""
 
     name = "tree-splitting"
     requires_collision_detection = True
-    # The stack counters evolve with ternary feedback: resolved slot by slot
-    # (per pattern) or through run_feedback_batch, never a matrix.
-    feedback_driven = True
-
-    def __init__(self, n: int, *, rng: RngLike = None) -> None:
-        super().__init__(n)
-        self._rng = as_generator(rng)
 
     # -- scalar surface (the slot-loop reference path) -----------------------
 
@@ -79,15 +62,15 @@ class TreeSplitting(FeedbackVectorizedPolicy, RandomizedPolicy):
         slot: int,
         signal: FeedbackSignal,
         transmitted: bool,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().observe(state, slot, signal, transmitted, rng=rng)
         counter = state.extra["counter"]
         if signal is FeedbackSignal.COLLISION:
             if counter == 0:
                 # The station was involved in the collision: split by coin flip.
-                coin = (rng if rng is not None else self._rng).random()
-                if coin < 0.5:
+                if rng.random() < 0.5:
                     state.extra["counter"] = 1
             else:
                 state.extra["counter"] = counter + 1

@@ -109,11 +109,6 @@ class FeedbackModel(ABC):
             all stations receive the message.)
         """
 
-    @property
-    @abstractmethod
-    def detects_collisions(self) -> bool:
-        """True iff the model lets stations distinguish collision from silence."""
-
 
 @dataclass(frozen=True)
 class NoCollisionDetection(FeedbackModel):
@@ -130,10 +125,6 @@ class NoCollisionDetection(FeedbackModel):
         if outcome is SlotOutcome.SUCCESS:
             return FeedbackSignal.SUCCESS
         return FeedbackSignal.QUIET
-
-    @property
-    def detects_collisions(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,3 @@ class CollisionDetection(FeedbackModel):
         if outcome is SlotOutcome.COLLISION:
             return FeedbackSignal.COLLISION
         return FeedbackSignal.QUIET
-
-    @property
-    def detects_collisions(self) -> bool:
-        return True

@@ -18,8 +18,10 @@ Two kinds of protocols exist in the paper's landscape:
   over ``(station, slot)`` via :meth:`RandomizedPolicy.transmit_probability_matrix`,
   which is the query the batched randomized engine
   (:func:`repro.engine.run_randomized_batch`) issues once per chunk;
-  feedback-driven policies declare :attr:`RandomizedPolicy.feedback_driven`
-  and are resolved slot by slot instead.
+  feedback-driven policies subclass :class:`FeedbackVectorizedPolicy` and are
+  advanced slot by slot across the whole batch instead.  The class alone
+  picks the engine, and the pattern's generator is the only stream either
+  kind draws from.
 
 Concrete deterministic protocols live in :mod:`repro.core`; randomized ones in
 :mod:`repro.core.randomized` and :mod:`repro.baselines`.
@@ -28,7 +30,7 @@ Concrete deterministic protocols live in :mod:`repro.core`; randomized ones in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -169,17 +171,18 @@ class StationState:
 
 
 class RandomizedPolicy(ABC):
-    """A (possibly feedback-driven) randomized transmission policy.
+    """A randomized transmission policy, oblivious unless feedback-driven.
 
-    Subclasses must implement the scalar :meth:`transmit_probability`.
-    Oblivious policies — probability a function of ``(station, wake_time,
-    slot)`` only — *should* override :meth:`transmit_probability_matrix` with
-    a closed-form vectorized implementation when used at scale; it is the
-    query the batched randomized engine (:func:`repro.engine.run_randomized_batch`)
-    issues once per chunk.  Policies whose probabilities react to channel
-    feedback must carry :attr:`feedback_driven` (set automatically for
-    subclasses that override :meth:`observe`), which makes the batch engine
-    fall back to the exact slot-loop per pattern.
+    Subclasses must implement the scalar :meth:`transmit_probability`, for an
+    oblivious policy a function of ``(station, wake_time, slot)`` only, and
+    *should* override :meth:`transmit_probability_matrix` with a closed-form
+    vectorized implementation when used at scale; it is the query the batched
+    randomized engine (:func:`repro.engine.run_randomized_batch`) issues once
+    per chunk.
+    Policies whose probabilities react to channel feedback subclass
+    :class:`FeedbackVectorizedPolicy` instead: only those may override
+    :meth:`observe`, and defining any other subclass that does raises
+    ``TypeError``.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -197,11 +200,13 @@ class RandomizedPolicy(ABC):
         )
         if overrides_scalar and inherits_vectorized:
             cls.transmit_probability_matrix = RandomizedPolicy.transmit_probability_matrix
-        # A subclass that reacts to feedback (overrides observe) almost
-        # certainly feeds it back into its probabilities; treat it as
-        # feedback-driven unless it explicitly declares otherwise.
-        if "observe" in cls.__dict__ and "feedback_driven" not in cls.__dict__:
-            cls.feedback_driven = True
+        # A policy that reacts to feedback cannot be resolved from a
+        # probability matrix; only the feedback engine's surface can run it.
+        if "observe" in cls.__dict__ and not issubclass(cls, FeedbackVectorizedPolicy):
+            raise TypeError(
+                f"{cls.__name__} overrides observe, so its probabilities react to "
+                "feedback; derive it from FeedbackVectorizedPolicy"
+            )
 
     def __init__(self, n: int) -> None:
         self.n = validate_positive_int(n, "n")
@@ -211,12 +216,6 @@ class RandomizedPolicy(ABC):
 
     #: Whether the policy requires collision detection to behave as intended.
     requires_collision_detection: bool = False
-
-    #: Whether transmit probabilities depend on channel feedback (signals seen
-    #: via :meth:`observe`).  Feedback-driven policies cannot be resolved from
-    #: a precomputed probability matrix; the batch engine runs them through
-    #: the slot-loop reference engine, one independent generator per pattern.
-    feedback_driven: bool = False
 
     def create_state(self, station: int, wake_time: int) -> StationState:
         """Create the per-station state at wake-up time."""
@@ -251,7 +250,7 @@ class RandomizedPolicy(ABC):
         :meth:`transmit_probability` with a fresh state per pair, which is
         correct exactly for oblivious policies (probability a function of
         station, wake time and slot only).  Feedback-driven policies
-        (:attr:`feedback_driven`) are never asked for a matrix.
+        (:class:`FeedbackVectorizedPolicy`) are never asked for a matrix.
         """
         start, stop = int(start), int(stop)
         length = max(0, stop - start)
@@ -269,18 +268,16 @@ class RandomizedPolicy(ABC):
         slot: int,
         signal: FeedbackSignal,
         transmitted: bool,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         """Update per-station state after a slot (default: book-keeping only).
 
         ``rng`` is the *pattern's own* generator — the same per-pattern child
-        stream the simulator draws the transmit decisions from.  Policies
-        whose updates are stochastic (backoff windows, splitting coins) must
-        draw from it when it is provided, so that a pattern's outcome is a
-        function of its own stream alone; drawing from a policy-owned
-        generator instead couples every pattern resolved through one policy
-        instance, making batched outcomes order-dependent.  The simulator
-        always passes it; direct callers may omit it.
+        stream the simulator draws the transmit decisions from, and the only
+        stream a policy may draw from, so that a pattern's outcome is a
+        function of its own stream alone.  Stochastic feedback updates
+        (backoff windows, splitting coins) draw from it.
         """
         if transmitted:
             state.transmission_count += 1
@@ -292,16 +289,18 @@ class RandomizedPolicy(ABC):
         return f"{self.name}(n={self.n})"
 
 
-class FeedbackVectorizedPolicy(ABC):
-    """Mixin interface: a feedback-driven policy the batch engine can vectorize.
+class FeedbackVectorizedPolicy(RandomizedPolicy):
+    """A feedback-driven randomized policy, vectorized across patterns.
 
     Feedback-driven policies cannot be resolved from a precomputed
     probability matrix — each slot's decisions depend on the previous slots'
     outcomes.  They *can* still be batched across patterns, because one
     pattern's state never influences another's: the engine
     (:func:`repro.engine.run_feedback_batch`) advances B patterns one slot at
-    a time, and this mixin is the per-slot vectorized query surface it uses
-    instead of per-station :class:`StationState` dicts.
+    a time through the vectorized query surface below instead of
+    per-station :class:`StationState` dicts.  The scalar surface
+    (:meth:`create_state`, :meth:`transmit_probability`, :meth:`observe`) is
+    the slot-loop reference the vectorized one must match bit for bit.
 
     State lives in arrays aligned with the engine's flattened ``(pattern,
     station, wake)`` pair arrays — conceptually one row of per-station
@@ -320,19 +319,11 @@ class FeedbackVectorizedPolicy(ABC):
       callable, which consumes each pattern's child stream in exactly the
       slot loop's order.
 
-    Subclasses that override the scalar behaviour (``transmit_probability``,
-    ``observe`` or ``create_state``) without overriding the vectorized trio
-    would answer batch queries with the *base's* semantics; an
-    ``__init_subclass__`` guard (mirroring the deterministic and randomized
-    ones) clears :attr:`feedback_vectorized` on such subclasses, so the
-    engine falls back to the slot-loop reference path, which is always
-    consistent.
+    A subclass that overrides the scalar behaviour (``transmit_probability``,
+    ``observe`` or ``create_state``) without overriding any of the
+    vectorized trio would answer batch queries with the *base's* semantics;
+    defining one raises ``TypeError``.
     """
-
-    #: Whether the engine may use the vectorized surface for this class.
-    #: Cleared automatically on subclasses that override scalar behaviour
-    #: but inherit the vectorized methods.
-    feedback_vectorized: bool = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -344,8 +335,12 @@ class FeedbackVectorizedPolicy(ABC):
             name in cls.__dict__
             for name in ("batch_create_state", "batch_transmit_mask", "batch_observe")
         )
-        if overrides_scalar and inherits_vectorized and "feedback_vectorized" not in cls.__dict__:
-            cls.feedback_vectorized = False
+        if overrides_scalar and inherits_vectorized:
+            raise TypeError(
+                f"{cls.__name__} overrides scalar behaviour but none of "
+                "batch_create_state, batch_transmit_mask and batch_observe, so "
+                "the feedback engine would run the base's semantics"
+            )
 
     @abstractmethod
     def batch_create_state(

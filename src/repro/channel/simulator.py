@@ -24,7 +24,6 @@ protocol kinds.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -33,7 +32,7 @@ import numpy as np
 from repro._util import RngLike, as_generator
 from repro.channel.channel import Channel
 from repro.channel.events import SlotOutcome, SlotRecord
-from repro.channel.feedback import FeedbackModel, FeedbackSignal, NoCollisionDetection
+from repro.channel.feedback import FeedbackModel, NoCollisionDetection
 from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.channel.trace import ExecutionTrace
 from repro.channel.wakeup import WakeupPattern
@@ -269,19 +268,6 @@ def run_randomized(
     horizon = start + int(max_slots)
     states: Dict[int, object] = {}
 
-    # Policies written against the pre-rng observe signature (4 positional
-    # arguments) remain simulatable: detect once whether this policy's
-    # observe accepts the pattern generator and only pass it if so.  Such
-    # policies cannot draw from the pattern stream, so their outcomes stay
-    # policy-stream dependent — the library's own policies all accept rng.
-    try:
-        inspect.signature(policy.observe).bind(
-            None, 0, FeedbackSignal.QUIET, False, rng=None
-        )
-        observe_accepts_rng = True
-    except TypeError:
-        observe_accepts_rng = False
-
     for slot in range(start, horizon):
         # Wake stations whose time has come.
         for station, wake in pattern.wake_times.items():
@@ -306,10 +292,7 @@ def run_randomized(
             # The pattern's generator is handed to observe so stochastic
             # feedback updates (backoff windows, splitting coins) draw from
             # the same per-pattern stream as the transmit decisions.
-            if observe_accepts_rng:
-                policy.observe(states[station], slot, signal, transmitted, rng=gen)  # type: ignore[arg-type]
-            else:
-                policy.observe(states[station], slot, signal, transmitted)  # type: ignore[arg-type]
+            policy.observe(states[station], slot, signal, transmitted, rng=gen)  # type: ignore[arg-type]
         if outcome is SlotOutcome.SUCCESS:
             return WakeupResult(
                 solved=True,

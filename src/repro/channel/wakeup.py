@@ -20,7 +20,7 @@ the mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -228,16 +228,6 @@ class WakeupPattern:
         if self.first_wake + offset < 0:
             raise ValueError("shift would produce a negative wake time")
         return WakeupPattern(self.n, {u: t + offset for u, t in self.wake_times.items()})
-
-    def normalized(self) -> "WakeupPattern":
-        """Return a copy shifted so that the first wake-up happens at slot 0."""
-        return self.shifted(-self.first_wake)
-
-    def restricted(self, stations: Iterable[int]) -> "WakeupPattern":
-        """Return the pattern restricted to the given stations (must be non-empty)."""
-        keep = {int(s) for s in stations}
-        sub = {u: t for u, t in self.wake_times.items() if u in keep}
-        return WakeupPattern(self.n, sub)
 
     def describe(self) -> str:
         """One-line human-readable summary used in traces and reports."""

@@ -100,11 +100,6 @@ class SelectiveFamily:
         """Number of transmission sets."""
         return self.family.length
 
-    @property
-    def theoretical_length(self) -> int:
-        """The Komlós–Greenberg existential target ``O(k log(n/k) + k)``."""
-        return selective_family_target_length(self.n, self.k, multiplier=1.0)
-
     def __len__(self) -> int:
         return self.family.length
 

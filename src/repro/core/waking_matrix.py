@@ -148,10 +148,6 @@ class MatrixParameters:
             raise ValueError("sigma must be >= 0")
         return sigmas + (-sigmas) % self.window
 
-    def window_of(self, slot: int) -> int:
-        """Index ``p`` of the window ``[p·window, (p+1)·window)`` containing ``slot``."""
-        return int(slot) // self.window
-
     def row_at_offset(self, offset: int) -> Optional[int]:
         """Row index (1-based) used ``offset`` slots after a station became operational.
 

@@ -23,12 +23,11 @@ by both protocol kinds:
   identical to the slot-loop engine given the same generators);
 * :func:`~repro.engine.feedback_batch.run_feedback_batch` — the
   feedback-driven third engine: policies whose decisions react to channel
-  signals (binary exponential backoff, tree splitting) advance B patterns
-  *per slot* with vectorized state arrays through the
-  :class:`~repro.channel.protocols.FeedbackVectorizedPolicy` surface, again
-  bit-for-bit identical to the slot loop under matched per-pattern streams
-  (``run_randomized_batch`` dispatches to it automatically; feedback-driven
-  policies without the surface fall back to the slot loop per pattern);
+  signals (binary exponential backoff, tree splitting) subclass
+  :class:`~repro.channel.protocols.FeedbackVectorizedPolicy` and advance B
+  patterns *per slot* with vectorized state arrays, again bit-for-bit
+  identical to the slot loop under matched per-pattern streams
+  (``run_randomized_batch`` dispatches every such policy to it by class);
 * :class:`~repro.engine.batch.BatchResult` — column-oriented results with
   summary statistics, convertible row-by-row to
   :class:`~repro.channel.simulator.WakeupResult`;

@@ -59,7 +59,7 @@ from repro.channel.protocols import (
     FeedbackVectorizedPolicy,
     RandomizedPolicy,
 )
-from repro.channel.simulator import DEFAULT_MAX_SLOTS, WakeupResult, run_randomized
+from repro.channel.simulator import DEFAULT_MAX_SLOTS, WakeupResult
 from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
@@ -204,41 +204,20 @@ class BatchResult:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_results(
-        cls, results: Sequence[WakeupResult], *, protocol: str, n: int
-    ) -> "BatchResult":
-        """Assemble per-pattern :class:`WakeupResult` rows into columns.
-
-        Used by the randomized engine's feedback-driven path (which resolves
-        patterns through the slot-loop reference engine) and by anything else
-        that needs to lift scalar results into the columnar representation.
-        """
-        results = list(results)
-        return cls(
-            protocol=protocol,
-            n=n,
-            solved=np.asarray([r.solved for r in results], dtype=bool),
-            k=np.asarray([r.k for r in results], dtype=np.int64),
-            first_wake=np.asarray([r.first_wake for r in results], dtype=np.int64),
-            success_slot=np.asarray(
-                [-1 if r.success_slot is None else r.success_slot for r in results],
-                dtype=np.int64,
-            ),
-            winner=np.asarray(
-                [-1 if r.winner is None else r.winner for r in results], dtype=np.int64
-            ),
-            latency=np.asarray(
-                [-1 if r.latency is None else r.latency for r in results], dtype=np.int64
-            ),
-            slots_examined=np.asarray(
-                [r.slots_examined for r in results], dtype=np.int64
-            ),
-        )
-
-    @classmethod
     def empty(cls, protocol) -> "BatchResult":
         """Zero-row result for any protocol kind (``.describe()`` and ``.n``)."""
-        return cls.from_results([], protocol=protocol.describe(), n=protocol.n)
+        none = np.empty(0, dtype=np.int64)
+        return cls(
+            protocol=protocol.describe(),
+            n=protocol.n,
+            solved=np.empty(0, dtype=bool),
+            k=none,
+            first_wake=none,
+            success_slot=none,
+            winner=none,
+            latency=none,
+            slots_examined=none,
+        )
 
     @classmethod
     def concat(cls, results: Sequence["BatchResult"]) -> "BatchResult":
@@ -601,13 +580,13 @@ def run_randomized_batch(
     stations in pattern order, one uniform draw per awake station with
     positive probability).
 
-    Oblivious policies are resolved from their
-    :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`
+    The policy's class picks the engine.  Oblivious policies are resolved from
+    their :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`
     with the same chunked bincount scan as the deterministic engine;
     feedback-driven policies
-    (:attr:`~repro.channel.protocols.RandomizedPolicy.feedback_driven`) fall
-    back to the slot-loop reference engine per pattern, preserving their
-    feedback semantics exactly.
+    (:class:`~repro.channel.protocols.FeedbackVectorizedPolicy`) go to
+    :func:`~repro.engine.feedback_batch.run_feedback_batch`, which advances
+    the whole batch slot by slot.
 
     Parameters
     ----------
@@ -640,27 +619,13 @@ def run_randomized_batch(
         return BatchResult.empty(policy)
     generators = _resolve_generators(rngs, seed, len(patterns))
 
-    if policy.feedback_driven:
+    if isinstance(policy, FeedbackVectorizedPolicy):
         # Probabilities react to channel signals, so slots cannot be sampled
-        # ahead of the outcomes they depend on.  Policies implementing the
-        # vectorized feedback surface are advanced slot-synchronously across
-        # all patterns at once; anything else falls back to the slot-loop
-        # reference engine, one pattern and child generator at a time.
-        # Either path yields bit-for-bit the same outcomes.
-        if isinstance(policy, FeedbackVectorizedPolicy) and policy.feedback_vectorized:
-            from repro.engine.feedback_batch import run_feedback_batch
+        # ahead of the outcomes they depend on: advance every pattern
+        # slot-synchronously instead.
+        from repro.engine.feedback_batch import run_feedback_batch
 
-            return run_feedback_batch(
-                policy, patterns, rngs=generators, max_slots=max_slots
-            )
-        return BatchResult.from_results(
-            [
-                run_randomized(policy, pattern, rng=gen, max_slots=max_slots)
-                for pattern, gen in zip(patterns, generators)
-            ],
-            protocol=policy.describe(),
-            n=policy.n,
-        )
+        return run_feedback_batch(policy, patterns, rngs=generators, max_slots=max_slots)
 
     B = len(patterns)
     pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
@@ -794,9 +759,10 @@ def run_batch(
 
     The kind-agnostic front door of the batch layer: deterministic protocols
     dispatch to :func:`run_deterministic_batch`, randomized policies to
-    :func:`run_randomized_batch` (which in turn routes feedback-driven
-    vectorized policies to the slot-synchronous feedback engine).  Callers
-    that receive a protocol from the name registry
+    :func:`run_randomized_batch` (which in turn routes every
+    :class:`~repro.channel.protocols.FeedbackVectorizedPolicy` to the
+    slot-synchronous feedback engine).  Callers that receive a protocol from
+    the name registry
     (:func:`repro.sweeps.protocols.build_protocol`) — the sweep workers, the
     guided adversarial search — use this instead of branching on the type
     themselves.

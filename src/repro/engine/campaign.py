@@ -17,11 +17,11 @@ own ``SeedSequence`` child generator, derived by ``spawn_generators`` (see
 :mod:`repro._util`) *before* sharding, so the outcome of pattern ``i`` does
 not depend on the shard size.  This covers feedback-driven policies too:
 their stochastic feedback updates (backoff windows, splitting coins) draw
-from the same per-pattern streams — whether resolved through the vectorized
-feedback engine (:func:`~repro.engine.feedback_batch.run_feedback_batch`) or
-the slot-loop fallback — so binary exponential backoff and tree splitting
-campaigns are reproducible at any shard size.  Parallelism lives one layer
-up, in the process-sharded sweeps (:mod:`repro.sweeps`).
+from the same per-pattern streams in the vectorized feedback engine
+(:func:`~repro.engine.feedback_batch.run_feedback_batch`), so binary
+exponential backoff and tree splitting campaigns are reproducible at any
+shard size.  Parallelism lives one layer up, in the process-sharded sweeps
+(:mod:`repro.sweeps`).
 
 Example
 -------

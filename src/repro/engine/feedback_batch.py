@@ -53,7 +53,7 @@ import numpy as np
 
 from repro import obs
 from repro.channel.feedback import FeedbackModel, signal_table
-from repro.channel.protocols import FeedbackVectorizedPolicy, RandomizedPolicy
+from repro.channel.protocols import FeedbackVectorizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
 from repro.channel.wakeup import WakeupPattern
 from repro.engine.batch import (
@@ -91,7 +91,7 @@ def _make_row_draw(generators: List[np.random.Generator], pair_row: np.ndarray):
 
 
 def run_feedback_batch(
-    policy: RandomizedPolicy,
+    policy: FeedbackVectorizedPolicy,
     patterns: Sequence[WakeupPattern],
     *,
     rngs: Optional[Sequence[np.random.Generator]] = None,
@@ -104,9 +104,10 @@ def run_feedback_batch(
     Parameters
     ----------
     policy:
-        A :class:`~repro.channel.protocols.RandomizedPolicy` that implements
-        the :class:`~repro.channel.protocols.FeedbackVectorizedPolicy`
-        surface (and has not had it disabled by the subclass guard).
+        A :class:`~repro.channel.protocols.FeedbackVectorizedPolicy`; any
+        other :class:`~repro.channel.protocols.RandomizedPolicy` is oblivious
+        and belongs to :func:`~repro.engine.batch.run_randomized_batch`'s
+        matrix scan.
     patterns:
         The batch; rows of the result align with this order.
     rngs:
@@ -129,18 +130,9 @@ def run_feedback_batch(
         Outcome columns (including ``slots_examined``) bit-for-bit identical
         to running ``run_randomized`` per pattern with the same generators.
     """
-    if not isinstance(policy, RandomizedPolicy):
-        raise TypeError(f"expected a RandomizedPolicy, got {type(policy).__name__}")
     if not isinstance(policy, FeedbackVectorizedPolicy):
         raise TypeError(
-            f"{type(policy).__name__} does not implement the FeedbackVectorizedPolicy "
-            "surface; use run_randomized_batch, which falls back to the slot loop"
-        )
-    if not policy.feedback_vectorized:
-        raise TypeError(
-            f"{type(policy).__name__} overrides scalar behaviour without overriding "
-            "the vectorized surface (feedback_vectorized is False); use "
-            "run_randomized_batch, which falls back to the slot loop"
+            f"expected a FeedbackVectorizedPolicy, got {type(policy).__name__}"
         )
     patterns = _validate_batch(policy, patterns)
     if not patterns:

@@ -171,15 +171,7 @@ class ResultsService:
         with obs.span("service.request", hash=key):
             with self._lock:
                 self.requests += 1
-                entry = self._memo.get(key)
-                if entry is not None:
-                    self._memo.move_to_end(key)
-            if entry is not None:
-                record = entry[0]
-            else:
-                record = self.store.load(config)
-                if record is not None:
-                    self._remember(key, record)
+            record = self._cached(config, key)
             if record is not None:
                 with self._lock:
                     self.hits += 1
@@ -209,6 +201,19 @@ class ResultsService:
         body = entry[1] if entry is not None else self._remember(key, record)
         return body, cached
 
+    def _cached(self, config: SweepConfig, key: str) -> Optional[ConfigRecord]:
+        """The record from the memo, else from the store (memoized), else None."""
+        with self._lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                self._memo.move_to_end(key)
+        if entry is not None:
+            return entry[0]
+        record = self.store.load(config)
+        if record is not None:
+            self._remember(key, record)
+        return record
+
     def _remember(self, key: str, record: ConfigRecord) -> bytes:
         """Render ``record`` once and memoize it; evicts the least recently used."""
         body = render_response(record).encode("utf-8")
@@ -236,7 +241,10 @@ class ResultsService:
         resolves the config on the worker pool; concurrent requests for the
         same hash await that future instead of resolving the config again.
         Only the owner writes the store and fills the memo, before it
-        releases the waiters.
+        releases the waiters.  A new owner looks in the memo and the store
+        once more first: a request that missed both just before the previous
+        owner saved, but registers only after that owner deregistered, finds
+        the record there instead of resolving the config again.
         """
         with self._lock:
             future = self._inflight.get(key)
@@ -250,9 +258,11 @@ class ResultsService:
             # attribute applies.  Persist before deregistering: a request
             # landing between the two would otherwise miss the store *and*
             # the in-flight table and resolve the config a second time.
-            record = self._pool.map(resolve_config, [config])[0]
-            self.store.save(record)
-            self._remember(key, record)
+            record = self._cached(config, key)
+            if record is None:
+                record = self._pool.map(resolve_config, [config])[0]
+                self.store.save(record)
+                self._remember(key, record)
             future.set_result(record)
             return record
         except BaseException as exc:

@@ -85,18 +85,21 @@ class TestBinaryExponentialBackoff:
         assert BinaryExponentialBackoff(8).requires_collision_detection
 
     def test_backoff_window_grows_after_collision(self):
-        policy = BinaryExponentialBackoff(8, rng=0)
+        policy = BinaryExponentialBackoff(8)
         state = policy.create_state(1, 0)
         assert policy.transmit_probability(state, 0) == 1.0
-        policy.observe(state, 0, FeedbackSignal.COLLISION, transmitted=True)
+        policy.observe(
+            state, 0, FeedbackSignal.COLLISION, transmitted=True, rng=np.random.default_rng(0)
+        )
         assert state.extra["collisions"] == 1
         assert state.extra["next_attempt"] >= 1
 
     def test_exponent_capped(self):
-        policy = BinaryExponentialBackoff(8, max_exponent=2, rng=0)
+        policy = BinaryExponentialBackoff(8, max_exponent=2)
         state = policy.create_state(1, 0)
+        gen = np.random.default_rng(0)
         for slot in range(10):
-            policy.observe(state, slot, FeedbackSignal.COLLISION, transmitted=True)
+            policy.observe(state, slot, FeedbackSignal.COLLISION, transmitted=True, rng=gen)
         assert state.extra["collisions"] == 2
 
     def test_negative_exponent_rejected(self):
@@ -111,35 +114,22 @@ class TestBinaryExponentialBackoff:
         assert BinaryExponentialBackoff(8, max_exponent=62).max_exponent == 62
 
     def test_solves_wakeup_with_collision_detection(self):
-        policy = BinaryExponentialBackoff(16, rng=3)
+        policy = BinaryExponentialBackoff(16)
         pattern = simultaneous_pattern(16, 4, rng=0)
         result = run_randomized(policy, pattern, rng=5, max_slots=10_000)
         assert result.solved
 
     def test_backoff_draws_from_the_pattern_stream(self):
-        # When observe receives a pattern generator, the backoff window is
-        # drawn from it — two policies with different internal seeds agree.
-        a, b = BinaryExponentialBackoff(8, rng=0), BinaryExponentialBackoff(8, rng=99)
-        state_a, state_b = a.create_state(1, 0), b.create_state(1, 0)
-        a.observe(state_a, 0, FeedbackSignal.COLLISION, True, rng=np.random.default_rng(7))
-        b.observe(state_b, 0, FeedbackSignal.COLLISION, True, rng=np.random.default_rng(7))
-        assert state_a.extra["next_attempt"] == state_b.extra["next_attempt"]
-
-    def test_outcome_depends_only_on_the_pattern_stream(self):
-        # Simulated outcomes are a function of the per-pattern rng alone:
-        # the policy-owned fallback stream never enters a simulation.
-        pattern = simultaneous_pattern(16, 4, rng=0)
-        results = [
-            run_randomized(
-                BinaryExponentialBackoff(16, rng=seed),
-                pattern,
-                rng=np.random.default_rng(5),
-                max_slots=10_000,
+        # The backoff window is the next uniform of the pattern generator
+        # handed to observe: floor(u * 2) slots after the first collision.
+        for probe_seed in range(5):
+            policy = BinaryExponentialBackoff(8)
+            state = policy.create_state(1, 0)
+            policy.observe(
+                state, 0, FeedbackSignal.COLLISION, True, rng=np.random.default_rng(probe_seed)
             )
-            for seed in (0, 1)
-        ]
-        assert results[0].success_slot == results[1].success_slot
-        assert results[0].winner == results[1].winner
+            u = np.random.default_rng(probe_seed).random()
+            assert state.extra["next_attempt"] == 1 + int(u * 2)
 
     def test_backoff_window_is_uniform_over_the_window(self):
         # floor(u * 2^c) with u ~ U[0, 1) covers {0, ..., 2^c - 1}.
@@ -159,47 +149,42 @@ class TestTreeSplitting:
         assert TreeSplitting(8).requires_collision_detection
 
     def test_counter_dynamics(self):
-        policy = TreeSplitting(8, rng=1)
+        policy = TreeSplitting(8)
         state = policy.create_state(1, 0)
         assert state.extra["counter"] == 0
         # A waiting station increments on collision and decrements on success/idle.
         state.extra["counter"] = 2
-        policy.observe(state, 0, FeedbackSignal.COLLISION, transmitted=False)
+        gen = np.random.default_rng(1)
+        policy.observe(state, 0, FeedbackSignal.COLLISION, transmitted=False, rng=gen)
         assert state.extra["counter"] == 3
-        policy.observe(state, 1, FeedbackSignal.SUCCESS, transmitted=False)
+        policy.observe(state, 1, FeedbackSignal.SUCCESS, transmitted=False, rng=gen)
         assert state.extra["counter"] == 2
-        policy.observe(state, 2, FeedbackSignal.QUIET, transmitted=False)
+        policy.observe(state, 2, FeedbackSignal.QUIET, transmitted=False, rng=gen)
         assert state.extra["counter"] == 1
 
     def test_solves_wakeup(self):
-        policy = TreeSplitting(32, rng=2)
+        policy = TreeSplitting(32)
         pattern = simultaneous_pattern(32, 8, rng=1)
         result = run_randomized(policy, pattern, rng=7, max_slots=10_000)
         assert result.solved
 
     def test_solves_staggered_wakeup(self):
-        policy = TreeSplitting(32, rng=2)
+        policy = TreeSplitting(32)
         pattern = staggered_pattern(32, 6, gap=2, rng=1)
         result = run_randomized(policy, pattern, rng=9, max_slots=10_000)
         assert result.solved
 
     def test_splitting_coin_comes_from_the_pattern_stream(self):
-        # With a pattern generator supplied, the coin flip is its next
-        # uniform: policies with different internal seeds split identically.
+        # The coin flip is the next uniform of the pattern generator handed
+        # to observe: tails (u < 0.5) moves the station down the stack.
         for probe_seed in range(5):
-            outcomes = []
-            for policy_seed in (0, 99):
-                policy = TreeSplitting(8, rng=policy_seed)
-                state = policy.create_state(1, 0)
-                policy.observe(
-                    state,
-                    0,
-                    FeedbackSignal.COLLISION,
-                    True,
-                    rng=np.random.default_rng(probe_seed),
-                )
-                outcomes.append(state.extra["counter"])
-            assert outcomes[0] == outcomes[1]
+            policy = TreeSplitting(8)
+            state = policy.create_state(1, 0)
+            policy.observe(
+                state, 0, FeedbackSignal.COLLISION, True, rng=np.random.default_rng(probe_seed)
+            )
+            u = np.random.default_rng(probe_seed).random()
+            assert state.extra["counter"] == (1 if u < 0.5 else 0)
 
 
 class TestKomlosGreenberg:

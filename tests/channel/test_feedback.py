@@ -27,9 +27,6 @@ class TestNoCollisionDetection:
         assert collision is FeedbackSignal.QUIET
         assert silence is FeedbackSignal.QUIET
 
-    def test_does_not_detect_collisions(self):
-        assert not NoCollisionDetection().detects_collisions
-
 
 class TestCollisionDetection:
     def test_ternary_feedback(self):
@@ -37,9 +34,6 @@ class TestCollisionDetection:
         assert model.observe(SlotOutcome.SUCCESS, transmitted=False) is FeedbackSignal.SUCCESS
         assert model.observe(SlotOutcome.COLLISION, transmitted=True) is FeedbackSignal.COLLISION
         assert model.observe(SlotOutcome.SILENCE, transmitted=False) is FeedbackSignal.QUIET
-
-    def test_detects_collisions(self):
-        assert CollisionDetection().detects_collisions
 
     def test_model_names_distinct(self):
         assert NoCollisionDetection().name != CollisionDetection().name

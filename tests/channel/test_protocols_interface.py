@@ -74,9 +74,10 @@ class TestRandomizedPolicyDefaults:
     def test_observe_bookkeeping(self):
         policy = HalfProbability(8)
         state = policy.create_state(2, 0)
-        policy.observe(state, 0, FeedbackSignal.COLLISION, transmitted=True)
-        policy.observe(state, 1, FeedbackSignal.QUIET, transmitted=False)
-        policy.observe(state, 2, FeedbackSignal.SUCCESS, transmitted=True)
+        gen = np.random.default_rng(0)
+        policy.observe(state, 0, FeedbackSignal.COLLISION, transmitted=True, rng=gen)
+        policy.observe(state, 1, FeedbackSignal.QUIET, transmitted=False, rng=gen)
+        policy.observe(state, 2, FeedbackSignal.SUCCESS, transmitted=True, rng=gen)
         assert state.transmission_count == 2
         assert state.collision_count == 1
 

@@ -46,29 +46,15 @@ class TestDerivedViews:
         p = WakeupPattern(8, {7: 2, 3: 0, 5: 2})
         assert list(p) == [(3, 0), (5, 2), (7, 2)]
 
-    def test_shifted_and_normalized(self):
+    def test_shifted(self):
         p = WakeupPattern(8, {3: 4, 5: 6})
         shifted = p.shifted(3)
         assert shifted.first_wake == 7
-        normalized = p.normalized()
-        assert normalized.first_wake == 0
-        assert normalized.wake_time(5) == 2
 
     def test_shift_below_zero_rejected(self):
         p = WakeupPattern(8, {3: 1})
         with pytest.raises(ValueError):
             p.shifted(-2)
-
-    def test_restricted(self):
-        p = WakeupPattern(8, {3: 0, 5: 2, 7: 5})
-        sub = p.restricted([5, 7])
-        assert sub.stations == (5, 7)
-        assert sub.first_wake == 2
-
-    def test_restricted_to_empty_rejected(self):
-        p = WakeupPattern(8, {3: 0})
-        with pytest.raises(ValueError):
-            p.restricted([5])
 
     def test_describe_mentions_key_parameters(self):
         text = WakeupPattern(8, {3: 0, 5: 6}).describe()

@@ -35,7 +35,6 @@ class TestRandomSelectiveFamily:
         assert fam.n == 32 and fam.k == 4
         assert fam.method == "random"
         assert fam.length == selective_family_target_length(32, 4)
-        assert fam.theoretical_length == selective_family_target_length(32, 4, multiplier=1.0)
         assert len(fam) == fam.length
 
     def test_reproducible_given_seed(self):

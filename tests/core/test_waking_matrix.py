@@ -79,13 +79,6 @@ class TestMatrixParameters:
         if params.window > 1:
             assert params.membership_probability(1, j) == 0.25
 
-    def test_window_of(self):
-        params = matrix_parameters(64)
-        w = params.window
-        assert params.window_of(0) == 0
-        assert params.window_of(w) == 1
-        assert params.window_of(3 * w + 1) == 3
-
 
 class TestHashedTransmissionMatrix:
     def test_determinism_given_seed(self):

@@ -228,47 +228,34 @@ class TestDispatchThroughRandomizedBatch:
 
 
 class TestSubclassConsistencyGuard:
-    def test_scalar_override_disables_the_vectorized_surface(self):
-        class StubbornBackoff(BinaryExponentialBackoff):
-            def observe(self, state, slot, signal, transmitted, rng=None):
-                super().observe(state, slot, signal, transmitted, rng=rng)
-
-        # Inheriting BEB's batch_observe would answer batch queries with the
-        # base's update rule; the guard routes the subclass to the slot loop.
-        assert StubbornBackoff.feedback_vectorized is False
-        policy = StubbornBackoff(N)
-        with pytest.raises(TypeError):
-            run_feedback_batch(policy, [])
-        # ... but run_randomized_batch still resolves it (slot-loop fallback),
-        # bit-for-bit against the reference engine.
-        patterns = [WakeupPattern(N, {1: 0, 2: 0})]
-        batch_gens, reference_gens = _twin_generators(1, 12)
-        result = run_randomized_batch(policy, patterns, rngs=batch_gens, max_slots=300)
-        reference = run_randomized(
-            policy, patterns[0], rng=reference_gens[0], max_slots=300
-        )
-        assert int(result.success_slot[0]) == reference.success_slot
+    @pytest.mark.parametrize(
+        "scalar", ["transmit_probability", "observe", "create_state"]
+    )
+    def test_scalar_override_without_batch_override_is_rejected(self, scalar):
+        # Inheriting BEB's vectorized trio would answer batch queries with
+        # the base's semantics; defining such a subclass fails loudly.
+        override = getattr(BinaryExponentialBackoff, scalar)
+        with pytest.raises(TypeError, match="batch_observe"):
+            type("StubbornBackoff", (BinaryExponentialBackoff,), {scalar: override})
 
     def test_batch_override_keeps_the_vectorized_surface(self):
         class Renamed(TreeSplitting):
             name = "tree-renamed"
 
-        assert Renamed.feedback_vectorized is True
-
         class Rebalanced(TreeSplitting):
-            def observe(self, state, slot, signal, transmitted, rng=None):
+            def observe(self, state, slot, signal, transmitted, *, rng):
                 super().observe(state, slot, signal, transmitted, rng=rng)
 
             def batch_observe(self, state, slot, signals, transmitted, awake, draw):
                 super().batch_observe(state, slot, signals, transmitted, awake, draw)
 
-        assert Rebalanced.feedback_vectorized is True
-
-    def test_explicit_opt_in_survives_scalar_override(self):
-        class TunedButVectorized(BinaryExponentialBackoff):
-            feedback_vectorized = True
-
-            def create_state(self, station, wake_time):
-                return super().create_state(station, wake_time)
-
-        assert TunedButVectorized.feedback_vectorized is True
+        patterns = [WakeupPattern(N, {1: 0, 2: 0})]
+        for policy in (Renamed(N), Rebalanced(N)):
+            batch_gens, reference_gens = _twin_generators(1, 12)
+            result = run_randomized_batch(
+                policy, patterns, rngs=batch_gens, max_slots=300
+            )
+            reference = run_randomized(
+                policy, patterns[0], rng=reference_gens[0], max_slots=300
+            )
+            assert int(result.success_slot[0]) == reference.success_slot

@@ -44,11 +44,6 @@ class TestWakeupPatternProperties:
         for station in pattern.stations:
             assert shifted.wake_time(station) == pattern.wake_time(station) + shift
 
-    @given(wakes=wake_dicts)
-    @settings(max_examples=40, deadline=None)
-    def test_normalized_starts_at_zero(self, wakes):
-        assert WakeupPattern(32, wakes).normalized().first_wake == 0
-
 
 ks = st.integers(min_value=1, max_value=16)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)

@@ -10,7 +10,7 @@ ascending, stations in pattern order within a slot, one uniform draw per
 awake station with positive probability.  These tests pin the contract down
 across every oblivious policy with a native ``transmit_probability_matrix``,
 one relying on the generic scalar-derived default, and the feedback-driven
-fallback path.
+policies it dispatches to the feedback engine.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import BinaryExponentialBackoff, SlottedAloha, TreeSplitting
-from repro.channel.protocols import RandomizedPolicy
+from repro.channel.protocols import FeedbackVectorizedPolicy, RandomizedPolicy
 from repro.channel.simulator import run_randomized
 from repro.channel.wakeup import WakeupPattern
 from repro.core.randomized import (
@@ -174,25 +174,25 @@ class TestBatchMatchesSlotLoop:
         np.testing.assert_array_equal(a.latency, b.latency)
 
 
-class TestFeedbackDrivenFallback:
+class TestFeedbackDrivenDispatch:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda seed: BinaryExponentialBackoff(N, rng=seed),
-            lambda seed: TreeSplitting(N, rng=seed),
+            lambda: BinaryExponentialBackoff(N),
+            lambda: TreeSplitting(N),
         ],
     )
     def test_matches_slot_loop_per_pattern(self, factory):
         # Feedback-driven policies keep their exact slot-loop semantics:
-        # twin policy instances (their internal backoff streams must align)
-        # and twin per-pattern generators must agree bit for bit.
+        # twin policy instances and twin per-pattern generators must agree
+        # bit for bit.
         patterns = [
             WakeupPattern(N, {1: 0, 2: 0, 5: 3}),
             WakeupPattern(N, {3: 1, 4: 1}),
             WakeupPattern(N, {7: 0}),
         ]
-        batch_policy, reference_policy = factory(11), factory(11)
-        assert batch_policy.feedback_driven
+        batch_policy, reference_policy = factory(), factory()
+        assert isinstance(batch_policy, FeedbackVectorizedPolicy)
         batch_gens, reference_gens = _twin_generators(len(patterns), 500)
         result = run_randomized_batch(
             batch_policy, patterns, rngs=batch_gens, max_slots=500
@@ -238,33 +238,11 @@ class TestSubclassConsistencyGuard:
             is RepeatedProbabilityDecrease.transmit_probability_matrix
         )
 
-    def test_observe_override_marks_policy_feedback_driven(self):
-        class Watching(SlottedAloha):
-            def observe(self, state, slot, signal, transmitted, rng=None):
-                super().observe(state, slot, signal, transmitted, rng=rng)
+    def test_observe_override_outside_the_feedback_surface_is_rejected(self):
+        # A policy reacting to feedback cannot be resolved from a probability
+        # matrix; only a FeedbackVectorizedPolicy may override observe.
+        with pytest.raises(TypeError, match="FeedbackVectorizedPolicy"):
 
-        assert Watching.feedback_driven is True
-
-        class WatchingButOblivious(SlottedAloha):
-            feedback_driven = False
-
-            def observe(self, state, slot, signal, transmitted, rng=None):
-                super().observe(state, slot, signal, transmitted, rng=rng)
-
-        assert WatchingButOblivious.feedback_driven is False
-
-    def test_legacy_observe_signature_still_simulates(self):
-        # Policies written against the pre-rng observe signature (4
-        # positional arguments, no rng) must stay simulatable: the slot loop
-        # detects the missing parameter and withholds the generator.
-        class LegacyWatcher(SlottedAloha):
-            def observe(self, state, slot, signal, transmitted):
-                super().observe(state, slot, signal, transmitted)
-                state.extra["signals"] = state.extra.get("signals", 0) + 1
-
-        policy = LegacyWatcher(N, 0.5)
-        assert policy.feedback_driven is True
-        result = run_randomized(
-            policy, WakeupPattern(N, {1: 0, 2: 1}), rng=3, max_slots=500
-        )
-        assert result.solved
+            class Watching(SlottedAloha):
+                def observe(self, state, slot, signal, transmitted, *, rng):
+                    super().observe(state, slot, signal, transmitted, rng=rng)

@@ -154,6 +154,24 @@ class TestMemoHits:
         assert len(renders) == 1
         assert service.status()["memo_entries"] == 1
 
+    def test_an_owner_registering_after_the_previous_one_resolves_nothing(
+        self, service, monkeypatch
+    ):
+        # A request that missed the memo and the store before the previous
+        # owner saved, but registers only after that owner deregistered,
+        # becomes a new owner; it must find the record, not resolve it again.
+        calls = _counting(monkeypatch, daemon_module, "resolve_config")
+        record, cached = service.resolve(CONFIG)
+        assert not cached
+        assert service._compute(CONFIG, CONFIG.config_hash()) == record
+        assert len(calls) == 1
+        # Evicted from the memo, the record is found in the store.
+        monkeypatch.setattr(daemon_module, "MEMO_BUDGET_BYTES", 0)
+        service._remember("other", record)
+        assert service.status()["memo_entries"] == 0
+        assert service._compute(CONFIG, CONFIG.config_hash()) == record
+        assert len(calls) == 1
+
 
 class TestMemoBudget:
     def test_oldest_entry_is_evicted_and_re_memoized_by_a_store_hit(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.sweeps.protocols as protocols_module
+from repro.channel.protocols import FeedbackVectorizedPolicy, RandomizedPolicy
 from repro.core.round_robin import RoundRobin
 from repro.experiments.cache import shared_cache
 from repro.sweeps.protocols import (
@@ -55,3 +56,26 @@ class TestBuildProtocol:
     def test_unknown_name_lists_the_registered_ones(self):
         with pytest.raises(KeyError, match="round-robin"):
             build_protocol("no-such-protocol", 8)
+
+
+class TestRandomizedContract:
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_BUILDERS))
+    def test_no_registered_policy_derives_its_matrix_pair_by_pair(self, name):
+        # Every registered randomized policy runs a vectorized engine: either
+        # the feedback engine, or the matrix scan over a native matrix rather
+        # than the generic per-pair derivation from transmit_probability.
+        protocol = build_protocol(name, 16, 4, seed=0)
+        if not isinstance(protocol, RandomizedPolicy):
+            return
+        assert isinstance(protocol, FeedbackVectorizedPolicy) or (
+            type(protocol).transmit_probability_matrix
+            is not RandomizedPolicy.transmit_probability_matrix
+        )
+
+    def test_the_randomized_baselines_are_covered(self):
+        randomized = {
+            name
+            for name in PROTOCOL_BUILDERS
+            if isinstance(build_protocol(name, 16, 4, seed=0), RandomizedPolicy)
+        }
+        assert {"rpd", "rpd-known-k", "aloha", "decay", "beb", "tree-splitting"} <= randomized

@@ -4,16 +4,22 @@ Cheap text-level assertions keeping README.md and docs/ in lockstep with the
 code: every CLI subcommand and every registered workload must be mentioned
 where a user would look for it, and the CLI module docstring must not go
 stale again (it once advertised "Five subcommands" after the sixth landed).
-CI runs this file as a dedicated step so a docs drift fails loudly.
+Every ``Class.attr`` reference to a ``repro`` class must resolve, so docs
+cannot keep naming an attribute the code deleted.  CI runs this file as a
+dedicated step so a docs drift fails loudly.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from repro.workloads import WORKLOADS
 
@@ -28,6 +34,19 @@ def _subcommands() -> list:
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     (subparsers,) = actions
     return sorted(subparsers.choices)
+
+
+def _repro_classes() -> dict:
+    """Every class defined in a ``repro`` module, by name."""
+    classes: dict = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                classes.setdefault(name, []).append(obj)
+    return classes
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +187,24 @@ class TestDocsDirectory:
             assert name in text, (
                 f"docs/architecture.md does not document repro.engine.{name}"
             )
+
+
+class TestAttributeReferences:
+    def test_every_class_attribute_reference_resolves(self):
+        # `Class.attr` or `Class.attr(...)` in README.md or docs/*.md, where
+        # Class is a repro class, must name an attribute that still exists.
+        classes = _repro_classes()
+        checked = 0
+        for path in [README, *sorted(DOCS.glob("*.md"))]:
+            for match in re.finditer(r"`([A-Z]\w*)\.(\w+)[`(]", path.read_text()):
+                owner, attr = match.groups()
+                if owner not in classes:
+                    continue
+                checked += 1
+                assert any(hasattr(cls, attr) for cls in classes[owner]), (
+                    f"{path.name} names `{owner}.{attr}`, which does not exist"
+                )
+        assert checked, "no Class.attr reference found: the pattern is stale"
 
 
 class TestCliDocstring:
