@@ -91,7 +91,7 @@ def test_disabled_obs_overhead_is_under_2_percent(record_gate):
     assert span_calls > 0 and counter_calls > 0, "engine is not instrumented"
 
     def _null_span():
-        with obs.span("bench.noop", chunk=0):
+        with obs.span("bench.noop"):
             pass
 
     per_span = _per_call_cost(_null_span)

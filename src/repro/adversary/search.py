@@ -345,13 +345,7 @@ def adversarial_search(
     protocol = build_protocol(
         spec.protocol, spec.n, spec.k, seed=spec.seed, **dict(spec.protocol_params)
     )
-    with obs.span(
-        "adversary.search",
-        protocol=spec.protocol,
-        strategy=spec.strategy,
-        n=spec.n,
-        k=spec.k,
-    ):
+    with obs.span("adversary.search"):
         while evaluated < spec.budget:
             count = min(spec.population, spec.budget - evaluated)
             rng = _step_generator(spec, spec_hash, step)

@@ -499,9 +499,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(exc: Exception) -> int:
+    """Report a usage error as ``error: <message>`` on stderr; exit like argparse."""
+    message = exc.args[0] if exc.args else str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    protocol = PROTOCOLS[args.protocol](args)
-    pattern = PATTERNS[args.pattern](args)
+    try:
+        protocol = PROTOCOLS[args.protocol](args)
+        pattern = PATTERNS[args.pattern](args)
+    except ValueError as exc:
+        # Invalid (n, k, ...) combinations are usage errors, not crashes.
+        return _usage_error(exc)
     print(f"protocol: {protocol.describe()}")
     print(f"pattern : {pattern.describe()}")
     if isinstance(protocol, DeterministicProtocol):
@@ -532,7 +543,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         while k <= args.n:
             ks.append(k)
             k *= 2
-    rows = bound_table(args.n, ks)
+    try:
+        rows = bound_table(args.n, ks)
+    except ValueError as exc:
+        return _usage_error(exc)
     table = TextTable(
         ["k", "min{k,n-k+1}", "Clementi Ω(k log(n/k))", "Θ(k log(n/k)+1)", "k logn loglogn", "Ω(log k) rand.", "round-robin"]
     )
@@ -590,9 +604,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         # Unknown experiment IDs, protocol/workload names and invalid worker
         # counts are usage errors, not crashes.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     manifest = result.manifest
     if args.action == "report":
         report = render_campaign_report(result)
@@ -639,9 +651,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         # Unknown workload names and invalid (n, k, ...) combinations are
         # usage errors, not crashes: print the message, exit like argparse.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 def _cmd_workloads_inner(args: argparse.Namespace) -> int:
@@ -752,9 +762,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Unknown protocol/workload names, empty grids, invalid worker
         # counts and unreadable checkpoints are usage errors, not crashes:
         # print the message, exit like argparse.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     table = TextTable(
         ["protocol", "n", "k", "workload", "seed", "solved", "mean latency", "max latency"]
     )
@@ -919,9 +927,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         # Unknown protocol/strategy names and invalid (n, k, budget, ...)
         # combinations are usage errors, not crashes.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     best = result.best
     print(f"best: {best.describe()}")
     print(
@@ -1146,9 +1152,7 @@ def _service_request(args: argparse.Namespace, store, endpoint, client) -> int:
         print(f"error: no service reachable at {endpoint}: {exc}", file=sys.stderr)
         return 2
     except (KeyError, TypeError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1156,9 +1160,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         reports = obs.compare_many(args.sources, tolerance=args.tolerance)
     except ValueError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     regressed = any(not report.ok for report in reports)
     if args.json:
         import json
@@ -1192,6 +1194,8 @@ def _cmd_verify_matrix(args: argparse.Namespace) -> int:
             budget_factor=args.budget_factor,
             rng=args.seed,
         )
+    except ValueError as exc:
+        return _usage_error(exc)
     except RuntimeError as exc:
         print(str(exc))
         return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro._util import log2_safe, loglog2_safe, validate_k_n
+from repro._util import log2_safe, loglog2_safe, validate_k_n, validate_positive_int
 
 __all__ = [
     "trivial_lower_bound",
@@ -95,6 +95,7 @@ class BoundRow:
 
 def bound_table(n: int, ks: List[int]) -> List[BoundRow]:
     """Evaluate every bound for a range of ``k`` values at fixed ``n``."""
+    validate_positive_int(n, "n")
     rows = []
     for k in ks:
         k_, n_ = validate_k_n(k, n)

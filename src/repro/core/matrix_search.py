@@ -179,9 +179,10 @@ def find_waking_matrix_seed(
     (seed, report):
         The first passing seed and its verification report.
     """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     gen = as_generator(rng)
     params = matrix_parameters(n, c=c, window=window)
-    last_report: Optional[MatrixVerificationReport] = None
     for _ in range(max_attempts):
         seed = int(gen.integers(0, 2**63 - 1))
         matrix = HashedTransmissionMatrix(params, seed=seed)
@@ -192,11 +193,9 @@ def find_waking_matrix_seed(
             budget_factor=budget_factor,
             rng=gen,
         )
-        last_report = report
         if report.passed:
             return seed, report
-    assert last_report is not None
     raise RuntimeError(
         f"no verified waking-matrix seed found for n={n} after {max_attempts} attempts; "
-        f"last report: {last_report.describe()}"
+        f"last report: {report.describe()}"
     )

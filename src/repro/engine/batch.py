@@ -353,7 +353,6 @@ def _chunked_first_success_scan(
 
     chunk_start = int(first_wake.min())
     chunk_len = max(16, int(chunk))
-    chunk_index = 0
 
     while not row_done.all():
         active_rows = np.flatnonzero(~row_done)
@@ -372,7 +371,7 @@ def _chunked_first_success_scan(
         chunk_stop = min(scan_stop, chunk_start + length)
         length = chunk_stop - chunk_start
 
-        with obs.span("engine.chunk_scan", chunk=chunk_index, slots=length, rows=A):
+        with obs.span("engine.chunk_scan"):
             row_pos = scratch.row_pos
             row_pos.fill(-1)
             row_pos[active_rows] = np.arange(A, dtype=np.int64)
@@ -437,7 +436,6 @@ def _chunked_first_success_scan(
 
         obs.add("engine.chunks")
         obs.add("engine.slots_scanned", int(np.maximum(windows, 0).sum()))
-        chunk_index += 1
 
         # Rows whose horizon is fully scanned are finished (unsolved).
         row_done[np.flatnonzero(~solved & (horizon <= chunk_stop))] = True

@@ -106,9 +106,7 @@ class Campaign:
             )
             for i in range(0, len(patterns), SHARD_SIZE)
         ]
-        with obs.span(
-            "campaign.run", shards=len(jobs), patterns=len(patterns)
-        ):
+        with obs.span("campaign.run"):
             results = [self._run_shard(job) for job in jobs]
         obs.add("campaign.shards", len(jobs))
         obs.add("campaign.patterns", len(patterns))

@@ -169,7 +169,7 @@ def run_feedback_batch(
     awake_buf = np.empty(pair_row.shape[0], dtype=bool)
     slots_stepped = 0
 
-    with obs.span("engine.feedback_batch", patterns=B):
+    with obs.span("engine.feedback_batch"):
         while not row_done.all():
             # Retire rows whose horizon is exhausted (unsolved), exactly where
             # the slot loop would have given up on them.

@@ -66,7 +66,7 @@ class FamilyCache:
             # Gauges, not counters: cache state is per-process, so hit/miss
             # totals legitimately vary with the sweep worker count.
             obs.gauge("family_cache.misses")
-            with obs.span("family_cache.build", n=int(n), levels=needed):
+            with obs.span("family_cache.build"):
                 # Rebuild the whole sequence deterministically from the seed so
                 # that prefixes are identical no matter in which order sizes
                 # were requested.

@@ -344,7 +344,7 @@ class PaperCampaign:
 
     def plan(self) -> Dict[str, List[MeasurementSpec]]:
         """Per-experiment spec lists (pre-dedup), in registry order."""
-        with obs.span("experiments.plan", experiment="campaign"):
+        with obs.span("experiments.plan"):
             return {
                 definition.experiment: definition.plan(self.scale)
                 for definition in _definitions(self.experiments)
@@ -388,13 +388,7 @@ class PaperCampaign:
         all_specs = [spec for specs in plans.values() for spec in specs]
         unique = dedup_specs(all_specs)
         t_resolve = time.perf_counter()
-        with obs.span(
-            "experiments.resolve",
-            experiment="campaign",
-            specs=len(all_specs),
-            unique=len(unique),
-            workers=workers,
-        ):
+        with obs.span("experiments.resolve"):
             resolved = resolve_specs(
                 unique,
                 workers=workers,
@@ -413,7 +407,7 @@ class PaperCampaign:
                 scale=self.scale.name,
                 paper_claim=definition.paper_claim,
             )
-            with obs.span("experiments.render", experiment=definition.experiment):
+            with obs.span("experiments.render"):
                 definition.render(result, resolved, definition.cells(self.scale), self.scale)
             result.rows = [{"experiment": definition.experiment, **row} for row in result.rows]
             results[definition.experiment] = result

@@ -136,8 +136,6 @@ def _battery(
     scale: ExperimentScale,
     *,
     window: int = 0,
-    include_simultaneous: bool = True,
-    include_staggered: bool = True,
     protocol_params: Mapping[str, object] = (),
 ) -> List[MeasurementSpec]:
     """The standard adversarial pattern battery of the scenario sweeps, as specs.
@@ -156,15 +154,13 @@ def _battery(
             protocol_params=protocol_params,
         )
 
-    specs = [spec("late-turn", 1), spec("late-turn", 1, {"gap": 1})]
-    if include_simultaneous:
-        specs.append(spec("simultaneous", scale.seeds))
-    if include_staggered:
-        specs.append(spec("staggered", scale.seeds, {"gap": 1}))
-    specs.append(
-        spec("uniform", scale.seeds * scale.patterns_per_seed, {"window": window})
-    )
-    return specs
+    return [
+        spec("late-turn", 1),
+        spec("late-turn", 1, {"gap": 1}),
+        spec("simultaneous", scale.seeds),
+        spec("staggered", scale.seeds, {"gap": 1}),
+        spec("uniform", scale.seeds * scale.patterns_per_seed, {"window": window}),
+    ]
 
 
 def _upper_bound_experiment(

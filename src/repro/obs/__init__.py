@@ -7,7 +7,7 @@ enabled (CLI ``--trace PATH``, the ``REPRO_OBS`` environment variable, or
 :func:`enable` from Python):
 
 >>> from repro import obs
->>> with obs.span("engine.chunk_scan", chunk=0):
+>>> with obs.span("engine.chunk_scan"):
 ...     obs.add("engine.chunks")          # counters: scheduling-invariant
 ...     obs.gauge("family_cache.misses")  # gauges: scheduling-dependent
 >>> obs.enabled()

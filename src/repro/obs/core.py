@@ -99,7 +99,6 @@ class ObsState:
         "_t0",
         "_sink",
         "events",
-        "depth",
         "span_calls",
         "counter_calls",
         "_lock",
@@ -119,7 +118,6 @@ class ObsState:
         self._t0 = time.perf_counter()
         self._sink: Optional[IO[str]] = None
         self.events = 0
-        self.depth = 0
         self.span_calls = 0
         self.counter_calls = 0
         self._lock = threading.Lock()
@@ -337,47 +335,28 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live timing span: records a timing aggregate and one JSONL event."""
+    """A live timing span: records one sample into the timing aggregates."""
 
-    __slots__ = ("state", "name", "attrs", "t0", "depth")
+    __slots__ = ("state", "name", "t0")
 
-    def __init__(self, state: ObsState, name: str, attrs: Dict[str, object]) -> None:
+    def __init__(self, state: ObsState, name: str) -> None:
         self.state = state
         self.name = name
-        self.attrs = attrs
 
     def __enter__(self) -> "_Span":
-        state = self.state
-        with state._lock:
-            state.depth += 1
-            self.depth = state.depth
         self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        seconds = time.perf_counter() - self.t0
-        state = self.state
-        with state._lock:
-            state.depth -= 1
-        state.record_timing(self.name, seconds)
-        payload = {
-            "type": "span",
-            "name": self.name,
-            "depth": self.depth,
-            "t_s": round(self.t0 - state._t0, 6),
-            "dur_s": round(seconds, 6),
-        }
-        if self.attrs:
-            payload["attrs"] = self.attrs
-        state.emit(payload)
+        self.state.record_timing(self.name, time.perf_counter() - self.t0)
         return False
 
 
-def span(name: str, **attrs) -> Union[_NullSpan, _Span]:
-    """A nestable timing span: ``with obs.span("engine.chunk_scan", chunk=i):``.
+def span(name: str) -> Union[_NullSpan, _Span]:
+    """A nestable timing span: ``with obs.span("engine.chunk_scan"):``.
 
-    Disabled-mode cost is one global load, one ``is None`` test and the
-    kwargs dict the call site builds; nothing is recorded or allocated.
+    Disabled-mode cost is one global load and one ``is None`` test; nothing
+    is recorded or allocated.
     """
     state = _STATE
     if state is None:
@@ -386,7 +365,7 @@ def span(name: str, **attrs) -> Union[_NullSpan, _Span]:
         state = _route(state)
     with state._lock:
         state.span_calls += 1
-    return _Span(state, name, attrs)
+    return _Span(state, name)
 
 
 def event(type_: str, **fields) -> None:

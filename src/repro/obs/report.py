@@ -1,10 +1,11 @@
 """Trace summarization: turn a JSONL trace into human-readable analytics.
 
 ``repro obs report TRACE.jsonl`` is the read side of the tracing layer: it
-aggregates span events by name (count, cumulative and max duration, share of
-the run), surfaces the counter and gauge totals from the ``manifest`` event
-(falling back to summing per-job events for a truncated trace), and derives
-throughput figures such as configs/sec for sweep runs.
+ranks the spans of the ``manifest`` event's merged timings (count,
+cumulative and max duration, share of the run's wall clock), lists its
+counter and gauge totals (falling back to folding the per-job snapshots for
+a truncated trace), and derives throughput figures such as configs/sec for
+sweep runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro.obs.core import ObsState
 
 __all__ = ["TraceSummary", "summarize_trace", "render_summary"]
 
@@ -51,15 +54,16 @@ class TraceSummary:
 def summarize_trace(path: Union[str, Path]) -> TraceSummary:
     """Parse one JSONL trace file into a :class:`TraceSummary`.
 
-    Unparseable lines are tolerated (a crashed run can leave a torn final
-    line); a trace without a ``manifest`` event is summarized from its span
-    and job events alone and marked ``truncated``.
+    Spans, counters and gauges come from the ``manifest`` event, which holds
+    the session's merged aggregates, worker jobs included.  Unparseable lines
+    are tolerated (a crashed run can leave a torn final line); a trace
+    without a ``manifest`` event is folded from its ``job`` snapshots alone
+    and marked ``truncated``.
     """
     path = Path(path)
     summary = TraceSummary(path=str(path))
-    job_counters: Dict[str, int] = {}
-    job_gauges: Dict[str, float] = {}
-    saw_manifest = False
+    jobs = ObsState(None)
+    manifest: Optional[dict] = None
     with path.open() as handle:
         for line in handle:
             line = line.strip()
@@ -74,36 +78,25 @@ def summarize_trace(path: Union[str, Path]) -> TraceSummary:
             kind = event.get("type")
             if kind == "begin":
                 summary.argv = list(event.get("argv", []))
-            elif kind == "span":
-                entry = summary.spans.setdefault(
-                    event.get("name", "?"),
-                    {"count": 0, "total_s": 0.0, "max_s": 0.0},
-                )
-                dur = float(event.get("dur_s", 0.0))
-                entry["count"] += 1
-                entry["total_s"] += dur
-                if dur > entry["max_s"]:
-                    entry["max_s"] = dur
             elif kind == "job":
-                for name, value in event.get("counters", {}).items():
-                    job_counters[name] = job_counters.get(name, 0) + int(value)
-                for name, value in event.get("gauges", {}).items():
-                    job_gauges[name] = job_gauges.get(name, 0.0) + float(value)
+                jobs.merge(event)
             elif kind == "manifest":
-                saw_manifest = True
-                summary.duration_s = float(event.get("duration_s", 0.0))
-                summary.counters = {
-                    k: int(v) for k, v in event.get("counters", {}).items()
-                }
-                summary.gauges = {
-                    k: float(v) for k, v in event.get("gauges", {}).items()
-                }
-                if not summary.argv:
-                    summary.argv = list(event.get("argv", []))
-    if not saw_manifest:
+                manifest = event
+    if manifest is None:
         summary.truncated = True
-        summary.counters = job_counters
-        summary.gauges = job_gauges
+        summary.counters = jobs.counters
+        summary.gauges = jobs.gauges
+        summary.spans = {
+            name: {"count": count, "total_s": total, "max_s": peak}
+            for name, (count, total, peak) in jobs.timings.items()
+        }
+        return summary
+    summary.duration_s = float(manifest.get("duration_s", 0.0))
+    summary.counters = {k: int(v) for k, v in manifest.get("counters", {}).items()}
+    summary.gauges = {k: float(v) for k, v in manifest.get("gauges", {}).items()}
+    summary.spans = dict(manifest.get("timings", {}))
+    if not summary.argv:
+        summary.argv = list(manifest.get("argv", []))
     return summary
 
 
@@ -124,13 +117,11 @@ def render_summary(summary: TraceSummary, *, top: int = 10) -> str:
         lines.append("WARNING : trace has no manifest event (truncated run?)")
 
     if summary.spans:
-        total = sum(v["total_s"] for v in summary.spans.values())
+        wall = summary.duration_s
         table = TextTable(["span", "count", "total s", "max s", "share"])
         for name, count, total_s, max_s in summary.top_spans(top):
-            share = 0.0 if total == 0 else 100.0 * total_s / total
-            table.add_row(
-                [name, count, f"{total_s:.4f}", f"{max_s:.4f}", f"{share:.1f}%"]
-            )
+            share = f"{100.0 * total_s / wall:.1f}%" if wall else "-"
+            table.add_row([name, count, f"{total_s:.4f}", f"{max_s:.4f}", share])
         lines += ["", "top spans by cumulative time:", table.render()]
 
     if summary.counters:

@@ -168,7 +168,7 @@ class ResultsService:
         """
         key = config.config_hash()
         t0 = time.perf_counter()
-        with obs.span("service.request", hash=key):
+        with obs.span("service.request"):
             with self._lock:
                 self.requests += 1
             record = self._cached(config, key)
@@ -231,7 +231,6 @@ class ResultsService:
 
     def _log_request(self, key: str, cache: str, t0: float) -> None:
         seconds = time.perf_counter() - t0
-        obs.gauge("service.request_seconds", seconds)
         obs.event("service.request", hash=key, cache=cache, dur_s=round(seconds, 6))
 
     def _compute(self, config: SweepConfig, key: str) -> ConfigRecord:

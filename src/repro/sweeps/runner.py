@@ -170,12 +170,7 @@ class WorkerPool:
             if instrumented:
                 result, snap = raw
                 obs.merge_snapshot(snap)
-                obs.event(
-                    "job",
-                    index=index,
-                    counters=snap["counters"],
-                    gauges=snap["gauges"],
-                )
+                obs.event("job", index=index, **snap)
             else:
                 result = raw
             if on_result is not None:
@@ -376,9 +371,7 @@ class SweepRunner:
             if meter is not None:
                 meter.step(record.config.label())
 
-        with obs.span(
-            "sweeps.run", total=len(configs), pending=len(pending), workers=self.workers
-        ):
+        with obs.span("sweeps.run"):
             fresh = map_jobs(
                 resolve_config, pending, workers=self.workers, on_result=_finished
             )

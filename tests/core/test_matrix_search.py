@@ -68,3 +68,7 @@ class TestFindSeed:
                 budget_factor=0.001,  # nothing can isolate this fast
                 rng=0,
             )
+
+    def test_zero_attempts_is_refused(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
+            find_waking_matrix_seed(32, max_attempts=0, rng=0)

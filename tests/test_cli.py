@@ -80,6 +80,12 @@ class TestSimulateCommand:
         if exit_code == 1:
             assert "NOT SOLVED" in out
 
+    def test_k_above_n_is_usage_error(self, capsys):
+        assert main(["simulate", "--protocol", "rpd", "--n", "8", "--k", "9"]) == 2
+        assert capsys.readouterr().err == (
+            "error: k must satisfy 1 <= k <= n, got k=9, n=8\n"
+        )
+
 
 class TestBoundsCommand:
     def test_default_sweep(self, capsys):
@@ -92,6 +98,18 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "64", "--k", "2", "8", "32"]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 5
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "8", "--k", "16"], "k must satisfy 1 <= k <= n, got k=16, n=8"),
+            (["--n", "0"], "n must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_n_or_k_is_usage_error(self, capsys, argv, message):
+        assert main(["bounds", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 class TestExperimentCommand:
@@ -577,6 +595,17 @@ class TestVerifyMatrixCommand:
             ["verify-matrix", "--n", "32", "--attempts", "1", "--budget-factor", "0.001"]
         )
         assert exit_code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "0"], "n must be >= 1, got 0"),
+            (["--n", "8", "--attempts", "0"], "max_attempts must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_n_or_attempts_is_usage_error(self, capsys, argv, message):
+        assert main(["verify-matrix", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestAdversaryCommand:

@@ -158,7 +158,6 @@ class TestDocsDirectory:
             "service.hits",
             "service.misses",
             "service.requests",
-            "service.request_seconds",
             "service/endpoint.json",
             "single-flight",
             "last-writer-wins",
