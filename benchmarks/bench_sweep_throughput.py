@@ -155,9 +155,11 @@ def test_sweep_parallel_speedup_is_at_least_2x(record_gate):
 def test_workload_draw_budget(record_gate):
     """Regression gate: the per-pattern cost of drawing the sweep workloads.
 
-    Every row is one vector draw from its own spawned generator, built
-    through ``WakeupPattern.from_arrays``; the fastest of :data:`DRAW_PASSES`
-    passes over the grid is charged against the budget.
+    Every row is one vector draw from its own spawned generator, returned
+    by the workload's row drawer as raw ``(stations, wake_times)`` arrays;
+    each batch is concatenated and checked once as a ``PatternBatch``, with
+    no per-row pattern object.  The fastest of :data:`DRAW_PASSES` passes
+    over the grid is charged against the budget.
     """
     suite = WorkloadSuite()
     grid = [(name, k) for name in DRAW_WORKLOADS for k in DRAW_KS]

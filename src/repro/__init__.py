@@ -38,6 +38,7 @@ from repro.channel import (
     ExecutionTrace,
     FeedbackSignal,
     NoCollisionDetection,
+    PatternBatch,
     RandomizedPolicy,
     Simulator,
     SlotOutcome,
@@ -120,6 +121,7 @@ __all__ = [
     "ExecutionTrace",
     "FeedbackSignal",
     "NoCollisionDetection",
+    "PatternBatch",
     "RandomizedPolicy",
     "Simulator",
     "SlotOutcome",

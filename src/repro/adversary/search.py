@@ -248,7 +248,7 @@ def _evaluate(
     rngs = None
     if isinstance(protocol, RandomizedPolicy):
         rngs = evaluation_generators(spec.seed, spec_hash, step, range(len(patterns)))
-    batch = run_batch(protocol, list(patterns), rngs=rngs, max_slots=spec.max_slots)
+    batch = run_batch(protocol, patterns, rngs=rngs, max_slots=spec.max_slots)
     effective = effective_latencies(batch.latency, batch.solved, spec.max_slots)
     return effective, batch.latency, batch.solved
 

@@ -308,9 +308,9 @@ class BanditStrategy(SearchStrategy):
         else:
             # refine pulled before any incumbent exists draws uniform patterns
             name = "uniform" if arm["generator"] == "refine" else arm["generator"]
-            generator = WORKLOADS[name].factory
+            workload = WORKLOADS[name]
             patterns = [
-                generator(spec.n, spec.k, rng=rng, **arm["params"]) for _ in range(count)
+                workload.draw(spec.n, spec.k, rng=rng, **arm["params"]) for _ in range(count)
             ]
         return patterns, {"arm": index}
 

@@ -12,7 +12,8 @@ This subpackage implements that model exactly and provides:
 
 * :mod:`repro.channel.events` — slot outcomes and per-slot records;
 * :mod:`repro.channel.feedback` — feedback models (none / collision detection);
-* :mod:`repro.channel.wakeup` — wake-up patterns (who wakes when);
+* :mod:`repro.channel.wakeup` — wake-up patterns (who wakes when), one at a
+  time or as a columnar batch;
 * :mod:`repro.channel.channel` — the slot-by-slot channel core;
 * :mod:`repro.channel.simulator` — execution engines for deterministic
   protocols (vectorized) and randomized policies (slot loop);
@@ -27,7 +28,7 @@ from repro.channel.feedback import (
     CollisionDetection,
     FeedbackSignal,
 )
-from repro.channel.wakeup import WakeupPattern
+from repro.channel.wakeup import PatternBatch, WakeupPattern
 from repro.channel.channel import Channel
 from repro.channel.protocols import (
     DeterministicProtocol,
@@ -60,6 +61,7 @@ __all__ = [
     "CollisionDetection",
     "FeedbackSignal",
     "WakeupPattern",
+    "PatternBatch",
     "Channel",
     "DeterministicProtocol",
     "FeedbackVectorizedPolicy",

@@ -17,8 +17,9 @@ adversarial strategies:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,14 @@ from repro.channel.protocols import DeterministicProtocol
 from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
+    "Row",
+    "pattern_drawer",
+    "simultaneous_row",
+    "staggered_row",
+    "batched_row",
+    "uniform_random_row",
+    "window_boundary_row",
+    "family_boundary_row",
     "simultaneous_pattern",
     "staggered_pattern",
     "batched_pattern",
@@ -37,6 +46,28 @@ __all__ = [
     "row_stations",
     "AdaptiveLowerBoundAdversary",
 ]
+
+
+#: One drawn row: aligned ``(stations, wake_times)`` arrays, in pair order.
+Row = Tuple[np.ndarray, np.ndarray]
+
+
+def pattern_drawer(row_drawer: Callable[..., Row]) -> Callable[..., WakeupPattern]:
+    """The :class:`WakeupPattern` edge of a row drawer: same arguments, same draws.
+
+    Every generator is written once, as a *row drawer* ``(n, k, *, ...,
+    rng) -> (stations, wake_times)``.  The workload registry hands those rows
+    to a :class:`~repro.channel.wakeup.PatternBatch`, checked once per batch;
+    the drawer's ``*_pattern`` form (this wrapper) builds one pattern from the
+    same row, through :meth:`WakeupPattern.from_arrays`.
+    """
+
+    @functools.wraps(row_drawer)
+    def draw(n: int, k: int, **params) -> WakeupPattern:
+        return WakeupPattern.from_arrays(n, *row_drawer(n, k, **params))
+
+    draw.__name__ = draw.__qualname__ = row_drawer.__name__.replace("_row", "_pattern")
+    return draw
 
 
 def random_station_subset(n: int, k: int, rng: RngLike = None) -> List[int]:
@@ -53,8 +84,9 @@ def row_stations(
     With ``stations=None`` this is one vector draw from ``rng``: ``k``
     distinct IDs from ``[1, n]``, sorted ascending.  An explicit ``stations``
     (any iterable) is kept in its given order and must hold exactly ``k``
-    IDs; :meth:`WakeupPattern.from_arrays` then rejects IDs outside
-    ``[1, n]`` and repeats, so every generator validates the same way.
+    IDs; the row's consumer (:class:`~repro.channel.wakeup.PatternBatch` or
+    :meth:`WakeupPattern.from_arrays`) then rejects IDs outside ``[1, n]``
+    and repeats, so every generator validates the same way.
     """
     if stations is None:
         return np.sort(as_generator(rng).choice(n, size=k, replace=False)) + 1
@@ -64,16 +96,16 @@ def row_stations(
     return chosen
 
 
-def simultaneous_pattern(
+def simultaneous_row(
     n: int, k: int, *, start: int = 0, stations: Optional[Sequence[int]] = None, rng: RngLike = None
-) -> WakeupPattern:
+) -> Row:
     """All ``k`` stations wake at the same slot (the classical synchronized case)."""
     k, n = validate_k_n(k, n)
     chosen = row_stations(n, k, stations, rng)
-    return WakeupPattern.from_arrays(n, chosen, np.full(k, start, dtype=np.int64))
+    return chosen, np.full(k, start, dtype=np.int64)
 
 
-def staggered_pattern(
+def staggered_row(
     n: int,
     k: int,
     *,
@@ -81,7 +113,7 @@ def staggered_pattern(
     gap: int = 1,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Stations wake one after another, ``gap`` slots apart.
 
     With a large ``gap`` this stresses the non-synchronized aspect of the
@@ -92,10 +124,10 @@ def staggered_pattern(
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     chosen = row_stations(n, k, stations, rng)
-    return WakeupPattern.from_arrays(n, chosen, start + np.arange(k, dtype=np.int64) * gap)
+    return chosen, start + np.arange(k, dtype=np.int64) * gap
 
 
-def batched_pattern(
+def batched_row(
     n: int,
     k: int,
     *,
@@ -104,7 +136,7 @@ def batched_pattern(
     batch_gap: int = 16,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Stations wake in bursts of ``batch_size``, bursts separated by ``batch_gap`` slots."""
     k, n = validate_k_n(k, n)
     if batch_size < 1:
@@ -113,10 +145,10 @@ def batched_pattern(
         raise ValueError(f"batch_gap must be >= 0, got {batch_gap}")
     chosen = row_stations(n, k, stations, rng)
     times = start + (np.arange(k, dtype=np.int64) // batch_size) * batch_gap
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
 
 
-def uniform_random_pattern(
+def uniform_random_row(
     n: int,
     k: int,
     *,
@@ -124,7 +156,7 @@ def uniform_random_pattern(
     window: int = 128,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Stations wake at independent uniform times in ``[start, start + window)``.
 
     One station is pinned to ``start`` so that ``s`` is deterministic and the
@@ -137,10 +169,10 @@ def uniform_random_pattern(
     chosen = row_stations(n, k, stations, gen)
     times = start + gen.integers(0, window, size=k)
     times[0] = start
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
 
 
-def window_boundary_pattern(
+def window_boundary_row(
     n: int,
     k: int,
     *,
@@ -148,7 +180,7 @@ def window_boundary_pattern(
     start: int = 0,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Wake each station one slot *after* a window boundary.
 
     Targets Scenario C: the protocol makes stations that wake inside a window
@@ -162,10 +194,10 @@ def window_boundary_pattern(
     chosen = row_stations(n, k, stations, rng)
     offset = 1 if window_length > 1 else 0
     times = start + np.arange(k, dtype=np.int64) * window_length + offset
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
 
 
-def family_boundary_pattern(
+def family_boundary_row(
     n: int,
     k: int,
     *,
@@ -173,7 +205,7 @@ def family_boundary_pattern(
     start: int = 0,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Wake each station one slot after a selective-family boundary.
 
     Targets Scenario B's ``wait_and_go``: a station waking just after the
@@ -190,7 +222,16 @@ def family_boundary_pattern(
     times = np.maximum(start, sorted_bounds[np.arange(k) % sorted_bounds.size] + 1)
     # Ensure at least one station defines s = start for comparability.
     times[0] = start
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
+
+
+# The WakeupPattern forms: the same drawers, one validated pattern per call.
+simultaneous_pattern = pattern_drawer(simultaneous_row)
+staggered_pattern = pattern_drawer(staggered_row)
+batched_pattern = pattern_drawer(batched_row)
+uniform_random_pattern = pattern_drawer(uniform_random_row)
+window_boundary_pattern = pattern_drawer(window_boundary_row)
+family_boundary_pattern = pattern_drawer(family_boundary_row)
 
 
 @dataclass

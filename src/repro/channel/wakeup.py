@@ -10,23 +10,24 @@ universe ``[1, n]``.  The pattern determines
 
 Patterns are immutable value objects; the generators that build interesting
 patterns (adversarial, random, bursty, ...) live in
-:mod:`repro.channel.adversary`.  Generators draw whole rows as arrays and
-build their patterns with :meth:`WakeupPattern.from_arrays`, which keeps the
-aligned ``int64`` station/wake arrays on the instance; the batch engines read
-those arrays directly (:meth:`WakeupPattern.pair_arrays`) instead of walking
-the mapping.
+:mod:`repro.channel.adversary`.  Generators draw whole rows as aligned
+``(stations, wake_times)`` arrays.  One row becomes a :class:`WakeupPattern`
+through :meth:`WakeupPattern.from_arrays`; a batch of rows becomes one
+:class:`PatternBatch`, the flat columnar form the batch engines scan, checked
+in one vectorized pass with no per-row object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+import operator
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._util import validate_positive_int, validate_station_id
 
-__all__ = ["WakeupPattern", "encode_wake_times", "decode_wake_times"]
+__all__ = ["WakeupPattern", "PatternBatch", "encode_wake_times", "decode_wake_times"]
 
 
 def encode_wake_times(wake_times: Mapping[int, int]) -> str:
@@ -236,3 +237,222 @@ class WakeupPattern:
             f"WakeupPattern(n={self.n}, k={self.k}, s={self.first_wake}, "
             f"spread={spread})"
         )
+
+
+def _concat(columns: Sequence[Any]) -> np.ndarray:
+    return np.concatenate(columns) if len(columns) else np.empty(0, dtype=np.int64)
+
+
+def _split(rows: Sequence[Tuple[Any, Any]]) -> Tuple[np.ndarray, list, list]:
+    """``(k, station columns, wake columns)`` of ``(stations, wake_times)`` rows."""
+    stations = [row[0] for row in rows]
+    k = np.fromiter(map(len, stations), dtype=np.int64, count=len(stations))
+    return k, stations, [row[1] for row in rows]
+
+
+def _layout(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets, pair_row)`` of rows with ``k`` pairs each."""
+    offsets = np.zeros(k.size + 1, dtype=np.int64)
+    np.cumsum(k, out=offsets[1:])
+    return offsets, np.repeat(np.arange(k.size, dtype=np.int64), k)
+
+
+def _rows_with_repeats(stations: np.ndarray, pair_row: np.ndarray) -> np.ndarray:
+    """Rows (with multiplicity) in which some station appears twice.
+
+    Rows are contiguous runs of ``pair_row``, so a batch whose every row is
+    strictly ascending (every generator's ``row_stations`` draw) is cleared
+    by one comparison of neighbours; otherwise one lexsort groups equal
+    ``(row, station)`` pairs.
+    """
+    same_row = pair_row[1:] == pair_row[:-1]
+    if not np.any(stations[1:][same_row] <= stations[:-1][same_row]):
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((stations, pair_row))
+    ordered, rows = stations[order], pair_row[order]
+    return rows[1:][(ordered[1:] == ordered[:-1]) & (rows[1:] == rows[:-1])]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class PatternBatch:
+    """B wake-up patterns over one universe, stored as flat columns.
+
+    Row ``i`` owns the pairs ``offsets[i]:offsets[i + 1]`` of the aligned
+    ``stations`` and ``wake_times`` arrays, in the row's own pair order (the
+    order the randomized engines draw in).  Every column is a read-only
+    ``int64`` array; ``pair_row`` (the row of every pair) and ``first_wake``
+    (every row's first wake slot) are derived once, for the engines.
+
+    The constructor checks the whole batch in one vectorized pass and raises
+    exactly what :meth:`WakeupPattern.from_arrays` raises on the first bad
+    row: :class:`TypeError` for a non-integer (or bool) dtype,
+    :class:`ValueError` for an empty row, a station outside ``[1, n]``, a
+    negative wake time (or a ``uint64`` one past the ``int64`` range) or a
+    station repeated within a row.  A station may repeat across rows.
+
+    Indexing is the :class:`WakeupPattern` edge: ``batch[i]`` is row ``i``
+    as a pattern and iteration yields every row as one, while ``batch[a:b]``
+    is a batch over views of the same columns.
+
+    >>> batch = PatternBatch(8, [2, 1], [3, 5, 3], [0, 2, 4])
+    >>> len(batch), batch.first_wake.tolist(), batch.pair_row.tolist()
+    (2, [0, 4], [0, 0, 1])
+    >>> batch[0] == WakeupPattern(8, {3: 0, 5: 2})
+    True
+    >>> PatternBatch(8, [2, 1], [3, 3, 5], [0, 2, 4])
+    Traceback (most recent call last):
+    ...
+    ValueError: station IDs must be distinct
+    """
+
+    n: int
+    k: np.ndarray
+    stations: np.ndarray
+    wake_times: np.ndarray
+    offsets: np.ndarray = field(init=False)
+    pair_row: np.ndarray = field(init=False)
+    first_wake: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = validate_positive_int(self.n, "n")
+        k = np.asarray(self.k)
+        stations = np.asarray(self.stations)
+        times = np.asarray(self.wake_times)
+        if k.ndim != 1 or (k.size and (k.dtype.kind not in "iu" or int(k.min()) < 0)):
+            raise ValueError("k must be a 1-D array of non-negative row lengths")
+        if stations.ndim != 1 or stations.shape != times.shape:
+            raise ValueError(
+                "stations and wake_times must be 1-D and aligned, got shapes "
+                f"{stations.shape} and {times.shape}"
+            )
+        if int(k.sum()) != stations.size:
+            raise ValueError(f"row lengths k sum to {int(k.sum())}, not {stations.size} pairs")
+        k = k.astype(np.int64)
+        offsets, pair_row = _layout(k)
+        if stations.dtype.kind in "iu" and times.dtype.kind in "iu":
+            # The int64 casts wrap a uint64 past the int64 range to a
+            # negative value, which the range and sign checks then reject.
+            station64 = stations.astype(np.int64)
+            time64 = times.astype(np.int64)
+            outside = (station64 < 1) | (station64 > n)
+            bad_row = k == 0
+            bad_row[pair_row[outside | (time64 < 0)]] = True
+            bad_row[_rows_with_repeats(np.where(outside, 0, station64), pair_row)] = True
+        else:
+            # Every row fails from_arrays' dtype check (an empty batch has none).
+            station64 = time64 = np.empty(0, dtype=np.int64)
+            bad_row = np.ones(k.size, dtype=bool)
+        if bad_row.any():
+            row = int(np.argmax(bad_row))
+            lo, hi = int(offsets[row]), int(offsets[row + 1])
+            WakeupPattern.from_arrays(n, stations[lo:hi], times[lo:hi])
+            raise RuntimeError(f"internal inconsistency: row {row} was flagged but is valid")
+        self._assign(n, k, station64, time64, offsets, pair_row)
+
+    def _assign(
+        self,
+        n: int,
+        k: np.ndarray,
+        stations: np.ndarray,
+        times: np.ndarray,
+        offsets: np.ndarray,
+        pair_row: np.ndarray,
+        first_wake: Optional[np.ndarray] = None,
+    ) -> None:
+        """Set every column (deriving ``first_wake`` if not given) and freeze them."""
+        if first_wake is None:
+            first_wake = (
+                np.minimum.reduceat(times, offsets[:-1]) if k.size else np.empty(0, np.int64)
+            )
+        columns = {
+            "k": k,
+            "stations": stations,
+            "wake_times": times,
+            "offsets": offsets,
+            "pair_row": pair_row,
+            "first_wake": first_wake,
+        }
+        object.__setattr__(self, "n", n)
+        for name, values in columns.items():
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[Tuple[Any, Any]]) -> "PatternBatch":
+        """A checked batch from ``(stations, wake_times)`` rows, in order.
+
+        This is how :meth:`~repro.workloads.WorkloadSuite.generate` assembles
+        the rows its workload's drawer returns: the rows are concatenated
+        once and checked as one batch.
+        """
+        rows = list(rows)
+        k, stations, times = _split(rows)
+        misaligned = np.flatnonzero(k != np.fromiter(map(len, times), np.int64, len(rows)))
+        if misaligned.size:
+            WakeupPattern.from_arrays(n, *rows[int(misaligned[0])])
+        return cls(n, k, _concat(stations), _concat(times))
+
+    @classmethod
+    def from_patterns(cls, n: int, patterns: Iterable[WakeupPattern]) -> "PatternBatch":
+        """The batch of already-built patterns over universe ``n``, in order.
+
+        Each pattern's own pair arrays are concatenated as they are: a
+        :class:`WakeupPattern` is valid by construction, so nothing is
+        checked again except that every pattern lives in ``n``.
+        """
+        n = validate_positive_int(n, "n")
+        rows = []
+        for pattern in patterns:
+            if pattern.n != n:
+                raise ValueError(f"batch universe n={n} does not match pattern n={pattern.n}")
+            rows.append(pattern.pair_arrays())
+        k, stations, times = _split(rows)
+        batch = cls.__new__(cls)
+        batch._assign(n, k, _concat(stations), _concat(times), *_layout(k))
+        return batch
+
+    # -- container behaviour -------------------------------------------------
+
+    def __len__(self) -> int:
+        return int(self.k.size)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[WakeupPattern, "PatternBatch"]:
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("a PatternBatch slice must be contiguous (step 1)")
+            stop = max(start, stop)
+            lo, hi = int(self.offsets[start]), int(self.offsets[stop])
+            part = PatternBatch.__new__(PatternBatch)
+            part._assign(
+                self.n,
+                self.k[start:stop],
+                self.stations[lo:hi],
+                self.wake_times[lo:hi],
+                offsets=self.offsets[start : stop + 1] - lo,
+                pair_row=self.pair_row[lo:hi] - start,
+                first_wake=self.first_wake[start:stop],
+            )
+            return part
+        row = operator.index(index)
+        if not -len(self) <= row < len(self):
+            raise IndexError(f"row {row} out of range for batch of {len(self)}")
+        row %= len(self)
+        lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
+        return WakeupPattern.from_arrays(self.n, self.stations[lo:hi], self.wake_times[lo:hi])
+
+    def __iter__(self) -> Iterator[WakeupPattern]:
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternBatch):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.k, other.k)
+            and np.array_equal(self.stations, other.stations)
+            and np.array_equal(self.wake_times, other.wake_times)
+        )
+
+    def __repr__(self) -> str:
+        return f"PatternBatch(n={self.n}, rows={len(self)}, pairs={self.stations.size})"

@@ -539,7 +539,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     ks: List[int] = args.k if args.k else []
     if not ks:
-        k = 2
+        # Powers of two from k = 2; n = 1 admits only k = 1.
+        k = 1 if args.n == 1 else 2
         while k <= args.n:
             ks.append(k)
             k *= 2

@@ -115,6 +115,12 @@ def adversarial_pattern_battery(
     return battery
 
 
+def _check_budget_factor(budget_factor: float) -> None:
+    # ``not >`` also rejects NaN, which compares false with everything.
+    if not budget_factor > 0:
+        raise ValueError(f"budget_factor must be > 0, got {budget_factor}")
+
+
 def verify_matrix(
     matrix: TransmissionMatrix,
     *,
@@ -129,8 +135,10 @@ def verify_matrix(
     slot within ``budget_factor * k log n log log n`` slots of the first
     wake-up.  The check goes through the full protocol (not only the
     matrix-level isolation predicate) so that it also covers the waiting rule
-    and the row progression.
+    and the row progression.  A ``budget_factor`` that is not positive
+    raises :class:`ValueError`.
     """
+    _check_budget_factor(budget_factor)
     n = matrix.n
     protocol = WakeupProtocol(n, matrix=matrix)
     battery = adversarial_pattern_battery(
@@ -181,6 +189,7 @@ def find_waking_matrix_seed(
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    _check_budget_factor(budget_factor)
     gen = as_generator(rng)
     params = matrix_parameters(n, c=c, window=window)
     for _ in range(max_attempts):

@@ -8,8 +8,10 @@ one ``transmit_probability`` call per awake station per *slot* for randomized
 policies — dominates at scale.  This module batches B patterns into a single
 chunked scan shared by both protocol kinds:
 
-1. every ``(pattern, station, wake_time)`` triple is flattened into aligned
-   *pair* arrays;
+1. the batch arrives as one :class:`~repro.channel.wakeup.PatternBatch`,
+   whose flat columns are the aligned *pair* arrays (a sequence of
+   :class:`~repro.channel.wakeup.WakeupPattern` is converted once, by
+   :meth:`~repro.channel.wakeup.PatternBatch.from_patterns`);
 2. per chunk of the shared absolute timeline, one vectorized query yields the
    transmit events of all pairs at once —
    :meth:`~repro.channel.protocols.DeterministicProtocol.batch_transmit_slots`
@@ -60,7 +62,7 @@ from repro.channel.protocols import (
     RandomizedPolicy,
 )
 from repro.channel.simulator import DEFAULT_MAX_SLOTS, WakeupResult
-from repro.channel.wakeup import WakeupPattern
+from repro.channel.wakeup import PatternBatch, WakeupPattern
 
 __all__ = [
     "BatchResult",
@@ -90,6 +92,9 @@ _MAX_CELLS_PER_CHUNK = MAX_CELLS_PER_CHUNK
 
 #: Cap on the geometric chunk growth, matching the per-pattern engine.
 _MAX_CHUNK = 1 << 20
+
+#: What every engine accepts: the columnar batch, or patterns to convert once.
+Patterns = Union[PatternBatch, Sequence[WakeupPattern]]
 
 
 @dataclass(frozen=True)
@@ -289,25 +294,20 @@ class _ScanScratch:
             self.reused_bytes += self._fixed_bytes + self._singles.nbytes
 
 
-def _batch_pairs(
-    patterns: Sequence[WakeupPattern],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate the batch into aligned pair arrays plus per-row columns.
+def _pattern_batch(protocol, patterns: Patterns) -> PatternBatch:
+    """The one input form of every engine: a :class:`PatternBatch` over ``protocol.n``.
 
-    Returns ``(pair_row, pair_station, pair_wake, k, first_wake)``.  Pairs
-    are emitted row-major and, within a row, in the pattern's own station
-    order (:meth:`~repro.channel.wakeup.WakeupPattern.pair_arrays`) — the
-    order the slot-loop engine iterates stations in, which the randomized
-    engines' draw discipline relies on.  ``k`` is each row's pair count and
-    ``first_wake`` its minimum wake slot, reduced over the pair arrays.
+    A sequence of :class:`WakeupPattern` is converted once, by
+    :meth:`PatternBatch.from_patterns`, which checks nothing but the
+    universe: each pattern is valid by construction.
     """
-    stations, wakes = zip(*(p.pair_arrays() for p in patterns))
-    k = np.fromiter(map(len, stations), dtype=np.int64, count=len(stations))
-    pair_station = np.concatenate(stations)
-    pair_wake = np.concatenate(wakes)
-    pair_row = np.repeat(np.arange(k.size, dtype=np.int64), k)
-    first_wake = np.minimum.reduceat(pair_wake, np.cumsum(k) - k)
-    return pair_row, pair_station, pair_wake, k, first_wake
+    if not isinstance(patterns, PatternBatch):
+        return PatternBatch.from_patterns(protocol.n, patterns)
+    if patterns.n != protocol.n:
+        raise ValueError(
+            f"protocol universe n={protocol.n} does not match batch n={patterns.n}"
+        )
+    return patterns
 
 
 def _chunked_first_success_scan(
@@ -449,16 +449,6 @@ def _chunked_first_success_scan(
     return solved, success_slot, winner, latency, slots_examined
 
 
-def _validate_batch(protocol, patterns: Sequence[WakeupPattern]) -> List[WakeupPattern]:
-    patterns = list(patterns)
-    for pattern in patterns:
-        if pattern.n != protocol.n:
-            raise ValueError(
-                f"protocol universe n={protocol.n} does not match pattern n={pattern.n}"
-            )
-    return patterns
-
-
 # ---------------------------------------------------------------------------
 # Deterministic engine
 # ---------------------------------------------------------------------------
@@ -466,7 +456,7 @@ def _validate_batch(protocol, patterns: Sequence[WakeupPattern]) -> List[WakeupP
 
 def run_deterministic_batch(
     protocol: DeterministicProtocol,
-    patterns: Sequence[WakeupPattern],
+    patterns: Patterns,
     *,
     max_slots: int = DEFAULT_MAX_SLOTS,
     chunk: int = DEFAULT_BATCH_CHUNK,
@@ -479,7 +469,8 @@ def run_deterministic_batch(
         Any :class:`~repro.channel.protocols.DeterministicProtocol` over the
         same universe size as every pattern.
     patterns:
-        The batch; rows of the result align with this order.
+        The batch, a :class:`~repro.channel.wakeup.PatternBatch` or a
+        sequence of patterns; rows of the result align with its order.
     max_slots:
         Per-row horizon, measured from each row's own first wake-up (the same
         convention as :func:`~repro.channel.simulator.run_deterministic`).
@@ -497,11 +488,11 @@ def run_deterministic_batch(
         raise TypeError(
             f"expected a DeterministicProtocol, got {type(protocol).__name__}"
         )
-    patterns = _validate_batch(protocol, patterns)
-    if not patterns:
+    batch = _pattern_batch(protocol, patterns)
+    if not len(batch):
         return BatchResult.empty(protocol)
 
-    pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
+    pair_station, pair_wake, first_wake = batch.stations, batch.wake_times, batch.first_wake
     horizon = first_wake + int(max_slots)
 
     def emit(live_pairs: np.ndarray, chunk_start: int, chunk_stop: int):
@@ -512,7 +503,7 @@ def run_deterministic_batch(
 
     solved, success_slot, winner, latency, slots_examined = _chunked_first_success_scan(
         emit=emit,
-        pair_row=pair_row,
+        pair_row=batch.pair_row,
         pair_station=pair_station,
         pair_wake=pair_wake,
         first_wake=first_wake,
@@ -524,7 +515,7 @@ def run_deterministic_batch(
         protocol=protocol.describe(),
         n=protocol.n,
         solved=solved,
-        k=k,
+        k=batch.k,
         first_wake=first_wake,
         success_slot=success_slot,
         winner=winner,
@@ -558,7 +549,7 @@ def _resolve_generators(
 
 def run_randomized_batch(
     policy: RandomizedPolicy,
-    patterns: Sequence[WakeupPattern],
+    patterns: Patterns,
     *,
     rngs: Optional[Sequence[np.random.Generator]] = None,
     seed: RngLike = None,
@@ -592,7 +583,8 @@ def run_randomized_batch(
         Any :class:`~repro.channel.protocols.RandomizedPolicy` over the same
         universe size as every pattern.
     patterns:
-        The batch; rows of the result align with this order.
+        The batch, a :class:`~repro.channel.wakeup.PatternBatch` or a
+        sequence of patterns; rows of the result align with its order.
     rngs:
         Optional per-pattern generators (one per pattern, consumed in order).
     seed:
@@ -612,10 +604,10 @@ def run_randomized_batch(
     """
     if not isinstance(policy, RandomizedPolicy):
         raise TypeError(f"expected a RandomizedPolicy, got {type(policy).__name__}")
-    patterns = _validate_batch(policy, patterns)
-    if not patterns:
+    batch = _pattern_batch(policy, patterns)
+    if not len(batch):
         return BatchResult.empty(policy)
-    generators = _resolve_generators(rngs, seed, len(patterns))
+    generators = _resolve_generators(rngs, seed, len(batch))
 
     if isinstance(policy, FeedbackVectorizedPolicy):
         # Probabilities react to channel signals, so slots cannot be sampled
@@ -623,10 +615,11 @@ def run_randomized_batch(
         # slot-synchronously instead.
         from repro.engine.feedback_batch import run_feedback_batch
 
-        return run_feedback_batch(policy, patterns, rngs=generators, max_slots=max_slots)
+        return run_feedback_batch(policy, batch, rngs=generators, max_slots=max_slots)
 
-    B = len(patterns)
-    pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
+    B = len(batch)
+    pair_row, pair_station, pair_wake = batch.pair_row, batch.stations, batch.wake_times
+    first_wake = batch.first_wake
     horizon = first_wake + int(max_slots)
 
     def emit(live_pairs: np.ndarray, chunk_start: int, chunk_stop: int):
@@ -735,7 +728,7 @@ def run_randomized_batch(
         protocol=policy.describe(),
         n=policy.n,
         solved=solved,
-        k=k,
+        k=batch.k,
         first_wake=first_wake,
         success_slot=success_slot,
         winner=winner,
@@ -746,7 +739,7 @@ def run_randomized_batch(
 
 def run_batch(
     protocol: Union[DeterministicProtocol, RandomizedPolicy],
-    patterns: Sequence[WakeupPattern],
+    patterns: Patterns,
     *,
     rngs: Optional[Sequence[np.random.Generator]] = None,
     seed: RngLike = None,

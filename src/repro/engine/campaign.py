@@ -37,7 +37,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from repro import obs
 from repro._util import RngLike, spawn_generators
 from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
-from repro.channel.wakeup import WakeupPattern
-from repro.engine.batch import BatchResult, run_batch
+from repro.channel.wakeup import PatternBatch
+from repro.engine.batch import BatchResult, Patterns, _pattern_batch, run_batch
 
 __all__ = ["Campaign", "SHARD_SIZE"]
 
@@ -54,9 +54,9 @@ __all__ = ["Campaign", "SHARD_SIZE"]
 #: batches.  Results are identical for every shard size.
 SHARD_SIZE = 256
 
-#: One shard job: the patterns plus their per-pattern generators (``None``
-#: for deterministic protocols, which need no randomness).
-_Shard = Tuple[List[WakeupPattern], Optional[List[np.random.Generator]]]
+#: One shard job: a slice of the batch plus its per-pattern generators
+#: (``None`` for deterministic protocols, which need no randomness).
+_Shard = Tuple[PatternBatch, Optional[List[np.random.Generator]]]
 
 
 @dataclass
@@ -89,27 +89,32 @@ class Campaign:
                 f"got {type(self.protocol).__name__}"
             )
 
-    def run(self, patterns: Sequence[WakeupPattern]) -> BatchResult:
-        """Resolve every pattern; rows align with the input order."""
-        patterns = list(patterns)
-        if not patterns:
+    def run(self, patterns: Patterns) -> BatchResult:
+        """Resolve every pattern; rows align with the input order.
+
+        ``patterns`` is a :class:`~repro.channel.wakeup.PatternBatch` (what
+        :meth:`~repro.workloads.WorkloadSuite.generate` draws) or a sequence
+        of patterns, converted once; each shard is a slice of the batch.
+        """
+        batch = _pattern_batch(self.protocol, patterns)
+        if not len(batch):
             return BatchResult.empty(self.protocol)
         generators: Optional[List[np.random.Generator]] = None
         if isinstance(self.protocol, RandomizedPolicy):
             # One child generator per pattern, derived before sharding so the
             # stream assignment is independent of the shard size.
-            generators = list(spawn_generators(self.seed, len(patterns), "campaign"))
+            generators = list(spawn_generators(self.seed, len(batch), "campaign"))
         jobs: List[_Shard] = [
             (
-                patterns[i : i + SHARD_SIZE],
+                batch[i : i + SHARD_SIZE],
                 None if generators is None else generators[i : i + SHARD_SIZE],
             )
-            for i in range(0, len(patterns), SHARD_SIZE)
+            for i in range(0, len(batch), SHARD_SIZE)
         ]
         with obs.span("campaign.run"):
             results = [self._run_shard(job) for job in jobs]
         obs.add("campaign.shards", len(jobs))
-        obs.add("campaign.patterns", len(patterns))
+        obs.add("campaign.patterns", len(batch))
         return BatchResult.concat(results)
 
     def _run_shard(self, job: _Shard) -> BatchResult:

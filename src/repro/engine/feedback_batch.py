@@ -55,12 +55,11 @@ from repro import obs
 from repro.channel.feedback import FeedbackModel, signal_table
 from repro.channel.protocols import FeedbackVectorizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
-from repro.channel.wakeup import WakeupPattern
 from repro.engine.batch import (
     BatchResult,
-    _batch_pairs,
+    Patterns,
+    _pattern_batch,
     _resolve_generators,
-    _validate_batch,
 )
 
 __all__ = ["run_feedback_batch"]
@@ -92,7 +91,7 @@ def _make_row_draw(generators: List[np.random.Generator], pair_row: np.ndarray):
 
 def run_feedback_batch(
     policy: FeedbackVectorizedPolicy,
-    patterns: Sequence[WakeupPattern],
+    patterns: Patterns,
     *,
     rngs: Optional[Sequence[np.random.Generator]] = None,
     seed=None,
@@ -109,7 +108,8 @@ def run_feedback_batch(
         and belongs to :func:`~repro.engine.batch.run_randomized_batch`'s
         matrix scan.
     patterns:
-        The batch; rows of the result align with this order.
+        The batch, a :class:`~repro.channel.wakeup.PatternBatch` or a
+        sequence of patterns; rows of the result align with its order.
     rngs:
         Optional per-pattern generators (one per pattern, consumed in order).
     seed:
@@ -134,10 +134,10 @@ def run_feedback_batch(
         raise TypeError(
             f"expected a FeedbackVectorizedPolicy, got {type(policy).__name__}"
         )
-    patterns = _validate_batch(policy, patterns)
-    if not patterns:
+    batch = _pattern_batch(policy, patterns)
+    if not len(batch):
         return BatchResult.empty(policy)
-    generators = _resolve_generators(rngs, seed, len(patterns))
+    generators = _resolve_generators(rngs, seed, len(batch))
     if feedback is None:
         from repro.channel.feedback import CollisionDetection, NoCollisionDetection
 
@@ -148,8 +148,9 @@ def run_feedback_batch(
         )
     lut = signal_table(feedback)
 
-    B = len(patterns)
-    pair_row, pair_station, pair_wake, k, first_wake = _batch_pairs(patterns)
+    B = len(batch)
+    pair_row, pair_station, pair_wake = batch.pair_row, batch.stations, batch.wake_times
+    first_wake = batch.first_wake
     max_slots = int(max_slots)
     horizon = first_wake + max_slots
 
@@ -237,7 +238,7 @@ def run_feedback_batch(
         protocol=policy.describe(),
         n=policy.n,
         solved=solved,
-        k=k,
+        k=batch.k,
         first_wake=first_wake,
         success_slot=success_slot,
         winner=winner,

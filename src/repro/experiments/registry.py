@@ -135,7 +135,6 @@ def _battery(
     k: int,
     scale: ExperimentScale,
     *,
-    window: int = 0,
     protocol_params: Mapping[str, object] = (),
 ) -> List[MeasurementSpec]:
     """The standard adversarial pattern battery of the scenario sweeps, as specs.
@@ -146,8 +145,6 @@ def _battery(
     run by luck — plus random simultaneous/staggered/uniform draws sized by
     the scale.  Each element is one config the store can memoize.
     """
-    window = window or max(16, 4 * k)
-
     def spec(workload: str, batch: int, params: Mapping[str, object] = ()):
         return _spec(
             protocol, n, k, scale, workload, batch, params,
@@ -159,7 +156,7 @@ def _battery(
         spec("late-turn", 1, {"gap": 1}),
         spec("simultaneous", scale.seeds),
         spec("staggered", scale.seeds, {"gap": 1}),
-        spec("uniform", scale.seeds * scale.patterns_per_seed, {"window": window}),
+        spec("uniform", scale.seeds * scale.patterns_per_seed, {"window": max(16, 4 * k)}),
     ]
 
 

@@ -34,11 +34,14 @@ pattern batteries as *named* workloads inside content-hashable sweep configs
 (see :mod:`repro.experiments.campaign`), instead of materializing patterns
 outside the store's addressing scheme.
 
-Every generator follows the :mod:`repro.channel.adversary` conventions: the
-signature starts ``(n, k, *, start=0, ..., stations=None, rng=None)``, the
-station subset defaults to a uniform draw, and one station is pinned to
-``start`` so that ``s`` (the first wake-up) is deterministic and latencies of
-different draws are comparable.
+Every generator follows the :mod:`repro.channel.adversary` conventions: it
+is written once, as a *row drawer* ``*_row`` returning aligned ``(stations,
+wake_times)`` arrays (what the workload registry draws its batches from), and
+its ``*_pattern`` form is :func:`~repro.channel.adversary.pattern_drawer` over
+the same drawer.  The signature starts ``(n, k, *, start=0, ...,
+stations=None, rng=None)``, the station subset defaults to a uniform draw,
+and one station is pinned to ``start`` so that ``s`` (the first wake-up) is
+deterministic and latencies of different draws are comparable.
 """
 
 from __future__ import annotations
@@ -49,16 +52,25 @@ import numpy as np
 
 from repro._util import RngLike, as_generator, validate_k_n
 from repro.channel.adversary import (
-    family_boundary_pattern,
+    Row,
+    family_boundary_row,
+    pattern_drawer,
     row_stations,
-    simultaneous_pattern,
-    staggered_pattern,
-    uniform_random_pattern,
-    window_boundary_pattern,
+    simultaneous_row,
+    staggered_row,
+    uniform_random_row,
+    window_boundary_row,
 )
-from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
+    "heavy_tailed_row",
+    "duty_cycle_row",
+    "churn_burst_row",
+    "clustered_id_row",
+    "density_drawn_row",
+    "late_turn_row",
+    "family_boundary_workload_row",
+    "window_boundary_workload_row",
     "heavy_tailed_pattern",
     "duty_cycle_pattern",
     "churn_burst_pattern",
@@ -70,7 +82,7 @@ __all__ = [
 ]
 
 
-def heavy_tailed_pattern(
+def heavy_tailed_row(
     n: int,
     k: int,
     *,
@@ -80,7 +92,7 @@ def heavy_tailed_pattern(
     cap: int = 100_000,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Stations wake after Pareto-distributed (heavy-tailed) delays.
 
     Each wake offset is ``floor(scale * X)`` with ``X ~ Lomax(alpha)``: for
@@ -101,10 +113,10 @@ def heavy_tailed_pattern(
     offsets = np.minimum(np.floor(scale * gen.pareto(alpha, size=k)).astype(np.int64), cap)
     times = start + offsets
     times[0] = start
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
 
 
-def duty_cycle_pattern(
+def duty_cycle_row(
     n: int,
     k: int,
     *,
@@ -114,7 +126,7 @@ def duty_cycle_pattern(
     active_fraction: float = 0.25,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Periodic sensor duty-cycles: wake-ups cluster in recurring windows.
 
     Each station picks one of ``periods`` duty cycles and wakes inside that
@@ -136,10 +148,10 @@ def duty_cycle_pattern(
     offset = gen.integers(0, active_len, size=k)
     times = start + cycle * period + offset
     times[0] = start
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
 
 
-def churn_burst_pattern(
+def churn_burst_row(
     n: int,
     k: int,
     *,
@@ -149,7 +161,7 @@ def churn_burst_pattern(
     spread: int = 2,
     stations: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Churn: cohorts of stations arrive in bursts separated by quiet gaps.
 
     Stations are dealt round-robin into ``bursts`` cohorts; cohort ``b``
@@ -170,10 +182,10 @@ def churn_burst_pattern(
     jitter = gen.integers(0, spread + 1, size=k)
     times = start + (np.arange(k, dtype=np.int64) % bursts) * burst_gap + jitter
     times[0] = start
-    return WakeupPattern.from_arrays(n, chosen, times)
+    return chosen, times
 
 
-def clustered_id_pattern(
+def clustered_id_row(
     n: int,
     k: int,
     *,
@@ -181,7 +193,7 @@ def clustered_id_pattern(
     clusters: int = 2,
     window: int = 32,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Adversarially clustered IDs: contiguous blocks of stations wake together.
 
     The awakened set is the union of ``clusters`` contiguous runs of station
@@ -212,10 +224,10 @@ def clustered_id_pattern(
     ordered = np.flatnonzero(taken)
     times = start + gen.integers(0, window, size=k)
     times[0] = start
-    return WakeupPattern.from_arrays(n, ordered, times)
+    return ordered, times
 
 
-def density_drawn_pattern(
+def density_drawn_row(
     n: int,
     k: int,
     *,
@@ -223,7 +235,7 @@ def density_drawn_pattern(
     window: int = 128,
     k_min: int = 2,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Draw the contender count itself, then a uniform pattern at that density.
 
     The effective ``k`` is sampled log-uniformly from ``[k_min, k]``, so a
@@ -236,17 +248,17 @@ def density_drawn_pattern(
     gen = as_generator(rng)
     log_lo, log_hi = np.log(k_min), np.log(k + 1)
     k_eff = min(k, int(np.exp(gen.uniform(log_lo, log_hi))))
-    return uniform_random_pattern(n, max(k_min, k_eff), start=start, window=window, rng=gen)
+    return uniform_random_row(n, max(k_min, k_eff), start=start, window=window, rng=gen)
 
 
-def late_turn_pattern(
+def late_turn_row(
     n: int,
     k: int,
     *,
     start: int = 0,
     gap: int = 0,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """The last ``k`` station IDs wake together (or ``gap`` slots apart).
 
     The classical hard instance for ID-ordered schedules: stations
@@ -261,11 +273,11 @@ def late_turn_pattern(
         raise ValueError(f"gap must be >= 0, got {gap}")
     stations = np.arange(n - k + 1, n + 1, dtype=np.int64)
     if gap == 0:
-        return simultaneous_pattern(n, k, start=start, stations=stations)
-    return staggered_pattern(n, k, start=start, gap=gap, stations=stations)
+        return simultaneous_row(n, k, start=start, stations=stations)
+    return staggered_row(n, k, start=start, gap=gap, stations=stations)
 
 
-def family_boundary_workload_pattern(
+def family_boundary_workload_row(
     n: int,
     k: int,
     *,
@@ -274,7 +286,7 @@ def family_boundary_workload_pattern(
     proto_seed: int = 0,
     periods: int = 4,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Wake-ups aligned to a named protocol's selective-family boundaries.
 
     Builds ``protocol`` from the sweep registry (sharing the process-wide
@@ -300,18 +312,18 @@ def family_boundary_workload_pattern(
     else:
         boundaries = []
     if not boundaries:
-        return late_turn_pattern(n, k, start=start, rng=rng)
-    return family_boundary_pattern(n, k, boundaries=boundaries, start=start, rng=rng)
+        return late_turn_row(n, k, start=start, rng=rng)
+    return family_boundary_row(n, k, boundaries=boundaries, start=start, rng=rng)
 
 
-def window_boundary_workload_pattern(
+def window_boundary_workload_row(
     n: int,
     k: int,
     *,
     start: int = 0,
     window: int = 0,
     rng: RngLike = None,
-) -> WakeupPattern:
+) -> Row:
     """Wake-ups straddling a waking-window boundary (Scenario C's attack).
 
     ``window=0`` (the default) derives the window length from the Scenario C
@@ -323,4 +335,15 @@ def window_boundary_workload_pattern(
         from repro.core.waking_matrix import matrix_parameters
 
         window = matrix_parameters(n).window
-    return window_boundary_pattern(n, k, window_length=max(1, window), start=start, rng=rng)
+    return window_boundary_row(n, k, window_length=max(1, window), start=start, rng=rng)
+
+
+# The WakeupPattern forms: the same drawers, one validated pattern per call.
+heavy_tailed_pattern = pattern_drawer(heavy_tailed_row)
+duty_cycle_pattern = pattern_drawer(duty_cycle_row)
+churn_burst_pattern = pattern_drawer(churn_burst_row)
+clustered_id_pattern = pattern_drawer(clustered_id_row)
+density_drawn_pattern = pattern_drawer(density_drawn_row)
+late_turn_pattern = pattern_drawer(late_turn_row)
+family_boundary_workload_pattern = pattern_drawer(family_boundary_workload_row)
+window_boundary_workload_pattern = pattern_drawer(window_boundary_workload_row)

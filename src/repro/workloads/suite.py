@@ -14,8 +14,10 @@ through :class:`WorkloadSuite`:
 >>> from repro.workloads import WorkloadSuite
 >>> suite = WorkloadSuite()
 >>> batch = suite.generate("heavy-tailed", n=64, k=8, batch=16, seed=0)
->>> len(batch), batch[0].n
-(16, 64)
+>>> batch
+PatternBatch(n=64, rows=16, pairs=128)
+>>> batch[0].k
+8
 >>> batch == suite.generate("heavy-tailed", n=64, k=8, batch=16, seed=0)
 True
 
@@ -31,21 +33,22 @@ from typing import Callable, Dict, List, Optional
 
 from repro._util import RngLike, spawn_generators, validate_k_n
 from repro.channel.adversary import (
-    batched_pattern,
-    simultaneous_pattern,
-    staggered_pattern,
-    uniform_random_pattern,
+    Row,
+    batched_row,
+    simultaneous_row,
+    staggered_row,
+    uniform_random_row,
 )
-from repro.channel.wakeup import WakeupPattern
+from repro.channel.wakeup import PatternBatch, WakeupPattern
 from repro.workloads.generators import (
-    churn_burst_pattern,
-    clustered_id_pattern,
-    density_drawn_pattern,
-    duty_cycle_pattern,
-    family_boundary_workload_pattern,
-    heavy_tailed_pattern,
-    late_turn_pattern,
-    window_boundary_workload_pattern,
+    churn_burst_row,
+    clustered_id_row,
+    density_drawn_row,
+    duty_cycle_row,
+    family_boundary_workload_row,
+    heavy_tailed_row,
+    late_turn_row,
+    window_boundary_workload_row,
 )
 
 __all__ = [
@@ -67,22 +70,26 @@ class Workload:
     description:
         One-line summary shown by ``repro workloads list``.
     factory:
-        Callable ``(n, k, *, rng, **params) -> WakeupPattern`` drawing one
-        pattern; the suite calls it once per batch row with an independent
-        child generator.
+        The *row drawer*: a callable ``(n, k, *, rng, **params) -> (stations,
+        wake_times)`` returning one row as two aligned integer arrays, in
+        pair order (the order the randomized engines draw in).  It draws all
+        its randomness from ``rng``, in a fixed order, so a row depends only
+        on its generator.  The suite calls it once per batch row with an
+        independent child generator and checks the concatenated rows once,
+        as a :class:`~repro.channel.wakeup.PatternBatch`.
     defaults:
         Default keyword parameters merged under any per-call overrides.
     """
 
     name: str
     description: str
-    factory: Callable[..., WakeupPattern]
+    factory: Callable[..., Row]
     defaults: Dict[str, object] = field(default_factory=dict)
 
     def draw(self, n: int, k: int, *, rng: RngLike = None, **overrides) -> WakeupPattern:
-        """Draw one pattern, merging ``overrides`` over the stored defaults."""
+        """Draw one row as a pattern, merging ``overrides`` over the defaults."""
         params = {**self.defaults, **overrides}
-        return self.factory(n, k, rng=rng, **params)
+        return WakeupPattern.from_arrays(n, *self.factory(n, k, rng=rng, **params))
 
 
 #: The global workload registry, keyed by workload name.
@@ -92,14 +99,16 @@ WORKLOADS: Dict[str, Workload] = {}
 def register_workload(
     name: str,
     description: str,
-    factory: Callable[..., WakeupPattern],
+    factory: Callable[..., Row],
     *,
     defaults: Optional[Dict[str, object]] = None,
 ) -> Workload:
     """Register a named workload; returns the :class:`Workload` record.
 
-    An existing name is refused, so no registration can silently shadow the
-    built-in suite.
+    ``factory`` is the workload's row drawer: ``(n, k, *, rng, **params) ->
+    (stations, wake_times)``, one row as aligned integer arrays, every draw
+    taken from ``rng`` (see :class:`Workload`).  An existing name is
+    refused, so no registration can silently shadow the built-in suite.
     """
     if name in WORKLOADS:
         raise ValueError(f"workload {name!r} is already registered")
@@ -111,63 +120,63 @@ def register_workload(
 register_workload(
     "simultaneous",
     "all k stations wake at the same slot (classical synchronized case)",
-    simultaneous_pattern,
+    simultaneous_row,
 )
 register_workload(
     "staggered",
     "stations wake one after another, a fixed gap apart",
-    staggered_pattern,
+    staggered_row,
     defaults={"gap": 1},
 )
 register_workload(
     "batched",
     "stations wake in fixed-size bursts separated by a fixed gap",
-    batched_pattern,
+    batched_row,
 )
 register_workload(
     "uniform",
     "independent uniform wake times over a window",
-    uniform_random_pattern,
+    uniform_random_row,
 )
 register_workload(
     "heavy-tailed",
     "Pareto-staggered wake-ups: a dense head and a long straggler tail",
-    heavy_tailed_pattern,
+    heavy_tailed_row,
 )
 register_workload(
     "duty-cycle",
     "periodic sensor duty-cycles: bursts recurring every period slots",
-    duty_cycle_pattern,
+    duty_cycle_row,
 )
 register_workload(
     "churn",
     "cohorts arriving in bursts separated by quiet gaps (membership churn)",
-    churn_burst_pattern,
+    churn_burst_row,
 )
 register_workload(
     "clustered-ids",
     "contiguous blocks of station IDs wake together (ID-structure adversary)",
-    clustered_id_pattern,
+    clustered_id_row,
 )
 register_workload(
     "density-sweep",
     "contender count drawn log-uniformly up to k, then uniform wake times",
-    density_drawn_pattern,
+    density_drawn_row,
 )
 register_workload(
     "late-turn",
     "the last k station IDs wake together (gap slots apart), deterministically",
-    late_turn_pattern,
+    late_turn_row,
 )
 register_workload(
     "family-boundary",
     "wake-ups aligned to a named protocol's selective-family boundaries",
-    family_boundary_workload_pattern,
+    family_boundary_workload_row,
 )
 register_workload(
     "window-boundary",
     "wake-ups straddling a waking-window boundary (Scenario C attack)",
-    window_boundary_workload_pattern,
+    window_boundary_workload_row,
 )
 
 
@@ -226,8 +235,12 @@ class WorkloadSuite:
         batch: int,
         seed: int = 0,
         **overrides,
-    ) -> List[WakeupPattern]:
-        """Draw a reproducible batch of ``batch`` patterns.
+    ) -> PatternBatch:
+        """Draw a reproducible batch of ``batch`` patterns, as one :class:`PatternBatch`.
+
+        Each row comes from the workload's row drawer; the rows are
+        concatenated and checked once, with no per-row pattern object, and
+        ``batch[i]`` is row ``i`` as a :class:`WakeupPattern`.
 
         Parameters
         ----------
@@ -247,5 +260,8 @@ class WorkloadSuite:
         if batch < 0:
             raise ValueError(f"batch must be >= 0, got {batch}")
         workload = self.get(name)
+        params = {**workload.defaults, **overrides}
         generators = spawn_generators(seed, batch, name)
-        return [workload.draw(n, k, rng=gen, **overrides) for gen in generators]
+        return PatternBatch.from_rows(
+            n, [workload.factory(n, k, rng=gen, **params) for gen in generators]
+        )

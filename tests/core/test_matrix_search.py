@@ -49,6 +49,12 @@ class TestVerifyMatrix:
         assert report.failures
         assert "FAIL" in report.describe()
 
+    @pytest.mark.parametrize("budget_factor", [-1.0, 0.0, float("nan")])
+    def test_refuses_a_non_positive_budget(self, budget_factor):
+        matrix = HashedTransmissionMatrix(matrix_parameters(8), seed=1)
+        with pytest.raises(ValueError, match="budget_factor must be > 0"):
+            verify_matrix(matrix, budget_factor=budget_factor, rng=0)
+
 
 class TestFindSeed:
     def test_finds_a_passing_seed(self):
@@ -72,3 +78,14 @@ class TestFindSeed:
     def test_zero_attempts_is_refused(self):
         with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
             find_waking_matrix_seed(32, max_attempts=0, rng=0)
+
+    @pytest.mark.parametrize("budget_factor", [-1.0, 0.0, float("nan")])
+    def test_non_positive_budget_is_refused_before_any_attempt(self, budget_factor, monkeypatch):
+        import repro.core.matrix_search as matrix_search
+
+        def no_verification(*args, **kwargs):
+            raise AssertionError("no attempt may run with a non-positive budget")
+
+        monkeypatch.setattr(matrix_search, "verify_matrix", no_verification)
+        with pytest.raises(ValueError, match="budget_factor must be > 0"):
+            find_waking_matrix_seed(8, budget_factor=budget_factor, rng=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.channel.simulator import WakeupResult, run_deterministic
-from repro.channel.wakeup import WakeupPattern
+from repro.channel.wakeup import PatternBatch, WakeupPattern
 from repro.core.randomized import FixedProbabilityPolicy, RepeatedProbabilityDecrease
 from repro.core.round_robin import RoundRobin
 from repro.engine import BatchResult, run_batch, run_deterministic_batch, run_randomized_batch
@@ -167,6 +167,32 @@ class TestRunBatch:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             run_batch(object(), [WakeupPattern(8, {1: 0})])
+
+    def test_patterns_are_converted_once_and_a_batch_never(self, monkeypatch):
+        from repro.baselines import TreeSplitting
+
+        # run_batch -> run_randomized_batch -> run_feedback_batch: one
+        # conversion at the front door, none for a PatternBatch.
+        calls = []
+        convert = PatternBatch.from_patterns.__func__
+
+        def counted(cls, n, patterns):
+            calls.append(n)
+            return convert(cls, n, patterns)
+
+        monkeypatch.setattr(PatternBatch, "from_patterns", classmethod(counted))
+        patterns = [WakeupPattern(8, {1: 0, 2: 0}), WakeupPattern(8, {5: 1})]
+        from_list = run_batch(TreeSplitting(8), patterns, seed=0)
+        assert calls == [8]
+        batch = convert(PatternBatch, 8, patterns)
+        from_batch = run_batch(TreeSplitting(8), batch, seed=0)
+        assert calls == [8]
+        assert from_batch.latency.tolist() == from_list.latency.tolist()
+
+    def test_a_batch_over_another_universe_is_refused(self):
+        batch = PatternBatch(16, [1], [3], [0])
+        with pytest.raises(ValueError, match="protocol universe n=8 does not match batch n=16"):
+            run_batch(RoundRobin(8), batch)
 
 
 class TestBatchResultContainer:

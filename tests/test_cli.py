@@ -111,6 +111,18 @@ class TestBoundsCommand:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
 
+    def test_one_station_universe_prints_its_only_row(self, capsys):
+        assert main(["bounds", "--n", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "bounds for n = 1"
+        assert len(lines) == 4
+        assert lines[3].split(" | ")[:2] == ["1", "1           "]
+
+    def test_default_sweep_starts_at_two_from_n_two(self, capsys):
+        assert main(["bounds", "--n", "8"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split(" | ")[0].strip() for row in rows] == ["2", "4", "8"]
+
 
 class TestExperimentCommand:
     def test_runs_quick_experiment(self, capsys):
@@ -601,6 +613,9 @@ class TestVerifyMatrixCommand:
         [
             (["--n", "0"], "n must be >= 1, got 0"),
             (["--n", "8", "--attempts", "0"], "max_attempts must be >= 1, got 0"),
+            (["--n", "8", "--budget-factor", "-1"], "budget_factor must be > 0, got -1.0"),
+            (["--n", "8", "--budget-factor", "0"], "budget_factor must be > 0, got 0.0"),
+            (["--n", "8", "--budget-factor", "nan"], "budget_factor must be > 0, got nan"),
         ],
     )
     def test_invalid_n_or_attempts_is_usage_error(self, capsys, argv, message):

@@ -122,17 +122,17 @@ class TestRegistry:
         assert WORKLOADS["uniform"] is builtin
 
     def test_registered_workload_is_served_by_the_default_suite(self, monkeypatch):
-        from repro.channel.adversary import simultaneous_pattern
+        from repro.channel.adversary import simultaneous_row
 
         monkeypatch.setattr(suite_module, "WORKLOADS", dict(WORKLOADS))
-        workload = register_workload("all-at-once", "everyone wakes together", simultaneous_pattern)
+        workload = register_workload("all-at-once", "everyone wakes together", simultaneous_row)
         suite = WorkloadSuite()
         assert suite.describe("all-at-once") == "everyone wakes together"
         batch = suite.generate("all-at-once", n=32, k=4, batch=3, seed=0)
         assert len(batch) == 3
         assert all(p.n == 32 and p.k == 4 for p in batch)
         rows = spawn_generators(0, 3, "all-at-once")
-        assert batch == [workload.draw(32, 4, rng=gen) for gen in rows]
+        assert list(batch) == [workload.draw(32, 4, rng=gen) for gen in rows]
         assert "all-at-once" not in WORKLOADS
 
     def test_registered_defaults_sit_under_overrides(self, monkeypatch):
@@ -141,7 +141,7 @@ class TestRegistry:
 
         def factory(n, k, *, rng=None, start=0, spread=1):
             calls.append((start, spread))
-            return WORKLOADS["simultaneous"].draw(n, k, rng=rng, start=start)
+            return WORKLOADS["simultaneous"].factory(n, k, rng=rng, start=start)
 
         defaults = {"start": 5, "spread": 2}
         register_workload("shifted", "starts late", factory, defaults=defaults)
@@ -168,9 +168,9 @@ class TestRegistry:
         assert out.stdout.strip() == "False"
 
     def test_register_and_generate_custom_workload(self):
-        from repro.channel.adversary import simultaneous_pattern
+        from repro.channel.adversary import simultaneous_row
 
-        registry = {"mine": Workload("mine", "test-only", simultaneous_pattern)}
+        registry = {"mine": Workload("mine", "test-only", simultaneous_row)}
         suite = WorkloadSuite(registry)
         assert suite.names() == ["mine"]
         batch = suite.generate("mine", n=16, k=4, batch=3, seed=0)
@@ -210,7 +210,24 @@ class TestWorkloadSuite:
             "churn", n=32, k=4, batch=2, seed=3
         )[0]
 
+    def test_generate_builds_no_per_row_pattern(self, suite, monkeypatch):
+        from repro.channel.wakeup import WakeupPattern
+
+        calls = []
+        build = WakeupPattern.from_arrays.__func__
+
+        def counted(cls, n, stations, wake_times):
+            calls.append(n)
+            return build(cls, n, stations, wake_times)
+
+        monkeypatch.setattr(WakeupPattern, "from_arrays", classmethod(counted))
+        for name in suite.names():
+            suite.generate(name, n=32, k=4, batch=16, seed=1)
+        assert calls == []
+        suite.generate("uniform", n=32, k=4, batch=16, seed=1)[3]
+        assert calls == [32]
+
     def test_batch_validation(self, suite):
         with pytest.raises(ValueError):
             suite.generate("uniform", n=32, k=4, batch=-1)
-        assert suite.generate("uniform", n=32, k=4, batch=0) == []
+        assert len(suite.generate("uniform", n=32, k=4, batch=0)) == 0
