@@ -15,6 +15,12 @@ plus a hard regression gate asserting the batched path stays at least 10x
 over the loop, with an in-loop check that both paths rank the candidates
 identically (same winner, same effective latencies).
 
+A second record, ``adversary_step``, times whole steps as the driver runs
+them (``_step``: propose, check the rows into one batch, evaluate, observe)
+for one anneal step and one evolution step of 64 candidates at the same
+n and k, with no store.  It records candidates/sec for ``repro bench
+compare`` and asserts no speed floor.
+
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_adversary_search.py --benchmark-only
@@ -23,16 +29,21 @@ Run with::
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.adversary.search import (
     SearchSpec,
     _evaluate,
+    _step,
+    _step_generators,
     effective_latencies,
     seed_population,
 )
+from repro.adversary.strategies import get_strategy
 from repro.channel.simulator import run_deterministic
+from repro.channel.wakeup import PatternBatch
 from repro.sweeps.protocols import build_protocol
 
 N, K, POPULATION = 1024, 16, 64
@@ -53,7 +64,8 @@ def _spec() -> SearchSpec:
 
 
 def _step_population(spec: SearchSpec):
-    return seed_population(spec, POPULATION, np.random.default_rng(0))
+    rows = seed_population(spec, POPULATION, np.random.default_rng(0))
+    return list(PatternBatch.from_rows(spec.n, rows))
 
 
 def _resolve_step(spec: SearchSpec, spec_hash: str, patterns, protocol):
@@ -151,4 +163,55 @@ def test_batched_resolution_is_at_least_10x(record_gate):
     assert speedup >= 10.0, (
         f"batched candidate resolution only {speedup:.1f}x over the "
         f"per-candidate loop at B={POPULATION} n={N} k={K}"
+    )
+
+
+def _whole_step_seconds(strategy_name: str, repeats: int = 5) -> float:
+    """Best-of wall time of step 1 of a search, as ``adversarial_search`` runs it."""
+    spec = replace(_spec(), strategy=strategy_name, budget=2 * POPULATION)
+    spec_hash = spec.config_hash()
+    protocol = build_protocol(spec.protocol, N, K, seed=spec.seed)
+    strategy = get_strategy(strategy_name)
+    seeds = next(_step_generators(spec, spec_hash, 0))
+    initial = strategy.initial_state(spec)
+    *_, state, _ = _step(
+        spec, spec_hash, strategy, initial, 0, POPULATION, seeds, protocol=protocol
+    )
+
+    def one_step():
+        rng = next(_step_generators(spec, spec_hash, 1))
+        return _step(spec, spec_hash, strategy, state, 1, POPULATION, rng, protocol=protocol)
+
+    one_step()  # warm up (lazy schedule caches)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        one_step()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_whole_step_rate(record_gate):
+    """Ledger entry: candidates/sec of whole anneal and evolution steps."""
+    measurements = []
+    for strategy_name in ("anneal", "evolution"):
+        seconds = _whole_step_seconds(strategy_name)
+        print(
+            f"{strategy_name} step: {seconds * 1e3:.2f} ms, "
+            f"{POPULATION / seconds:,.0f} candidates/s"
+        )
+        measurements.append(
+            {
+                "strategy": strategy_name,
+                "config": f"B={POPULATION} n={N} k={K}",
+                "rate": round(POPULATION / seconds, 1),
+            }
+        )
+    # No speed floor (threshold 1.0): the record exists so that `repro bench
+    # compare` catches rate drift against the committed baseline.
+    record_gate(
+        "adversary_step",
+        threshold=1.0,
+        unit="candidates/sec",
+        measurements=measurements,
     )

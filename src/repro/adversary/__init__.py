@@ -6,14 +6,16 @@ the (n, k) grid the sweep layer enumerates.  This package searches that
 space directly, building on the rest of the library:
 
 * :mod:`repro.adversary.mutations` — shift/swap/merge neighbourhood
-  operators over :class:`~repro.channel.wakeup.WakeupPattern` (always valid,
-  station count preserved);
+  operators, written once over ``(stations, wake_times)`` rows and adapted
+  to :class:`~repro.channel.wakeup.WakeupPattern` (always valid, station
+  count preserved);
 * :mod:`repro.adversary.strategies` — pluggable strategies with plain JSON
   state: the blind ``random`` baseline, simulated annealing, an elitist
   evolutionary population, and a UCB bandit over workload-generator
   parameterizations;
 * :mod:`repro.adversary.search` — the budgeted driver: one candidate
-  population per step through the batch engine
+  population per step, checked once as one
+  :class:`~repro.channel.wakeup.PatternBatch`, through the batch engine
   (:func:`repro.engine.run_batch`), every stream derived from config content
   via ``SeedSequence`` (bit-for-bit invariant to the resume point),
   checkpoints in a :class:`~repro.sweeps.store.SweepStore`;

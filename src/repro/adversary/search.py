@@ -39,19 +39,26 @@ candidates count as ``max_slots``, the earliest candidate wins within a step
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro._util import spawn_generators, validate_k_n, validate_positive_int
+from repro._util import indexed_generators, validate_k_n, validate_positive_int
 from repro.adversary.certificates import (
     SearchCertificate,
     evaluation_generators,
     load_certificate,
 )
-from repro.adversary.strategies import STRATEGIES, get_strategy
-from repro.channel.wakeup import WakeupPattern
+from repro.adversary.strategies import STRATEGIES, SearchStrategy, get_strategy
+from repro.channel.adversary import (
+    Row,
+    batched_row,
+    simultaneous_row,
+    staggered_row,
+    uniform_random_row,
+)
+from repro.channel.wakeup import PatternBatch, WakeupPattern
 from repro.sweeps.spec import ParamItems, _freeze_params
 from repro.sweeps.store import StoreSchemaError, SweepStore
 
@@ -66,6 +73,10 @@ __all__ = [
 
 #: Schema version of the checkpoint blob written under ``adversary/<hash>``.
 CHECKPOINT_SCHEMA = 1
+
+#: Step streams derived per :func:`indexed_generators` pass.  A generator
+#: holds about 0.8 kB, so this bounds what a search of very many steps holds.
+_STEP_STREAMS_PER_PASS = 1024
 
 
 @dataclass(frozen=True)
@@ -185,62 +196,67 @@ def effective_latencies(
     return np.where(np.asarray(solved, dtype=bool), latency, int(max_slots)).astype(np.int64)
 
 
-def seed_population(spec: SearchSpec, count: int, rng: np.random.Generator) -> List[WakeupPattern]:
-    """The step-0 candidate set every strategy bootstraps from.
+def seed_population(spec: SearchSpec, count: int, rng: np.random.Generator) -> List[Row]:
+    """The step-0 candidate rows every strategy bootstraps from.
 
     Structured attacks come first — the simultaneous burst on stations
     ``1..k`` (the :class:`~repro.channel.adversary.AdaptiveLowerBoundAdversary`
     setting), unit- and window-scale staggers, and batched bursts, each in a
     deterministic stations-``1..k`` variant and an ``rng``-chosen-subset
-    variant — then uniform random patterns fill the remainder.  Putting the
+    variant — then uniform random rows fill the remainder.  Putting the
     structured seeds first (and the earliest-wins tie rule) guarantees the
     search's final best is at least their best whenever ``count`` covers
-    them.
+    them.  Every row is ``(stations, wake_times)`` in pair order, as the
+    strategies' ``propose`` returns them.
     """
-    from repro.channel.adversary import (
-        batched_pattern,
-        simultaneous_pattern,
-        staggered_pattern,
-        uniform_random_pattern,
-    )
-
     n, k = spec.n, spec.k
     wide_gap = max(1, spec.window // max(k, 1))
-    base = list(range(1, k + 1))
-    structured: List[WakeupPattern] = [
-        simultaneous_pattern(n, k, stations=base),
-        staggered_pattern(n, k, gap=1, stations=base),
-        staggered_pattern(n, k, gap=wide_gap, stations=base),
-        batched_pattern(n, k, batch_size=max(1, k // 4), batch_gap=wide_gap, stations=base),
-        simultaneous_pattern(n, k, rng=rng),
-        staggered_pattern(n, k, gap=1, rng=rng),
-        staggered_pattern(n, k, gap=wide_gap, rng=rng),
-        batched_pattern(n, k, batch_size=max(1, k // 4), batch_gap=wide_gap, rng=rng),
+    base = np.arange(1, k + 1, dtype=np.int64)
+    structured: List[Row] = [
+        simultaneous_row(n, k, stations=base),
+        staggered_row(n, k, gap=1, stations=base),
+        staggered_row(n, k, gap=wide_gap, stations=base),
+        batched_row(n, k, batch_size=max(1, k // 4), batch_gap=wide_gap, stations=base),
+        simultaneous_row(n, k, rng=rng),
+        staggered_row(n, k, gap=1, rng=rng),
+        staggered_row(n, k, gap=wide_gap, rng=rng),
+        batched_row(n, k, batch_size=max(1, k // 4), batch_gap=wide_gap, rng=rng),
     ]
     out = structured[:count]
     while len(out) < count:
-        out.append(uniform_random_pattern(n, k, window=spec.window, rng=rng))
+        out.append(uniform_random_row(n, k, window=spec.window, rng=rng))
     return out
 
 
-def _step_generator(spec: SearchSpec, spec_hash: str, step: int) -> np.random.Generator:
-    """The content-derived stream driving step ``step``'s propose/observe."""
-    return spawn_generators(spec.seed, 1, "adversary-step", spec_hash, int(step))[0]
+def _step_generators(
+    spec: SearchSpec, spec_hash: str, start: int
+) -> Iterator[np.random.Generator]:
+    """The content-derived streams driving steps ``start, start + 1, ...``.
+
+    Step ``s`` draws from ``spawn_generators(seed, 1, "adversary-step",
+    spec_hash, s)[0]``, bit for bit; the streams of a search's remaining
+    steps are derived together, by :func:`~repro._util.indexed_generators`.
+    """
+    stop = -(-spec.budget // spec.population)
+    for lo in range(start, stop, _STEP_STREAMS_PER_PASS):
+        hi = min(lo + _STEP_STREAMS_PER_PASS, stop)
+        yield from indexed_generators(spec.seed, range(lo, hi), "adversary-step", spec_hash)
 
 
 def _evaluate(
     spec: SearchSpec,
     spec_hash: str,
     step: int,
-    patterns: Sequence[WakeupPattern],
+    patterns: Union[PatternBatch, Sequence[WakeupPattern]],
     *,
     protocol,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve one step's population; returns (effective, latency, solved).
 
-    The whole population goes through one :func:`~repro.engine.run_batch`
-    scan in the calling process.  A randomized policy draws candidate ``i``
-    from the stream keyed by ``(seed, spec_hash, step, i)``.
+    The whole population (the driver's :class:`PatternBatch`, or any pattern
+    sequence) goes through one :func:`~repro.engine.run_batch` scan in the
+    calling process.  A randomized policy draws candidate ``i`` from the
+    stream keyed by ``(seed, spec_hash, step, i)``.
     """
     from repro.channel.protocols import RandomizedPolicy
     from repro.engine import run_batch
@@ -251,6 +267,36 @@ def _evaluate(
     batch = run_batch(protocol, patterns, rngs=rngs, max_slots=spec.max_slots)
     effective = effective_latencies(batch.latency, batch.solved, spec.max_slots)
     return effective, batch.latency, batch.solved
+
+
+def _step(
+    spec: SearchSpec,
+    spec_hash: str,
+    strategy: SearchStrategy,
+    state: Dict[str, object],
+    step: int,
+    count: int,
+    rng: np.random.Generator,
+    *,
+    protocol,
+) -> Tuple[PatternBatch, np.ndarray, np.ndarray, Dict[str, object], int]:
+    """Propose, evaluate and observe one step's population of ``count`` rows.
+
+    Returns ``(batch, effective, solved, state, accepted)``.  The proposed
+    rows are checked once, as one :class:`PatternBatch`, which the engine
+    scans and ``observe`` reads; no candidate becomes a pattern here.
+    """
+    with obs.span("adversary.propose"):
+        if step == 0:
+            rows, meta = seed_population(spec, count, rng), {"seeded": True}
+        else:
+            rows, meta = strategy.propose(spec, state, step, count, rng)
+        batch = PatternBatch.from_rows(spec.n, rows)
+    with obs.span("adversary.evaluate"):
+        effective, _, solved = _evaluate(spec, spec_hash, step, batch, protocol=protocol)
+    with obs.span("adversary.observe"):
+        state, accepted = strategy.observe(spec, state, step, batch, effective, meta, rng)
+    return batch, effective, solved, state, accepted
 
 
 def _certificate(
@@ -345,30 +391,22 @@ def adversarial_search(
     protocol = build_protocol(
         spec.protocol, spec.n, spec.k, seed=spec.seed, **dict(spec.protocol_params)
     )
+    streams = _step_generators(spec, spec_hash, step)
     with obs.span("adversary.search"):
         while evaluated < spec.budget:
             count = min(spec.population, spec.budget - evaluated)
-            rng = _step_generator(spec, spec_hash, step)
-            if step == 0:
-                patterns: List[WakeupPattern] = seed_population(spec, count, rng)
-                meta: Dict[str, object] = {"seeded": True}
-            else:
-                patterns, meta = strategy.propose(spec, state, step, count, rng)
-            effective, latency, solved = _evaluate(
-                spec, spec_hash, step, patterns, protocol=protocol
+            batch, effective, solved, state, accepted = _step(
+                spec, spec_hash, strategy, state, step, count, next(streams), protocol=protocol
             )
             index = int(np.argmax(effective))  # earliest candidate wins ties
             value = int(effective[index])
             if best is None or value > best.latency:  # earlier step survives ties
                 best = _certificate(
-                    spec, spec_hash, patterns[index], value, bool(solved[index]), step, index
+                    spec, spec_hash, batch[index], value, bool(solved[index]), step, index
                 )
-            state, accepted = strategy.observe(
-                spec, state, step, patterns, effective, meta, rng
-            )
-            evaluated += len(patterns)
+            evaluated += count
             obs.add("adversary.steps")
-            obs.add("adversary.evaluated", len(patterns))
+            obs.add("adversary.evaluated", count)
             obs.add("adversary.accepted", int(accepted))
             obs.gauge("adversary.best_latency", float(best.latency))
             for name, gauge_value in strategy.gauges(state).items():
@@ -384,18 +422,19 @@ def adversarial_search(
             )
             step += 1
             if store is not None:
-                store.save_blob(
-                    checkpoint_key,
-                    {
-                        "schema": CHECKPOINT_SCHEMA,
-                        "spec": spec.as_dict(),
-                        "next_step": int(step),
-                        "evaluated": int(evaluated),
-                        "state": state,
-                        "history": history,
-                        "best": best.as_dict(),
-                    },
-                )
+                with obs.span("adversary.checkpoint"):
+                    store.save_blob(
+                        checkpoint_key,
+                        {
+                            "schema": CHECKPOINT_SCHEMA,
+                            "spec": spec.as_dict(),
+                            "next_step": int(step),
+                            "evaluated": int(evaluated),
+                            "state": state,
+                            "history": history,
+                            "best": best.as_dict(),
+                        },
+                    )
             if progress is not None:
                 progress(step, evaluated, int(best.latency))
 

@@ -2,9 +2,11 @@
 
 A strategy is a pure transition system the driver
 (:func:`repro.adversary.search.adversarial_search`) steps once per search
-round: ``propose`` emits the next candidate population, the driver resolves
-it through the batch engine, and ``observe`` folds the measured effective
-latencies back into the strategy's state.  Three design rules make the whole
+round: ``propose`` emits the next candidate population as ``(stations,
+wake_times)`` rows, the driver checks them once into one
+:class:`~repro.channel.wakeup.PatternBatch` and resolves it through the
+batch engine, and ``observe`` folds the measured effective latencies back
+into the strategy's state.  Three design rules make the whole
 search checkpointable and bit-for-bit reproducible:
 
 * **state is plain JSON** — patterns are stored in the compact
@@ -37,9 +39,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.channel.adversary import uniform_random_pattern
-from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
-from repro.adversary.mutations import mutate
+from repro.channel.adversary import Row, uniform_random_row
+from repro.channel.wakeup import PatternBatch, decode_wake_times, encode_wake_times
+from repro.adversary.mutations import mutate_row
 from repro.workloads.suite import WORKLOADS
 
 __all__ = [
@@ -62,6 +64,27 @@ def _mutation_kwargs(spec) -> Dict[str, int]:
     }
 
 
+def _decode_row(text: str) -> Row:
+    """The row of an encoded pattern, in the encoding's (ascending station) order."""
+    wake = decode_wake_times(text)
+    return (
+        np.fromiter(wake.keys(), np.int64, len(wake)),
+        np.fromiter(wake.values(), np.int64, len(wake)),
+    )
+
+
+def _encode_row(batch: PatternBatch, index: int) -> str:
+    """:func:`~repro.channel.wakeup.encode_wake_times` of row ``index`` of ``batch``."""
+    stations, times = batch.row(index)
+    return encode_wake_times(dict(zip(stations.tolist(), times.tolist())))
+
+
+def _mutants(spec, row: Row, count: int, rng: np.random.Generator) -> List[Row]:
+    """``count`` independent mutations of one row, drawn in order from ``rng``."""
+    kwargs = _mutation_kwargs(spec)
+    return [mutate_row(spec.n, *row, rng, **kwargs) for _ in range(count)]
+
+
 class SearchStrategy:
     """Interface every guided-search strategy implements.
 
@@ -80,11 +103,14 @@ class SearchStrategy:
 
     def propose(
         self, spec, state: Dict[str, object], step: int, count: int, rng: np.random.Generator
-    ) -> Tuple[List[WakeupPattern], Dict[str, object]]:
-        """Emit ``count`` candidate patterns for ``step`` plus a meta dict.
+    ) -> Tuple[List[Row], Dict[str, object]]:
+        """Emit ``count`` candidate rows for ``step`` plus a meta dict.
 
-        ``meta`` travels untouched to the matching ``observe`` call (e.g. the
-        bandit's chosen arm).
+        Each candidate is one ``(stations, wake_times)`` row in pair order;
+        the driver checks the population once, as one
+        :class:`~repro.channel.wakeup.PatternBatch`.  ``meta`` travels
+        untouched to the matching ``observe`` call (e.g. the bandit's chosen
+        arm).
         """
         raise NotImplementedError
 
@@ -93,12 +119,15 @@ class SearchStrategy:
         spec,
         state: Dict[str, object],
         step: int,
-        patterns: List[WakeupPattern],
+        batch: PatternBatch,
         effective: np.ndarray,
         meta: Dict[str, object],
         rng: np.random.Generator,
     ) -> Tuple[Dict[str, object], int]:
         """Fold measured effective latencies into the state.
+
+        ``effective[i]`` is the effective latency of row ``i`` of ``batch``,
+        the population the matching ``propose`` emitted.
 
         Returns the new state and the number of candidates *accepted* into
         the strategy's working set this step (the ``adversary.accepted``
@@ -128,11 +157,11 @@ class RandomStrategy(SearchStrategy):
 
     def propose(self, spec, state, step, count, rng):
         return [
-            uniform_random_pattern(spec.n, spec.k, window=spec.window, rng=rng)
+            uniform_random_row(spec.n, spec.k, window=spec.window, rng=rng)
             for _ in range(count)
         ], {}
 
-    def observe(self, spec, state, step, patterns, effective, meta, rng):
+    def observe(self, spec, state, step, batch, effective, meta, rng):
         step_best = int(np.max(effective))
         if step_best > int(state["best"]):
             return {"best": step_best}, 1
@@ -162,11 +191,9 @@ class AnnealingStrategy(SearchStrategy):
         }
 
     def propose(self, spec, state, step, count, rng):
-        incumbent = WakeupPattern(spec.n, decode_wake_times(state["incumbent"]))
-        kwargs = _mutation_kwargs(spec)
-        return [mutate(incumbent, rng, **kwargs) for _ in range(count)], {}
+        return _mutants(spec, _decode_row(state["incumbent"]), count, rng), {}
 
-    def observe(self, spec, state, step, patterns, effective, meta, rng):
+    def observe(self, spec, state, step, batch, effective, meta, rng):
         best_index = int(np.argmax(effective))
         best_value = int(effective[best_index])
         accepted = 0
@@ -177,7 +204,7 @@ class AnnealingStrategy(SearchStrategy):
         elif rng.random() < math.exp((best_value - value) / max(temperature, 1e-9)):
             accepted = 1
         if accepted:
-            incumbent = encode_wake_times(patterns[best_index].wake_times)
+            incumbent = _encode_row(batch, best_index)
             value = best_value
         return {
             "incumbent": incumbent,
@@ -215,24 +242,26 @@ class EvolutionStrategy(SearchStrategy):
         weights = np.arange(size, 0, -1, dtype=np.float64)
         weights /= weights.sum()
         kwargs = _mutation_kwargs(spec)
-        parents = rng.choice(size, size=count, p=weights)
+        parents: Dict[int, Row] = {}
         out = []
-        for parent in parents:
-            pattern = WakeupPattern(spec.n, decode_wake_times(population[int(parent)][0]))
-            out.append(mutate(pattern, rng, **kwargs))
+        for parent in rng.choice(size, size=count, p=weights).tolist():
+            if parent not in parents:
+                parents[parent] = _decode_row(population[parent][0])
+            out.append(mutate_row(spec.n, *parents[parent], rng, **kwargs))
         return out, {}
 
-    def observe(self, spec, state, step, patterns, effective, meta, rng):
-        old = [(encoded, int(value)) for encoded, value in state["population"]]
-        new = [
-            (encode_wake_times(pattern.wake_times), int(value))
-            for pattern, value in zip(patterns, effective)
-        ]
-        merged = old + new
-        order = sorted(range(len(merged)), key=lambda i: -merged[i][1])  # stable
+    def observe(self, spec, state, step, batch, effective, meta, rng):
+        old = state["population"]
+        values = [int(value) for _, value in old] + effective.tolist()
+        order = sorted(range(len(values)), key=lambda i: -values[i])  # stable
         kept = order[: spec.population]
+        # Only the newcomers that survive truncation are encoded.
+        population = [
+            (old[i][0] if i < len(old) else _encode_row(batch, i - len(old)), values[i])
+            for i in kept
+        ]
         accepted = sum(1 for i in kept if i >= len(old))
-        return {"population": [merged[i] for i in kept]}, accepted
+        return {"population": population}, accepted
 
     def gauges(self, state):
         population = state["population"]
@@ -302,26 +331,22 @@ class BanditStrategy(SearchStrategy):
         index = self._pick_arm(state)
         arm = state["arms"][index]
         if arm["generator"] == "refine" and state["incumbent"] is not None:
-            incumbent = WakeupPattern(spec.n, decode_wake_times(state["incumbent"]))
-            kwargs = _mutation_kwargs(spec)
-            patterns = [mutate(incumbent, rng, **kwargs) for _ in range(count)]
+            rows = _mutants(spec, _decode_row(state["incumbent"]), count, rng)
         else:
             # refine pulled before any incumbent exists draws uniform patterns
             name = "uniform" if arm["generator"] == "refine" else arm["generator"]
             workload = WORKLOADS[name]
-            patterns = [
-                workload.draw(spec.n, spec.k, rng=rng, **arm["params"]) for _ in range(count)
-            ]
-        return patterns, {"arm": index}
+            rows = [workload.row(spec.n, spec.k, rng=rng, **arm["params"]) for _ in range(count)]
+        return rows, {"arm": index}
 
-    def observe(self, spec, state, step, patterns, effective, meta, rng):
+    def observe(self, spec, state, step, batch, effective, meta, rng):
         step_best_index = int(np.argmax(effective)) if len(effective) else 0
         step_best = int(effective[step_best_index]) if len(effective) else 0
         previous_best = int(state["best"])
         best = max(previous_best, step_best)
         incumbent = state["incumbent"]
         if incumbent is None or step_best > previous_best:
-            incumbent = encode_wake_times(patterns[step_best_index].wake_times)
+            incumbent = _encode_row(batch, step_best_index)
         arms = [dict(arm) for arm in state["arms"]]
         rounds = int(state["rounds"])
         arm_index = meta.get("arm")

@@ -292,13 +292,16 @@ class PatternBatch:
 
     Indexing is the :class:`WakeupPattern` edge: ``batch[i]`` is row ``i``
     as a pattern and iteration yields every row as one, while ``batch[a:b]``
-    is a batch over views of the same columns.
+    is a batch over views of the same columns and ``batch.row(i)`` is row
+    ``i``'s ``(stations, wake_times)`` views.
 
     >>> batch = PatternBatch(8, [2, 1], [3, 5, 3], [0, 2, 4])
     >>> len(batch), batch.first_wake.tolist(), batch.pair_row.tolist()
     (2, [0, 4], [0, 0, 1])
     >>> batch[0] == WakeupPattern(8, {3: 0, 5: 2})
     True
+    >>> [column.tolist() for column in batch.row(1)]
+    [[3], [4]]
     >>> PatternBatch(8, [2, 1], [3, 3, 5], [0, 2, 4])
     Traceback (most recent call last):
     ...
@@ -434,12 +437,16 @@ class PatternBatch:
                 first_wake=self.first_wake[start:stop],
             )
             return part
+        return WakeupPattern.from_arrays(self.n, *self.row(index))
+
+    def row(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row ``index`` as aligned ``(stations, wake_times)`` views, in pair order."""
         row = operator.index(index)
         if not -len(self) <= row < len(self):
             raise IndexError(f"row {row} out of range for batch of {len(self)}")
         row %= len(self)
         lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
-        return WakeupPattern.from_arrays(self.n, self.stations[lo:hi], self.wake_times[lo:hi])
+        return self.stations[lo:hi], self.wake_times[lo:hi]
 
     def __iter__(self) -> Iterator[WakeupPattern]:
         return (self[i] for i in range(len(self)))

@@ -46,7 +46,8 @@ deterministic and latencies of different draws are comparable.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,6 +278,29 @@ def late_turn_row(
     return staggered_row(n, k, start=start, gap=gap, stations=stations)
 
 
+@functools.lru_cache(maxsize=64)
+def _family_boundaries(
+    builder: Optional[Callable], protocol: str, n: int, k: int, proto_seed: int, periods: int
+) -> Tuple[int, ...]:
+    """The boundary slots :func:`family_boundary_workload_row` attacks, once per key.
+
+    ``builder`` is the builder registered under ``protocol``, so a name
+    registered anew never reads an old protocol's boundaries.
+    """
+    from repro.sweeps.protocols import build_protocol
+
+    proto = build_protocol(protocol, n, k, seed=proto_seed)
+    if hasattr(proto, "family_boundaries_absolute"):
+        boundaries = proto.family_boundaries_absolute(
+            up_to=periods * proto.wait_and_go_arm.period
+        )
+    elif hasattr(proto, "boundary_slots"):
+        boundaries = proto.boundary_slots(up_to=periods * proto.period)
+    else:
+        boundaries = []
+    return tuple(int(b) for b in boundaries)
+
+
 def family_boundary_workload_row(
     n: int,
     k: int,
@@ -289,28 +313,22 @@ def family_boundary_workload_row(
 ) -> Row:
     """Wake-ups aligned to a named protocol's selective-family boundaries.
 
-    Builds ``protocol`` from the sweep registry (sharing the process-wide
-    family cache, so repeated rows reconstruct it cheaply) and attacks the
-    slots where its schedule switches families: ``family_boundaries_absolute``
-    for interleaved Scenario B constructions, ``boundary_slots`` for plain
-    ``wait-and-go``.  Protocols exposing neither, or exposing no boundary
+    Builds ``protocol`` from the sweep registry and attacks the slots where
+    its schedule switches families: ``family_boundaries_absolute`` for
+    interleaved Scenario B constructions, ``boundary_slots`` for plain
+    ``wait-and-go``.  The boundary list is computed once per ``(protocol, n,
+    k, proto_seed, periods)`` and kept, so the rows of a batch build the
+    protocol once.  Protocols exposing neither, or exposing no boundary
     below ``periods`` schedule periods, fall back to the deterministic
     late-turn instance so the workload is total over the registry.
     """
-    from repro.sweeps.protocols import build_protocol
+    from repro.sweeps.protocols import PROTOCOL_BUILDERS
 
     k, n = validate_k_n(k, n)
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    proto = build_protocol(protocol, n, k, seed=proto_seed)
-    if hasattr(proto, "family_boundaries_absolute"):
-        boundaries = proto.family_boundaries_absolute(
-            up_to=periods * proto.wait_and_go_arm.period
-        )
-    elif hasattr(proto, "boundary_slots"):
-        boundaries = proto.boundary_slots(up_to=periods * proto.period)
-    else:
-        boundaries = []
+    builder = PROTOCOL_BUILDERS.get(protocol)
+    boundaries = _family_boundaries(builder, protocol, n, k, proto_seed, periods)
     if not boundaries:
         return late_turn_row(n, k, start=start, rng=rng)
     return family_boundary_row(n, k, boundaries=boundaries, start=start, rng=rng)

@@ -86,10 +86,13 @@ class Workload:
     factory: Callable[..., Row]
     defaults: Dict[str, object] = field(default_factory=dict)
 
+    def row(self, n: int, k: int, *, rng: RngLike = None, **overrides) -> Row:
+        """Draw one row, merging ``overrides`` over the defaults."""
+        return self.factory(n, k, rng=rng, **{**self.defaults, **overrides})
+
     def draw(self, n: int, k: int, *, rng: RngLike = None, **overrides) -> WakeupPattern:
-        """Draw one row as a pattern, merging ``overrides`` over the defaults."""
-        params = {**self.defaults, **overrides}
-        return WakeupPattern.from_arrays(n, *self.factory(n, k, rng=rng, **params))
+        """Draw one row as a pattern: :meth:`row`, checked by ``from_arrays``."""
+        return WakeupPattern.from_arrays(n, *self.row(n, k, rng=rng, **overrides))
 
 
 #: The global workload registry, keyed by workload name.

@@ -12,9 +12,9 @@ from repro.adversary import (
     seed_population,
     strategy_names,
 )
-from repro.adversary.search import CHECKPOINT_SCHEMA, _step_generator, search_best
+from repro.adversary.search import CHECKPOINT_SCHEMA, _step_generators, search_best
 from repro.channel.adversary import simultaneous_pattern, staggered_pattern
-from repro.channel.wakeup import WakeupPattern
+from repro.channel.wakeup import PatternBatch, WakeupPattern
 from repro.sweeps.runner import map_jobs
 from repro.sweeps.store import StoreSchemaError, SweepStore
 
@@ -33,6 +33,11 @@ def _spec(**overrides) -> SearchSpec:
     )
     base.update(overrides)
     return SearchSpec(**base)
+
+
+def _step_generator(spec: SearchSpec, spec_hash: str, step: int):
+    """The stream the driver hands to step ``step``."""
+    return next(_step_generators(spec, spec_hash, step))
 
 
 class TestSearchSpec:
@@ -69,7 +74,7 @@ class TestSeedPopulation:
     def test_structured_attacks_come_first(self):
         spec = _spec()
         rng = _step_generator(spec, spec.config_hash(), 0)
-        population = seed_population(spec, 16, rng)
+        population = list(PatternBatch.from_rows(spec.n, seed_population(spec, 16, rng)))
         assert len(population) == 16
         assert all(isinstance(p, WakeupPattern) for p in population)
         assert all(p.k == spec.k for p in population)
@@ -85,8 +90,9 @@ class TestSeedPopulation:
 
     def test_population_is_reproducible(self):
         spec = _spec()
-        a = seed_population(spec, 12, _step_generator(spec, "h", 0))
-        b = seed_population(spec, 12, _step_generator(spec, "h", 0))
+        rng_a, rng_b = _step_generator(spec, "h", 0), _step_generator(spec, "h", 0)
+        a = PatternBatch.from_rows(spec.n, seed_population(spec, 12, rng_a))
+        b = PatternBatch.from_rows(spec.n, seed_population(spec, 12, rng_b))
         assert a == b
 
 
@@ -113,6 +119,45 @@ class TestDriver:
         assert "adversary.accepted" in counters
         assert "adversary.best_latency" in snap["gauges"]
         assert snap["timings"]["adversary.search"][0] == 1
+
+    def test_obs_report_lists_the_phases_of_every_step(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "search.jsonl"
+        argv = [
+            "adversary", "search", "--n", "32", "--k", "4", "--budget", "48",
+            "--population", "16", "--window", "64", "--max-slots", "20000",
+            "--store", str(tmp_path / "store"), "--trace", str(trace),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(trace), "--top", "20"]) == 0
+        rows = {
+            line.split("|")[0].strip(): line.split("|")[1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("adversary.")
+        }
+        for phase in ("propose", "evaluate", "observe", "checkpoint"):
+            assert rows[f"adversary.{phase}"] == "3"  # one span per step
+
+
+class TestStepStreams:
+    """A run derives its step streams in one pass, equal to one spawn per step."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_step_s_draws_from_the_spawned_child_keyed_by_s(self, monkeypatch, seed):
+        from repro._util import spawn_generators
+        from repro.adversary import search as search_module
+
+        monkeypatch.setattr(search_module, "_STEP_STREAMS_PER_PASS", 3)
+        spec = _spec(seed=seed, budget=100, population=16)  # 7 steps, 3 passes
+        spec_hash = spec.config_hash()
+        for start in (0, 2, 3, 6):
+            streams = list(_step_generators(spec, spec_hash, start))
+            assert len(streams) == 7 - start
+            for step, stream in enumerate(streams, start):
+                child = spawn_generators(seed, 1, "adversary-step", spec_hash, step)[0]
+                assert stream.bit_generator.state == child.bit_generator.state
 
 
 class TestOneProcessSearch:
@@ -235,7 +280,8 @@ class TestRandomStrategy:
     def test_step_zero_is_the_seed_population(self, monkeypatch):
         spec = _spec(strategy="random", budget=40, population=16)
         _, populations = self._record_populations(monkeypatch, spec)
-        expected = seed_population(spec, 16, _step_generator(spec, spec.config_hash(), 0))
+        rows = seed_population(spec, 16, _step_generator(spec, spec.config_hash(), 0))
+        expected = list(PatternBatch.from_rows(spec.n, rows))
         assert populations[0] == expected
 
     def test_later_steps_draw_k_distinct_stations_inside_the_window(self, monkeypatch):
@@ -257,7 +303,8 @@ class TestRandomStrategy:
         state = RandomStrategy().initial_state(spec)
         for step in (1, 2):
             rng = _step_generator(spec, spec.config_hash(), step)
-            proposed, _ = RandomStrategy().propose(spec, state, step, 16, rng)
+            rows, _ = RandomStrategy().propose(spec, state, step, 16, rng)
+            proposed = list(PatternBatch.from_rows(spec.n, rows))
             assert proposed == populations[step]
 
     def test_best_is_the_worst_candidate_evaluated(self):

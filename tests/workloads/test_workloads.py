@@ -227,6 +227,27 @@ class TestWorkloadSuite:
         suite.generate("uniform", n=32, k=4, batch=16, seed=1)[3]
         assert calls == [32]
 
+    def test_family_boundary_builds_its_protocol_once_per_key(self, suite, monkeypatch):
+        import repro.sweeps.protocols as protocols
+        from repro.workloads.generators import _family_boundaries
+
+        calls = []
+        build = protocols.build_protocol
+
+        def counted(name, n, k=1, **kwargs):
+            calls.append((name, n, k))
+            return build(name, n, k, **kwargs)
+
+        _family_boundaries.cache_clear()
+        monkeypatch.setattr(protocols, "build_protocol", counted)
+        first = suite.generate("family-boundary", n=64, k=8, batch=16, seed=3)
+        again = suite.generate("family-boundary", n=64, k=8, batch=4, seed=3)
+        assert calls == [("scenario-b", 64, 8)]
+        assert again == first[:4]
+        suite.generate("family-boundary", n=64, k=8, batch=4, seed=3, periods=2)
+        assert len(calls) == 2  # another key, another build
+        _family_boundaries.cache_clear()
+
     def test_batch_validation(self, suite):
         with pytest.raises(ValueError):
             suite.generate("uniform", n=32, k=4, batch=-1)
