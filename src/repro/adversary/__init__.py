@@ -27,68 +27,39 @@ The CLI surface is ``repro adversary search|replay|report``; the full guide
 is ``docs/adversary.md``.
 """
 
-from repro.adversary.certificates import (
-    CERTIFICATE_SCHEMA,
-    CertificateSchemaError,
-    SearchCertificate,
-    evaluation_generators,
-    load_certificate,
-    read_certificates,
-    replay_certificate,
-    write_certificate,
-)
-from repro.adversary.mutations import (
-    MUTATIONS,
-    merge_mutation,
-    mutate,
-    shift_mutation,
-    swap_mutation,
-)
-from repro.adversary.search import (
-    SearchResult,
-    SearchSpec,
-    adversarial_search,
-    checkpoint_summaries,
-    effective_latencies,
-    seed_population,
-)
-from repro.adversary.strategies import (
-    STRATEGIES,
-    AnnealingStrategy,
-    BanditStrategy,
-    EvolutionStrategy,
-    RandomStrategy,
-    SearchStrategy,
-    get_strategy,
-    strategy_names,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "SearchSpec",
-    "SearchResult",
-    "adversarial_search",
-    "seed_population",
-    "effective_latencies",
-    "checkpoint_summaries",
-    "SearchStrategy",
-    "RandomStrategy",
-    "AnnealingStrategy",
-    "EvolutionStrategy",
-    "BanditStrategy",
-    "STRATEGIES",
-    "strategy_names",
-    "get_strategy",
-    "MUTATIONS",
-    "mutate",
-    "shift_mutation",
-    "swap_mutation",
-    "merge_mutation",
-    "SearchCertificate",
-    "CertificateSchemaError",
-    "CERTIFICATE_SCHEMA",
-    "evaluation_generators",
-    "load_certificate",
-    "read_certificates",
-    "write_certificate",
-    "replay_certificate",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "SearchSpec": "repro.adversary.search",
+    "SearchResult": "repro.adversary.search",
+    "adversarial_search": "repro.adversary.search",
+    "seed_population": "repro.adversary.search",
+    "effective_latencies": "repro.adversary.search",
+    "checkpoint_summaries": "repro.adversary.search",
+    "SearchStrategy": "repro.adversary.strategies",
+    "RandomStrategy": "repro.adversary.strategies",
+    "AnnealingStrategy": "repro.adversary.strategies",
+    "EvolutionStrategy": "repro.adversary.strategies",
+    "BanditStrategy": "repro.adversary.strategies",
+    "STRATEGIES": "repro.adversary.strategies",
+    "strategy_names": "repro.adversary.strategies",
+    "get_strategy": "repro.adversary.strategies",
+    "MUTATIONS": "repro.adversary.mutations",
+    "mutate": "repro.adversary.mutations",
+    "shift_mutation": "repro.adversary.mutations",
+    "swap_mutation": "repro.adversary.mutations",
+    "merge_mutation": "repro.adversary.mutations",
+    "SearchCertificate": "repro.adversary.certificates",
+    "CertificateSchemaError": "repro.adversary.certificates",
+    "CERTIFICATE_SCHEMA": "repro.adversary.certificates",
+    "evaluation_generators": "repro.adversary.certificates",
+    "load_certificate": "repro.adversary.certificates",
+    "read_certificates": "repro.adversary.certificates",
+    "write_certificate": "repro.adversary.certificates",
+    "replay_certificate": "repro.adversary.certificates",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -28,7 +28,12 @@ from typing import Dict, Iterable, List, Mapping, Union
 import numpy as np
 
 from repro._util import indexed_generators
+from repro.analysis.certificates import bound_ratio
+from repro.channel.protocols import RandomizedPolicy
 from repro.channel.wakeup import WakeupPattern, decode_wake_times, encode_wake_times
+from repro.core.lower_bounds import trivial_lower_bound
+from repro.engine.batch import run_batch
+from repro.sweeps.protocols import build_protocol
 
 __all__ = [
     "CERTIFICATE_SCHEMA",
@@ -229,12 +234,6 @@ def replay_certificate(certificate: SearchCertificate) -> SearchCertificate:
     compares equal to its input; callers (the CLI's ``adversary replay``, the
     replay tests) assert exactly that.
     """
-    from repro.analysis.certificates import bound_ratio as _bound_ratio
-    from repro.channel.protocols import RandomizedPolicy
-    from repro.core.lower_bounds import trivial_lower_bound
-    from repro.engine import run_batch
-    from repro.sweeps.protocols import build_protocol
-
     protocol = build_protocol(
         certificate.protocol,
         certificate.n,
@@ -256,7 +255,7 @@ def replay_certificate(certificate: SearchCertificate) -> SearchCertificate:
         certificate,
         latency=latency,
         solved=solved,
-        bound_ratio=_bound_ratio(
+        bound_ratio=bound_ratio(
             certificate.n, certificate.k, latency, trivial_lower_bound
         ),
     )

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro import obs
+from repro.obs import core as obs
 from repro._util import indexed_generators, validate_k_n, validate_positive_int
 from repro.adversary.certificates import (
     SearchCertificate,
@@ -51,6 +51,7 @@ from repro.adversary.certificates import (
     load_certificate,
 )
 from repro.adversary.strategies import STRATEGIES, SearchStrategy, get_strategy
+from repro.analysis.certificates import bound_ratio
 from repro.channel.adversary import (
     Row,
     batched_row,
@@ -58,7 +59,11 @@ from repro.channel.adversary import (
     staggered_row,
     uniform_random_row,
 )
+from repro.channel.protocols import RandomizedPolicy
 from repro.channel.wakeup import PatternBatch, WakeupPattern
+from repro.core.lower_bounds import trivial_lower_bound
+from repro.engine.batch import run_batch
+from repro.sweeps.protocols import build_protocol
 from repro.sweeps.spec import ParamItems, _freeze_params
 from repro.sweeps.store import StoreSchemaError, SweepStore
 
@@ -258,9 +263,6 @@ def _evaluate(
     calling process.  A randomized policy draws candidate ``i`` from the
     stream keyed by ``(seed, spec_hash, step, i)``.
     """
-    from repro.channel.protocols import RandomizedPolicy
-    from repro.engine import run_batch
-
     rngs = None
     if isinstance(protocol, RandomizedPolicy):
         rngs = evaluation_generators(spec.seed, spec_hash, step, range(len(patterns)))
@@ -308,9 +310,6 @@ def _certificate(
     step: int,
     index: int,
 ) -> SearchCertificate:
-    from repro.analysis.certificates import bound_ratio
-    from repro.core.lower_bounds import trivial_lower_bound
-
     return SearchCertificate(
         protocol=spec.protocol,
         n=spec.n,
@@ -385,8 +384,6 @@ def adversarial_search(
             history = [dict(entry) for entry in data["history"]]
             if data.get("best") is not None:
                 best = load_certificate(data["best"], source=str(path))
-
-    from repro.sweeps.protocols import build_protocol
 
     protocol = build_protocol(
         spec.protocol, spec.n, spec.k, seed=spec.seed, **dict(spec.protocol_params)

@@ -14,32 +14,23 @@ bounds are asymptotic — so the experiment harness validates *shape* instead:
   (e.g. round-robin vs the selective arm as ``k → n``).
 """
 
-from repro.analysis.statistics import sorted_median
-from repro.analysis.fitting import (
-    GrowthModel,
-    STANDARD_MODELS,
-    FitResult,
-    fit_model,
-    best_model,
-)
-from repro.analysis.certificates import (
-    BoundCertificate,
-    bound_ratio,
-    check_upper_bound,
-    check_lower_bound,
-)
-from repro.analysis.shape import who_wins
+from repro import _export_lazily
 
-__all__ = [
-    "sorted_median",
-    "GrowthModel",
-    "STANDARD_MODELS",
-    "FitResult",
-    "fit_model",
-    "best_model",
-    "BoundCertificate",
-    "bound_ratio",
-    "check_upper_bound",
-    "check_lower_bound",
-    "who_wins",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "sorted_median": "repro.analysis.statistics",
+    "GrowthModel": "repro.analysis.fitting",
+    "STANDARD_MODELS": "repro.analysis.fitting",
+    "FitResult": "repro.analysis.fitting",
+    "fit_model": "repro.analysis.fitting",
+    "best_model": "repro.analysis.fitting",
+    "BoundCertificate": "repro.analysis.certificates",
+    "bound_ratio": "repro.analysis.certificates",
+    "check_upper_bound": "repro.analysis.certificates",
+    "check_lower_bound": "repro.analysis.certificates",
+    "who_wins": "repro.analysis.shape",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -17,17 +17,18 @@ simulator so that experiment E9 can produce like-for-like comparisons:
   the waiting", which is only correct when all contenders wake together.
 """
 
-from repro.baselines.tdma import TDMA
-from repro.baselines.aloha import SlottedAloha, tuned_aloha
-from repro.baselines.backoff import BinaryExponentialBackoff
-from repro.baselines.tree_splitting import TreeSplitting
-from repro.baselines.komlos_greenberg import KomlosGreenberg
+from repro import _export_lazily
 
-__all__ = [
-    "TDMA",
-    "SlottedAloha",
-    "tuned_aloha",
-    "BinaryExponentialBackoff",
-    "TreeSplitting",
-    "KomlosGreenberg",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "TDMA": "repro.baselines.tdma",
+    "SlottedAloha": "repro.baselines.aloha",
+    "tuned_aloha": "repro.baselines.aloha",
+    "BinaryExponentialBackoff": "repro.baselines.backoff",
+    "TreeSplitting": "repro.baselines.tree_splitting",
+    "KomlosGreenberg": "repro.baselines.komlos_greenberg",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

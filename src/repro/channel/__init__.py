@@ -21,62 +21,37 @@ This subpackage implements that model exactly and provides:
   generators, including the lower-bound adversary of Theorem 2.1.
 """
 
-from repro.channel.events import SlotOutcome, SlotRecord
-from repro.channel.feedback import (
-    FeedbackModel,
-    NoCollisionDetection,
-    CollisionDetection,
-    FeedbackSignal,
-)
-from repro.channel.wakeup import PatternBatch, WakeupPattern
-from repro.channel.channel import Channel
-from repro.channel.protocols import (
-    DeterministicProtocol,
-    FeedbackVectorizedPolicy,
-    RandomizedPolicy,
-    StationState,
-)
-from repro.channel.trace import ExecutionTrace
-from repro.channel.simulator import (
-    WakeupResult,
-    Simulator,
-    run_deterministic,
-    run_randomized,
-)
-from repro.channel.adversary import (
-    simultaneous_pattern,
-    staggered_pattern,
-    batched_pattern,
-    uniform_random_pattern,
-    window_boundary_pattern,
-    family_boundary_pattern,
-    AdaptiveLowerBoundAdversary,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "SlotOutcome",
-    "SlotRecord",
-    "FeedbackModel",
-    "NoCollisionDetection",
-    "CollisionDetection",
-    "FeedbackSignal",
-    "WakeupPattern",
-    "PatternBatch",
-    "Channel",
-    "DeterministicProtocol",
-    "FeedbackVectorizedPolicy",
-    "RandomizedPolicy",
-    "StationState",
-    "ExecutionTrace",
-    "WakeupResult",
-    "Simulator",
-    "run_deterministic",
-    "run_randomized",
-    "simultaneous_pattern",
-    "staggered_pattern",
-    "batched_pattern",
-    "uniform_random_pattern",
-    "window_boundary_pattern",
-    "family_boundary_pattern",
-    "AdaptiveLowerBoundAdversary",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "SlotOutcome": "repro.channel.events",
+    "SlotRecord": "repro.channel.events",
+    "FeedbackModel": "repro.channel.feedback",
+    "NoCollisionDetection": "repro.channel.feedback",
+    "CollisionDetection": "repro.channel.feedback",
+    "FeedbackSignal": "repro.channel.feedback",
+    "WakeupPattern": "repro.channel.wakeup",
+    "PatternBatch": "repro.channel.wakeup",
+    "Channel": "repro.channel.channel",
+    "DeterministicProtocol": "repro.channel.protocols",
+    "FeedbackVectorizedPolicy": "repro.channel.protocols",
+    "RandomizedPolicy": "repro.channel.protocols",
+    "StationState": "repro.channel.protocols",
+    "ExecutionTrace": "repro.channel.trace",
+    "WakeupResult": "repro.channel.simulator",
+    "Simulator": "repro.channel.simulator",
+    "run_deterministic": "repro.channel.simulator",
+    "run_randomized": "repro.channel.simulator",
+    "simultaneous_pattern": "repro.channel.adversary",
+    "staggered_pattern": "repro.channel.adversary",
+    "batched_pattern": "repro.channel.adversary",
+    "uniform_random_pattern": "repro.channel.adversary",
+    "window_boundary_pattern": "repro.channel.adversary",
+    "family_boundary_pattern": "repro.channel.adversary",
+    "AdaptiveLowerBoundAdversary": "repro.channel.adversary",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

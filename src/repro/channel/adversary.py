@@ -26,6 +26,7 @@ import numpy as np
 from repro._util import RngLike, as_generator, validate_k_n
 from repro.channel.protocols import DeterministicProtocol
 from repro.channel.wakeup import WakeupPattern
+from repro.engine.batch import run_deterministic_batch
 
 __all__ = [
     "Row",
@@ -274,8 +275,6 @@ class AdaptiveLowerBoundAdversary:
         (:func:`repro.engine.run_deterministic_batch`, a one-pattern batch),
         whose outcome equals the scalar ``run_deterministic`` slot loop.
         """
-        from repro.engine import run_deterministic_batch
-
         n = self.protocol.n
         k, n = validate_k_n(k, n)
         gen = as_generator(rng)

@@ -32,7 +32,7 @@ import numpy as np
 from repro._util import RngLike, as_generator
 from repro.channel.channel import Channel
 from repro.channel.events import SlotOutcome, SlotRecord
-from repro.channel.feedback import FeedbackModel, NoCollisionDetection
+from repro.channel.feedback import CollisionDetection, FeedbackModel, NoCollisionDetection
 from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.channel.trace import ExecutionTrace
 from repro.channel.wakeup import WakeupPattern
@@ -259,8 +259,6 @@ def run_randomized(
         )
     gen = as_generator(rng)
     if feedback is None:
-        from repro.channel.feedback import CollisionDetection
-
         feedback = CollisionDetection() if policy.requires_collision_detection else NoCollisionDetection()
 
     channel = Channel(pattern.n, feedback=feedback, record_trace=record_trace)

@@ -85,6 +85,14 @@ Eleven subcommands cover the workflows a user needs without writing Python:
     trace recorded with ``--trace`` or ``REPRO_OBS`` — top spans by
     cumulative time, counter/gauge totals, sweep configs/sec.
 
+This module holds only the parser and the dispatch, and imports no numpy:
+``repro --help`` costs little more than the interpreter.  Each command's
+handler lives in its own :mod:`repro.commands` module, imported when the
+command runs, so a command loads only what it runs (``repro service start``
+loads the daemon path, not the experiment registry).  The parser's name
+choices are the constants below, which tests hold equal to the registries
+they name.
+
 Examples
 --------
 .. code-block:: bash
@@ -121,56 +129,65 @@ Examples
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
-
-from repro import obs
-from repro.channel.adversary import (
-    batched_pattern,
-    simultaneous_pattern,
-    staggered_pattern,
-    uniform_random_pattern,
-)
-from repro.channel.simulator import run_deterministic, run_randomized
-from repro.channel.protocols import DeterministicProtocol
-from repro.core.lower_bounds import bound_table
-from repro.engine import Campaign
-from repro.core.matrix_search import find_waking_matrix_seed
-from repro.experiments.campaign import (
-    MANIFEST_NAME,
-    PaperCampaign,
-    render_campaign_report,
-)
-from repro.experiments.config import FULL, QUICK, STANDARD
-from repro.experiments.registry import DEFINITIONS, run_experiment
-from repro.reporting.figures import render_trace
-from repro.reporting.tables import TextTable
-from repro.adversary.strategies import strategy_names
-from repro.sweeps import SweepRunner, SweepSpec, SweepStore, map_jobs
-from repro.sweeps.protocols import PROTOCOL_BUILDERS, build_protocol
-from repro.workloads import WorkloadSuite
+from typing import Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
-_SCALES = {"quick": QUICK, "standard": STANDARD, "full": FULL}
+#: ``--protocol`` choices: the names of :data:`repro.sweeps.protocols.PROTOCOL_BUILDERS`.
+PROTOCOL_NAMES = (
+    "aloha",
+    "beb",
+    "decay",
+    "komlos-greenberg",
+    "local-clock",
+    "local-clock-c",
+    "round-robin",
+    "rpd",
+    "rpd-known-k",
+    "scenario-a",
+    "scenario-b",
+    "scenario-c",
+    "select-first",
+    "tdma",
+    "tree-splitting",
+    "wait-and-go",
+)
 
+#: ``simulate --pattern`` choices: the keys of :data:`repro.commands.simulate.PATTERNS`.
+PATTERN_NAMES = ("batched", "simultaneous", "staggered", "uniform")
 
-def _protocol_factory(name: str):
-    return lambda args: build_protocol(name, args.n, args.k, seed=args.seed)
+#: ``adversary --strategy`` choices: :func:`repro.adversary.strategies.strategy_names`.
+STRATEGY_NAMES = ("anneal", "bandit", "evolution", "random")
 
+#: ``experiment`` choices: the keys of :data:`repro.experiments.registry.DEFINITIONS`.
+EXPERIMENT_IDS = tuple(f"E{i}" for i in range(1, 12))
 
-#: Protocol factories available to the ``simulate``/``workloads`` subcommands.
-#: Derived from the sweep subsystem's builder registry, so a protocol name
-#: means the same construction on the command line and in a sweep worker.
-PROTOCOLS = {name: _protocol_factory(name) for name in PROTOCOL_BUILDERS}
+#: ``--scale`` choices: the keys of :data:`repro.experiments.config.SCALES`.
+SCALE_NAMES = ("full", "quick", "standard")
 
-#: Pattern factories available to the ``simulate`` subcommand.
-PATTERNS = {
-    "simultaneous": lambda args: simultaneous_pattern(args.n, args.k, rng=args.seed),
-    "staggered": lambda args: staggered_pattern(args.n, args.k, gap=args.gap, rng=args.seed),
-    "batched": lambda args: batched_pattern(args.n, args.k, batch_gap=args.gap, rng=args.seed),
-    "uniform": lambda args: uniform_random_pattern(args.n, args.k, window=args.window, rng=args.seed),
+#: The handler module of each command; each defines ``run(args) -> int``.
+_COMMANDS = {
+    "simulate": "repro.commands.simulate",
+    "bounds": "repro.commands.bounds",
+    "experiment": "repro.commands.experiment",
+    "paper": "repro.commands.paper",
+    "verify-matrix": "repro.commands.verify_matrix",
+    "workloads": "repro.commands.workloads",
+    "sweep": "repro.commands.sweep",
+    "adversary": "repro.commands.adversary",
+    "service": "repro.commands.service",
+    "bench": "repro.commands.bench",
+    "obs": "repro.commands.obs",
+}
+
+#: Actions with a handler module of their own, so that ``service start``
+#: loads no query path and ``sweep run`` no adversarial search.
+_ACTIONS = {
+    ("service", "start"): "repro.commands.serve",
+    ("service", "query"): "repro.commands.query",
+    ("sweep", "worst-case"): "repro.commands.worst_case",
 }
 
 
@@ -204,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sim = subparsers.add_parser("simulate", help="run one protocol against one wake-up pattern")
-    sim.add_argument("--protocol", choices=sorted(PROTOCOLS), default="scenario-b")
-    sim.add_argument("--pattern", choices=sorted(PATTERNS), default="staggered")
+    sim.add_argument("--protocol", choices=PROTOCOL_NAMES, default="scenario-b")
+    sim.add_argument("--pattern", choices=PATTERN_NAMES, default="staggered")
     sim.add_argument("--n", type=int, default=128, help="number of attached stations")
     sim.add_argument("--k", type=int, default=8, help="number of awakened stations")
     sim.add_argument("--gap", type=int, default=1, help="gap used by staggered/batched patterns")
@@ -221,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = subparsers.add_parser("experiment", help="run one experiment from the registry")
-    exp.add_argument("experiment_id", choices=sorted(DEFINITIONS), metavar="EXPERIMENT")
-    exp.add_argument("--scale", choices=sorted(_SCALES), default="quick")
+    exp.add_argument("experiment_id", choices=sorted(EXPERIMENT_IDS), metavar="EXPERIMENT")
+    exp.add_argument("--scale", choices=SCALE_NAMES, default="quick")
 
     paper = subparsers.add_parser(
         "paper",
@@ -237,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paper report --scale quick --store paper-store --output REPORT.md`.",
     )
     paper.add_argument("action", choices=("run", "status", "report"))
-    paper.add_argument("--scale", choices=sorted(_SCALES), default="quick")
+    paper.add_argument("--scale", choices=SCALE_NAMES, default="quick")
     paper.add_argument(
         "--store", default="paper-store",
         help="result-store directory shared by every experiment (default "
@@ -283,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wl.add_argument("action", choices=("list", "sample", "run"))
     wl.add_argument("--workload", default="uniform", help="workload name (see `workloads list`)")
-    wl.add_argument("--protocol", choices=sorted(PROTOCOLS), default="scenario-b")
+    wl.add_argument("--protocol", choices=PROTOCOL_NAMES, default="scenario-b")
     wl.add_argument("--n", type=int, default=128, help="number of attached stations")
     wl.add_argument("--k", type=int, default=8, help="contender budget of the workload")
     wl.add_argument("--batch", type=int, default=256, help="patterns per batch")
@@ -307,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("action", choices=("run", "resume", "status", "worst-case"))
     sweep.add_argument("--spec", default=None, help="JSON sweep-spec file (overrides axis flags)")
     sweep.add_argument(
-        "--protocols", nargs="+", default=["scenario-b"], choices=sorted(PROTOCOLS),
+        "--protocols", nargs="+", default=["scenario-b"], choices=PROTOCOL_NAMES,
         metavar="PROTOCOL", help="protocol axis (see `simulate --help` for names)",
     )
     sweep.add_argument("--n-values", nargs="+", type=int, default=[256], help="universe-size axis")
@@ -356,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adversary.add_argument("action", choices=("search", "replay", "report"))
     adversary.add_argument(
-        "--protocol", choices=sorted(PROTOCOLS), default="scenario-b",
+        "--protocol", choices=PROTOCOL_NAMES, default="scenario-b",
         help="protocol under attack (search action)",
     )
     adversary.add_argument("--n", type=int, default=256, help="number of attached stations")
     adversary.add_argument("--k", type=int, default=16, help="awakened stations per candidate")
     adversary.add_argument(
-        "--strategy", choices=strategy_names(), default="anneal",
+        "--strategy", choices=STRATEGY_NAMES, default="anneal",
         help="search strategy (default anneal)",
     )
     adversary.add_argument(
@@ -432,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for cold queries (start; 0 = resolve inline; "
         "responses are identical for any value)",
     )
-    service.add_argument("--protocol", choices=sorted(PROTOCOLS), default="scenario-b")
+    service.add_argument("--protocol", choices=PROTOCOL_NAMES, default="scenario-b")
     service.add_argument("--n", type=int, default=256, help="number of attached stations")
     service.add_argument("--k", type=int, default=16, help="number of awakened stations")
     service.add_argument("--workload", default="uniform", help="workload name")
@@ -448,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query every campaign cell of one E1-E11 experiment instead of "
         "a single config (prints a summary table, not raw bodies)",
     )
-    service.add_argument("--scale", choices=sorted(_SCALES), default="quick")
+    service.add_argument("--scale", choices=SCALE_NAMES, default="quick")
     service.add_argument(
         "--limit", type=int, default=None,
         help="only the first LIMIT cells of --experiment",
@@ -499,732 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(exc: Exception) -> int:
-    """Report a usage error as ``error: <message>`` on stderr; exit like argparse."""
-    message = exc.args[0] if exc.args else str(exc)
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        protocol = PROTOCOLS[args.protocol](args)
-        pattern = PATTERNS[args.pattern](args)
-    except ValueError as exc:
-        # Invalid (n, k, ...) combinations are usage errors, not crashes.
-        return _usage_error(exc)
-    print(f"protocol: {protocol.describe()}")
-    print(f"pattern : {pattern.describe()}")
-    if isinstance(protocol, DeterministicProtocol):
-        result = run_deterministic(
-            protocol, pattern, max_slots=args.max_slots, record_trace=args.trace
-        )
-    else:
-        result = run_randomized(
-            protocol, pattern, rng=args.seed, max_slots=args.max_slots, record_trace=args.trace
-        )
-    if not result.solved:
-        print(f"NOT SOLVED within {args.max_slots} slots")
-        return 1
-    print(
-        f"success: station {result.winner} transmitted alone at slot {result.success_slot} "
-        f"(latency {result.latency} slots after the first wake-up)"
-    )
-    if args.trace and result.trace is not None:
-        print()
-        print(render_trace(result.trace))
-    return 0
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    ks: List[int] = args.k if args.k else []
-    if not ks:
-        # Powers of two from k = 2; n = 1 admits only k = 1.
-        k = 1 if args.n == 1 else 2
-        while k <= args.n:
-            ks.append(k)
-            k *= 2
-    try:
-        rows = bound_table(args.n, ks)
-    except ValueError as exc:
-        return _usage_error(exc)
-    table = TextTable(
-        ["k", "min{k,n-k+1}", "Clementi Ω(k log(n/k))", "Θ(k log(n/k)+1)", "k logn loglogn", "Ω(log k) rand.", "round-robin"]
-    )
-    for row in rows:
-        table.add_row(
-            [
-                row.k,
-                row.trivial,
-                round(row.clementi, 1),
-                round(row.scenario_ab, 1),
-                round(row.scenario_c, 1),
-                round(row.randomized_lower, 2),
-                row.round_robin,
-            ]
-        )
-    print(f"bounds for n = {args.n}")
-    print(table.render())
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    result = run_experiment(args.experiment_id, _SCALES[args.scale])
-    print(result.summary())
-    return 0 if result.all_certificates_hold else 1
-
-
-def _cmd_paper(args: argparse.Namespace) -> int:
-    """``repro paper``: the one-command E1–E11 campaign over a shared store."""
-    store = SweepStore(args.store) if args.store else None
-    campaign = PaperCampaign(
-        scale=_SCALES[args.scale],
-        store=store,
-        workers=args.workers,
-        experiments=args.experiments,
-    )
-    try:
-        if args.action == "status":
-            status = campaign.status()
-            table = TextTable(["experiment", "specs", "unique", "stored"])
-            for experiment_id, entry in status["experiments"].items():
-                table.add_row(
-                    [experiment_id, entry["specs"], entry["unique"], entry["stored"]]
-                )
-            print(table.render())
-            where = f"store {store.root}" if store is not None else "no store"
-            print(
-                f"scale {status['scale']}: {status['stored']}/{status['specs_unique']} "
-                f"unique specs stored ({status['specs_total']} planned, {where})"
-            )
-            return 0
-        # Progress goes to stderr so `paper report > report.md` holds only
-        # the report.
-        with _tracing(args.trace, argv=getattr(args, "raw_argv", None)):
-            result = campaign.run(progress=lambda line: print(line, file=sys.stderr))
-    except (KeyError, TypeError, ValueError) as exc:
-        # Unknown experiment IDs, protocol/workload names and invalid worker
-        # counts are usage errors, not crashes.
-        return _usage_error(exc)
-    manifest = result.manifest
-    if args.action == "report":
-        report = render_campaign_report(result)
-        if args.output:
-            from pathlib import Path
-
-            Path(args.output).write_text(report, encoding="utf-8")
-            print(f"wrote {args.output}")
-        else:
-            print(report)
-    else:
-        table = TextTable(["experiment", "specs", "unique", "render s", "certificates"])
-        for experiment_id, entry in manifest["experiments"].items():
-            table.add_row(
-                [
-                    experiment_id,
-                    entry["specs"],
-                    entry["unique"],
-                    round(entry["render_seconds"], 2),
-                    "ok" if entry["certificates_hold"] else "FAILED",
-                ]
-            )
-        print(table.render())
-        print(
-            f"{manifest['specs_unique']} unique specs ({manifest['specs_total']} planned, "
-            f"{manifest['cross_experiment_duplicates']} cross-experiment duplicates); "
-            f"store hits {manifest['store_hits']}, misses {manifest['store_misses']} "
-            f"(hit rate {manifest['store_hit_rate']:.0%}); "
-            f"resolve {manifest['resolve_seconds']:.2f}s, total {manifest['total_seconds']:.2f}s"
-        )
-        if store is not None:
-            print(f"store: {store.root} (manifest: {store.root / MANIFEST_NAME})")
-    if args.export:
-        from repro.reporting.export import write_rows
-
-        rows = [row for res in result.results.values() for row in res.rows]
-        print(f"wrote {write_rows(rows, args.export)}")
-    return 0 if result.all_certificates_hold else 1
-
-
-def _cmd_workloads(args: argparse.Namespace) -> int:
-    try:
-        return _cmd_workloads_inner(args)
-    except (KeyError, ValueError) as exc:
-        # Unknown workload names and invalid (n, k, ...) combinations are
-        # usage errors, not crashes: print the message, exit like argparse.
-        return _usage_error(exc)
-
-
-def _cmd_workloads_inner(args: argparse.Namespace) -> int:
-    suite = WorkloadSuite()
-    if args.action == "list":
-        table = TextTable(["workload", "description"])
-        for name in suite.names():
-            table.add_row([name, suite.describe(name)])
-        print(table.render())
-        return 0
-    if args.action == "sample":
-        patterns = suite.generate(
-            args.workload, n=args.n, k=args.k, batch=args.samples, seed=args.seed
-        )
-        for index, pattern in enumerate(patterns):
-            print(f"[{index}] {pattern.describe()}")
-            print("    " + ", ".join(f"{u}@{t}" for u, t in pattern))
-        return 0
-    protocol = PROTOCOLS[args.protocol](args)
-    patterns = suite.generate(
-        args.workload, n=args.n, k=args.k, batch=args.batch, seed=args.seed
-    )
-    result = Campaign(protocol, max_slots=args.max_slots, seed=args.seed).run(patterns)
-    print(f"protocol: {protocol.describe()}")
-    print(
-        f"workload: {args.workload} (n={args.n}, k={args.k}, batch={args.batch}, "
-        f"seed={args.seed})"
-    )
-    for metric, value in result.summary().items():
-        print(f"  {metric:>14s}: {value:g}")
-    if not bool(result.solved.all()):
-        unsolved = len(result) - result.solved_count
-        print(f"NOT SOLVED on {unsolved} of {len(result)} patterns (horizon {args.max_slots})")
-        return 1
-    return 0
-
-
-@contextmanager
-def _tracing(trace: Optional[str], argv: Optional[List[str]] = None) -> Iterator[None]:
-    """Run one command under an observability session when ``--trace`` is set.
-
-    A session already enabled (``REPRO_OBS``) keeps collecting and keeps its
-    own lifetime — a command-level ``--trace`` on top of it is refused with a
-    warning rather than silently splitting the run across two sinks.
-    """
-    if trace is None:
-        yield
-        return
-    if obs.enabled():
-        print(
-            "warning: observability already enabled (REPRO_OBS); --trace ignored",
-            file=sys.stderr,
-        )
-        yield
-        return
-    obs.enable(trace, argv=argv)
-    try:
-        yield
-    finally:
-        manifest = obs.disable()
-        if manifest is not None and manifest.get("trace"):
-            print(
-                f"trace written to {manifest['trace']} "
-                f"(manifest: {obs.manifest_path_for(str(manifest['trace']))})"
-            )
-
-
-def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    if args.spec is not None:
-        return SweepSpec.load(args.spec)
-    return SweepSpec(
-        protocols=tuple(args.protocols),
-        n_values=tuple(args.n_values),
-        k_values=None if args.k_values is None else tuple(args.k_values),
-        workloads=tuple(args.workloads),
-        seeds=tuple(args.seeds),
-        batch=args.batch,
-        max_slots=args.max_slots,
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = _sweep_spec_from_args(args)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
-        return 2
-    if args.action in ("resume", "status") and args.store is None:
-        print(f"error: `sweep {args.action}` requires --store", file=sys.stderr)
-        return 2
-    store = SweepStore(args.store) if args.store else None
-    try:
-        runner = SweepRunner(workers=args.workers, store=store)
-        if args.action == "status":
-            status = runner.status(spec)
-            print(f"store  : {store.root}")
-            print(f"configs: {status.describe()}")
-            return 0
-        with _tracing(args.trace, argv=getattr(args, "raw_argv", None)):
-            if args.action == "worst-case":
-                return _cmd_sweep_worst_case(args, spec, store)
-            obs.annotate("sweep_spec", spec.as_dict())
-            obs.annotate(
-                "config_hashes", [config.config_hash() for config in spec.configs()]
-            )
-            result = runner.run(spec, progress=print)
-    except (KeyError, TypeError, ValueError) as exc:
-        # Unknown protocol/workload names, empty grids, invalid worker
-        # counts and unreadable checkpoints are usage errors, not crashes:
-        # print the message, exit like argparse.
-        return _usage_error(exc)
-    table = TextTable(
-        ["protocol", "n", "k", "workload", "seed", "solved", "mean latency", "max latency"]
-    )
-    for record in result.records:
-        config = record.config
-        summary = record.summary
-        table.add_row(
-            [
-                config.protocol,
-                config.n,
-                config.k,
-                config.workload,
-                config.seed,
-                f"{int(summary.get('solved', 0))}/{config.batch}",
-                round(summary.get("mean_latency", float("nan")), 1),
-                summary.get("max_latency", "-"),
-            ]
-        )
-    print(table.render())
-    print(f"{len(result)} configs ({result.reused} reused from store)")
-    if args.export:
-        from repro.reporting.export import write_rows
-
-        print(f"wrote {write_rows(result.rows(), args.export)}")
-    if not result.all_solved:
-        unsolved = sum(1 for record in result.records if not record.all_solved)
-        print(f"NOT SOLVED on {unsolved} of {len(result)} configs")
-        return 1
-    return 0
-
-
-def _cmd_sweep_worst_case(
-    args: argparse.Namespace, spec: SweepSpec, store: Optional[SweepStore]
-) -> int:
-    """The ``sweep worst-case`` action: the ``random`` search on every grid cell.
-
-    One serial :func:`~repro.adversary.adversarial_search` per (protocol, n,
-    k, seed) cell with ``k <= n``, spending ``--trials`` candidates; the
-    cells run as whole jobs through :func:`~repro.sweeps.runner.map_jobs`
-    at ``--workers``.  With a store every search checkpoints and resumes
-    like ``adversary search``.
-    """
-    from repro.adversary import SearchSpec
-    from repro.adversary.search import search_best
-    from repro.sweeps.spec import powers_of_two_up_to
-
-    k_values = spec.k_values
-    if k_values is None:
-        k_values = powers_of_two_up_to(max(spec.n_values))
-    searches = [
-        SearchSpec(
-            protocol=name,
-            n=n,
-            k=k,
-            strategy="random",
-            budget=args.trials,
-            seed=seed,
-            max_slots=spec.max_slots,
-        )
-        for name in spec.protocols
-        for n in spec.n_values
-        for k in k_values
-        if k <= n
-        for seed in spec.seeds
-    ]
-    if not searches:
-        raise ValueError("worst-case grid is empty (every k exceeded its n)")
-    best = map_jobs(
-        search_best, [(search, store) for search in searches], workers=args.workers
-    )
-    table = TextTable(["protocol", "n", "k", "seed", "worst latency", "solved"])
-    for cert in best:
-        table.add_row([cert.protocol, cert.n, cert.k, cert.seed, cert.latency, cert.solved])
-    print(table.render())
-    if args.export:
-        from repro.reporting.export import write_rows
-
-        print(f"wrote {write_rows([cert.as_dict() for cert in best], args.export)}")
-    if not all(cert.solved for cert in best):
-        print(f"NOT SOLVED on some cells (horizon {spec.max_slots})")
-        return 1
-    return 0
-
-
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    """``repro adversary``: guided search, certificate replay, store report."""
-    from repro.adversary import (
-        CertificateSchemaError,
-        SearchSpec,
-        adversarial_search,
-        checkpoint_summaries,
-        read_certificates,
-        replay_certificate,
-        write_certificate,
-    )
-    from repro.sweeps.store import StoreSchemaError
-
-    try:
-        if args.action == "replay":
-            if not args.certificate:
-                print("error: `adversary replay` requires --certificate", file=sys.stderr)
-                return 2
-            # A worst-case `.json` export is an array: replay every row.
-            mismatches = 0
-            for certificate in read_certificates(args.certificate):
-                replayed = replay_certificate(certificate)
-                print(f"recorded: {certificate.describe()}")
-                print(f"replayed: {replayed.describe()}")
-                if replayed != certificate:
-                    print("REPLAY MISMATCH: the certificate does not reproduce")
-                    mismatches += 1
-                else:
-                    print("replay OK: measured latency matches the certificate")
-            return 1 if mismatches else 0
-        if args.action == "report":
-            if not args.store:
-                print("error: `adversary report` requires --store", file=sys.stderr)
-                return 2
-            summaries = checkpoint_summaries(SweepStore(args.store))
-            table = TextTable(
-                ["protocol", "n", "k", "strategy", "evaluated", "best latency", "ratio"]
-            )
-            for entry in summaries:
-                ratio = entry["bound_ratio"]
-                table.add_row(
-                    [
-                        entry["protocol"],
-                        entry["n"],
-                        entry["k"],
-                        entry["strategy"],
-                        f"{entry['evaluated']}/{entry['budget']}",
-                        entry["best_latency"],
-                        "-" if ratio is None else round(float(ratio), 2),
-                    ]
-                )
-            print(table.render())
-            print(f"{len(summaries)} search(es) checkpointed in {args.store}")
-            return 0
-        spec = SearchSpec(
-            protocol=args.protocol,
-            n=args.n,
-            k=args.k,
-            strategy=args.strategy,
-            budget=args.budget,
-            population=args.population,
-            seed=args.seed,
-            window=args.window,
-            max_slots=args.max_slots,
-        )
-        store = SweepStore(args.store) if args.store else None
-        with _tracing(args.trace, argv=getattr(args, "raw_argv", None)):
-            result = adversarial_search(
-                spec,
-                store=store,
-                progress=lambda step, evaluated, best: print(
-                    f"step {step}: {evaluated}/{spec.budget} candidates, best latency {best}"
-                ),
-            )
-    except (CertificateSchemaError, StoreSchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        # Unknown protocol/strategy names and invalid (n, k, budget, ...)
-        # combinations are usage errors, not crashes.
-        return _usage_error(exc)
-    best = result.best
-    print(f"best: {best.describe()}")
-    print(
-        "pattern: "
-        + ", ".join(f"{u}@{t}" for u, t in sorted(best.wake_times.items()))
-    )
-    if args.certificate:
-        print(f"wrote {write_certificate(best, args.certificate)}")
-    if store is not None:
-        print(f"checkpoint: {store.blob_path(f'adversary/{spec.config_hash()}')}")
-    return 0
-
-
-def _parse_param_overrides(pairs: Optional[List[str]]) -> dict:
-    """``--protocol-param KEY=VALUE`` pairs into a params mapping."""
-    overrides = {}
-    for pair in pairs or ():
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--protocol-param expects KEY=VALUE, got {pair!r}")
-        try:
-            value: object = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        overrides[key] = value
-    return overrides
-
-
-def _cmd_service(args: argparse.Namespace) -> int:
-    """``repro service``: the long-lived results daemon and its clients."""
-    from repro.service import ResultsService, ServiceClient, discover_endpoint, serve
-
-    if args.action == "start":
-        if not args.store:
-            print("error: `service start` requires --store", file=sys.stderr)
-            return 2
-        store = SweepStore(args.store)
-        try:
-            service = ResultsService(store, workers=args.workers)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        with _tracing(args.trace, argv=getattr(args, "raw_argv", None)):
-            try:
-                with service:
-                    serve(
-                        service,
-                        host=args.host,
-                        port=args.port,
-                        announce=lambda endpoint: print(
-                            f"service listening on {endpoint} (store {store.root})",
-                            flush=True,
-                        ),
-                    )
-            except KeyboardInterrupt:
-                pass
-            except OSError as exc:
-                print(
-                    f"error: cannot serve on {args.host}:{args.port}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-        status = service.status()
-        print(
-            f"service stopped after {status['requests']} request(s): "
-            f"{status['hits']} hit(s), {status['misses']} miss(es)"
-        )
-        return 0
-
-    store = SweepStore(args.store) if args.store else None
-    endpoint = args.url or (discover_endpoint(store) if store is not None else None)
-    try:
-        client: Optional[ServiceClient] = ServiceClient(endpoint) if endpoint else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _service_request(args, store, endpoint, client)
-    finally:
-        if client is not None:
-            client.close()
-
-
-def _service_request(args: argparse.Namespace, store, endpoint, client) -> int:
-    """``repro service status|stop|query`` through one ``ServiceClient``.
-
-    ``client`` is ``None`` when no daemon endpoint is known; ``query`` then
-    resolves in-process against ``store``.
-    """
-    from repro.service import (
-        QueryError,
-        ResultsService,
-        experiment_queries,
-        normalize_query,
-        parse_response,
-    )
-
-    if args.action in ("status", "stop"):
-        if client is None:
-            print(
-                "error: no service endpoint — pass --url or the --store of a "
-                "running daemon",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            if args.action == "stop":
-                client.stop()
-                print(f"service at {endpoint} is stopping")
-                return 0
-            status = client.status()
-        except (QueryError, OSError) as exc:
-            print(f"error: no service reachable at {endpoint}: {exc}", file=sys.stderr)
-            return 2
-        print(f"endpoint : {endpoint}")
-        fields = ("store", "records", "requests", "hits", "misses", "inflight", "workers")
-        for field in fields:
-            print(f"{field:<9}: {status.get(field)}")
-        print(
-            f"memo     : {status.get('memo_entries')} record(s), "
-            f"{status.get('memo_bytes')} bytes"
-        )
-        print(f"uptime   : {status.get('uptime_s')}s (pid {status.get('pid')})")
-        return 0
-
-    # -- query ---------------------------------------------------------------
-    try:
-        if args.experiment:
-            configs = experiment_queries(
-                args.experiment, _SCALES[args.scale], limit=args.limit
-            )
-        else:
-            configs = [
-                normalize_query(
-                    {
-                        "protocol": args.protocol,
-                        "n": args.n,
-                        "k": args.k,
-                        "workload": args.workload,
-                        "batch": args.batch,
-                        "seed": args.seed,
-                        "max_slots": args.max_slots,
-                        "protocol_params": _parse_param_overrides(args.protocol_param),
-                    }
-                )
-            ]
-    except (QueryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    fallback: Optional[ResultsService] = None
-
-    def resolve_body(config) -> tuple:
-        """One config -> (canonical body text, cache status)."""
-        nonlocal client, fallback
-        if client is not None:
-            try:
-                body, cache = client.query_raw(config.as_dict())
-                return body.decode("utf-8"), cache
-            except OSError as exc:
-                if args.url or store is None:
-                    raise
-                print(
-                    f"warning: service at {endpoint} unreachable ({exc}); "
-                    "resolving in-process",
-                    file=sys.stderr,
-                )
-                client = None
-        if store is None:
-            raise OSError("no --store to resolve against")
-        if fallback is None:
-            fallback = ResultsService(store, workers=0)
-        body, cached = fallback.answer(config)
-        return body.decode("utf-8"), "hit" if cached else "miss"
-
-    if client is None and store is None:
-        print(
-            "error: `service query` needs --url (a running daemon) or --store "
-            "(in-process fallback)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.experiment:
-            table = TextTable(
-                ["hash", "protocol", "n", "k", "workload", "seed", "cache", "mean latency"]
-            )
-            hits = 0
-            for config in configs:
-                body, cache = resolve_body(config)
-                payload = parse_response(body)
-                summary = payload["record"]["summary"]
-                hits += cache == "hit"
-                table.add_row(
-                    [
-                        payload["hash"],
-                        config.protocol,
-                        config.n,
-                        config.k,
-                        config.workload,
-                        config.seed,
-                        cache,
-                        round(summary.get("mean_latency", float("nan")), 1),
-                    ]
-                )
-            print(table.render())
-            print(
-                f"{len(configs)} cell(s) of {args.experiment.upper()}: "
-                f"{hits} hit(s), {len(configs) - hits} miss(es)"
-            )
-            return 0
-        body, _cache = resolve_body(configs[0])
-        sys.stdout.write(body)
-        return 0
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: no service reachable at {endpoint}: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        return _usage_error(exc)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench compare``: diff benchmark artifacts, fail on drift."""
-    try:
-        reports = obs.compare_many(args.sources, tolerance=args.tolerance)
-    except ValueError as exc:
-        return _usage_error(exc)
-    regressed = any(not report.ok for report in reports)
-    if args.json:
-        import json
-
-        print(json.dumps([report.as_dict() for report in reports], indent=2))
-        return 1 if regressed else 0
-    for index, report in enumerate(reports):
-        if index:
-            print()
-        print(obs.render_report(report))
-    return 1 if regressed else 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    """``repro obs report``: summarize one JSONL trace."""
-    try:
-        summary = obs.summarize_trace(args.trace)
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    print(obs.render_summary(summary, top=args.top))
-    return 0
-
-
-def _cmd_verify_matrix(args: argparse.Namespace) -> int:
-    try:
-        seed, report = find_waking_matrix_seed(
-            args.n,
-            c=args.c,
-            max_attempts=args.attempts,
-            budget_factor=args.budget_factor,
-            rng=args.seed,
-        )
-    except ValueError as exc:
-        return _usage_error(exc)
-    except RuntimeError as exc:
-        print(str(exc))
-        return 1
-    print(report.describe())
-    print(f"verified seed: {seed}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     # The command line as invoked, recorded in trace manifests (--trace).
     args.raw_argv = ["repro", *(sys.argv[1:] if argv is None else list(argv))]
-    handlers = {
-        "simulate": _cmd_simulate,
-        "bounds": _cmd_bounds,
-        "experiment": _cmd_experiment,
-        "paper": _cmd_paper,
-        "verify-matrix": _cmd_verify_matrix,
-        "workloads": _cmd_workloads,
-        "sweep": _cmd_sweep,
-        "adversary": _cmd_adversary,
-        "service": _cmd_service,
-        "bench": _cmd_bench,
-        "obs": _cmd_obs,
-    }
-    return handlers[args.command](args)
+    module = _ACTIONS.get((args.command, getattr(args, "action", None)), _COMMANDS[args.command])
+    return importlib.import_module(module).run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

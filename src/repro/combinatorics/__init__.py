@@ -16,39 +16,26 @@ provides the raw building blocks used by :mod:`repro.core.selective` and
   verification of selectivity and cover-freeness properties.
 """
 
-from repro.combinatorics.primes import is_prime, next_prime
-from repro.combinatorics.superimposed import (
-    SuperimposedCode,
-    kautz_singleton_code,
-    code_to_set_family,
-)
-from repro.combinatorics.selectors import (
-    SetFamily,
-    binary_selector,
-    strongly_selective_family,
-    singleton_family,
-)
-from repro.combinatorics.verification import (
-    is_selective_for,
-    is_strongly_selective_for,
-    is_cover_free,
-    selectivity_violations,
-    monte_carlo_selectivity,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "is_prime",
-    "next_prime",
-    "SuperimposedCode",
-    "kautz_singleton_code",
-    "code_to_set_family",
-    "SetFamily",
-    "binary_selector",
-    "strongly_selective_family",
-    "singleton_family",
-    "is_selective_for",
-    "is_strongly_selective_for",
-    "is_cover_free",
-    "selectivity_violations",
-    "monte_carlo_selectivity",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "is_prime": "repro.combinatorics.primes",
+    "next_prime": "repro.combinatorics.primes",
+    "SuperimposedCode": "repro.combinatorics.superimposed",
+    "kautz_singleton_code": "repro.combinatorics.superimposed",
+    "code_to_set_family": "repro.combinatorics.superimposed",
+    "SetFamily": "repro.combinatorics.set_family",
+    "binary_selector": "repro.combinatorics.selectors",
+    "strongly_selective_family": "repro.combinatorics.selectors",
+    "singleton_family": "repro.combinatorics.selectors",
+    "is_selective_for": "repro.combinatorics.verification",
+    "is_strongly_selective_for": "repro.combinatorics.verification",
+    "is_cover_free": "repro.combinatorics.verification",
+    "selectivity_violations": "repro.combinatorics.verification",
+    "monte_carlo_selectivity": "repro.combinatorics.verification",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro._util import ceil_log2, validate_k_n
 from repro.combinatorics.primes import next_prime
+from repro.combinatorics.set_family import SetFamily
 
 __all__ = ["SuperimposedCode", "kautz_singleton_code", "code_to_set_family"]
 
@@ -158,16 +159,14 @@ def kautz_singleton_code(n: int, k: int) -> SuperimposedCode:
     return SuperimposedCode(n=n, length=length, strength=k, matrix=matrix, q=q, degree=degree)
 
 
-def code_to_set_family(code: SuperimposedCode):
-    """Convert a superimposed code into a :class:`~repro.combinatorics.selectors.SetFamily`.
+def code_to_set_family(code: SuperimposedCode) -> SetFamily:
+    """Convert a superimposed code into a :class:`~repro.combinatorics.set_family.SetFamily`.
 
     Column ``t`` of the code becomes transmission set ``t``: the set of
     stations whose codeword has a 1 in that position.  Columns that are empty
     (no station selected) are dropped since they can never produce a
     successful transmission.
     """
-    from repro.combinatorics.selectors import SetFamily
-
     # Column-major nonzeros: sets in column order, members ascending.
     columns, members = np.nonzero(code.matrix.T)
     counts = np.bincount(columns, minlength=code.length)

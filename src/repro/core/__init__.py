@@ -19,100 +19,53 @@ This subpackage contains the algorithms of De Marco & Kowalski (IPDPS 2013):
   Section 6 (RPD and variants).
 """
 
-from repro.core.schedules import (
-    FamilySchedule,
-    CyclicFamilySchedule,
-    InterleavedProtocol,
-    SilentProtocol,
-    virtual_wake_time,
-)
-from repro.core.round_robin import RoundRobin
-from repro.core.selective import (
-    SelectiveFamily,
-    selective_family_target_length,
-    random_selective_family,
-    explicit_selective_family,
-    concatenated_families,
-)
-from repro.core.scenario_a import SelectAmongTheFirst, WakeupWithS
-from repro.core.scenario_b import WaitAndGo, WakeupWithK
-from repro.core.waking_matrix import (
-    TransmissionMatrix,
-    HashedTransmissionMatrix,
-    ExplicitTransmissionMatrix,
-    matrix_parameters,
-    MatrixParameters,
-    operational_sets,
-    is_well_balanced_slot,
-    isolated_station_at,
-    first_isolation,
-)
-from repro.core.scenario_c import WakeupProtocol
-from repro.core.lower_bounds import (
-    trivial_lower_bound,
-    clementi_lower_bound,
-    scenario_ab_bound,
-    scenario_c_bound,
-    randomized_lower_bound,
-    round_robin_worst_case,
-    bound_table,
-)
-from repro.core.randomized import (
-    RepeatedProbabilityDecrease,
-    DecayPolicy,
-    FixedProbabilityPolicy,
-)
-from repro.core.local_clock import (
-    LocalClockWakeup,
-    LocalClockScenarioC,
-)
-from repro.core.matrix_search import (
-    MatrixVerificationReport,
-    adversarial_pattern_battery,
-    verify_matrix,
-    find_waking_matrix_seed,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "FamilySchedule",
-    "CyclicFamilySchedule",
-    "InterleavedProtocol",
-    "SilentProtocol",
-    "virtual_wake_time",
-    "RoundRobin",
-    "SelectiveFamily",
-    "selective_family_target_length",
-    "random_selective_family",
-    "explicit_selective_family",
-    "concatenated_families",
-    "SelectAmongTheFirst",
-    "WakeupWithS",
-    "WaitAndGo",
-    "WakeupWithK",
-    "TransmissionMatrix",
-    "HashedTransmissionMatrix",
-    "ExplicitTransmissionMatrix",
-    "matrix_parameters",
-    "MatrixParameters",
-    "operational_sets",
-    "is_well_balanced_slot",
-    "isolated_station_at",
-    "first_isolation",
-    "WakeupProtocol",
-    "trivial_lower_bound",
-    "clementi_lower_bound",
-    "scenario_ab_bound",
-    "scenario_c_bound",
-    "randomized_lower_bound",
-    "round_robin_worst_case",
-    "bound_table",
-    "RepeatedProbabilityDecrease",
-    "DecayPolicy",
-    "FixedProbabilityPolicy",
-    "LocalClockWakeup",
-    "LocalClockScenarioC",
-    "MatrixVerificationReport",
-    "adversarial_pattern_battery",
-    "verify_matrix",
-    "find_waking_matrix_seed",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "FamilySchedule": "repro.core.schedules",
+    "CyclicFamilySchedule": "repro.core.schedules",
+    "InterleavedProtocol": "repro.core.schedules",
+    "SilentProtocol": "repro.core.schedules",
+    "virtual_wake_time": "repro.core.schedules",
+    "RoundRobin": "repro.core.round_robin",
+    "SelectiveFamily": "repro.core.selective",
+    "selective_family_target_length": "repro.core.selective",
+    "random_selective_family": "repro.core.selective",
+    "explicit_selective_family": "repro.core.selective",
+    "concatenated_families": "repro.core.selective",
+    "SelectAmongTheFirst": "repro.core.scenario_a",
+    "WakeupWithS": "repro.core.scenario_a",
+    "WaitAndGo": "repro.core.scenario_b",
+    "WakeupWithK": "repro.core.scenario_b",
+    "TransmissionMatrix": "repro.core.waking_matrix",
+    "HashedTransmissionMatrix": "repro.core.waking_matrix",
+    "ExplicitTransmissionMatrix": "repro.core.waking_matrix",
+    "matrix_parameters": "repro.core.waking_matrix",
+    "MatrixParameters": "repro.core.waking_matrix",
+    "operational_sets": "repro.core.waking_matrix",
+    "is_well_balanced_slot": "repro.core.waking_matrix",
+    "isolated_station_at": "repro.core.waking_matrix",
+    "first_isolation": "repro.core.waking_matrix",
+    "WakeupProtocol": "repro.core.scenario_c",
+    "trivial_lower_bound": "repro.core.lower_bounds",
+    "clementi_lower_bound": "repro.core.lower_bounds",
+    "scenario_ab_bound": "repro.core.lower_bounds",
+    "scenario_c_bound": "repro.core.lower_bounds",
+    "randomized_lower_bound": "repro.core.lower_bounds",
+    "round_robin_worst_case": "repro.core.lower_bounds",
+    "bound_table": "repro.core.lower_bounds",
+    "RepeatedProbabilityDecrease": "repro.core.randomized",
+    "DecayPolicy": "repro.core.randomized",
+    "FixedProbabilityPolicy": "repro.core.randomized",
+    "LocalClockWakeup": "repro.core.local_clock",
+    "LocalClockScenarioC": "repro.core.local_clock",
+    "MatrixVerificationReport": "repro.core.matrix_search",
+    "adversarial_pattern_battery": "repro.core.matrix_search",
+    "verify_matrix": "repro.core.matrix_search",
+    "find_waking_matrix_seed": "repro.core.matrix_search",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

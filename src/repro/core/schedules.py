@@ -90,7 +90,7 @@ class SilentProtocol(DeterministicProtocol):
 
 
 class FamilySchedule(DeterministicProtocol):
-    """Run a :class:`~repro.combinatorics.selectors.SetFamily` from a fixed origin.
+    """Run a :class:`~repro.combinatorics.set_family.SetFamily` from a fixed origin.
 
     Station ``u`` transmits at slot ``t`` iff it is awake, ``origin <= t <
     origin + len(family)`` and ``u`` belongs to transmission set number

@@ -77,7 +77,7 @@ class SelectiveFamily:
     n, k:
         The parameters the family targets.
     family:
-        The underlying ordered :class:`~repro.combinatorics.selectors.SetFamily`.
+        The underlying ordered :class:`~repro.combinatorics.set_family.SetFamily`.
     method:
         Which construction produced it (``random`` / ``explicit`` /
         ``singleton``).
@@ -275,7 +275,7 @@ def concatenated_families(
 class ConcatenatedFamilies(list):
     """A list of :class:`SelectiveFamily` that compiles its concatenation once.
 
-    :attr:`combined` — the one :class:`~repro.combinatorics.selectors.SetFamily`
+    :attr:`combined` — the one :class:`~repro.combinatorics.set_family.SetFamily`
     running the families back to back — is built on first access and kept,
     so every protocol handed the same sequence (see
     :class:`repro.experiments.cache.FamilyCache`) shares one array set and

@@ -28,7 +28,7 @@ by both protocol kinds:
   patterns *per slot* with vectorized state arrays, again bit-for-bit
   identical to the slot loop under matched per-pattern streams
   (``run_randomized_batch`` dispatches every such policy to it by class);
-* :class:`~repro.engine.batch.BatchResult` — column-oriented results with
+* :class:`~repro.engine.result.BatchResult` — column-oriented results with
   summary statistics, convertible row-by-row to
   :class:`~repro.channel.simulator.WakeupResult`;
 * :class:`~repro.engine.campaign.Campaign` — resolves large pattern sets in
@@ -41,20 +41,18 @@ across worker *processes*, with an on-disk resumable store — is
 :mod:`repro.sweeps`.
 """
 
-from repro.engine.batch import (
-    BatchResult,
-    run_batch,
-    run_deterministic_batch,
-    run_randomized_batch,
-)
-from repro.engine.campaign import Campaign
-from repro.engine.feedback_batch import run_feedback_batch
+from repro import _export_lazily
 
-__all__ = [
-    "BatchResult",
-    "run_batch",
-    "run_deterministic_batch",
-    "run_randomized_batch",
-    "run_feedback_batch",
-    "Campaign",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "BatchResult": "repro.engine.result",
+    "run_batch": "repro.engine.batch",
+    "run_deterministic_batch": "repro.engine.batch",
+    "run_randomized_batch": "repro.engine.batch",
+    "run_feedback_batch": "repro.engine.feedback_batch",
+    "Campaign": "repro.engine.campaign",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

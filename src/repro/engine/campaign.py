@@ -41,12 +41,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
+from repro.obs import core as obs
 from repro._util import RngLike, spawn_generators
 from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
 from repro.channel.wakeup import PatternBatch
-from repro.engine.batch import BatchResult, Patterns, _pattern_batch, run_batch
+from repro.engine.batch import run_batch
+from repro.engine.result import BatchResult, Patterns, _pattern_batch
 
 __all__ = ["Campaign", "SHARD_SIZE"]
 

@@ -51,11 +51,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro import obs
-from repro.channel.feedback import FeedbackModel, signal_table
+from repro.obs import core as obs
+from repro.channel.feedback import (
+    CollisionDetection,
+    FeedbackModel,
+    NoCollisionDetection,
+    signal_table,
+)
 from repro.channel.protocols import FeedbackVectorizedPolicy
 from repro.channel.simulator import DEFAULT_MAX_SLOTS
-from repro.engine.batch import (
+from repro.engine.result import (
     BatchResult,
     Patterns,
     _pattern_batch,
@@ -139,8 +144,6 @@ def run_feedback_batch(
         return BatchResult.empty(policy)
     generators = _resolve_generators(rngs, seed, len(batch))
     if feedback is None:
-        from repro.channel.feedback import CollisionDetection, NoCollisionDetection
-
         feedback = (
             CollisionDetection()
             if policy.requires_collision_detection

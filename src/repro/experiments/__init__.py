@@ -2,7 +2,7 @@
 
 Every claim of the paper maps to one experiment of the E1–E11 registry;
 this package contains the code that runs them.  Each experiment is stated
-once, as an :class:`~repro.experiments.campaign.ExperimentDefinition`
+once, as an :class:`~repro.experiments.definition.ExperimentDefinition`
 record: its title, the paper claim it checks, a ``cells`` function laying
 out its content-hashable measurement specs, and a pure ``render`` over the
 resolved records.  The record's ``plan`` is derived from its cells.  It runs
@@ -12,45 +12,34 @@ tables/figures, and bound certificates.
 :class:`~repro.experiments.campaign.PaperCampaign` is the one path that runs
 them: all of E1–E11 against one shared, resumable
 :class:`~repro.sweeps.store.SweepStore` for ``repro paper``, a single one for
-``repro experiment`` (:func:`~repro.experiments.registry.run_experiment`).
+``repro experiment`` (:func:`~repro.experiments.campaign.run_experiment`).
 Every experiment's section (paper claim, certificates, tables, figures) is
 rendered by :meth:`~repro.experiments.runner.ExperimentResult.summary`.
 """
 
-from repro.experiments.config import ExperimentScale, QUICK, STANDARD, FULL
-from repro.experiments.cache import FamilyCache, shared_cache
-from repro.experiments.runner import ExperimentResult
-from repro.experiments.campaign import (
-    CampaignResult,
-    ExperimentDefinition,
-    MeasurementSpec,
-    PaperCampaign,
-    ResolvedSpecs,
-    dedup_specs,
-    render_campaign_report,
-    resolve_specs,
-)
-from repro.experiments.registry import (
-    DEFINITIONS,
-    run_experiment,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "ExperimentScale",
-    "QUICK",
-    "STANDARD",
-    "FULL",
-    "FamilyCache",
-    "shared_cache",
-    "ExperimentResult",
-    "CampaignResult",
-    "ExperimentDefinition",
-    "MeasurementSpec",
-    "PaperCampaign",
-    "ResolvedSpecs",
-    "dedup_specs",
-    "render_campaign_report",
-    "resolve_specs",
-    "DEFINITIONS",
-    "run_experiment",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "ExperimentScale": "repro.experiments.config",
+    "QUICK": "repro.experiments.config",
+    "STANDARD": "repro.experiments.config",
+    "FULL": "repro.experiments.config",
+    "FamilyCache": "repro.experiments.cache",
+    "shared_cache": "repro.experiments.cache",
+    "ExperimentResult": "repro.experiments.runner",
+    "CampaignResult": "repro.experiments.campaign",
+    "ExperimentDefinition": "repro.experiments.definition",
+    "MeasurementSpec": "repro.experiments.definition",
+    "PaperCampaign": "repro.experiments.campaign",
+    "ResolvedSpecs": "repro.experiments.definition",
+    "dedup_specs": "repro.experiments.campaign",
+    "render_campaign_report": "repro.experiments.campaign",
+    "resolve_specs": "repro.experiments.campaign",
+    "DEFINITIONS": "repro.experiments.registry",
+    "run_experiment": "repro.experiments.campaign",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

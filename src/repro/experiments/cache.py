@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from repro import obs
+from repro.obs import core as obs
 from repro._util import ceil_log2
 from repro.core.selective import ConcatenatedFamilies, concatenated_families
 

@@ -2,11 +2,10 @@
 
 This module is the one path that runs experiments: ``repro paper`` runs the
 *paper* — all of E1–E11 — as a single resumable campaign, and ``repro
-experiment`` runs a one-experiment campaign
-(:func:`~repro.experiments.registry.run_experiment`).  The registry
-(:mod:`repro.experiments.registry`) states each experiment once, as an
-:class:`ExperimentDefinition` record: ID, title, paper claim, ``cells`` and
-``render``.
+experiment`` runs a one-experiment campaign (:func:`run_experiment`).  The
+registry (:mod:`repro.experiments.registry`) states each experiment once, as
+an :class:`~repro.experiments.definition.ExperimentDefinition` record: ID,
+title, paper claim, ``cells`` and ``render``.
 
 * ``cells(scale)`` lays out what the experiment measures: plain tuples,
   lists and dicts holding :class:`MeasurementSpec` values — content-hashable
@@ -38,18 +37,23 @@ and results are bit-identical at any worker count.  The CLI front end is
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import obs
+from repro.obs import core as obs
 from repro.experiments.config import ExperimentScale, QUICK
+from repro.experiments.definition import (
+    RENDER_MEMO_SCHEMA,
+    ExperimentDefinition,
+    MeasurementSpec,
+    ResolvedSpecs,
+)
+from repro.experiments.registry import DEFINITIONS
 from repro.experiments.runner import ExperimentResult
 from repro.sweeps.runner import SweepRunner
-from repro.sweeps.spec import SweepConfig
-from repro.sweeps.store import ConfigRecord, StoreSchemaError, SweepStore
+from repro.sweeps.store import SweepStore
 
 __all__ = [
     "MANIFEST_NAME",
@@ -61,129 +65,12 @@ __all__ = [
     "ExperimentDefinition",
     "CampaignResult",
     "PaperCampaign",
+    "run_experiment",
     "render_campaign_report",
 ]
 
-#: A measurement demand is exactly a sweep config: protocol name, (n, k),
-#: workload, batch, seed, horizon and parameter overrides — plain data with a
-#: stable content hash, which is what lets the store memoize it.
-MeasurementSpec = SweepConfig
-
 #: File the campaign manifest is written to inside the store root.
 MANIFEST_NAME = "campaign_manifest.json"
-
-#: Schema of the render-memo blobs :meth:`ResolvedSpecs.memo` writes.  It is
-#: part of every memo key and stamped into every blob; bump it whenever a
-#: memoized payload changes shape or meaning, so no older blob is trusted.
-RENDER_MEMO_SCHEMA = 1
-
-
-class ResolvedSpecs:
-    """Resolved measurements, addressable by the spec that demanded them.
-
-    A read-only view handed to ``render`` functions: ``resolved[spec]`` is the
-    :class:`~repro.sweeps.store.ConfigRecord` for that spec's config hash.
-    The latency accessors implement the two disciplines the experiments use —
-    *strict* (every pattern must have solved; raising otherwise, like
-    ``worst_latency`` always did) and *capped* (unsolved patterns count as
-    the spec's horizon, like the capped latency jobs).
-
-    Attributes
-    ----------
-    hits, misses:
-        Store traffic of the resolution that built this view (unique specs
-        served from disk vs freshly computed).
-    store:
-        The store the records came from (``None`` for an ephemeral
-        resolution); :meth:`memo` keeps render-side compute in it.
-    """
-
-    def __init__(
-        self,
-        records: Dict[str, ConfigRecord],
-        *,
-        hits: int = 0,
-        misses: int = 0,
-        store: Optional[SweepStore] = None,
-    ) -> None:
-        self._records = dict(records)
-        self.hits = hits
-        self.misses = misses
-        self.store = store
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, spec: MeasurementSpec) -> bool:
-        return spec.config_hash() in self._records
-
-    def __getitem__(self, spec: MeasurementSpec) -> ConfigRecord:
-        return self._records[spec.config_hash()]
-
-    def latencies(self, spec: MeasurementSpec, *, capped: bool = False) -> List[int]:
-        """Per-pattern latencies of one spec, strict or horizon-capped."""
-        record = self[spec]
-        solved = record.columns["solved"]
-        raw = record.columns["latency"]
-        if capped:
-            return [int(v) if ok else int(spec.max_slots) for v, ok in zip(raw, solved)]
-        if not all(solved):
-            raise RuntimeError(
-                f"{spec.label()}: {sum(1 for ok in solved if not ok)} pattern(s) "
-                f"unsolved within max_slots={spec.max_slots}"
-            )
-        return [int(v) for v in raw]
-
-    def worst(self, *specs: MeasurementSpec, capped: bool = False) -> int:
-        """Worst (max) latency over every pattern of every given spec."""
-        if not specs:
-            raise ValueError("worst() needs at least one spec")
-        return max(max(self.latencies(spec, capped=capped)) for spec in specs)
-
-    def mean(self, spec: MeasurementSpec, *, capped: bool = False) -> float:
-        """Mean latency over one spec's batch."""
-        values = self.latencies(spec, capped=capped)
-        return float(sum(values)) / len(values)
-
-    def memo(
-        self, experiment: str, key: Mapping[str, object], compute: Callable[[], Any]
-    ) -> Any:
-        """Render-side compute, kept in the store as a ``render/<hash>`` blob.
-
-        ``key`` names every input the computation reads (the scale fields,
-        the render seed); with the experiment ID and
-        :data:`RENDER_MEMO_SCHEMA` it is hashed into the blob key.  A stored
-        blob is used only when its schema and full identity match; a missing,
-        unreadable or mismatched one is recomputed and overwritten.  Without
-        a store the value is computed directly.  Either way the result is
-        the JSON form of ``compute()``, so a value read back from a blob
-        equals a freshly computed one exactly.
-        """
-        identity = json.dumps(
-            {"experiment": experiment, "key": key, "schema": RENDER_MEMO_SCHEMA},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        if self.store is None:
-            return json.loads(json.dumps(compute()))
-        blob_key = "render/" + hashlib.sha256(identity.encode("utf-8")).hexdigest()[:16]
-        try:
-            blob = self.store.load_blob(blob_key)
-        except StoreSchemaError:
-            blob = None
-        if (
-            blob is not None
-            and blob.get("schema") == RENDER_MEMO_SCHEMA
-            and blob.get("identity") == identity
-            and "payload" in blob
-        ):
-            return blob["payload"]
-        payload = json.loads(json.dumps(compute()))
-        self.store.save_blob(
-            blob_key,
-            {"schema": RENDER_MEMO_SCHEMA, "identity": identity, "payload": payload},
-        )
-        return payload
 
 
 def dedup_specs(specs: Sequence[MeasurementSpec]) -> List[MeasurementSpec]:
@@ -225,60 +112,6 @@ def resolve_specs(
     )
 
 
-def _specs_in(cells: Any) -> Iterator[MeasurementSpec]:
-    """Every spec in ``cells``: depth-first through tuples, lists and dict values."""
-    if isinstance(cells, MeasurementSpec):
-        yield cells
-    elif isinstance(cells, (tuple, list)):
-        for item in cells:
-            yield from _specs_in(item)
-    elif isinstance(cells, dict):
-        for item in cells.values():
-            yield from _specs_in(item)
-
-
-@dataclass(frozen=True)
-class ExperimentDefinition:
-    """One experiment, stated once: its report heading, its cells and its render.
-
-    Attributes
-    ----------
-    experiment:
-        Registry ID (``"E1"`` … ``"E11"``).
-    title:
-        The heading of the experiment's report section.
-    paper_claim:
-        The paper-side statement its report section quotes.
-    cells:
-        ``scale -> cells`` — what the experiment measures, as plain data
-        (tuples, lists and dicts) holding every :class:`MeasurementSpec` the
-        render reads.  Must be deterministic in ``scale`` alone.
-    render:
-        ``(result, resolved, cells, scale) -> None`` — fills the
-        :class:`ExperimentResult` the campaign made from this record with
-        rows, tables, figures, certificates and notes.  Render-side
-        randomness (E4's adaptive adversary, E7/E8's constructions) uses a
-        fixed seed per experiment and is memoized through
-        :meth:`ResolvedSpecs.memo`; engine measurements are keyed by the
-        specs' own seeds, so two renders over one store agree bit for bit.
-    """
-
-    experiment: str
-    title: str
-    paper_claim: str
-    cells: Callable[[ExperimentScale], Any]
-    render: Callable[[ExperimentResult, ResolvedSpecs, Any, ExperimentScale], None]
-
-    def plan(self, scale: ExperimentScale) -> List[MeasurementSpec]:
-        """The measurement demand: every spec in ``cells(scale)``, in order.
-
-        A render reads specs only out of its cells, so it never reads one the
-        plan left out.  A definition whose cells name no spec (E7, E8) has
-        an empty plan.
-        """
-        return list(_specs_in(self.cells(scale)))
-
-
 @dataclass
 class CampaignResult:
     """Everything one campaign run produced: results by ID plus the manifest."""
@@ -291,14 +124,10 @@ class CampaignResult:
         return all(r.all_certificates_hold for r in self.results.values())
 
 
-def _definitions(experiments: Optional[Sequence[str]] = None):
-    """The requested :class:`ExperimentDefinition` list, registry order.
-
-    Imported lazily: the registry imports this module for the definition
-    types, so the campaign side must not import it at module load.
-    """
-    from repro.experiments.registry import DEFINITIONS
-
+def _definitions(
+    experiments: Optional[Sequence[str]] = None,
+) -> List[ExperimentDefinition]:
+    """The requested :class:`ExperimentDefinition` list, registry order."""
     if experiments is None:
         return list(DEFINITIONS.values())
     out = []
@@ -443,6 +272,16 @@ class PaperCampaign:
                 json.dumps(manifest, indent=2) + "\n"
             )
         return CampaignResult(results=results, manifest=manifest)
+
+
+def run_experiment(experiment_id: str, scale: ExperimentScale = QUICK) -> ExperimentResult:
+    """Run a single experiment by its ID (``"E1"`` ... ``"E11"``).
+
+    A one-experiment :class:`PaperCampaign` without a store, so ``repro
+    experiment`` and ``repro paper`` share one plan → resolve → render path.
+    """
+    campaign = PaperCampaign(scale=scale, experiments=[experiment_id])
+    return next(iter(campaign.run().results.values()))
 
 
 def render_campaign_report(campaign: CampaignResult) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-__all__ = ["ExperimentScale", "QUICK", "STANDARD", "FULL"]
+__all__ = ["ExperimentScale", "QUICK", "STANDARD", "FULL", "SCALES"]
 
 
 @dataclass(frozen=True)
@@ -108,3 +108,6 @@ FULL = ExperimentScale(
     adversary_trials=64,
     workers=8,
 )
+
+#: The presets by the name ``--scale`` takes on the command line.
+SCALES = {"quick": QUICK, "standard": STANDARD, "full": FULL}

@@ -4,13 +4,13 @@ E1–E10 reproduce the paper's claims; E11 is the global-vs-local clock
 extension (the paper's closing open question).
 
 Every experiment is one
-:class:`~repro.experiments.campaign.ExperimentDefinition` in
+:class:`~repro.experiments.definition.ExperimentDefinition` in
 :data:`DEFINITIONS`, holding its title, the paper claim its report section
 quotes, and two functions:
 
 * ``cells(scale)`` lays out what the experiment measures — ``(n, k)`` cells
   holding content-hashable
-  :class:`~repro.experiments.campaign.MeasurementSpec` sweep configs
+  :class:`~repro.experiments.definition.MeasurementSpec` sweep configs
   (protocol name, ``(n, k)``, workload, batch, seed, horizon), pure data
   with no live objects.  The definition's ``plan(scale)`` is every spec in
   the cells, in order, so nothing states the demand a second time;
@@ -27,15 +27,16 @@ pure over the resolved records.  Compute that is not a spec measurement (E4's
 adaptive-adversary table, E7's matrix figures, E8's family constructions),
 driven by a fixed per-experiment seed (``_E4_SEED``, ``_E7_SEED``,
 ``_E8_SEED``), runs through
-:meth:`~repro.experiments.campaign.ResolvedSpecs.memo`: with a store it is
+:meth:`~repro.experiments.definition.ResolvedSpecs.memo`: with a store it is
 kept as a schema-versioned ``render/<hash>`` blob, so a warm rerun renders
 from stored records and blobs alone and simulates nothing.
 
 Every spec uses :data:`BATTERY_SEED` so overlapping cells hash identically
 across experiments; the per-experiment seeds above only feed that
 render-side randomness.  ``repro paper report`` renders every experiment's
-section at any scale; ``repro experiment EX`` (:func:`run_experiment`, a
-one-experiment campaign) renders one.
+section at any scale; ``repro experiment EX``
+(:func:`~repro.experiments.campaign.run_experiment`, a one-experiment
+campaign) renders one.
 
 The paper is a theory paper without numeric tables, so each experiment
 validates a stated theorem or comparative claim, quoted in its section.
@@ -72,14 +73,9 @@ from repro.core.selective import (
     selective_family_target_length,
 )
 from repro.core.waking_matrix import first_isolation, matrix_parameters
-from repro.experiments.campaign import (
-    ExperimentDefinition,
-    MeasurementSpec,
-    PaperCampaign,
-    ResolvedSpecs,
-)
 from repro.experiments.cache import shared_cache
-from repro.experiments.config import ExperimentScale, QUICK
+from repro.experiments.config import ExperimentScale
+from repro.experiments.definition import ExperimentDefinition, MeasurementSpec, ResolvedSpecs
 from repro.experiments.runner import ExperimentResult
 from repro.reporting.figures import ascii_line_plot, render_matrix_occupancy, render_trace
 from repro.reporting.tables import TextTable
@@ -87,7 +83,6 @@ from repro.reporting.tables import TextTable
 __all__ = [
     "BATTERY_SEED",
     "DEFINITIONS",
-    "run_experiment",
 ]
 
 
@@ -1118,13 +1113,3 @@ DEFINITIONS: Dict[str, ExperimentDefinition] = {
     )
 }
 
-
-def run_experiment(experiment_id: str, scale: ExperimentScale = QUICK) -> ExperimentResult:
-    """Run a single experiment by its ID (``"E1"`` ... ``"E11"``).
-
-    A one-experiment :class:`~repro.experiments.campaign.PaperCampaign`
-    without a store, so ``repro experiment`` and ``repro paper`` share one
-    plan → resolve → render path.
-    """
-    campaign = PaperCampaign(scale=scale, experiments=[experiment_id])
-    return next(iter(campaign.run().results.values()))

@@ -31,61 +31,36 @@ catalog and trace/manifest formats are documented in
 ``docs/observability.md``.
 """
 
-from repro.obs.bench import (
-    CompareReport,
-    MetricDelta,
-    compare_artifacts,
-    compare_many,
-    load_artifact,
-    render_report,
-)
-from repro.obs.core import (
-    MANIFEST_SCHEMA,
-    ObsState,
-    add,
-    annotate,
-    capture,
-    disable,
-    enable,
-    enabled,
-    event,
-    gauge,
-    manifest_path_for,
-    merge_snapshot,
-    snapshot,
-    span,
-    validate_manifest,
-    _enable_from_env,
-)
-from repro.obs.report import TraceSummary, render_summary, summarize_trace
+from repro import _export_lazily
 
-__all__ = [
-    "MANIFEST_SCHEMA",
-    "ObsState",
-    "enabled",
-    "enable",
-    "disable",
-    "add",
-    "gauge",
-    "span",
-    "event",
-    "annotate",
-    "snapshot",
-    "merge_snapshot",
-    "capture",
-    "manifest_path_for",
-    "validate_manifest",
-    "TraceSummary",
-    "summarize_trace",
-    "render_summary",
-    "MetricDelta",
-    "CompareReport",
-    "load_artifact",
-    "compare_artifacts",
-    "compare_many",
-    "render_report",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "MANIFEST_SCHEMA": "repro.obs.core",
+    "ObsState": "repro.obs.core",
+    "enabled": "repro.obs.core",
+    "enable": "repro.obs.core",
+    "disable": "repro.obs.core",
+    "add": "repro.obs.core",
+    "gauge": "repro.obs.core",
+    "span": "repro.obs.core",
+    "event": "repro.obs.core",
+    "annotate": "repro.obs.core",
+    "snapshot": "repro.obs.core",
+    "merge_snapshot": "repro.obs.core",
+    "capture": "repro.obs.core",
+    "manifest_path_for": "repro.obs.core",
+    "validate_manifest": "repro.obs.core",
+    "TraceSummary": "repro.obs.report",
+    "summarize_trace": "repro.obs.report",
+    "render_summary": "repro.obs.report",
+    "MetricDelta": "repro.obs.bench",
+    "CompareReport": "repro.obs.bench",
+    "load_artifact": "repro.obs.bench",
+    "compare_artifacts": "repro.obs.bench",
+    "compare_many": "repro.obs.bench",
+    "render_report": "repro.obs.bench",
+}
 
-# Honor REPRO_OBS the moment the library is imported, so any entry point
-# (CLI, pytest, a user script) can be traced without code changes.
-_enable_from_env()
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.reporting.tables import TextTable
+
 __all__ = [
     "MetricDelta",
     "CompareReport",
@@ -292,8 +294,6 @@ def compare_artifacts(
 
 def render_report(report: CompareReport) -> str:
     """Format one :class:`CompareReport` as the ``repro bench compare`` output."""
-    from repro.reporting.tables import TextTable
-
     lines = [
         f"baseline : {report.baseline_label}",
         f"current  : {report.current_label}",

@@ -484,3 +484,9 @@ def _enable_from_env(environ=os.environ) -> Optional[ObsState]:
         environ[ENV_VAR] = "1"
     atexit.register(disable)
     return state
+
+
+# Honor REPRO_OBS the moment instrumentation loads: every module that emits
+# spans or counters imports this one, so any entry point (CLI, pytest, a
+# user script) can be traced without code changes.
+_enable_from_env()

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.core import ObsState
+from repro.reporting.tables import TextTable
 
 __all__ = ["TraceSummary", "summarize_trace", "render_summary"]
 
@@ -102,8 +103,6 @@ def summarize_trace(path: Union[str, Path]) -> TraceSummary:
 
 def render_summary(summary: TraceSummary, *, top: int = 10) -> str:
     """Format a :class:`TraceSummary` as the ``repro obs report`` output."""
-    from repro.reporting.tables import TextTable
-
     lines = [f"trace   : {summary.path}"]
     if summary.argv:
         lines.append(f"command : {' '.join(summary.argv)}")

@@ -6,22 +6,20 @@ paper), the formats here are the reproduction's own, designed so that the
 tables of ``repro paper report`` regenerate verbatim from the same runs.
 """
 
-from repro.reporting.tables import TextTable
-from repro.reporting.figures import ascii_line_plot, render_matrix_occupancy, render_trace
-from repro.reporting.export import (
-    results_to_csv,
-    results_to_json,
-    write_csv,
-    write_json,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "TextTable",
-    "ascii_line_plot",
-    "render_matrix_occupancy",
-    "render_trace",
-    "results_to_csv",
-    "results_to_json",
-    "write_csv",
-    "write_json",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "TextTable": "repro.reporting.tables",
+    "ascii_line_plot": "repro.reporting.figures",
+    "render_matrix_occupancy": "repro.reporting.figures",
+    "render_trace": "repro.reporting.figures",
+    "results_to_csv": "repro.reporting.export",
+    "results_to_json": "repro.reporting.export",
+    "write_csv": "repro.reporting.export",
+    "write_json": "repro.reporting.export",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -29,35 +29,25 @@ The CLI front end is ``repro service start|query|status|stop`` (see
 ``docs/service.md``.
 """
 
-from repro.service.api import (
-    RESPONSE_SCHEMA,
-    QueryError,
-    experiment_queries,
-    normalize_query,
-    parse_response,
-    render_response,
-)
-from repro.service.client import ServiceClient, discover_endpoint
-from repro.service.daemon import (
-    ENDPOINT_BLOB,
-    ENDPOINT_SCHEMA,
-    ResultsService,
-    ServiceServer,
-    serve,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "RESPONSE_SCHEMA",
-    "QueryError",
-    "normalize_query",
-    "render_response",
-    "parse_response",
-    "experiment_queries",
-    "ResultsService",
-    "ServiceServer",
-    "serve",
-    "ServiceClient",
-    "discover_endpoint",
-    "ENDPOINT_BLOB",
-    "ENDPOINT_SCHEMA",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "RESPONSE_SCHEMA": "repro.service.wire",
+    "QueryError": "repro.service.wire",
+    "normalize_query": "repro.service.api",
+    "render_response": "repro.service.api",
+    "parse_response": "repro.service.wire",
+    "experiment_queries": "repro.service.cells",
+    "ResultsService": "repro.service.daemon",
+    "ServiceServer": "repro.service.daemon",
+    "serve": "repro.service.daemon",
+    "ServiceClient": "repro.service.client",
+    "discover_endpoint": "repro.service.client",
+    "ENDPOINT_BLOB": "repro.service.wire",
+    "ENDPOINT_SCHEMA": "repro.service.wire",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -25,10 +25,13 @@ computed, at any worker count.  Cache status travels out of band (the
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping
 
+from repro.service.wire import RESPONSE_SCHEMA, QueryError, parse_response
+from repro.sweeps.protocols import PROTOCOL_BUILDERS
 from repro.sweeps.spec import SweepConfig
 from repro.sweeps.store import ConfigRecord
+from repro.workloads.suite import WorkloadSuite
 
 __all__ = [
     "MAX_QUERY_BATCH",
@@ -39,12 +42,7 @@ __all__ = [
     "normalize_query",
     "render_response",
     "parse_response",
-    "experiment_queries",
 ]
-
-#: Version stamped into every response body; :func:`parse_response` rejects
-#: anything else, so a client never misreads a newer server's payload.
-RESPONSE_SCHEMA = 1
 
 #: Largest ``n`` a query may ask for (the FULL campaign's largest is 2048).
 MAX_QUERY_N = 4096
@@ -83,15 +81,6 @@ _QUERY_FIELDS = frozenset(
 )
 
 
-class QueryError(ValueError):
-    """A query could not be normalized into a valid measurement spec.
-
-    Raised for malformed shapes (unknown fields, non-integer ``n``), unknown
-    protocol or workload names, sizes over a ceiling (``n`` above
-    :data:`MAX_QUERY_N`) and invalid combinations (``k > n``) — the errors
-    the HTTP front door answers with a 400 instead of handing the worker
-    pool a config that can only crash.
-    """
 
 
 def _coerce_int(name: str, value: object) -> int:
@@ -127,9 +116,6 @@ def normalize_query(query: Mapping[str, object]) -> SweepConfig:
     for required in ("protocol", "n", "k"):
         if required not in query:
             raise QueryError(f"query is missing required field {required!r}")
-
-    from repro.sweeps.protocols import PROTOCOL_BUILDERS
-    from repro.workloads import WorkloadSuite
 
     protocol = query["protocol"]
     if protocol not in PROTOCOL_BUILDERS:
@@ -181,58 +167,3 @@ def render_response(record: ConfigRecord) -> str:
         "record": record.as_dict(),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def parse_response(text: str) -> Dict[str, object]:
-    """Parse one response body back into its payload dict, schema-checked."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise QueryError(f"response is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise QueryError("response is not a JSON object")
-    schema = payload.get("schema")
-    if schema != RESPONSE_SCHEMA:
-        raise QueryError(
-            f"response schema {schema!r} is not supported "
-            f"(this client reads schema {RESPONSE_SCHEMA})"
-        )
-    if "hash" not in payload or "record" not in payload:
-        raise QueryError("response is missing its hash/record fields")
-    return payload
-
-
-def experiment_queries(
-    experiment_id: str, scale=None, *, limit: Optional[int] = None
-) -> List[SweepConfig]:
-    """The campaign cells of one experiment, as queryable configs.
-
-    Every E1–E11 plan already *is* a list of content-hashable measurement
-    specs (see :mod:`repro.experiments.campaign`), so the service can answer
-    any campaign cell: this helper returns the deduplicated spec list of one
-    experiment at ``scale`` (default ``QUICK``), optionally truncated to the
-    first ``limit`` cells.  Render-only experiments (E7/E8) plan no
-    measurements and raise :class:`QueryError` instead of returning an empty
-    sweep silently.
-    """
-    from repro.experiments.campaign import dedup_specs
-    from repro.experiments.config import QUICK
-    from repro.experiments.registry import DEFINITIONS
-
-    try:
-        definition = DEFINITIONS[experiment_id.upper()]
-    except KeyError:
-        raise QueryError(
-            f"unknown experiment {experiment_id!r}; valid IDs: {sorted(DEFINITIONS)}"
-        ) from None
-    specs = dedup_specs(definition.plan(QUICK if scale is None else scale))
-    if not specs:
-        raise QueryError(
-            f"experiment {definition.experiment} plans no measurement specs "
-            "(render-only experiment)"
-        )
-    if limit is not None:
-        if limit < 1:
-            raise QueryError(f"limit must be >= 1, got {limit}")
-        specs = specs[:limit]
-    return specs

@@ -23,6 +23,11 @@ into its store (see :func:`repro.service.daemon.serve`), which is how
 ``repro service query --store DIR`` finds the daemon without being told a
 URL.  A stale blob (daemon killed without cleanup) surfaces as the usual
 connection error; callers fall back to in-process resolution.
+
+The module imports only the standard library and :mod:`repro.service.wire`:
+it reads the blob file itself rather than through
+:class:`~repro.sweeps.store.SweepStore`, whose record layer loads numpy, so
+a client process pays for no engine code.
 """
 
 from __future__ import annotations
@@ -30,24 +35,29 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-from typing import Dict, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
-from repro.service.api import QueryError
-from repro.service.daemon import ENDPOINT_BLOB
-from repro.sweeps.store import StoreSchemaError, SweepStore
+from repro.service.wire import ENDPOINT_BLOB, QueryError
+
+if TYPE_CHECKING:
+    from repro.sweeps.store import SweepStore
 
 __all__ = ["ServiceClient", "discover_endpoint"]
 
 
-def discover_endpoint(store: SweepStore) -> Optional[str]:
-    """The endpoint URL a running daemon published into ``store``, if any."""
+def discover_endpoint(store: Union[str, Path, "SweepStore"]) -> Optional[str]:
+    """The endpoint URL a running daemon published into ``store``, if any.
+
+    ``store`` is a :class:`~repro.sweeps.store.SweepStore` or its root
+    directory.  A missing or unreadable blob means no daemon is known.
+    """
+    root = Path(getattr(store, "root", store))
     try:
-        blob = store.load_blob(ENDPOINT_BLOB)
-    except StoreSchemaError:
+        blob = json.loads((root / f"{ENDPOINT_BLOB}.json").read_text())
+    except (OSError, ValueError):
         return None
-    if blob is None:
-        return None
-    endpoint = blob.get("endpoint")
+    endpoint = blob.get("endpoint") if isinstance(blob, dict) else None
     return endpoint if isinstance(endpoint, str) else None
 
 

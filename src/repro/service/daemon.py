@@ -75,8 +75,9 @@ from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from repro import obs
-from repro.service.api import QueryError, normalize_query, render_response
+from repro.obs import core as obs
+from repro.service.api import normalize_query, render_response
+from repro.service.wire import ENDPOINT_BLOB, ENDPOINT_SCHEMA, QueryError
 from repro.sweeps.runner import WorkerPool, resolve_config
 from repro.sweeps.spec import SweepConfig
 from repro.sweeps.store import ConfigRecord, StoreSchemaError, SweepStore
@@ -91,12 +92,6 @@ __all__ = [
     "ServiceServer",
     "serve",
 ]
-
-#: Store blob key under which a running daemon publishes its endpoint.
-ENDPOINT_BLOB = "service/endpoint"
-
-#: Version stamped into the endpoint blob.
-ENDPOINT_SCHEMA = 1
 
 #: Largest request body the daemon reads; a query is a few hundred bytes.
 MAX_BODY_BYTES = 64 * 1024

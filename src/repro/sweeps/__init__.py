@@ -32,24 +32,26 @@ The CLI front end is ``repro sweep run|resume|status`` (see
 :mod:`repro.cli`).
 """
 
-from repro.sweeps.protocols import PROTOCOL_BUILDERS, build_protocol, protocol_names
-from repro.sweeps.runner import SweepResult, SweepRunner, SweepStatus, map_jobs, resolve_config
-from repro.sweeps.spec import SweepConfig, SweepSpec
-from repro.sweeps.store import ConfigRecord, StoreSchemaError, SweepStore, load_record
+from repro import _export_lazily
 
-__all__ = [
-    "PROTOCOL_BUILDERS",
-    "build_protocol",
-    "protocol_names",
-    "SweepConfig",
-    "SweepSpec",
-    "SweepStore",
-    "StoreSchemaError",
-    "load_record",
-    "ConfigRecord",
-    "SweepRunner",
-    "SweepResult",
-    "SweepStatus",
-    "map_jobs",
-    "resolve_config",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "PROTOCOL_BUILDERS": "repro.sweeps.protocols",
+    "build_protocol": "repro.sweeps.protocols",
+    "protocol_names": "repro.sweeps.protocols",
+    "SweepConfig": "repro.sweeps.spec",
+    "SweepSpec": "repro.sweeps.spec",
+    "SweepStore": "repro.sweeps.store",
+    "StoreSchemaError": "repro.sweeps.store",
+    "load_record": "repro.sweeps.store",
+    "ConfigRecord": "repro.sweeps.store",
+    "SweepRunner": "repro.sweeps.runner",
+    "SweepResult": "repro.sweeps.runner",
+    "SweepStatus": "repro.sweeps.runner",
+    "map_jobs": "repro.sweeps.runner",
+    "resolve_config": "repro.sweeps.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+from repro.experiments.cache import shared_cache
+
 __all__ = ["PROTOCOL_BUILDERS", "protocol_names", "register_protocol", "build_protocol"]
 
 #: Registry of protocol builders ``(n, k, seed, cache) -> protocol``.
@@ -70,8 +72,6 @@ def build_protocol(name: str, n: int, k: int = 1, *, seed: int = 0, **params):
         raise KeyError(
             f"unknown protocol {name!r}; registered: {protocol_names()}"
         ) from None
-    from repro.experiments.cache import shared_cache
-
     return builder(n, k, seed, shared_cache, **params)
 
 

@@ -53,10 +53,12 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
-from repro import obs
-from repro.engine import Campaign
+from repro.obs import core as obs
+from repro.engine.campaign import Campaign
+from repro.sweeps.protocols import build_protocol
 from repro.sweeps.spec import SweepConfig, SweepSpec
 from repro.sweeps.store import ConfigRecord, SweepStore
+from repro.workloads.suite import WorkloadSuite
 
 __all__ = [
     "SweepRunner",
@@ -80,9 +82,6 @@ def resolve_config(config: SweepConfig) -> ConfigRecord:
     across :class:`WorkerPool` processes), and returns the full-outcome
     :class:`~repro.sweeps.store.ConfigRecord`.
     """
-    from repro.sweeps.protocols import build_protocol
-    from repro.workloads import WorkloadSuite
-
     protocol = build_protocol(
         config.protocol,
         config.n,

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.engine import BatchResult
+from repro.engine.result import BatchResult
 from repro.sweeps.spec import SweepConfig
 
 __all__ = ["ConfigRecord", "SweepStore", "StoreSchemaError", "load_record"]

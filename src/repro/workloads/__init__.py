@@ -27,28 +27,21 @@ From the command line: ``python -m repro workloads list`` /
 scenario-b --workload heavy-tailed --batch 256``.
 """
 
-from repro.workloads.generators import (
-    churn_burst_pattern,
-    clustered_id_pattern,
-    density_drawn_pattern,
-    duty_cycle_pattern,
-    heavy_tailed_pattern,
-)
-from repro.workloads.suite import (
-    WORKLOADS,
-    Workload,
-    WorkloadSuite,
-    register_workload,
-)
+from repro import _export_lazily
 
-__all__ = [
-    "Workload",
-    "WorkloadSuite",
-    "WORKLOADS",
-    "register_workload",
-    "heavy_tailed_pattern",
-    "duty_cycle_pattern",
-    "churn_burst_pattern",
-    "clustered_id_pattern",
-    "density_drawn_pattern",
-]
+#: Public name -> the module defining it (imported on first access).
+_EXPORTS = {
+    "Workload": "repro.workloads.suite",
+    "WorkloadSuite": "repro.workloads.suite",
+    "WORKLOADS": "repro.workloads.suite",
+    "register_workload": "repro.workloads.suite",
+    "heavy_tailed_pattern": "repro.workloads.generators",
+    "duty_cycle_pattern": "repro.workloads.generators",
+    "churn_burst_pattern": "repro.workloads.generators",
+    "clustered_id_pattern": "repro.workloads.generators",
+    "density_drawn_pattern": "repro.workloads.generators",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _export_lazily(__name__, _EXPORTS)

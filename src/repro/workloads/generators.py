@@ -62,6 +62,8 @@ from repro.channel.adversary import (
     uniform_random_row,
     window_boundary_row,
 )
+from repro.core.waking_matrix import matrix_parameters
+from repro.sweeps import protocols
 
 __all__ = [
     "heavy_tailed_row",
@@ -287,9 +289,7 @@ def _family_boundaries(
     ``builder`` is the builder registered under ``protocol``, so a name
     registered anew never reads an old protocol's boundaries.
     """
-    from repro.sweeps.protocols import build_protocol
-
-    proto = build_protocol(protocol, n, k, seed=proto_seed)
+    proto = protocols.build_protocol(protocol, n, k, seed=proto_seed)
     if hasattr(proto, "family_boundaries_absolute"):
         boundaries = proto.family_boundaries_absolute(
             up_to=periods * proto.wait_and_go_arm.period
@@ -322,12 +322,10 @@ def family_boundary_workload_row(
     below ``periods`` schedule periods, fall back to the deterministic
     late-turn instance so the workload is total over the registry.
     """
-    from repro.sweeps.protocols import PROTOCOL_BUILDERS
-
     k, n = validate_k_n(k, n)
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    builder = PROTOCOL_BUILDERS.get(protocol)
+    builder = protocols.PROTOCOL_BUILDERS.get(protocol)
     boundaries = _family_boundaries(builder, protocol, n, k, proto_seed, periods)
     if not boundaries:
         return late_turn_row(n, k, start=start, rng=rng)
@@ -350,8 +348,6 @@ def window_boundary_workload_row(
     """
     k, n = validate_k_n(k, n)
     if window <= 0:
-        from repro.core.waking_matrix import matrix_parameters
-
         window = matrix_parameters(n).window
     return window_boundary_row(n, k, window_length=max(1, window), start=start, rng=rng)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.analysis.statistics import sorted_median
 from repro.experiments.config import QUICK
-from repro.experiments.registry import run_experiment
+from repro.experiments.campaign import run_experiment
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

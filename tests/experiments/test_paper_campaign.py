@@ -20,7 +20,8 @@ from repro.experiments.campaign import (
     dedup_specs,
     resolve_specs,
 )
-from repro.experiments.registry import DEFINITIONS, run_experiment
+from repro.experiments.campaign import run_experiment
+from repro.experiments.registry import DEFINITIONS
 from repro.sweeps.spec import SweepConfig
 from repro.sweeps.store import SweepStore
 

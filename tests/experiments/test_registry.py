@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.experiments.registry import DEFINITIONS, _E7_SEED, run_experiment
+from repro.experiments.campaign import run_experiment
+from repro.experiments.registry import DEFINITIONS, _E7_SEED
 from repro.experiments.runner import ExperimentResult
 
 #: A deliberately tiny scale so the whole registry runs in seconds.

@@ -15,11 +15,11 @@ import pytest
 from repro.service.api import (
     RESPONSE_SCHEMA,
     QueryError,
-    experiment_queries,
     normalize_query,
     parse_response,
     render_response,
 )
+from repro.service.cells import experiment_queries
 from repro.sweeps.runner import resolve_config
 from repro.sweeps.spec import SweepConfig
 

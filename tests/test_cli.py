@@ -8,7 +8,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.cli import PATTERNS, PROTOCOLS, build_parser, main
+from repro.cli import build_parser, main
+from repro.commands.simulate import PATTERNS, PROTOCOLS
 
 
 class TestParser:
@@ -21,6 +22,27 @@ class TestParser:
         assert args.command == "simulate"
         assert args.protocol == "scenario-b"
         assert args.n == 128 and args.k == 8
+
+    def test_parser_choices_match_the_registries(self):
+        # The parser names its choices without importing the registries (so
+        # `repro --help` loads no numpy); each constant must match its registry.
+        from repro.adversary.strategies import strategy_names
+        from repro.cli import (
+            EXPERIMENT_IDS,
+            PATTERN_NAMES,
+            PROTOCOL_NAMES,
+            SCALE_NAMES,
+            STRATEGY_NAMES,
+        )
+        from repro.experiments.config import SCALES
+        from repro.experiments.registry import DEFINITIONS
+        from repro.sweeps.protocols import protocol_names
+
+        assert PROTOCOL_NAMES == tuple(protocol_names())
+        assert PATTERN_NAMES == tuple(sorted(PATTERNS))
+        assert STRATEGY_NAMES == tuple(strategy_names())
+        assert EXPERIMENT_IDS == tuple(DEFINITIONS)
+        assert SCALE_NAMES == tuple(sorted(SCALES))
 
     def test_every_registered_protocol_and_pattern_is_buildable(self):
         args = build_parser().parse_args(["simulate", "--n", "32", "--k", "4", "--seed", "1"])
@@ -188,12 +210,12 @@ class TestPaperCommand:
         # Progress lines go to stderr, so stdout is what --output writes plus
         # print's newline.  The manifest carries wall-clock times, so each
         # run's text is taken from the renderer and the two compared up to it.
-        import repro.cli
+        import repro.commands.paper
 
         rendered = []
-        render = repro.cli.render_campaign_report
+        render = repro.commands.paper.render_campaign_report
         monkeypatch.setattr(
-            repro.cli, "render_campaign_report",
+            repro.commands.paper, "render_campaign_report",
             lambda result: rendered.append(render(result)) or rendered[-1],
         )
         argv = ["paper", "report", "--scale", "quick", "--store", "",
