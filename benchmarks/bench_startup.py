@@ -10,7 +10,9 @@ of times in alternating rounds so host drift spreads evenly over them:
 * ``import repro`` (lazy exports: no submodule, no numpy);
 * ``repro --help`` (the parser alone);
 * ``import repro.sweeps.runner`` (what a sweep loads);
-* ``import repro.service.client`` (what a shell query client loads).
+* ``import repro.service.client`` (what a shell query client loads);
+* ``import repro.commands.query`` (what ``repro service query`` loads before
+  it sends its query).
 
 Bytecode is cached first, in a temporary ``PYTHONPYCACHEPREFIX``, so the
 numbers are the steady state of an installed package rather than compile
@@ -47,6 +49,7 @@ COMMANDS = {
     "repro --help": ["-m", "repro", "--help"],
     "import repro.sweeps.runner": ["-c", "import repro.sweeps.runner"],
     "import repro.service.client": ["-c", "import repro.service.client"],
+    "import repro.commands.query": ["-c", "import repro.commands.query"],
 }
 
 

@@ -108,7 +108,7 @@ _EXPORTS = {
     "WakeupWithK": "repro.core.scenario_b",
     "WakeupWithS": "repro.core.scenario_a",
     "concatenated_families": "repro.core.selective",
-    "matrix_parameters": "repro.core.waking_matrix",
+    "matrix_parameters": "repro.core.matrix_params",
     "random_selective_family": "repro.core.selective",
     "scenario_ab_bound": "repro.core.lower_bounds",
     "scenario_c_bound": "repro.core.lower_bounds",

@@ -11,6 +11,8 @@ This subpackage contains the algorithms of De Marco & Kowalski (IPDPS 2013):
   ``WAKEUP-WITH-S`` (known start time, Section 3);
 * :mod:`repro.core.scenario_b` — ``WAIT-AND-GO`` and ``WAKEUP-WITH-K``
   (known bound on contenders, Section 4);
+* :mod:`repro.core.matrix_params` — the waking matrix's integer parameters
+  (rows, window, row spans, µ and ρ; Section 5.2);
 * :mod:`repro.core.waking_matrix` — transmission matrices, window/µ machinery,
   well-balancedness and isolation checks (Section 5.2–5.3);
 * :mod:`repro.core.scenario_c` — protocol ``WAKEUP(n)`` (Section 5.1);
@@ -41,8 +43,8 @@ _EXPORTS = {
     "TransmissionMatrix": "repro.core.waking_matrix",
     "HashedTransmissionMatrix": "repro.core.waking_matrix",
     "ExplicitTransmissionMatrix": "repro.core.waking_matrix",
-    "matrix_parameters": "repro.core.waking_matrix",
-    "MatrixParameters": "repro.core.waking_matrix",
+    "matrix_parameters": "repro.core.matrix_params",
+    "MatrixParameters": "repro.core.matrix_params",
     "operational_sets": "repro.core.waking_matrix",
     "is_well_balanced_slot": "repro.core.waking_matrix",
     "isolated_station_at": "repro.core.waking_matrix",

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.channel.trace import ExecutionTrace
-from repro.core.waking_matrix import MatrixParameters
+from repro.core.matrix_params import MatrixParameters
 
 __all__ = ["ascii_line_plot", "render_matrix_occupancy", "render_trace"]
 

@@ -196,18 +196,40 @@ class ResultsService:
         body = entry[1] if entry is not None else self._remember(key, record)
         return body, cached
 
-    def _cached(self, config: SweepConfig, key: str) -> Optional[ConfigRecord]:
-        """The record from the memo, else from the store (memoized), else None."""
+    def _cached(
+        self, config: SweepConfig, key: str, *, owner: bool = False
+    ) -> Optional[ConfigRecord]:
+        """The record from the memo, else from the store (memoized), else None.
+
+        A store hit looks in the memo once more, and awaits the in-flight
+        future of the config if there is one (``owner`` is the thread that
+        holds it): an owner saves the record before it memoizes it, so a
+        request that missed the memo can find the record on disk while the
+        owner is still rendering it, and must not render it a second time.
+        """
+        entry = self._memo_entry(key)
+        if entry is not None:
+            return entry[0]
+        record = self.store.load(config)
+        if record is None:
+            return None
+        with self._lock:
+            future = None if owner else self._inflight.get(key)
+        if future is not None:
+            return future.result()
+        entry = self._memo_entry(key)
+        if entry is not None:
+            return entry[0]
+        self._remember(key, record)
+        return record
+
+    def _memo_entry(self, key: str) -> Optional[Tuple[ConfigRecord, bytes]]:
+        """The memo entry of ``key`` (now the most recently used), if any."""
         with self._lock:
             entry = self._memo.get(key)
             if entry is not None:
                 self._memo.move_to_end(key)
-        if entry is not None:
-            return entry[0]
-        record = self.store.load(config)
-        if record is not None:
-            self._remember(key, record)
-        return record
+        return entry
 
     def _remember(self, key: str, record: ConfigRecord) -> bytes:
         """Render ``record`` once and memoize it; evicts the least recently used."""
@@ -252,7 +274,7 @@ class ResultsService:
             # attribute applies.  Persist before deregistering: a request
             # landing between the two would otherwise miss the store *and*
             # the in-flight table and resolve the config a second time.
-            record = self._cached(config, key)
+            record = self._cached(config, key, owner=True)
             if record is None:
                 record = self._pool.map(resolve_config, [config])[0]
                 self.store.save(record)

@@ -62,7 +62,7 @@ from repro.channel.adversary import (
     uniform_random_row,
     window_boundary_row,
 )
-from repro.core.waking_matrix import matrix_parameters
+from repro.core.matrix_params import matrix_parameters
 from repro.sweeps import protocols
 
 __all__ = [

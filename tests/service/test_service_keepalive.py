@@ -405,3 +405,129 @@ class TestTypedFailures:
             ServiceClient(endpoint)
         assert main(["service", "status", "--url", endpoint]) == 2
         assert "endpoint" in capsys.readouterr().err
+
+
+class _HoldingFakeDaemon(_FakeDaemon):
+    """A :class:`_FakeDaemon` that keeps each connection open after its replies.
+
+    Each connection is served on its own thread and stays open, silent,
+    until :meth:`close`; so a client that does not reconnect on its own
+    waits for an answer that never comes.
+    """
+
+    def __init__(self, replies):
+        self.released = threading.Event()
+        super().__init__(replies)
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepts += 1
+            replies = self.replies.get(self.accepts, [])
+            threading.Thread(
+                target=self._answer, args=(conn, replies), daemon=True
+            ).start()
+
+    def _answer(self, conn, replies):
+        with conn:
+            for reply in replies:
+                conn.recv(65536)
+                conn.sendall(reply)
+            self.released.wait(timeout=30)
+
+    def close(self):
+        self.released.set()
+        super().close()
+
+
+def _headers(count: int) -> bytes:
+    """A 200 reply carrying ``count`` header lines, Content-Length included."""
+    extra = b"".join(b"X-Pad-%d: %d\r\n" % (i, i) for i in range(count - 1))
+    return b"HTTP/1.1 200 OK\r\n" + extra + b"Content-Length: 3\r\n\r\n{}\n"
+
+
+class TestResponseFraming:
+    """The client reads a status line, bounded headers and exactly its body."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 30\r\n\r\n{}\n",
+            b"HTTP/1.1 200 OK\r\nX-Pad: "
+            + b"x" * 70_000
+            + b"\r\nContent-Length: 3\r\n\r\n{}\n",
+            _headers(101),
+        ],
+        ids=[
+            "no-content-length",
+            "truncated-body",
+            "header-line-over-64KiB",
+            "over-100-headers",
+        ],
+    )
+    def test_malformed_reply_is_a_connection_error(self, reply):
+        fake = _FakeDaemon({1: [reply]})
+        try:
+            with pytest.raises(ConnectionError, match="bad HTTP response"):
+                ServiceClient(fake.endpoint, timeout=5).status()
+            assert fake.accepts == 1
+        finally:
+            fake.close()
+
+    def test_one_hundred_headers_are_read(self):
+        fake = _FakeDaemon({1: [_headers(100)]})
+        try:
+            status, body, headers = ServiceClient(fake.endpoint, timeout=5)._request(
+                "GET", "/status"
+            )
+            assert (status, body, len(headers)) == (200, b"{}\n", 100)
+        finally:
+            fake.close()
+
+    def test_connection_close_reply_makes_the_next_request_reconnect(self):
+        closing = _FakeDaemon.OK.replace(b"\r\n", b"\r\nConnection: close\r\n", 1)
+        fake = _HoldingFakeDaemon({1: [closing], 2: [_FakeDaemon.OK]})
+        client = ServiceClient(fake.endpoint, timeout=5)
+        try:
+            # Connection 1 stays open after its reply: only a client that
+            # honours `Connection: close` gets the second answer.
+            assert client.status() == {}
+            assert client.status() == {}
+            assert fake.accepts == 2
+        finally:
+            client.close()
+            fake.close()
+
+    def test_a_silent_server_hits_the_timeout(self):
+        fake = _HoldingFakeDaemon({})
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(OSError) as caught:
+                ServiceClient(fake.endpoint, timeout=0.2).status()
+            assert isinstance(caught.value, TimeoutError)
+            assert time.monotonic() - t0 < 5
+            assert fake.accepts == 1
+        finally:
+            fake.close()
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "http://127.0.0.1:65536",
+            "http://127.0.0.1:+80",
+            "http://local host:80",
+            "http://bücher.example:80",
+        ],
+    )
+    def test_a_malformed_authority_is_a_value_error(self, endpoint):
+        with pytest.raises(ValueError, match="invalid service endpoint"):
+            ServiceClient(endpoint)
+
+    def test_ipv6_and_default_port_endpoints_are_split(self):
+        assert ServiceClient("http://[::1]:8791")._address == ("::1", 8791)
+        assert ServiceClient("http://localhost")._address == ("localhost", 80)
+        assert ServiceClient("http://localhost:")._address == ("localhost", 80)

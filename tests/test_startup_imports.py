@@ -8,7 +8,9 @@ import rule in fresh interpreters (``sys.modules`` read in a subprocess):
   (PEP 562), so ``import repro`` runs no submodule and no numpy;
 * ``repro --help`` parses without numpy, and neither a service client nor
   a ``repro service query`` that a running daemon answers imports any
-  engine code;
+  engine code, nor ``http.client``, :mod:`email` or :mod:`ssl`;
+* drawing a workload loads the waking matrix's parameters, not the matrix
+  machinery;
 * a module imports, at module level, what its own code calls, so no import
   lands inside a timed window: only the protocol class modules that a
   :mod:`repro.sweeps.protocols` builder imports on its first build may load
@@ -113,6 +115,18 @@ class TestFreshImports:
         assert "numpy" not in modules
         assert "repro.sweeps.store" not in modules
 
+    @pytest.mark.parametrize("module", ["repro.service.client", "repro.commands.query"])
+    def test_query_client_loads_no_http_client_email_or_ssl(self, module):
+        modules = loaded_after(f"import {module}")
+        assert module in modules
+        for name in ("http.client", "email", "ssl"):
+            assert name not in modules, name
+
+    def test_workload_generators_load_no_waking_matrix(self):
+        modules = loaded_after("import repro.workloads.generators")
+        assert "repro.core.matrix_params" in modules
+        assert "repro.core.waking_matrix" not in modules
+
     def test_service_start_handler_loads_no_registry_and_no_adversary(self):
         modules = loaded_after("import repro.commands.serve")
         assert "repro.service.daemon" in modules
@@ -142,6 +156,7 @@ class TestFreshImports:
             server.server_close()
         assert "repro.service.client" in modules
         assert "numpy" not in modules
+        assert "http.client" not in modules
 
 
 class TestLazyExports:
