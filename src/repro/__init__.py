@@ -102,7 +102,6 @@ _EXPORTS = {
     "RepeatedProbabilityDecrease": "repro.core.randomized",
     "RoundRobin": "repro.core.round_robin",
     "SelectAmongTheFirst": "repro.core.scenario_a",
-    "SelectiveFamily": "repro.core.selective",
     "WaitAndGo": "repro.core.scenario_b",
     "WakeupProtocol": "repro.core.scenario_c",
     "WakeupWithK": "repro.core.scenario_b",

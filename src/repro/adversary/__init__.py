@@ -6,8 +6,7 @@ the (n, k) grid the sweep layer enumerates.  This package searches that
 space directly, building on the rest of the library:
 
 * :mod:`repro.adversary.mutations` — shift/swap/merge neighbourhood
-  operators, written once over ``(stations, wake_times)`` rows and adapted
-  to :class:`~repro.channel.wakeup.WakeupPattern` (always valid, station
+  operators over ``(stations, wake_times)`` rows (always valid, station
   count preserved);
 * :mod:`repro.adversary.strategies` — pluggable strategies with plain JSON
   state: the blind ``random`` baseline, simulated annealing, an elitist
@@ -45,11 +44,6 @@ _EXPORTS = {
     "STRATEGIES": "repro.adversary.strategies",
     "strategy_names": "repro.adversary.strategies",
     "get_strategy": "repro.adversary.strategies",
-    "MUTATIONS": "repro.adversary.mutations",
-    "mutate": "repro.adversary.mutations",
-    "shift_mutation": "repro.adversary.mutations",
-    "swap_mutation": "repro.adversary.mutations",
-    "merge_mutation": "repro.adversary.mutations",
     "SearchCertificate": "repro.adversary.certificates",
     "CertificateSchemaError": "repro.adversary.certificates",
     "CERTIFICATE_SCHEMA": "repro.adversary.certificates",

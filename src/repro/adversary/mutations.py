@@ -22,9 +22,9 @@ picked by its rank among the row's sorted IDs, so the draws do not depend
 on the pair order; the result's pair order is part of the contract,
 because the randomized engines draw in it: a swap drops the outgoing
 station and appends the incoming one last, shift and merge keep the order.
-The :class:`~repro.channel.wakeup.WakeupPattern` operators
-(:func:`shift_mutation`, :func:`swap_mutation`, :func:`merge_mutation`,
-:func:`mutate`) are thin adapters making the same draws.
+A :class:`~repro.channel.wakeup.WakeupPattern` enters through
+:meth:`~repro.channel.wakeup.WakeupPattern.pair_arrays` and a row leaves
+through :meth:`~repro.channel.wakeup.WakeupPattern.from_arrays`.
 
 At the boundaries of the space, a swap with no sleeping station to trade in
 or a merge of a single-station pattern falls back to a shift, so
@@ -33,14 +33,12 @@ or a merge of a single-station pattern falls back to a shift, so
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro._util import RngLike, as_generator
 from repro.channel.adversary import Row
-from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
     "shift_row",
@@ -48,11 +46,6 @@ __all__ = [
     "merge_row",
     "mutate_row",
     "ROW_MUTATIONS",
-    "shift_mutation",
-    "swap_mutation",
-    "merge_mutation",
-    "mutate",
-    "MUTATIONS",
 ]
 
 
@@ -189,27 +182,3 @@ def mutate_row(
         n, stations, wake_times, gen, max_shift=max_shift, max_time=max_time
     )
 
-
-def _pattern_operator(row_operator: Callable[..., Row], name: str) -> Callable[..., WakeupPattern]:
-    """The :class:`WakeupPattern` edge of a row operator: same arguments, same draws."""
-
-    @functools.wraps(row_operator)
-    def operator(pattern: WakeupPattern, rng: RngLike = None, **params) -> WakeupPattern:
-        row = row_operator(pattern.n, *pattern.pair_arrays(), rng, **params)
-        return WakeupPattern.from_arrays(pattern.n, *row)
-
-    operator.__name__ = operator.__qualname__ = name
-    return operator
-
-
-shift_mutation = _pattern_operator(shift_row, "shift_mutation")
-swap_mutation = _pattern_operator(swap_row, "swap_mutation")
-merge_mutation = _pattern_operator(merge_row, "merge_mutation")
-mutate = _pattern_operator(mutate_row, "mutate")
-
-#: The pattern operators, keyed like :data:`ROW_MUTATIONS`.
-MUTATIONS: Dict[str, Callable[..., WakeupPattern]] = {
-    "shift": shift_mutation,
-    "swap": swap_mutation,
-    "merge": merge_mutation,
-}

@@ -27,12 +27,9 @@ import numpy as np
 
 from repro._util import RngLike, validate_k_n
 from repro.channel.protocols import DeterministicProtocol
+from repro.combinatorics.set_family import SetFamily
 from repro.core.schedules import CyclicFamilySchedule
-from repro.core.selective import (
-    SelectiveFamily,
-    concatenate_families,
-    concatenated_families,
-)
+from repro.core.selective import concatenate_families, concatenated_families
 
 __all__ = ["KomlosGreenberg"]
 
@@ -60,7 +57,7 @@ class KomlosGreenberg(DeterministicProtocol):
         self,
         n: int,
         k: Optional[int] = None,
-        families: Optional[Sequence[SelectiveFamily]] = None,
+        families: Optional[Sequence[SetFamily]] = None,
         *,
         rng: RngLike = None,
     ) -> None:
@@ -69,7 +66,7 @@ class KomlosGreenberg(DeterministicProtocol):
         self.k, _ = validate_k_n(k, n)
         if families is None:
             families = concatenated_families(n, self.k, rng=rng)
-        self.families: List[SelectiveFamily] = list(families)
+        self.families: List[SetFamily] = list(families)
         self._cyclic = CyclicFamilySchedule(concatenate_families(families))
 
     @property

@@ -146,7 +146,7 @@ class SetFamily:
     def concatenated(cls, families: Sequence["SetFamily"]) -> "SetFamily":
         """Run ``families`` back to back: one array concat, offsets shifted.
 
-        Equal to chaining :meth:`concatenate` pairwise, label included.
+        The label joins the non-empty labels with ``+``.
         """
         if not families:
             raise ValueError("need at least one family to concatenate")
@@ -254,10 +254,6 @@ class SetFamily:
         mat = np.zeros((len(self), self.n), dtype=bool)
         mat[self._set_of(), self.flat - 1] = True
         return mat
-
-    def concatenate(self, other: "SetFamily") -> "SetFamily":
-        """Concatenate two families over the same universe."""
-        return SetFamily.concatenated([self, other])
 
 
 def _rebuild_family(n: int, offsets: np.ndarray, flat: np.ndarray, label: str) -> SetFamily:

@@ -31,10 +31,8 @@ _EXPORTS = {
     "SilentProtocol": "repro.core.schedules",
     "virtual_wake_time": "repro.core.schedules",
     "RoundRobin": "repro.core.round_robin",
-    "SelectiveFamily": "repro.core.selective",
     "selective_family_target_length": "repro.core.selective",
     "random_selective_family": "repro.core.selective",
-    "explicit_selective_family": "repro.core.selective",
     "concatenated_families": "repro.core.selective",
     "SelectAmongTheFirst": "repro.core.scenario_a",
     "WakeupWithS": "repro.core.scenario_a",

@@ -39,13 +39,9 @@ import numpy as np
 
 from repro._util import RngLike, validate_k_n, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
-from repro.combinatorics.selectors import SetFamily
+from repro.combinatorics.set_family import SetFamily
 from repro.core.schedules import cyclic_slots
-from repro.core.selective import (
-    SelectiveFamily,
-    concatenate_families,
-    concatenated_families,
-)
+from repro.core.selective import concatenate_families, concatenated_families
 from repro.core.waking_matrix import (
     HashedTransmissionMatrix,
     TransmissionMatrix,
@@ -81,7 +77,7 @@ class LocalClockWakeup(DeterministicProtocol):
         self,
         n: int,
         k: Optional[int] = None,
-        families: Optional[Sequence[SelectiveFamily]] = None,
+        families: Optional[Sequence[SetFamily]] = None,
         *,
         cyclic: bool = True,
         rng: RngLike = None,
@@ -91,7 +87,7 @@ class LocalClockWakeup(DeterministicProtocol):
         self.k, _ = validate_k_n(k, n)
         if families is None:
             families = concatenated_families(n, self.k, rng=rng)
-        self.families: List[SelectiveFamily] = list(families)
+        self.families: List[SetFamily] = list(families)
         for fam in self.families:
             if fam.n != n:
                 raise ValueError(

@@ -24,13 +24,10 @@ import numpy as np
 
 from repro._util import RngLike, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
+from repro.combinatorics.set_family import SetFamily
 from repro.core.round_robin import RoundRobin
 from repro.core.schedules import FamilySchedule, InterleavedProtocol, virtual_wake_time
-from repro.core.selective import (
-    SelectiveFamily,
-    concatenate_families,
-    concatenated_families,
-)
+from repro.core.selective import concatenate_families, concatenated_families
 
 __all__ = ["SelectAmongTheFirst", "WakeupWithS"]
 
@@ -63,7 +60,7 @@ class SelectAmongTheFirst(DeterministicProtocol):
         self,
         n: int,
         s: int,
-        families: Optional[Sequence[SelectiveFamily]] = None,
+        families: Optional[Sequence[SetFamily]] = None,
         *,
         rng: RngLike = None,
     ) -> None:
@@ -73,7 +70,7 @@ class SelectAmongTheFirst(DeterministicProtocol):
         self.s = int(s)
         if families is None:
             families = concatenated_families(n, n, rng=rng)
-        self.families: List[SelectiveFamily] = list(families)
+        self.families: List[SetFamily] = list(families)
         for fam in self.families:
             if fam.n != n:
                 raise ValueError(
@@ -143,7 +140,7 @@ class WakeupWithS(InterleavedProtocol):
         self,
         n: int,
         s: int,
-        families: Optional[Sequence[SelectiveFamily]] = None,
+        families: Optional[Sequence[SetFamily]] = None,
         *,
         rng: RngLike = None,
     ) -> None:

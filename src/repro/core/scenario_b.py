@@ -26,14 +26,10 @@ import numpy as np
 
 from repro._util import RngLike, validate_k_n, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
-from repro.combinatorics.selectors import SetFamily
+from repro.combinatorics.set_family import SetFamily
 from repro.core.round_robin import RoundRobin
 from repro.core.schedules import CyclicFamilySchedule, InterleavedProtocol
-from repro.core.selective import (
-    SelectiveFamily,
-    concatenate_families,
-    concatenated_families,
-)
+from repro.core.selective import concatenate_families, concatenated_families
 
 __all__ = ["WaitAndGo", "WakeupWithK"]
 
@@ -66,7 +62,7 @@ class WaitAndGo(DeterministicProtocol):
         self,
         n: int,
         k: int,
-        families: Optional[Sequence[SelectiveFamily]] = None,
+        families: Optional[Sequence[SetFamily]] = None,
         *,
         rng: RngLike = None,
     ) -> None:
@@ -75,7 +71,7 @@ class WaitAndGo(DeterministicProtocol):
         self.k = k
         if families is None:
             families = concatenated_families(n, k, rng=rng)
-        self.families: List[SelectiveFamily] = list(families)
+        self.families: List[SetFamily] = list(families)
         for fam in self.families:
             if fam.n != n:
                 raise ValueError(
@@ -177,7 +173,7 @@ class WakeupWithK(InterleavedProtocol):
         self,
         n: int,
         k: int,
-        families: Optional[Sequence[SelectiveFamily]] = None,
+        families: Optional[Sequence[SetFamily]] = None,
         *,
         rng: RngLike = None,
     ) -> None:

@@ -42,8 +42,6 @@ class ExperimentScale:
         Number of wake-up patterns drawn per seed and pattern family.
     max_slots:
         Simulation horizon (slots after the first wake-up).
-    adversary_trials:
-        Number of random patterns tried by the worst-case search.
     workers:
         Worker processes the campaign's resolve phase shards its specs
         across, via :func:`repro.sweeps.runner.map_jobs`.  ``0``/``1``
@@ -58,7 +56,6 @@ class ExperimentScale:
     seeds: int
     patterns_per_seed: int
     max_slots: int
-    adversary_trials: int
     workers: int = 0
 
     def k_values(self, n: int, *, cap: int | None = None) -> List[int]:
@@ -84,7 +81,6 @@ QUICK = ExperimentScale(
     seeds=2,
     patterns_per_seed=2,
     max_slots=200_000,
-    adversary_trials=8,
 )
 
 STANDARD = ExperimentScale(
@@ -94,7 +90,6 @@ STANDARD = ExperimentScale(
     seeds=3,
     patterns_per_seed=3,
     max_slots=1_000_000,
-    adversary_trials=24,
     workers=4,
 )
 
@@ -105,7 +100,6 @@ FULL = ExperimentScale(
     seeds=5,
     patterns_per_seed=5,
     max_slots=4_000_000,
-    adversary_trials=64,
     workers=8,
 )
 

@@ -56,6 +56,7 @@ from repro.analysis.statistics import sorted_median
 from repro.channel.adversary import AdaptiveLowerBoundAdversary
 from repro.channel.simulator import run_deterministic
 from repro.channel.wakeup import WakeupPattern
+from repro.combinatorics.selectors import strongly_selective_family
 from repro.combinatorics.verification import monte_carlo_selectivity
 from repro.core.lower_bounds import (
     randomized_lower_bound,
@@ -67,11 +68,7 @@ from repro.core.round_robin import RoundRobin
 from repro.core.scenario_a import WakeupWithS
 from repro.core.scenario_b import WakeupWithK
 from repro.core.scenario_c import WakeupProtocol
-from repro.core.selective import (
-    explicit_selective_family,
-    random_selective_family,
-    selective_family_target_length,
-)
+from repro.core.selective import random_selective_family, selective_family_target_length
 from repro.core.waking_matrix import first_isolation, matrix_parameters
 from repro.experiments.cache import shared_cache
 from repro.experiments.config import ExperimentScale
@@ -686,10 +683,10 @@ def _e8_compute(cells: List[Tuple[int, int]], seed: int) -> List[list]:
     for n, k in cells:
         target = selective_family_target_length(n, k, multiplier=1.0)
         random_fam = random_selective_family(n, k, rng=rng)
-        selectivity = monte_carlo_selectivity(random_fam.family, k, trials=200, rng=rng)
+        selectivity = monte_carlo_selectivity(random_fam, k, trials=200, rng=rng)
         explicit_length: Optional[int] = None
         if k <= 8:
-            explicit_length = explicit_selective_family(n, k).length
+            explicit_length = strongly_selective_family(n, k).length
         out.append([target, random_fam.length, selectivity, explicit_length])
     return out
 

@@ -68,6 +68,7 @@ import contextlib
 import json
 import os
 import socket
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -456,6 +457,13 @@ class ServiceServer(ThreadingHTTPServer):
         with self._connections_lock:
             self._connections.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that resets or times out mid-request is routine: drop it
+        # quietly; anything else keeps the base class's traceback.
+        if isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            return
+        super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         super().server_close()

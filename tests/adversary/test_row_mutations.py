@@ -14,15 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.adversary.mutations import (
-    MUTATIONS,
-    ROW_MUTATIONS,
-    merge_row,
-    mutate_row,
-    shift_row,
-    swap_row,
-)
-from repro.channel.wakeup import WakeupPattern
+from repro.adversary.mutations import merge_row, mutate_row, shift_row, swap_row
 
 
 def _clamp(t, max_time):
@@ -154,19 +146,3 @@ class TestPairOrder:
             out, _ = row_operator(8, stations, wakes, np.random.default_rng(seed))
             assert out.tolist() == [7, 2, 5]
 
-
-class TestPatternAdapters:
-    def test_registries_name_the_same_operators(self):
-        assert list(MUTATIONS) == list(ROW_MUTATIONS) == ["shift", "swap", "merge"]
-
-    @given(row=rows(), seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_a_pattern_operator_is_its_row_operator(self, row, seed):
-        n, times = row
-        pattern = WakeupPattern(n, times)
-        for name, pattern_operator in MUTATIONS.items():
-            mutated = pattern_operator(pattern, np.random.default_rng(seed))
-            gen = np.random.default_rng(seed)
-            row = ROW_MUTATIONS[name](n, *pattern.pair_arrays(), gen)
-            got = [column.tolist() for column in mutated.pair_arrays()]
-            assert got == [column.tolist() for column in row]

@@ -208,7 +208,7 @@ class TestKomlosGreenberg:
         # Unlike WaitAndGo, a station can transmit before the next family boundary.
         families = concatenated_families(16, 4, rng=0)
         protocol = KomlosGreenberg(16, 4, families=families)
-        station_in_first_set = next(iter(families[0].family[1])) if families[0].family[1] else None
+        station_in_first_set = next(iter(families[0][1])) if families[0][1] else None
         if station_in_first_set is not None:
             assert protocol.transmits(station_in_first_set, 1, 1)
 

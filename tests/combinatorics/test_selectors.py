@@ -42,7 +42,7 @@ class TestSetFamily:
     def test_concatenate(self):
         a = SetFamily(4, (frozenset({1}),), label="a")
         b = SetFamily(4, (frozenset({2}),), label="b")
-        c = a.concatenate(b)
+        c = SetFamily.concatenated([a, b])
         assert c.length == 2
         assert c.sets == (frozenset({1}), frozenset({2}))
 
@@ -50,7 +50,7 @@ class TestSetFamily:
         a = SetFamily(4, (frozenset({1}),))
         b = SetFamily(5, (frozenset({2}),))
         with pytest.raises(ValueError):
-            a.concatenate(b)
+            SetFamily.concatenated([a, b])
 
 
 class TestSingletonFamily:

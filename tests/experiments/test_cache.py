@@ -16,7 +16,7 @@ class TestFamilyCache:
         short = cache.concatenation(32, 4, seed=1)
         assert len(short) == ceil_log2(4)
         for a, b in zip(short, long):
-            assert a.family.sets == b.family.sets
+            assert a.sets == b.sets
 
     def test_extension_rebuild_is_consistent(self):
         cache = FamilyCache()
@@ -24,7 +24,7 @@ class TestFamilyCache:
         long_after = cache.concatenation(32, 32, seed=1)
         # The prefix of the longer sequence equals the earlier short sequence.
         for a, b in zip(short_first, long_after):
-            assert a.family.sets == b.family.sets
+            assert a.sets == b.sets
 
     def test_caching_returns_same_objects(self):
         cache = FamilyCache()
@@ -36,7 +36,7 @@ class TestFamilyCache:
         cache = FamilyCache()
         a = cache.concatenation(16, 4, seed=0)
         b = cache.concatenation(16, 4, seed=1)
-        assert any(x.family.sets != y.family.sets for x, y in zip(a, b))
+        assert any(x.sets != y.sets for x, y in zip(a, b))
         assert len(cache) == 2
 
     def test_clear(self):

@@ -32,7 +32,6 @@ class TestKValues:
             seeds=1,
             patterns_per_seed=1,
             max_slots=1000,
-            adversary_trials=1,
         )
         assert 48 in scale.k_values(64)
 

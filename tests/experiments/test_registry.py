@@ -17,7 +17,6 @@ TINY = ExperimentScale(
     seeds=1,
     patterns_per_seed=1,
     max_slots=100_000,
-    adversary_trials=2,
 )
 
 

@@ -16,15 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.adversary import (
-    SearchSpec,
-    adversarial_search,
-    effective_latencies,
-    merge_mutation,
-    mutate,
-    shift_mutation,
-    swap_mutation,
-)
+from repro.adversary import SearchSpec, adversarial_search, effective_latencies
+from repro.adversary.mutations import merge_row, mutate_row, shift_row, swap_row
 from repro.channel.wakeup import WakeupPattern
 from repro.sweeps.store import SweepStore
 
@@ -37,13 +30,19 @@ wake_dicts = st.dictionaries(
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
+def _apply(row_operator, pattern, rng, **params) -> WakeupPattern:
+    """Run a row operator on ``pattern``'s pair arrays; read the row back."""
+    row = row_operator(pattern.n, *pattern.pair_arrays(), rng, **params)
+    return WakeupPattern.from_arrays(pattern.n, *row)
+
+
 class TestMutationProperties:
     @given(wakes=wake_dicts, seed=seeds)
     @settings(max_examples=60, deadline=None)
     def test_every_operator_preserves_validity(self, wakes, seed):
         pattern = WakeupPattern(24, wakes)
-        for index, op in enumerate((shift_mutation, swap_mutation, merge_mutation)):
-            mutated = op(pattern, np.random.default_rng(seed + index))
+        for index, op in enumerate((shift_row, swap_row, merge_row)):
+            mutated = _apply(op, pattern, np.random.default_rng(seed + index))
             assert isinstance(mutated, WakeupPattern)
             assert mutated.n == pattern.n
             assert mutated.k == pattern.k  # station count preserved
@@ -53,7 +52,7 @@ class TestMutationProperties:
     @settings(max_examples=60, deadline=None)
     def test_mutate_respects_max_time(self, wakes, seed, max_time):
         pattern = WakeupPattern(24, {u: min(t, max_time) for u, t in wakes.items()})
-        mutated = mutate(pattern, np.random.default_rng(seed), max_time=max_time)
+        mutated = _apply(mutate_row, pattern, np.random.default_rng(seed), max_time=max_time)
         assert mutated.k == pattern.k
         assert all(0 <= t <= max_time for t in mutated.wake_times.values())
 
@@ -61,8 +60,8 @@ class TestMutationProperties:
     @settings(max_examples=40, deadline=None)
     def test_mutate_stream_is_reproducible(self, wakes, seed):
         pattern = WakeupPattern(24, wakes)
-        a = mutate(pattern, np.random.default_rng(seed))
-        b = mutate(pattern, np.random.default_rng(seed))
+        a = _apply(mutate_row, pattern, np.random.default_rng(seed))
+        b = _apply(mutate_row, pattern, np.random.default_rng(seed))
         assert a == b
 
     @given(wakes=wake_dicts)
@@ -70,14 +69,14 @@ class TestMutationProperties:
     def test_swap_at_full_universe_falls_back_to_shift(self, wakes):
         n = max(wakes)
         full = WakeupPattern(n, {u: 0 for u in range(1, n + 1)})
-        mutated = swap_mutation(full, np.random.default_rng(0))
+        mutated = _apply(swap_row, full, np.random.default_rng(0))
         assert mutated.k == n  # fell back to a shift, station set unchanged
         assert set(mutated.wake_times) == set(full.wake_times)
 
     def test_mutate_rejects_unknown_ops(self):
         pattern = WakeupPattern(8, {1: 0})
         with pytest.raises(KeyError, match="nope"):
-            mutate(pattern, np.random.default_rng(0), ops=["nope"])
+            _apply(mutate_row, pattern, np.random.default_rng(0), ops=["nope"])
 
 
 class TestTieConvention:

@@ -32,7 +32,7 @@ class TestSelectiveFamilyProperties:
                 unique=True,
             )
         )
-        assert is_selective_for(family.family, contenders)
+        assert is_selective_for(family, contenders)
 
     @given(n=st.integers(min_value=2, max_value=128), k=st.integers(min_value=1, max_value=128))
     @settings(max_examples=60, deadline=None)

@@ -151,7 +151,7 @@ class TestConcatenationEqualityAndErrors:
         for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
             _, sets = data.draw(raw_families(n=n, max_sets=4))
             parts.append(SetFamily(n, sets, label=data.draw(labels)))
-        chained = reduce(lambda a, b: a.concatenate(b), parts)
+        chained = reduce(lambda a, b: SetFamily.concatenated([a, b]), parts)
         combined = SetFamily.concatenated(parts)
         assert combined == chained
         assert hash(combined) == hash(chained)
