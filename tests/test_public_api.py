@@ -67,6 +67,21 @@ class TestPublicSurface:
         assert repro.QUICK.name == "quick"
 
 
+class TestOneSelectiveFamilyForm:
+    def test_constructions_have_no_wrapper_or_verification(self):
+        from repro.combinatorics.set_family import SetFamily
+        from repro.core import selective
+
+        for module in (repro, importlib.import_module("repro.core"), selective):
+            assert "SelectiveFamily" not in getattr(module, "__all__", ())
+            assert not hasattr(module, "explicit_selective_family")
+        assert not hasattr(SetFamily, "concatenate")
+        draw = inspect.signature(selective.random_selective_family)
+        assert list(draw.parameters) == ["n", "k", "rng"]
+        concat = inspect.signature(selective.concatenated_families)
+        assert "multiplier" not in concat.parameters
+
+
 #: Entry points from the engines up to the service that resolve patterns;
 #: each takes its protocol, patterns or configs and nothing that picks an
 #: array implementation, because there is exactly one (NumPy).
